@@ -71,21 +71,24 @@ def backend_speedup_table(medians: dict[str, float]) -> str | None:
     """Markdown table of fast-vs-exact medians for backend-matrixed benches.
 
     Benchmarks parametrized over the numeric backends appear twice in a run,
-    as ``<name>[exact]`` and ``<name>[fast]``; for every such pair the table
-    shows both medians and the exact/fast speedup factor.  Returns ``None``
-    when the run has no pairs (e.g. a filtered local run).
+    as ``<name>[<params>exact]`` and ``<name>[<params>fast]`` (e.g.
+    ``[exact]``/``[fast]`` or ``[combined-exact]``/``[combined-fast]``);
+    for every such pair the table shows both medians and the exact/fast
+    speedup factor.  Returns ``None`` when the run has no pairs (e.g. a
+    filtered local run).
     """
     rows: list[tuple[str, str, str, str]] = []
     for name in sorted(medians):
-        if not name.endswith("[exact]"):
+        if not name.endswith("exact]"):
             continue
-        stem = name[: -len("[exact]")]
-        fast = medians.get(f"{stem}[fast]")
+        stem = name[: -len("exact]")]
+        fast = medians.get(f"{stem}fast]")
         if fast is None:
             continue
         exact = medians[name]
         speedup = exact / fast if fast > 0 else float("inf")
-        rows.append((f"`{stem}`", seconds(exact), seconds(fast), f"{speedup:.2f}x"))
+        label = stem[:-1] if stem.endswith("[") else f"{stem[:-1]}]"
+        rows.append((f"`{label}`", seconds(exact), seconds(fast), f"{speedup:.2f}x"))
     if not rows:
         return None
     header = ("benchmark", "exact median", "fast median", "speedup")

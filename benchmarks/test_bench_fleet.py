@@ -2,9 +2,10 @@
 
 The fleet engine merges per-link Poisson arrival streams into one
 event-ordered schedule and flushes ready windows across links through the
-shared vectorized batch scorer.  This benchmark runs a 1,000-link
-heterogeneous population (normal/busy/abusive rate classes) end to end and
-prints the service-level numbers the README quotes: scheduler throughput in
+shared stacked scoring program.  This benchmark runs a 1,000-link
+heterogeneous population (normal/busy/abusive rate classes) end to end, on
+the baseline scheme and on the paper's combined scheme, and prints the
+service-level numbers the README quotes: scheduler throughput in
 windows/sec plus p50/p99 arrival-to-emission latency.  The event stream is
 deterministic, so the run also doubles as a smoke check that the digest is
 stable across CI pushes.
@@ -18,7 +19,7 @@ from repro.api import PipelineConfig
 from repro.fleet import FleetConfig, run_fleet
 
 
-def fleet_config(backend: str = "exact") -> FleetConfig:
+def fleet_config(backend: str = "exact", detector: str = "baseline") -> FleetConfig:
     """1,000 concurrent links over 2 simulated seconds, sized for CI."""
     return FleetConfig(
         links=1000,
@@ -28,11 +29,25 @@ def fleet_config(backend: str = "exact") -> FleetConfig:
         pool_packets=40,
         backend=backend,
         pipeline=PipelineConfig(
-            detector="baseline",
+            detector=detector,
             window_packets=10,
             calibration_packets=30,
         ),
     )
+
+
+#: (backend, scheme) cases of the scheduler bench.  The baseline cases keep
+#: their plain backend ids, under which ``baselines.json`` has gated them all
+#: along.
+SCHEDULER_CASES = [
+    pytest.param(
+        backend,
+        detector,
+        id=backend if detector == "baseline" else f"{detector}-{backend}",
+    )
+    for detector in ("baseline", "combined")
+    for backend in ("exact", "fast")
+]
 
 
 def test_fleet_1000_links_setup_only(benchmark):
@@ -55,21 +70,22 @@ def test_fleet_1000_links_setup_only(benchmark):
     assert all(traffic.num_arrivals > 0 for traffic in traffics)
 
 
-@pytest.mark.parametrize("backend", ["exact", "fast"])
-def test_fleet_1000_links_batched_scheduler(benchmark, backend):
+@pytest.mark.parametrize(("backend", "detector"), SCHEDULER_CASES)
+def test_fleet_1000_links_batched_scheduler(benchmark, backend, detector):
     """Wall-clock of a 1,000-link fleet run (traffic synthesis + scheduling).
 
-    Parametrized over the numeric backends; both medians are gated in
-    ``baselines.json`` and feed the fast-vs-exact speedup table.
+    Parametrized over the numeric backends and over the baseline and
+    combined schemes; every median is gated in ``baselines.json`` and each
+    scheme's backend pair feeds the fast-vs-exact speedup table.
     """
-    config = fleet_config(backend)
+    config = fleet_config(backend, detector)
 
     report = benchmark.pedantic(lambda: run_fleet(config), rounds=1, iterations=1)
 
     assert report.links == 1000
     assert report.windows_scored > 1000  # every rate class contributes windows
     assert report.latency_p50_s <= report.latency_p99_s
-    print("\n=== Fleet 1000-link smoke ===")
+    print(f"\n=== Fleet 1000-link smoke ({detector}, {backend}) ===")
     print(f"arrivals={report.arrivals} windows={report.windows_scored}")
     print(f"per_class={report.per_class}")
     print(

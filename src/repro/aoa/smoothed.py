@@ -24,29 +24,32 @@ from repro.channel.constants import CHANNEL_11_CENTER_HZ
 
 
 def forward_smoothed_covariance(covariance: np.ndarray, subarray_size: int) -> np.ndarray:
-    """Forward spatial smoothing of a full-array covariance matrix.
+    """Forward spatial smoothing of full-array covariance matrices.
 
     Parameters
     ----------
     covariance:
-        Hermitian matrix of shape ``(M, M)``.
+        Hermitian matrix of shape ``(M, M)``, or a stack ``(..., M, M)``
+        smoothed matrix by matrix.
     subarray_size:
         Size ``L <= M`` of the overlapping subarrays; the result has shape
-        ``(L, L)`` and is the average over the ``M - L + 1`` subarrays.
+        ``(..., L, L)`` and is the average over the ``M - L + 1`` subarrays.
     """
     covariance = np.asarray(covariance, dtype=complex)
-    num_elements = covariance.shape[0]
-    if covariance.shape != (num_elements, num_elements):
+    num_elements = covariance.shape[-1]
+    if covariance.ndim < 2 or covariance.shape[-2] != num_elements:
         raise ValueError(f"covariance must be square, got shape {covariance.shape}")
     if not 1 <= subarray_size <= num_elements:
         raise ValueError(
             f"subarray_size must be in [1, {num_elements}], got {subarray_size}"
         )
     num_subarrays = num_elements - subarray_size + 1
-    smoothed = np.zeros((subarray_size, subarray_size), dtype=complex)
+    smoothed = np.zeros(
+        covariance.shape[:-2] + (subarray_size, subarray_size), dtype=complex
+    )
     for start in range(num_subarrays):
-        block = covariance[start : start + subarray_size, start : start + subarray_size]
-        smoothed += block
+        stop = start + subarray_size
+        smoothed += covariance[..., start:stop, start:stop]
     return smoothed / num_subarrays
 
 
@@ -107,6 +110,15 @@ class SmoothedMusicEstimator:
             frequency_hz=self.frequency_hz,
             angle_grid_deg=self.angle_grid_deg,
         )
+
+    def pseudospectra_from_covariances(
+        self, covariances: np.ndarray
+    ) -> list[PseudoSpectrum]:
+        """Smoothed-MUSIC pseudospectra of a full-array covariance stack
+        ``(N, M, M)``: each covariance is forward-smoothed, then the inner
+        MUSIC estimator runs on the smoothed ``(N, L, L)`` stack."""
+        smoothed = forward_smoothed_covariance(covariances, self.subarray_size)
+        return self._estimator.pseudospectra_from_covariances(smoothed)
 
     def pseudospectrum(self, csi: np.ndarray) -> PseudoSpectrum:
         """Smoothed-MUSIC pseudospectrum from CSI snapshots."""

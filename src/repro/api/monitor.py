@@ -1,28 +1,33 @@
-"""Multi-link monitoring: one packet stream fanned across several links.
+"""Cross-link scoring and multi-link monitoring.
+
+:func:`score_windows` is the one scoring program of every caller: the
+campaign (:func:`score_windows_shared`), :class:`MultiLinkMonitor`, the fleet
+scheduler (:func:`score_windows_batch`) and the calibration-threshold replay
+of :func:`calibrate_sessions` (behind
+:meth:`~repro.api.session.StreamingSession.calibrate`,
+:meth:`MultiLinkMonitor.calibrate` and the fleet's shard set-up).  It groups
+(detector, window) pairs by scheme kernel and window shape, sanitises every
+window once, and scores each group in one stacked kernel call
+(:meth:`~repro.core.detector._BaseDetector.stacked_scores`).  A window's score
+depends only on its detector's calibration and its packets, so it is
+bit-identical for any batch size or composition — a standalone
+``detector.score(window)`` is the batch of one.
 
 A deployment rarely watches a single TX-RX pair — the paper's evaluation alone
 spans five links.  :class:`MultiLinkMonitor` owns one
 :class:`~repro.api.session.StreamingSession` per link, accepts per-link frames
 in lockstep (the links all hear the same ping schedule, so their windows
 complete on the same pushes) and scores every completed window in one batch.
-
-Windows belonging to :class:`~repro.core.detector.BaselineDetector` sessions
-with matching shapes are scored in a single vectorized NumPy pass — their
-mean-amplitude profiles are stacked into one ``(links, antennas, subcarriers)``
-array and reduced together — which is exactly equivalent to (and bit-identical
-with) scoring each link sequentially.  Other detectors fall back to per-link
-scoring inside the same batch step.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Hashable, Mapping, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.backend import active_backend
-from repro.core.detector import BaselineDetector, shares_sanitized_view
+from repro.core.detector import runs_scheme_kernel, shares_sanitized_view
 from repro.csi.calibration import sanitize_trace, sanitize_traces
 from repro.csi.format import CSIFrame
 from repro.csi.trace import CSITrace
@@ -88,12 +93,14 @@ class MultiLinkMonitor:
     # calibration
     # ------------------------------------------------------------------ #
     def calibrate(self, baselines: Mapping[str, CSITrace]) -> None:
-        """Calibrate every session from its link's empty-environment trace."""
+        """Calibrate every session from its link's empty-environment trace,
+        all links in one :func:`calibrate_sessions` pass."""
         missing = set(self._sessions) - set(baselines)
         if missing:
             raise ValueError(f"missing calibration traces for links: {sorted(missing)}")
-        for name, session in self._sessions.items():
-            session.calibrate(baselines[name])
+        calibrate_sessions(
+            [(session, baselines[name]) for name, session in self._sessions.items()]
+        )
 
     # ------------------------------------------------------------------ #
     # streaming
@@ -167,89 +174,140 @@ class MultiLinkMonitor:
         return f"{type(self).__name__}(links={list(self._sessions)})"
 
 
+#: Most windows one kernel call stacks: bounds the temporaries of a large
+#: calibration replay (scores do not depend on how a group is split).
+_MAX_STACK = 256
+
+
+def score_windows(
+    pairs: Sequence[tuple[Any, CSITrace]], *, prepared: bool = False
+) -> list[float]:
+    """Scores of (detector, window) pairs, in *pairs* order.
+
+    Scheme-kernel detectors (:func:`~repro.core.detector.runs_scheme_kernel`)
+    are grouped by class, :meth:`~repro.core.detector._BaseDetector.batch_key`
+    and window shape; every window a sanitising detector needs is cleaned in
+    one :func:`~repro.csi.calibration.sanitize_traces` pass (once, however
+    many detectors score it) and each group is scored by one stacked kernel
+    call.  Any other detector scores its raw window through its own
+    ``score``.  Every score is bit-identical to ``detector.score(window)``.
+
+    With *prepared*, the windows are already sanitised views — slices of one
+    shared ``sanitize_trace`` pass, as in the calibration replay of
+    :func:`calibrate_sessions` — and every detector must share sanitised
+    views (:func:`~repro.core.detector.shares_sanitized_view`).
+    """
+    pairs = list(pairs)
+    if not pairs:
+        return []
+    scores = [0.0] * len(pairs)
+    with obs.span("score.batch"):
+        # Per detector: its kernel (class and batch key), or None when it
+        # scores through its own ``score``.
+        kernels: dict[int, tuple[type, Hashable] | None] = {}
+        for detector, _ in pairs:
+            if id(detector) not in kernels:
+                kernels[id(detector)] = (
+                    (type(detector), detector.batch_key())
+                    if runs_scheme_kernel(detector)
+                    else None
+                )
+        stacked = []
+        for position, (detector, window) in enumerate(pairs):
+            if kernels[id(detector)] is None:
+                scores[position] = float(detector.score(window))
+            elif window.num_packets < 1:
+                raise ValueError("monitoring window must contain at least one packet")
+            else:
+                stacked.append(position)
+        # Every window a sanitising detector scores is cleaned once, in one pass.
+        raw: dict[int, CSITrace] = {}
+        if not prepared:
+            for detector, window in (pairs[i] for i in stacked):
+                if detector.sanitize:
+                    raw[id(window)] = window
+        cleaned = dict(zip(raw, sanitize_traces(list(raw.values()))))
+        views: dict[int, CSITrace] = {}
+        groups: dict[tuple[Any, tuple[int, ...]], list[int]] = {}
+        for position in stacked:
+            detector, window = pairs[position]
+            views[position] = cleaned.get(id(window), window) if detector.sanitize else window
+            key = (kernels[id(detector)], views[position].csi.shape)
+            groups.setdefault(key, []).append(position)
+        # Schemes scoring the same windows share one stack and its window-only
+        # intermediates (the subcarrier weights).
+        scratches: dict[tuple[int, ...], dict] = {}
+        for ((cls, _), _), positions in groups.items():
+            with obs.span(f"score.{cls.scheme}"):
+                for start in range(0, len(positions), _MAX_STACK):
+                    chunk = positions[start : start + _MAX_STACK]
+                    scratch = scratches.setdefault(tuple(id(views[i]) for i in chunk), {})
+                    if "csi" not in scratch:
+                        scratch["csi"] = np.stack([views[i].csi for i in chunk])
+                    values = cls.stacked_scores(
+                        [pairs[i][0] for i in chunk], scratch["csi"], scratch
+                    )
+                    for position, value in zip(chunk, values):
+                        scores[position] = float(value)
+    obs.count("score.windows", len(pairs))
+    return scores
+
+
 def score_windows_batch(
     ready: Sequence[tuple[StreamingSession, CSITrace]]
 ) -> list[DetectionEvent]:
-    """Score completed windows from several sessions; vectorize where possible.
+    """Score completed windows from several sessions and emit their events.
 
-    The shared cross-link scoring step: :meth:`MultiLinkMonitor.push` and the
-    fleet scheduler (:mod:`repro.fleet.scheduler`) both hand their ready
-    ``(session, window)`` pairs here.  Windows owned by
-    :class:`~repro.core.detector.BaselineDetector` sessions with matching
-    shapes are reduced in one stacked NumPy pass (bit-identical to scoring
-    each window on its own — see :func:`_batch_baseline_scores`); everything
-    else falls back to per-window ``detector.score``.  Events are emitted
-    through :meth:`~repro.api.session.StreamingSession.emit` in *ready*
-    order.
+    The cross-link scoring step of :meth:`MultiLinkMonitor.push` and the
+    fleet scheduler (:mod:`repro.fleet.scheduler`): one
+    :func:`score_windows` call, then events through
+    :meth:`~repro.api.session.StreamingSession.emit` in *ready* order —
+    bit-identical to the ones inline
+    :meth:`~repro.api.session.StreamingSession.push` would emit.
     """
-    if not ready:
-        return []
-    with obs.span("score.batch"):
-        scores: dict[int, float] = {}
-        batchable = [
-            (position, session, window)
-            for position, (session, window) in enumerate(ready)
-            if type(session.detector) is BaselineDetector
-        ]
-        if len(batchable) >= 2:
-            shapes = {window.csi.shape for _, _, window in batchable}
-            profile_shapes = {
-                session.detector._profile_amplitude.shape for _, session, _ in batchable
-            }
-            if len(shapes) == 1 and len(profile_shapes) == 1:
-                for (position, _, _), score in zip(
-                    batchable, _batch_baseline_scores(batchable)
-                ):
-                    scores[position] = float(score)
-        events = []
-        for position, (session, window) in enumerate(ready):
-            score = scores.get(position)
-            if score is None:
-                score = float(session.detector.score(window))
-            events.append(session.emit(window, score))
-    obs.count("score.windows", len(ready))
-    return events
+    scores = score_windows([(session.detector, window) for session, window in ready])
+    return [session.emit(window, score) for (session, window), score in zip(ready, scores)]
 
 
-def _batch_baseline_scores(
-    batch: Iterable[tuple[int, StreamingSession, CSITrace]]
-) -> np.ndarray:
-    """Score several baseline-detector windows in one vectorized pass.
+def calibrate_sessions(pairs: Sequence[tuple[StreamingSession, CSITrace]]) -> None:
+    """Calibrate several sessions from their empty-environment traces at once.
 
-    Replicates :meth:`BaselineDetector.score` on stacked arrays: per-window
-    mean amplitudes and per-link calibration profiles become one
-    ``(links, antennas, subcarriers)`` array, and the Euclidean distance and
-    antenna average reduce along the trailing axes — elementwise identical to
-    the per-link computation, so the scores are bit-identical.
-
-    Windows requiring phase sanitisation are cleaned by
-    :func:`~repro.csi.calibration.sanitize_traces`: one batched
-    :func:`~repro.csi.calibration.sanitize_csi_array` call per subcarrier
-    grid (the per-frame fits are independent, so stacking windows changes
-    nothing bit-wise), so windows spanning several grids still batch per
-    group instead of dropping to a scalar per-window loop.
+    Per session this is :meth:`~repro.api.session.StreamingSession.calibrate`:
+    the detector is calibrated and, under the ``"calibration"`` threshold
+    policy, the trace is replayed as monitoring windows whose largest score
+    times the session's margin becomes its threshold.  Across sessions it is
+    one program: the traces of every detector that shares sanitised views
+    are cleaned in one :func:`~repro.csi.calibration.sanitize_traces` pass,
+    whose window slices are also the replay windows, and every replay window
+    is scored in one :func:`score_windows` call.  Detectors and thresholds
+    end up bit-identical to calibrating each session alone.
     """
-    batch = list(batch)
-    windows = [window for _, _, window in batch]
-    sanitized_positions = [
-        i for i, (_, session, _) in enumerate(batch) if session.detector.sanitize
-    ]
-    means: list[np.ndarray | None] = [None] * len(batch)
-    if sanitized_positions:
-        cleaned = sanitize_traces([windows[i] for i in sanitized_positions])
-        for clean, i in zip(cleaned, sanitized_positions):
-            means[i] = clean.mean_amplitude()
-    for i, window in enumerate(windows):
-        if means[i] is None:
-            means[i] = window.mean_amplitude()
-    profiles = [session.detector._profile_amplitude for _, session, _ in batch]
-    stacked_means = np.stack(means)
-    stacked_profiles = np.stack(profiles)
-    distances = np.linalg.norm(stacked_means - stacked_profiles, axis=2)
-    return distances.mean(axis=1)
+    pairs = list(pairs)
+    shared = [shares_sanitized_view(session.detector) for session, _ in pairs]
+    cleaned = iter(sanitize_traces([trace for (_, trace), s in zip(pairs, shared) if s]))
+    replays: dict[bool, list[tuple[StreamingSession, CSITrace]]] = {True: [], False: []}
+    for (session, baseline), is_shared in zip(pairs, shared):
+        if is_shared:
+            baseline = next(cleaned)
+            session.detector.calibrate_prepared(baseline)
+        else:
+            session.detector.calibrate(baseline)
+        if session.threshold_policy == "calibration":
+            replays[is_shared].extend(
+                (session, window) for window in session.calibration_windows(baseline)
+            )
+    largest: dict[StreamingSession, float] = {}
+    for is_shared, replay in replays.items():
+        scores = score_windows(
+            [(session.detector, window) for session, window in replay], prepared=is_shared
+        )
+        for (session, _), score in zip(replay, scores):
+            largest[session] = max(largest.get(session, score), score)
+    for session, score in largest.items():
+        session.threshold = score * session.threshold_margin
 
 
-def calibrate_shared(detectors: Mapping[str, object], baseline: CSITrace) -> None:
+def calibrate_shared(detectors: Mapping[str, Any], baseline: CSITrace) -> None:
     """Calibrate several detectors from one baseline, sanitising it once.
 
     Detectors that keep the base-class prepare/compute split (see
@@ -264,61 +322,25 @@ def calibrate_shared(detectors: Mapping[str, object], baseline: CSITrace) -> Non
         if shares_sanitized_view(detector):
             if prepared is None:
                 prepared = sanitize_trace(baseline)
-            detector.calibrate_prepared(prepared)  # type: ignore[attr-defined]
+            detector.calibrate_prepared(prepared)
         else:
-            detector.calibrate(baseline)  # type: ignore[attr-defined]
+            detector.calibrate(baseline)
 
 
 def score_windows_shared(
-    detectors: Mapping[str, object], windows: Sequence[CSITrace]
+    detectors: Mapping[str, Any], windows: Sequence[CSITrace]
 ) -> dict[str, list[float]]:
-    """Score every window under every detector, sanitising each window once.
-
-    The windows are cleaned in one grouped
-    :func:`~repro.csi.calibration.sanitize_traces` pass and the sanitised
-    views handed to every detector that can share them (via
-    ``score_prepared``); detectors with custom plumbing score the raw
-    windows through their own ``score``.  Scores are bit-identical to
-    calling ``detector.score(window)`` for every (detector, window) pair —
-    the historical per-scheme path — because the per-frame phase fits are
-    independent of the batch they run in.
-
-    Under a backend that advertises ``tolerance_parity`` (the ``fast`` mode
-    of :mod:`repro.backend`) the prepared windows are scored through each
-    detector's stacked :meth:`~repro.core.detector._BaseDetector.
-    score_prepared_windows` program instead of the per-window loop; that
-    path is tolerance-parity (bounded score deltas, identical operating
-    points), which is exactly the guarantee fast mode trades byte equality
-    for.  The default ``exact`` backend keeps the bit-identical loop.
+    """Score every window under every detector in one :func:`score_windows`
+    call, each window sanitised once for all schemes.
 
     Returns a mapping from detector name to the per-window score list, in
     *windows* order.
     """
     windows = list(windows)
-    shared_names = {
-        name for name, detector in detectors.items() if shares_sanitized_view(detector)
+    scores = score_windows(
+        [(detector, window) for detector in detectors.values() for window in windows]
+    )
+    count = len(windows)
+    return {
+        name: scores[i * count : (i + 1) * count] for i, name in enumerate(detectors)
     }
-    prepared = sanitize_traces(windows) if shared_names and windows else []
-    batch_scoring = getattr(active_backend(), "tolerance_parity", False)
-    batch_cache: dict = {}
-    scores: dict[str, list[float]] = {}
-    for name, detector in detectors.items():
-        if name in shared_names:
-            if batch_scoring:
-                scores[name] = [
-                    float(score)
-                    for score in detector.score_prepared_windows(  # type: ignore[attr-defined]
-                        prepared, cache=batch_cache
-                    )
-                ]
-                continue
-            scores[name] = [
-                float(detector.score_prepared(window))  # type: ignore[attr-defined]
-                for window in prepared
-            ]
-        else:
-            scores[name] = [
-                float(detector.score(window))  # type: ignore[attr-defined]
-                for window in windows
-            ]
-    return scores

@@ -22,10 +22,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.core.detector import shares_sanitized_view
-from repro.csi.calibration import sanitize_trace
 from repro.csi.format import CSIFrame
 from repro.csi.trace import CSITrace
 
@@ -195,34 +193,20 @@ class StreamingSession:
         threshold that would have produced zero false alarms on the
         calibration data plus a safety margin.
 
-        Detectors that keep the base-class prepare/compute split (see
-        :func:`~repro.core.detector.shares_sanitized_view`) are calibrated
-        from one shared ``sanitize_trace(baseline)``, whose window slices
-        also feed the threshold replay — one sanitisation pass instead of
-        one per calibration plus one per replayed window, bit-identical to
-        the standalone path because the per-frame phase fits are
-        independent.
+        The batch of one of :func:`repro.api.monitor.calibrate_sessions`:
+        a detector that shares sanitised views (see
+        :func:`~repro.core.detector.shares_sanitized_view`) is calibrated
+        from one ``sanitize_trace(baseline)``, whose window slices are also
+        the replay windows, scored in one
+        :func:`~repro.api.monitor.score_windows` call.
         """
-        if shares_sanitized_view(self.detector):
-            prepared = sanitize_trace(baseline)
-            self.detector.calibrate_prepared(prepared)
-            if self.threshold_policy == "calibration":
-                self.threshold = self._calibration_threshold(
-                    prepared, scorer=self.detector.score_prepared
-                )
-            return
-        self.detector.calibrate(baseline)
-        if self.threshold_policy == "calibration":
-            self.threshold = self._calibration_threshold(baseline)
+        from repro.api.monitor import calibrate_sessions
 
-    def _calibration_threshold(
-        self,
-        baseline: CSITrace,
-        *,
-        scorer: "Callable[[CSITrace], float] | None" = None,
-    ) -> float:
-        if scorer is None:
-            scorer = self.detector.score
+        calibrate_sessions([(self, baseline)])
+
+    def calibration_windows(self, baseline: CSITrace) -> list[CSITrace]:
+        """The calibration trace cut into tumbling monitoring windows (the
+        ``"calibration"`` threshold policy's replay)."""
         num_windows = baseline.num_packets // self.window_packets
         if num_windows < 1:
             raise ValueError(
@@ -230,11 +214,8 @@ class StreamingSession:
                 f'"calibration" threshold policy needs at least one full window '
                 f"of {self.window_packets}"
             )
-        scores = [
-            scorer(baseline[i * self.window_packets : (i + 1) * self.window_packets])
-            for i in range(num_windows)
-        ]
-        return float(max(scores)) * self.threshold_margin
+        size = self.window_packets
+        return [baseline[i * size : (i + 1) * size] for i in range(num_windows)]
 
     @property
     def is_calibrated(self) -> bool:

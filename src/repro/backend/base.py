@@ -9,9 +9,14 @@ modules through a :class:`NumericBackend`.  Two implementations ship:
   through the same libm calls the scalar reference code makes, preserving the
   campaign sha256 pins byte-for-byte.  It is the default everywhere.
 * :class:`repro.backend.fast.FastBackend` (``"fast"``) takes NumPy's SIMD
-  ufuncs, a public batched ``lstsq`` and cached IDFT plans; it is verified by
+  ufuncs and a cached least-squares pseudo-inverse; it is verified by
   tolerance parity (bounded score deltas, identical ROC operating points)
   rather than byte equality.
+
+Every kernel of every backend is row-independent: a row's result never
+depends on how many rows share the call.  The stacked scoring program
+relies on this for its batch-invariance contract (a window's score is
+bit-identical for any batch size or composition).
 
 Backends are looked up by name in a :class:`repro.backend.registry.BackendRegistry`
 and activated with :func:`repro.backend.use_backend`; kernels are taken from
@@ -40,9 +45,7 @@ class NumericBackend(Protocol):
     #: Whether this backend promises only tolerance parity (bounded score
     #: deltas, identical operating points) rather than byte equality with the
     #: scalar reference.  Layers with mathematically equivalent but
-    #: float-reassociated fast paths — the stacked whole-case scoring program
-    #: (:meth:`repro.core.detector._BaseDetector.score_prepared_windows`),
-    #: the fused phase-impairment product in
+    #: float-reassociated fast paths — the fused phase-impairment product in
     #: :meth:`repro.channel.noise.ImpairmentDrawPlan.apply` — may take them
     #: only when this is True; the pinned ``exact`` backend keeps the
     #: historical operation order everywhere.

@@ -1,4 +1,4 @@
-"""The SIMD backend: NumPy ufuncs, public batched lstsq, cached IDFT plans.
+"""The SIMD backend: NumPy ufuncs and a cached least-squares pseudo-inverse.
 
 ``fast`` trades the last-ulp bit parity of :class:`repro.backend.exact.ExactBackend`
 for NumPy's vectorised kernels:
@@ -6,17 +6,17 @@ for NumPy's vectorised kernels:
 * the transcendentals are the bare SIMD ufuncs (``np.exp``/``np.hypot``/
   ``np.sin``/``np.arccos``/``np.power``) instead of a Python-level libm call
   per element;
-* the linear-phase fit solves all rows in one public multi-RHS
-  ``np.linalg.lstsq`` call instead of per-row single-RHS gufunc solves;
-* the IFFT over the fixed 30-tap/subcarrier grids is applied as one cached
-  inverse-DFT matrix multiply (a BLAS ``zgemm`` over the whole batch), built
-  once per length and reused for the life of the process.
+* the linear-phase fit applies one cached ``2 x K`` pseudo-inverse of the
+  shared design matrix to every row instead of per-row LAPACK solves.
 
-Scores produced under ``fast`` differ from ``exact`` in the trailing bits
-only; the parity suite (``tests/test_backend_parity.py``) bounds the
-per-window score deltas and requires identical ROC operating points and
-headline detection numbers.  This module is deliberately *outside* the
-DET001 lint scope — bare NumPy transcendentals are the point here.
+Every kernel is row-independent — a row's result does not depend on how
+many rows share the call — so scores stay bit-identical for any batch size,
+as under ``exact``.  Scores produced under ``fast`` differ from ``exact`` in
+the trailing bits only; the parity suite (``tests/test_backend_parity.py``)
+bounds the per-window score deltas and requires identical ROC operating
+points and headline detection numbers.  This module is deliberately
+*outside* the DET001 lint scope — bare NumPy transcendentals are the point
+here.
 
 The backend is float32-capable: ``FastBackend(dtype=np.float32)`` computes
 through single precision (useful for accelerator offload experiments), but
@@ -30,21 +30,14 @@ import numpy as np
 
 from repro.backend.registry import register_backend
 
-#: Largest transform length that gets a cached IDFT matrix; the repo's CFR
-#: grids are 30 subcarriers/taps, so everything hot is covered with room for
-#: custom band layouts.  Longer rows fall back to pocketfft.
-_PLAN_CACHE_MAX_N = 64
-
 
 @register_backend("fast")
 class FastBackend:
     """Bare NumPy SIMD kernels with tolerance (not byte) parity."""
 
     name = "fast"
-    #: Only tolerance parity promised: whole-case windows may be scored
-    #: through one stacked array program and the per-packet impairment
-    #: phases fused into a single complex rotation (the per-window Python
-    #: dispatch dominates the campaign profile otherwise).
+    #: Only tolerance parity promised: the per-packet impairment phases may
+    #: be fused into a single complex rotation.
     tolerance_parity = True
 
     def __init__(self, dtype=np.float64) -> None:
@@ -53,7 +46,7 @@ class FastBackend:
             self._complex_dtype = np.dtype(np.complex64)
         else:
             self._complex_dtype = np.dtype(np.complex128)
-        self._idft_plans: dict[int, np.ndarray] = {}
+        self._fit_pinvs: dict[bytes, np.ndarray] = {}
 
     @property
     def real_dtype(self):
@@ -99,38 +92,30 @@ class FastBackend:
         return out
 
     # -- FFT entry points ------------------------------------------------ #
-    def _idft_plan(self, n: int) -> np.ndarray:
-        plan = self._idft_plans.get(n)
-        if plan is None:
-            k = np.arange(n)
-            plan = np.exp(2j * np.pi * np.outer(k, k) / n).astype(
-                self._complex_dtype
-            ) / n
-            self._idft_plans[n] = plan
-        return plan
-
     def ifft(self, rows: np.ndarray, axis: int = -1) -> np.ndarray:
-        rows = np.asarray(rows)
-        n = rows.shape[axis]
-        if n <= _PLAN_CACHE_MAX_N and axis in (-1, rows.ndim - 1):
-            return rows @ self._idft_plan(n)
+        # pocketfft transforms each row on its own; a cached IDFT matrix
+        # multiply (BLAS zgemm) gives different bits for a one-row call.
         return np.fft.ifft(rows, axis=axis)
 
     # -- batched linear algebra ------------------------------------------ #
     def linear_phase_fits(self, indices: np.ndarray, phases: np.ndarray) -> np.ndarray:
-        """All rows in one public multi-RHS ``np.linalg.lstsq`` solve.
+        """Every row through one cached ``2 x K`` pseudo-inverse.
 
         Same Vandermonde/column-scaling/``rcond`` preprocessing as the exact
-        backend, but the rows become the right-hand-side columns of a single
-        LAPACK call instead of a batch of single-RHS solves — tolerance, not
-        byte, parity with ``np.polyfit``.
+        backend; the pseudo-inverse of the scaled design matrix is computed
+        once per abscissa and applied row by row as an elementwise product
+        and a reduction along the row — no row sees another, unlike a
+        multi-RHS ``lstsq`` whose bits depend on the row count.  Tolerance,
+        not byte, parity with ``np.polyfit``.
         """
         indices = np.asarray(indices, dtype=self._real_dtype)
         phases = np.asarray(phases, dtype=self._real_dtype)
-        if phases.shape[0] == 0:
-            return np.zeros((0, 2), dtype=self._real_dtype)
-        lhs = np.vander(indices, 2)
-        scale = np.sqrt((lhs * lhs).sum(axis=0))
-        rcond = len(indices) * np.finfo(indices.dtype).eps
-        coefficients = np.linalg.lstsq(lhs / scale, phases.T, rcond=rcond)[0]
-        return coefficients.T / scale[None, :]
+        key = indices.tobytes()
+        pinv = self._fit_pinvs.get(key)
+        if pinv is None:
+            lhs = np.vander(indices, 2)
+            scale = np.sqrt((lhs * lhs).sum(axis=0))
+            rcond = len(indices) * np.finfo(indices.dtype).eps
+            pinv = np.linalg.pinv(lhs / scale, rcond=rcond) / scale[:, None]
+            self._fit_pinvs[key] = pinv
+        return (phases[:, None, :] * pinv[None]).sum(axis=2)

@@ -105,11 +105,10 @@ def dominant_tap_power_batch(cfr_rows: np.ndarray) -> np.ndarray:
     """Dominant-tap power of many CSI rows through one stacked IFFT.
 
     All rows are transformed in a single backend ``ifft(..., axis=-1)`` call
-    (pocketfft in ``exact`` mode, a cached IDFT-matrix multiply in ``fast``)
-    followed by the same early-window tap search as
-    :func:`dominant_tap_power`; under the ``exact`` backend every output
-    element is bit-identical to the per-row scalar call, which the parity
-    suite pins.
+    (pocketfft, which transforms every row on its own) followed by the same
+    early-window tap search as :func:`dominant_tap_power`; under the
+    ``exact`` backend every output element is bit-identical to the per-row
+    scalar call, which the parity suite pins.
 
     Parameters
     ----------

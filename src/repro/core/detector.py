@@ -19,96 +19,32 @@ Three schemes are implemented, matching the evaluation's comparison:
 
 The single-antenna schemes report their score averaged across the available
 antennas, exactly as the paper does "for fair comparison".
+
+Each scheme scores through one stacked array program,
+:meth:`_BaseDetector.stacked_scores`: window *i* of a ``(windows, packets,
+antennas, subcarriers)`` stack is scored with detector *i*'s calibration
+state.  :func:`repro.api.monitor.score_windows` groups the (detector, window)
+pairs of every caller by kernel and shape and calls it; a standalone
+:meth:`~_BaseDetector.score` is the batch of one.  A window's score depends
+only on its detector's calibration and its packets, so it is bit-identical
+for any batch size or composition, under every numeric backend.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Sequence
-from weakref import WeakKeyDictionary
+from typing import Hashable, Sequence
 
 import numpy as np
 
-from repro.aoa.bartlett import BartlettEstimator
-from repro.aoa.music import MusicEstimator, PseudoSpectrum
+from repro.aoa.covariance import spatial_covariance
+from repro.aoa.music import PseudoSpectrum
 from repro.core.path_weighting import PathWeighting
 from repro.core.subcarrier_weighting import SubcarrierWeighting, SubcarrierWeights
 from repro.csi.calibration import sanitize_trace
 from repro.csi.trace import CSITrace
 from repro.utils.convert import power_to_db
-
-#: Per-capture hooks the batched ``pseudospectra`` path bypasses; an override
-#: of any of them below the class defining ``pseudospectra`` disables batching.
-_BATCH_BYPASSED_HOOKS = (
-    "pseudospectrum",
-    "pseudospectrum_from_covariance",
-    "noise_subspace",
-)
-
-
-#: Per-class batching verdicts; weak keys so dynamically created estimator
-#: classes (plugins, notebooks, per-test subclasses) are not pinned forever.
-_BATCH_SAFE_VERDICTS: "WeakKeyDictionary[type, bool]" = WeakKeyDictionary()
-
-
-def _batched_spectra_safe_for_class(cls: type) -> bool:
-    """Whether a class's batched ``pseudospectra`` may replace two
-    ``pseudospectrum`` calls (memoized per class: the verdict is a pure
-    function of the class, and the check runs once per scored window
-    otherwise).
-
-    Safe only when ``pseudospectra`` is defined at (or below) every class
-    that defines one of the per-capture hooks it bypasses: a subclass that
-    overrides ``pseudospectrum``, ``pseudospectrum_from_covariance`` or
-    ``noise_subspace`` (e.g. a custom covariance step or diagonal loading)
-    while inheriting the parent's batched method must keep the per-capture
-    path, or its override would be silently bypassed.
-    """
-
-    def defining_class(name: str):
-        for klass in cls.__mro__:
-            if name in vars(klass):
-                return klass
-        return None
-
-    try:
-        return _BATCH_SAFE_VERDICTS[cls]
-    except KeyError:
-        pass
-    spectra_cls = defining_class("pseudospectra")
-    verdict = spectra_cls is not None and defining_class("pseudospectrum") is not None
-    if verdict:
-        for hook in _BATCH_BYPASSED_HOOKS:
-            hook_cls = defining_class(hook)
-            if hook_cls is not None and not issubclass(spectra_cls, hook_cls):
-                verdict = False
-                break
-    _BATCH_SAFE_VERDICTS[cls] = verdict
-    return verdict
-
-
-def _batched_spectra_safe(estimator) -> bool:
-    """Batching verdict for one estimator instance.
-
-    Class verdicts are memoized; an instance-level patch of any bypassed hook
-    (``est.pseudospectrum = custom``) disables batching for that instance so
-    the patch keeps being honoured, as it was by the per-capture call path.
-    """
-    instance_attrs = getattr(estimator, "__dict__", {})
-    if any(hook in instance_attrs for hook in _BATCH_BYPASSED_HOOKS):
-        return False
-    return _batched_spectra_safe_for_class(type(estimator))
-
-
-#: ``pseudospectra`` implementations whose CSI-to-covariance step is the
-#: plain :func:`~repro.aoa.covariance.spatial_covariance` pipeline.  The
-#: stacked whole-case scoring path computes those covariances itself (one
-#: einsum over all windows), so it may only replace estimators that would
-#: have done the same per capture.
-_COVARIANCE_PIPELINE_SPECTRA = (
-    BartlettEstimator.pseudospectra,
-    MusicEstimator.pseudospectra,
-)
 
 
 @dataclass(frozen=True)
@@ -138,24 +74,41 @@ class DetectionResult:
         }
 
 
-class _BaseDetector:
-    """Common calibration plumbing shared by the three schemes.
+def _value_key(value: object) -> Hashable:
+    """A hashable key equal for equal values: arrays by their bytes,
+    hashable objects as themselves, mutable dataclasses by class and
+    fields, anything else by identity."""
+    if isinstance(value, np.ndarray):
+        return (value.shape, value.dtype.str, value.tobytes())
+    try:
+        hash(value)
+        return value
+    except TypeError:
+        pass
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return (type(value), *(_value_key(getattr(value, f.name)) for f in fields))
+    return id(value)
 
-    The public entry points (:meth:`calibrate`, :meth:`score`) split into a
-    *prepare* half (packet-count validation plus optional phase
-    sanitisation) and a *compute* half (:meth:`_calibrate_prepared`,
-    :meth:`_score_prepared`).  Schemes override only the compute half, which
-    lets a scoring layer that already holds a sanitised view of a window —
-    e.g. one batched :func:`~repro.csi.calibration.sanitize_csi_array` pass
-    shared across every scheme — hand it in directly via
-    :meth:`score_prepared` / :meth:`calibrate_prepared` without changing any
-    detector's standalone behaviour.
+
+class _BaseDetector:
+    """Common calibration plumbing and the stacked scoring contract.
+
+    Calibration splits into a *prepare* half (packet-count validation plus
+    optional phase sanitisation) and a *compute* half
+    (:meth:`_calibrate_prepared`), so a caller that already holds a
+    sanitised baseline — one batched pass shared across detectors — hands it
+    in through :meth:`calibrate_prepared`.  Scoring is the scheme's
+    :meth:`stacked_scores` kernel; :meth:`batch_key` says which detectors may
+    share one kernel call.
     """
+
+    #: Scheme name: the ``score.<scheme>`` span of the kernel.
+    scheme = "base"
 
     def __init__(self, *, sanitize: bool = True) -> None:
         self.sanitize = sanitize
         self._profile_amplitude: np.ndarray | None = None
-        self._calibration_trace: CSITrace | None = None
 
     # ------------------------------------------------------------------ #
     # calibration
@@ -190,7 +143,6 @@ class _BaseDetector:
 
     def _calibrate_prepared(self, trace: CSITrace) -> None:
         """Store the profile from a prepared trace (schemes extend this)."""
-        self._calibration_trace = trace
         self._profile_amplitude = trace.mean_amplitude()
 
     @property
@@ -213,48 +165,41 @@ class _BaseDetector:
     # monitoring
     # ------------------------------------------------------------------ #
     def score(self, window: CSITrace) -> float:
-        """Detection statistic of a monitoring window (higher = human)."""
-        self._require_calibration()
-        return self._score_prepared(self._prepare(window))
+        """Detection statistic of a monitoring window (higher = human).
 
-    def score_prepared(self, window: CSITrace) -> float:
-        """Score an already-prepared (sanitised) monitoring window.
-
-        *window* must be exactly what :meth:`_prepare` would have produced —
-        ``sanitize_trace(raw)`` for a sanitising detector.  The per-frame
-        phase fits of :func:`~repro.csi.calibration.sanitize_csi_array` are
-        independent, so a view sliced out of a larger batched sanitisation
-        pass qualifies; the score is bit-identical to :meth:`score` on the
-        raw window.
+        The batch of one of :meth:`stacked_scores`: bit-identical to this
+        window's score in any batch :func:`repro.api.monitor.score_windows`
+        scores it in.
         """
         self._require_calibration()
-        if window.num_packets < 1:
-            raise ValueError("monitoring window must contain at least one packet")
-        return self._score_prepared(window)
+        return float(self.stacked_scores([self], self._prepare(window).csi[None])[0])
 
-    def score_prepared_windows(
-        self, windows: "Sequence[CSITrace]", *, cache: dict | None = None
-    ) -> list[float]:
-        """Scores of several prepared windows at once.
+    def batch_key(self) -> Hashable:
+        """Detectors of one class with equal keys may share a kernel call.
 
-        The base implementation is the plain per-window loop (bit-identical
-        to :meth:`score_prepared` per window).  Schemes override it with a
-        stacked array program over same-shape windows; those overrides are
-        tolerance-parity (not bitwise) with the loop because stacked
-        reductions reorder floating-point sums, so the batch-scoring layer
-        only routes through them when the active backend advertises
-        ``tolerance_parity`` (the ``fast`` backend — see
-        :mod:`repro.backend`).
-
-        *cache* is an optional scratch dict a caller scoring the same
-        windows under several detectors may share between them; overrides
-        use it to reuse window-only intermediates (the stacked subcarrier
-        weights) across schemes.
+        The key covers every setting :meth:`stacked_scores` reads from the
+        batch's first detector on behalf of all of them; per-detector
+        calibration state is stacked instead and needs no key.
         """
-        return [float(self.score_prepared(window)) for window in windows]
+        return ()
 
-    def _score_prepared(self, window: CSITrace) -> float:
-        """Detection statistic of a prepared window (schemes implement this)."""
+    @classmethod
+    def stacked_scores(
+        cls,
+        detectors: Sequence["_BaseDetector"],
+        csi: np.ndarray,
+        scratch: dict | None = None,
+    ) -> np.ndarray:
+        """Scores of a stack of prepared windows, window *i* under
+        ``detectors[i]``'s calibration.
+
+        *csi* has shape ``(windows, packets, antennas, subcarriers)``; every
+        detector is calibrated, of this class and shares one
+        :meth:`batch_key`.  Every reduction runs along the axes of one
+        window, so a window's score does not depend on the rest of the stack.
+        *scratch* is an optional dict that every scheme scoring this same
+        stack shares, for window-only intermediates.
+        """
         raise NotImplementedError
 
     def detect(self, window: CSITrace, threshold: float) -> DetectionResult:
@@ -263,69 +208,67 @@ class _BaseDetector:
         return DetectionResult(score=value, threshold=threshold, detected=value > threshold)
 
 
-#: Hooks whose override (on the class or the instance) makes a detector
-#: opt out of the shared-sanitised-window path: a custom ``score`` or
-#: ``calibrate`` may not consume a pre-sanitised view at all, and a custom
-#: ``_prepare`` changes what "prepared" means.
-_SHARED_VIEW_HOOKS = ("score", "calibrate", "_prepare")
+def _keeps_base_hooks(detector: object, hooks: Sequence[str]) -> bool:
+    """Whether *detector* is a :class:`_BaseDetector` that overrides none of
+    *hooks*, on its class or per instance."""
+    if not isinstance(detector, _BaseDetector):
+        return False
+    instance_attrs = getattr(detector, "__dict__", {})
+    cls = type(detector)
+    return not any(hook in instance_attrs for hook in hooks) and all(
+        getattr(cls, hook) is getattr(_BaseDetector, hook) for hook in hooks
+    )
+
+
+def runs_scheme_kernel(detector: object) -> bool:
+    """Whether ``detector.score`` is its scheme kernel's batch of one.
+
+    True for :class:`_BaseDetector` instances that keep the base ``score``
+    and ``_prepare`` plumbing; :func:`repro.api.monitor.score_windows`
+    stacks their windows.  Any other detector is scored through its own
+    ``score``.
+    """
+    return _keeps_base_hooks(detector, ("score", "_prepare"))
 
 
 def shares_sanitized_view(detector: object) -> bool:
     """Whether *detector* may be handed one shared sanitised window view.
 
-    True only for sanitising :class:`_BaseDetector` instances that keep the
-    base-class ``score`` / ``calibrate`` / ``_prepare`` plumbing (overriding
-    just the ``_score_prepared`` / ``_calibrate_prepared`` compute hooks, as
-    the built-in schemes do).  For such detectors
-    ``score_prepared(sanitize_trace(w))`` is bit-identical to ``score(w)``,
-    so one batched sanitisation pass can serve every scheme.  Detectors that
-    override the plumbing — or patch it per instance — fall back to their
-    own standalone path.
+    True only for sanitising scheme-kernel detectors that also keep the
+    base-class ``calibrate`` (the built-in schemes override just the
+    ``_calibrate_prepared`` compute hook).  For such detectors one batched
+    sanitisation pass can serve every scheme, at calibration and at
+    scoring; detectors that override the plumbing — or patch it per
+    instance — get the raw traces.
     """
-    if not isinstance(detector, _BaseDetector) or not detector.sanitize:
-        return False
-    instance_attrs = getattr(detector, "__dict__", {})
-    if any(hook in instance_attrs for hook in _SHARED_VIEW_HOOKS):
-        return False
-    cls = type(detector)
-    return all(
-        getattr(cls, hook) is getattr(_BaseDetector, hook)
-        for hook in _SHARED_VIEW_HOOKS
+    return bool(getattr(detector, "sanitize", False)) and _keeps_base_hooks(
+        detector, ("score", "calibrate", "_prepare")
     )
 
 
-def _stacked_window_csi(windows: Sequence[CSITrace]) -> np.ndarray | None:
-    """Stack same-shape prepared windows into ``(windows, packets, antennas,
-    subcarriers)``, or None when the shapes are heterogeneous (the batched
-    scoring overrides then fall back to the per-window loop)."""
-    if not windows:
-        return None
-    shape = windows[0].csi.shape
-    if any(window.csi.shape != shape for window in windows[1:]):
-        return None
-    if shape[0] < 1:
-        raise ValueError("monitoring window must contain at least one packet")
-    return np.stack([window.csi for window in windows])
+def _stacked_profiles(detectors: Sequence[_BaseDetector]) -> np.ndarray:
+    """The detectors' calibration profiles as ``(windows, antennas, subcarriers)``."""
+    for detector in detectors:
+        detector._require_calibration()
+    return np.stack([detector._profile_amplitude for detector in detectors])
 
 
-def _shared_stacked_weights(
-    weighting: SubcarrierWeighting, stacked: np.ndarray, cache: dict | None
+def _weighting_key(weighting: SubcarrierWeighting) -> Hashable:
+    """The settings :meth:`SubcarrierWeighting.stacked_weights` reads."""
+    return (weighting.use_stability_ratio, _value_key(weighting.frequencies))
+
+
+def _stacked_weights(
+    weighting: SubcarrierWeighting, csi: np.ndarray, scratch: dict | None
 ) -> np.ndarray:
-    """Stacked subcarrier weights, shared across detectors via *cache*.
-
-    The subcarrier and combined schemes compute identical weights for the
-    same window stack whenever their weighting parameters agree; a caller
-    scoring both hands in one scratch dict so the second scheme reuses the
-    first's result.  Weightings with a custom frequency grid are not cached
-    (the grid would need hashing)."""
-    if cache is None or weighting.frequencies is not None:
-        return weighting.stacked_weights(stacked)
-    key = ("stacked_weights", weighting.use_stability_ratio)
-    weights = cache.get(key)
-    if weights is None:
-        weights = weighting.stacked_weights(stacked)
-        cache[key] = weights
-    return weights
+    """``weighting.stacked_weights(csi)``, computed once per *scratch* for
+    the subcarrier and combined schemes scoring the same stack."""
+    if scratch is None:
+        return weighting.stacked_weights(csi)
+    key = ("weights", _weighting_key(weighting))
+    if key not in scratch:
+        scratch[key] = weighting.stacked_weights(csi)
+    return scratch[key]
 
 
 class BaselineDetector(_BaseDetector):
@@ -335,25 +278,13 @@ class BaselineDetector(_BaseDetector):
     monitoring window and the calibration profile, averaged over antennas.
     """
 
-    def _score_prepared(self, window: CSITrace) -> float:
-        mean_amplitude = window.mean_amplitude()
-        assert self._profile_amplitude is not None
-        distances = np.linalg.norm(mean_amplitude - self._profile_amplitude, axis=1)
-        return float(distances.mean())
+    scheme = "baseline"
 
-    def score_prepared_windows(
-        self, windows: Sequence[CSITrace], *, cache: dict | None = None
-    ) -> list[float]:
-        self._require_calibration()
-        stacked = _stacked_window_csi(windows)
-        if stacked is None:
-            return super().score_prepared_windows(windows)
-        assert self._profile_amplitude is not None
-        mean_amplitudes = np.abs(stacked).mean(axis=1)
-        distances = np.linalg.norm(
-            mean_amplitudes - self._profile_amplitude[None], axis=2
-        )
-        return [float(score) for score in distances.mean(axis=1)]
+    @classmethod
+    def stacked_scores(cls, detectors, csi, scratch=None):
+        profiles = _stacked_profiles(detectors)
+        distances = np.linalg.norm(np.abs(csi).mean(axis=1) - profiles, axis=2)
+        return distances.mean(axis=1)
 
 
 class SubcarrierWeightingDetector(_BaseDetector):
@@ -368,44 +299,32 @@ class SubcarrierWeightingDetector(_BaseDetector):
         Whether to phase-sanitise traces before processing.
     """
 
+    scheme = "subcarrier"
+
     def __init__(
         self, *, use_stability_ratio: bool = True, sanitize: bool = True
     ) -> None:
         super().__init__(sanitize=sanitize)
         self.weighting = SubcarrierWeighting(use_stability_ratio=use_stability_ratio)
 
-    def _score_prepared(self, window: CSITrace) -> float:
-        assert self._profile_amplitude is not None
-        weights = self.weighting.weights_from_trace(window)
-        profile_rss = power_to_db(self._profile_amplitude**2)
-        window_rss = power_to_db(window.mean_amplitude() ** 2)
-        delta_s = window_rss - profile_rss
-        weighted = weights.apply(delta_s)
+    def batch_key(self) -> Hashable:
+        return _weighting_key(self.weighting)
+
+    @classmethod
+    def stacked_scores(cls, detectors, csi, scratch=None):
+        profiles = _stacked_profiles(detectors)
+        weights = _stacked_weights(detectors[0].weighting, csi, scratch)
+        delta_s = power_to_db(np.abs(csi).mean(axis=1) ** 2) - power_to_db(profiles**2)
         # Weighted RMS: dividing by the weight-vector norm makes the score a
         # weighted root-mean-square RSS change in dB, so one global threshold
         # (the paper applies a single threshold across all cases) remains
         # meaningful whether the weights concentrate on a few subcarriers or
         # spread evenly.
-        weight_norms = np.linalg.norm(weights.weights, axis=1)
-        distances = np.linalg.norm(weighted, axis=1) / np.maximum(weight_norms, 1e-12)
-        return float(distances.mean())
-
-    def score_prepared_windows(
-        self, windows: Sequence[CSITrace], *, cache: dict | None = None
-    ) -> list[float]:
-        self._require_calibration()
-        stacked = _stacked_window_csi(windows)
-        if stacked is None:
-            return super().score_prepared_windows(windows)
-        assert self._profile_amplitude is not None
-        weights = _shared_stacked_weights(self.weighting, stacked, cache)
-        profile_rss = power_to_db(self._profile_amplitude**2)
-        window_rss = power_to_db(np.abs(stacked).mean(axis=1) ** 2)
-        delta_s = window_rss - profile_rss[None]
-        weighted = weights * delta_s
         weight_norms = np.linalg.norm(weights, axis=2)
-        distances = np.linalg.norm(weighted, axis=2) / np.maximum(weight_norms, 1e-12)
-        return [float(score) for score in distances.mean(axis=1)]
+        distances = np.linalg.norm(weights * delta_s, axis=2) / np.maximum(
+            weight_norms, 1e-12
+        )
+        return distances.mean(axis=1)
 
     def last_weights(self, window: CSITrace) -> SubcarrierWeights:
         """Expose the weights computed for a window (diagnostics, figures)."""
@@ -425,13 +344,14 @@ class SubcarrierPathWeightingDetector(_BaseDetector):
     Parameters
     ----------
     spectrum_estimator:
-        Any estimator exposing ``pseudospectrum(csi) -> PseudoSpectrum``
+        Any estimator exposing ``pseudospectra_from_covariances(covariances)
+        -> list[PseudoSpectrum]`` over an ``(N, antennas, antennas)`` stack,
         bound to the receive array — typically a
         :class:`~repro.aoa.bartlett.BartlettEstimator` (power-calibrated
         angular spectrum, the library default for detection) or a
         :class:`~repro.aoa.music.MusicEstimator` (the paper's literal choice;
         sharper peaks but scale-free values).  See DESIGN.md for the
-        trade-off.
+        trade-off.  Each spectrum must depend only on its own covariance.
     theta_min_deg, theta_max_deg:
         Angular gate of the path weights.
     use_stability_ratio:
@@ -439,6 +359,8 @@ class SubcarrierPathWeightingDetector(_BaseDetector):
     sanitize:
         Whether to phase-sanitise traces before processing.
     """
+
+    scheme = "combined"
 
     def __init__(
         self,
@@ -450,27 +372,32 @@ class SubcarrierPathWeightingDetector(_BaseDetector):
         sanitize: bool = True,
     ) -> None:
         super().__init__(sanitize=sanitize)
-        if not hasattr(spectrum_estimator, "pseudospectrum"):
+        if not callable(getattr(spectrum_estimator, "pseudospectra_from_covariances", None)):
             raise TypeError(
-                "spectrum_estimator must provide a pseudospectrum(csi) method, "
-                f"got {type(spectrum_estimator).__name__}"
+                "spectrum_estimator must provide pseudospectra_from_covariances"
+                f"(covariances), got {type(spectrum_estimator).__name__}"
             )
         self.spectrum_estimator = spectrum_estimator
         self.theta_min_deg = theta_min_deg
         self.theta_max_deg = theta_max_deg
         self.weighting = SubcarrierWeighting(use_stability_ratio=use_stability_ratio)
         self._path_weighting: PathWeighting | None = None
+        self._path_weights: np.ndarray | None = None
+        self._calibration_gram: np.ndarray | None = None
+        self._calibration_packets = 0
 
     # ------------------------------------------------------------------ #
     # calibration
     # ------------------------------------------------------------------ #
     def _calibrate_prepared(self, trace: CSITrace) -> None:
         super()._calibrate_prepared(trace)
-        assert self._calibration_trace is not None
+        csi = trace.csi
         # Path weights come from the *unweighted* static environment: this is
         # the calibration-stage MUSIC/Bartlett pass of Section IV-C, which
         # only needs to know where the static propagation paths arrive from.
-        raw_static = self.spectrum_estimator.pseudospectrum(self._calibration_trace.csi)
+        (raw_static,) = self.spectrum_estimator.pseudospectra_from_covariances(
+            spatial_covariance(csi)[None]
+        )
         if float(np.sum(raw_static.values)) <= 0:
             raise ValueError("calibration produced a spectrum with no power")
         self._path_weighting = PathWeighting(
@@ -478,6 +405,14 @@ class SubcarrierPathWeightingDetector(_BaseDetector):
             theta_min_deg=self.theta_min_deg,
             theta_max_deg=self.theta_max_deg,
         )
+        self._path_weights = self._path_weighting.weights()
+        # The subcarrier weights are measured per monitoring window and the
+        # *same* weights are applied to the calibration CSI "before
+        # subtracting" (Section IV-C).  They factor out of the calibration
+        # Gram tensor, so a window's static covariance is one contraction of
+        # this tensor with its weights.
+        self._calibration_gram = np.einsum("cas,cbs->abs", csi, csi.conj())
+        self._calibration_packets = csi.shape[0]
 
     @property
     def path_weighting(self) -> PathWeighting:
@@ -489,125 +424,58 @@ class SubcarrierPathWeightingDetector(_BaseDetector):
     # ------------------------------------------------------------------ #
     # monitoring
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _apply_subcarrier_weights(csi: np.ndarray, weights: SubcarrierWeights) -> np.ndarray:
-        """Scale complex CSI by the per-subcarrier weights.
+    def batch_key(self) -> Hashable:
+        return (_weighting_key(self.weighting), _value_key(self.spectrum_estimator))
 
-        Weights act on signal power, so amplitudes are scaled by the square
-        root of the normalised weights before the spatial processing.
-        """
-        return csi * np.sqrt(weights.weights)[None, :, :]
-
-    def _weighted_csi(self, window: CSITrace) -> np.ndarray:
-        """The window's CSI scaled by its own subcarrier weights."""
-        weights = self.weighting.weights_from_trace(window)
-        return self._apply_subcarrier_weights(window.csi, weights)
-
-    def _weighted_spectra(
-        self, window: CSITrace
-    ) -> tuple[PseudoSpectrum, PseudoSpectrum]:
-        """(monitored, static) angular spectra under the window's weights.
-
-        The subcarrier weights are measured at runtime from the monitoring
-        window (Section IV-A2) and the *same* weights are applied to the
-        stored calibration CSI "before subtracting them" (Section IV-C), so
-        the two spectra differ only through genuine channel changes and not
-        through the weighting itself.
-        """
-        self._require_calibration()
-        assert self._calibration_trace is not None
-        weights = self.weighting.weights_from_trace(window)
-        monitored_csi = self._apply_subcarrier_weights(window.csi, weights)
-        static_csi = self._apply_subcarrier_weights(self._calibration_trace.csi, weights)
-        estimator = self.spectrum_estimator
-        if _batched_spectra_safe(estimator):
-            # Batched protocol: the estimator applies its own CSI-to-
-            # covariance step and shares one steering-matrix evaluation;
-            # bit-identical to two pseudospectrum() calls.
-            monitored, static = estimator.pseudospectra([monitored_csi, static_csi])
-        else:
-            monitored = estimator.pseudospectrum(monitored_csi)
-            static = estimator.pseudospectrum(static_csi)
-        return monitored, static
-
-    def monitored_spectrum(self, window: CSITrace) -> PseudoSpectrum:
-        """Angular spectrum of a monitoring window after subcarrier weighting."""
-        window = self._prepare(window)
-        monitored, _ = self._weighted_spectra(window)
-        return monitored
-
-    def _spectra_batchable(self) -> bool:
-        """Whether the stacked scoring path may bypass the estimator's own
-        CSI-to-covariance step (it recomputes the plain
-        :func:`~repro.aoa.covariance.spatial_covariance` as one einsum over
-        every window, which is only faithful for the stock pipeline)."""
-        estimator = self.spectrum_estimator
-        if not _batched_spectra_safe(estimator):
-            return False
-        if "pseudospectra" in getattr(estimator, "__dict__", {}):
-            return False
-        return (
-            getattr(type(estimator), "pseudospectra", None)
-            in _COVARIANCE_PIPELINE_SPECTRA
+    @classmethod
+    def _stacked_spectra(
+        cls,
+        detectors: Sequence["SubcarrierPathWeightingDetector"],
+        csi: np.ndarray,
+        scratch: dict | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(monitored, static) spectrum values, each ``(windows, angles)``,
+        under every window's own subcarrier weights."""
+        for detector in detectors:
+            detector._require_calibration()
+        # Weights act on signal power, so amplitudes are scaled by the square
+        # root of the normalised weights before the spatial processing.
+        sqrt_weights = np.sqrt(_stacked_weights(detectors[0].weighting, csi, scratch))
+        monitored = csi * sqrt_weights[:, None]
+        windows, packets, _, subcarriers = csi.shape
+        monitored_cov = np.einsum("wpas,wpbs->wab", monitored, monitored.conj()) / (
+            packets * subcarriers
         )
-
-    def score_prepared_windows(
-        self, windows: Sequence[CSITrace], *, cache: dict | None = None
-    ) -> list[float]:
-        self._require_calibration()
-        assert self._path_weighting is not None
-        assert self._calibration_trace is not None
-        stacked = _stacked_window_csi(windows)
-        if stacked is None or not self._spectra_batchable():
-            return super().score_prepared_windows(windows)
-        weights = _shared_stacked_weights(self.weighting, stacked, cache)
-        sqrt_weights = np.sqrt(weights)  # amplitude scaling per window
-        monitored = stacked * sqrt_weights[:, None, :, :]
-        num_windows, packets, _, subcarriers = monitored.shape
-        # Spatial covariances of every window's monitored CSI and of the
-        # calibration CSI under that window's weights, without materialising
-        # the (windows, cal_packets, antennas, subcarriers) weighted stack:
-        # the weights factor out of the calibration Gram tensor.
-        monitored_cov = np.einsum(
-            "wpas,wpbs->wab", monitored, monitored.conj()
-        ) / (packets * subcarriers)
-        calibration = self._calibration_trace.csi
-        cal_packets = calibration.shape[0]
-        gram = np.einsum("cas,cbs->abs", calibration, calibration.conj())
+        grams = np.stack([detector._calibration_gram for detector in detectors])
+        snapshots = np.array([detector._calibration_packets for detector in detectors])
         static_cov = np.einsum(
-            "was,wbs,abs->wab", sqrt_weights, sqrt_weights, gram
-        ) / (cal_packets * subcarriers)
-        spectra = self.spectrum_estimator.pseudospectra_from_covariances(
-            np.concatenate([monitored_cov, static_cov], axis=0)
+            "was,wbs,wabs->wab", sqrt_weights, sqrt_weights, grams
+        ) / (snapshots * subcarriers)[:, None, None]
+        spectra = detectors[0].spectrum_estimator.pseudospectra_from_covariances(
+            np.concatenate([monitored_cov, static_cov])
         )
-        static_grid = self._path_weighting.static_spectrum.angles_deg
-        grid = spectra[0].angles_deg
-        if grid.shape != static_grid.shape or not np.allclose(grid, static_grid):
-            return super().score_prepared_windows(windows)
-        path_weights = self._path_weighting.weights()
         values = np.stack([spectrum.values for spectrum in spectra])
-        weighted_monitored = path_weights[None, :] * values[:num_windows]
-        weighted_static = path_weights[None, :] * values[num_windows:]
-        reference = weighted_static.max(axis=1)
-        if np.any(reference <= 0):
-            raise ValueError(
-                "path-weighted static spectrum has no power inside the gate"
-            )
-        difference = (weighted_monitored - weighted_static) / reference[:, None]
-        return [float(score) for score in np.linalg.norm(difference, axis=1)]
+        return values[:windows], values[windows:]
 
-    def _score_prepared(self, window: CSITrace) -> float:
-        assert self._path_weighting is not None
-        monitored, static = self._weighted_spectra(window)
-        weighted_monitored = self._path_weighting.apply(monitored)
-        weighted_static = self._path_weighting.apply(static)
+    @classmethod
+    def stacked_scores(cls, detectors, csi, scratch=None):
+        monitored, static = cls._stacked_spectra(detectors, csi, scratch)
+        path_weights = np.stack([detector._path_weights for detector in detectors])
+        weighted_monitored = path_weights * monitored
+        weighted_static = path_weights * static
         # Express the distance in units of relative per-direction power
         # change (the path weights invert the static spectrum, so the
         # weighted static spectrum is flat inside the gate); dividing by its
         # peak makes one global threshold transfer across link cases with
         # very different absolute received powers.
-        reference = float(np.max(weighted_static))
-        if reference <= 0:
+        reference = weighted_static.max(axis=1)
+        if np.any(reference <= 0):
             raise ValueError("path-weighted static spectrum has no power inside the gate")
-        difference = (weighted_monitored - weighted_static) / reference
-        return float(np.linalg.norm(difference))
+        difference = (weighted_monitored - weighted_static) / reference[:, None]
+        return np.linalg.norm(difference, axis=1)
+
+    def monitored_spectrum(self, window: CSITrace) -> PseudoSpectrum:
+        """Angular spectrum of a monitoring window after subcarrier weighting."""
+        monitored, _ = self._stacked_spectra([self], self._prepare(window).csi[None])
+        angles = self.path_weighting.static_spectrum.angles_deg.copy()
+        return PseudoSpectrum(angles, monitored[0])

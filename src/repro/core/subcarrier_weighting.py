@@ -145,12 +145,11 @@ class SubcarrierWeighting:
     def stacked_weights(self, csi_stack: np.ndarray) -> np.ndarray:
         """Weight arrays for a stack of same-shape windows in one pass.
 
-        The whole-case form of :meth:`weights_from_trace` used by the fast
-        backend's batched scoring path: all ``windows * packets * antennas``
-        multipath factors come from one stacked IFFT and the Eq. 13–15
-        statistics reduce along the packet axis of every window at once.
-        Tolerance-parity (not bitwise) with the per-window computation — the
-        stacked reductions reorder floating-point sums.
+        The stacked form of :meth:`weights_from_trace` used by the detectors'
+        scoring kernels: all ``windows * packets * antennas`` multipath
+        factors come from one stacked IFFT and the Eq. 13–15 statistics
+        reduce along the packet and subcarrier axes of each window, so a
+        window's weights do not depend on the rest of the stack.
 
         Parameters
         ----------

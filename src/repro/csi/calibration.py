@@ -18,9 +18,11 @@ per-frame LAPACK solve that ``np.polyfit`` performs is kept *exactly* (each
 row is still its own single-RHS ``dgelsd`` call, routed through NumPy's
 ``lstsq`` gufunc with a batch dimension), so every sanitised frame is
 bit-identical to the historical per-frame loop — a contract the detection
-pipeline's score parity tests pin down.  The ``fast`` backend solves all
-rows through one public multi-RHS ``np.linalg.lstsq`` call instead
-(tolerance parity).
+pipeline's score parity tests pin down.  The ``fast`` backend applies one
+cached pseudo-inverse of the shared design matrix to every row instead
+(tolerance parity).  Either way every frame's fit is independent of the
+others, so a window sanitised inside any batch is bit-identical to the
+same window sanitised alone.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ def _linear_phase_fits(indices: np.ndarray, phases: np.ndarray) -> np.ndarray:
     ``np.polyfit(indices, row, 1)`` per row (single-RHS LAPACK solves through
     NumPy's ``lstsq`` gufunc, with a per-row ``np.polyfit`` fallback — see
     :meth:`repro.backend.exact.ExactBackend.linear_phase_fits`); the ``fast``
-    backend solves all rows in one public multi-RHS ``np.linalg.lstsq`` call.
+    backend applies one cached pseudo-inverse to every row.
 
     Parameters
     ----------

@@ -15,7 +15,7 @@ the scheduler's batch-flush policy — as a JSON-round-trippable dataclass.
 
 The merge works because event *content* is session-local (scores are
 bit-identical however windows are batched — see
-:func:`repro.api.monitor.score_windows_batch`) and the report orders events
+:func:`repro.api.monitor.score_windows`) and the report orders events
 canonically by ``(timestamp, link, index)``.  Throughput and latency numbers
 are measurements, not part of the deterministic stream.
 """
@@ -33,6 +33,7 @@ import numpy as np
 
 from repro import obs
 from repro.api.config import PipelineConfig
+from repro.api.monitor import calibrate_sessions
 from repro.backend import use_backend
 from repro.api.session import DetectionEvent, StreamingSession
 from repro.obs.trace import ObsSnapshot
@@ -43,11 +44,10 @@ from repro.fleet.traffic import RATE_CLASSES, LinkTraffic, build_fleet_traffic
 
 
 def _default_pipeline() -> PipelineConfig:
-    """The default per-link pipeline: the vectorizable baseline scheme.
+    """The default per-link pipeline: the baseline scheme.
 
-    Baseline-detector windows take the stacked cross-link scoring path; a
-    fleet config can swap in any registered detector, at per-window scoring
-    cost for schemes without a batch kernel.
+    A fleet config can swap in any registered detector; every built-in
+    scheme scores through the stacked cross-link kernels.
     """
     return PipelineConfig(detector="baseline", calibration_packets=50)
 
@@ -364,7 +364,10 @@ def _setup_streams(
 
     Traffic comes from :func:`~repro.fleet.traffic.build_fleet_traffic`
     (geometry-shared clean CFRs, one impairment plan per link) unless
-    prebuilt *traffics* are handed in by the setup pool.
+    prebuilt *traffics* are handed in by the setup pool.  Every session is
+    calibrated in one shard-wide :func:`~repro.api.monitor.calibrate_sessions`
+    pass: one sanitisation of all calibration traces, one scoring call for
+    all threshold-replay windows.
     """
     links = _shard_links(indices)
     if traffics is None:
@@ -373,11 +376,11 @@ def _setup_streams(
     census: dict[str, int] = {}
     for link, traffic in zip(links, traffics):
         session = config.pipeline.session(link, link_name=traffic.profile.name)
-        session.calibrate(traffic.calibration)
         census[traffic.profile.rate_class] = (
             census.get(traffic.profile.rate_class, 0) + 1
         )
         streams.append((session, traffic))
+    calibrate_sessions([(session, traffic.calibration) for session, traffic in streams])
     return streams, census
 
 

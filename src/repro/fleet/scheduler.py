@@ -11,11 +11,12 @@ links and are flushed through the shared vectorized batch scorer
 (:func:`repro.api.monitor.score_windows_batch`) once ``batch_windows`` of
 them are pending.
 
-Batching changes *when* a window is scored, never *what* its score is: the
-batch scorer is bit-identical to per-window ``detector.score``, and every
-event field is session-local, so the emitted events are byte-for-byte the
-ones sequential per-link :meth:`~repro.api.session.StreamingSession.push`
-would produce — for any batch size and any link interleaving.  The flush
+Batching changes *when* a window is scored, never *what* its score is: a
+window's score depends only on its detector's calibration and its packets
+(:func:`repro.api.monitor.score_windows`), and every event field is
+session-local, so the emitted events are byte-for-byte the ones sequential
+per-link :meth:`~repro.api.session.StreamingSession.push` would produce —
+for any batch size and any link interleaving.  The flush
 delay is what the scheduler *measures*: each ready window records its
 completion instant, and the arrival-to-emission latency of every event is
 reported alongside throughput.  All timestamps come from the
@@ -74,9 +75,9 @@ class FleetScheduler:
     batch_windows:
         Ready windows accumulated before a scoring flush.  ``1`` scores
         every window the moment it completes (lowest latency); larger values
-        trade latency for vectorization (the batch scorer stacks all
-        baseline-detector windows into one NumPy pass).  Events are
-        bit-identical for every value.
+        trade latency for vectorization (the batch scorer stacks each
+        scheme's windows into one kernel call).  Events are bit-identical
+        for every value.
     clock:
         Time source for the throughput and latency stamps; defaults to the
         active :mod:`repro.obs` clock (wall clock unless a recorder with a

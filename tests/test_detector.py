@@ -157,63 +157,40 @@ class TestSchemeOrdering:
 
 
 class TestBatchedSpectraDispatch:
-    """The batched pseudospectra path must not bypass subclass overrides."""
+    """The combined kernel's estimator contract is
+    ``pseudospectra_from_covariances``: honoured when overridden, required
+    at construction."""
 
-    def test_subclass_overriding_pseudospectrum_keeps_per_capture_path(self):
-        from repro.aoa.bartlett import BartlettEstimator
-        from repro.aoa.music import PseudoSpectrum
-        from repro.channel.antenna import UniformLinearArray
-        from repro.core.detector import _batched_spectra_safe
+    def test_covariance_contract_override_honoured_by_score(
+        self, link, empty_trace, occupied_trace
+    ):
+        calls = []
 
-        class Doubling(BartlettEstimator):
-            def pseudospectrum(self, csi):
-                base = super().pseudospectrum(csi)
-                return PseudoSpectrum(base.angles_deg, base.values * 2.0)
+        class LoadedBartlett(BartlettEstimator):
+            def pseudospectra_from_covariances(self, covariances):
+                calls.append(covariances.shape)
+                loaded = covariances + 0.1 * np.eye(covariances.shape[-1])
+                return super().pseudospectra_from_covariances(loaded)
 
-        array = UniformLinearArray(num_elements=3)
-        assert _batched_spectra_safe(BartlettEstimator(array=array))
-        assert not _batched_spectra_safe(Doubling(array=array))
+        plain = SubcarrierPathWeightingDetector(BartlettEstimator(array=link.array))
+        loaded = SubcarrierPathWeightingDetector(LoadedBartlett(array=link.array))
+        for detector in (plain, loaded):
+            detector.calibrate(empty_trace)
+        calls.clear()
+        assert loaded.score(occupied_trace) != plain.score(occupied_trace)
+        # One call for the window: its monitored and its static covariance.
+        assert calls == [(2, 3, 3)]
 
-    def test_plain_pseudospectrum_only_estimator_uses_fallback(self):
-        from repro.core.detector import _batched_spectra_safe
-
-        class Custom:
-            def pseudospectrum(self, csi):  # pragma: no cover - shape only
+    def test_estimator_without_covariance_contract_rejected(self):
+        class PerCaptureOnly:
+            def pseudospectrum(self, csi):  # pragma: no cover - never called
                 raise NotImplementedError
 
-        assert not _batched_spectra_safe(Custom())
-
-    def test_smoothed_music_stays_on_per_capture_path(self):
-        from repro.aoa.smoothed import SmoothedMusicEstimator
-        from repro.channel.antenna import UniformLinearArray
-        from repro.core.detector import _batched_spectra_safe
-
-        est = SmoothedMusicEstimator(array=UniformLinearArray(num_elements=3))
-        assert not _batched_spectra_safe(est)
-
-    def test_covariance_or_subspace_overrides_disable_batching(self):
-        from repro.aoa.music import MusicEstimator, PseudoSpectrum
-        from repro.channel.antenna import UniformLinearArray
-        from repro.core.detector import _batched_spectra_safe
-
-        class LoadedMusic(MusicEstimator):
-            def pseudospectrum_from_covariance(self, covariance):
-                import numpy as np
-
-                loaded = covariance + 0.1 * np.eye(covariance.shape[0])
-                return super().pseudospectrum_from_covariance(loaded)
-
-        class RobustMusic(MusicEstimator):
-            def noise_subspace(self, covariance):
-                return super().noise_subspace(covariance)
-
-        array = UniformLinearArray(num_elements=3)
-        assert not _batched_spectra_safe(LoadedMusic(array=array))
-        assert not _batched_spectra_safe(RobustMusic(array=array))
+        with pytest.raises(TypeError, match="pseudospectra_from_covariances") as excinfo:
+            SubcarrierPathWeightingDetector(PerCaptureOnly())
+        assert "\n" not in str(excinfo.value)
 
     def test_single_covariance_path_honours_subspace_override(self, rng):
-        import numpy as np
-
         from repro.aoa.music import MusicEstimator
         from repro.channel.antenna import UniformLinearArray
 
@@ -228,13 +205,3 @@ class TestBatchedSpectraDispatch:
         csi = rng.normal(size=(3, 30)) + 1j * rng.normal(size=(3, 30))
         est.pseudospectrum(csi)
         assert calls  # the documented hook is dispatched through
-
-    def test_instance_level_hook_patch_disables_batching(self):
-        from repro.aoa.bartlett import BartlettEstimator
-        from repro.channel.antenna import UniformLinearArray
-        from repro.core.detector import _batched_spectra_safe
-
-        est = BartlettEstimator(array=UniformLinearArray(num_elements=3))
-        assert _batched_spectra_safe(est)
-        est.pseudospectrum = lambda csi: None  # instance-level patch
-        assert not _batched_spectra_safe(est)

@@ -256,9 +256,28 @@ class TestSchedulerParity:
             got = sorted(by_link.get(name, []), key=lambda event: event.index)
             assert stream_digest(got) == stream_digest(reference)
 
+    @pytest.mark.parametrize("batch_windows", [1, 3, 64])
+    def test_combined_batched_events_bit_identical_to_sequential_push(
+        self, batch_windows
+    ):
+        # The paper's scheme: cross-link stacked spectra, one kernel call
+        # per flush and array geometry, against plain per-link push.
+        config = small_fleet(links=6, pipeline=small_pipeline(detector="combined"))
+        events, _ = FleetScheduler(batch_windows=batch_windows).run(
+            self.fleet_streams(config)
+        )
+        by_link: dict[str, list] = {}
+        for event in events:
+            by_link.setdefault(event.link, []).append(event)
+        assert events
+        for index in range(config.links):
+            reference = sequential_events(config, index)
+            got = sorted(by_link.get(f"link-{index:05d}", []), key=lambda e: e.index)
+            assert stream_digest(got) == stream_digest(reference)
+
     def test_parity_holds_for_non_batchable_detector(self):
-        # Subcarrier sessions take the per-window fallback inside the batch
-        # scorer; events must still match plain push exactly.
+        # Subcarrier sessions share the stacked kernel path too; events must
+        # match plain push exactly.
         config = small_fleet(
             links=3, pipeline=small_pipeline(detector="subcarrier")
         )
@@ -336,6 +355,26 @@ class TestRunFleet:
             run_fleet(config.replace(batch_windows=batch_windows)).event_digest()
             == run_fleet(config).event_digest()
         )
+
+    @pytest.mark.parametrize("backend", ["exact", "fast"])
+    @pytest.mark.parametrize("detector", ["baseline", "subcarrier", "combined"])
+    def test_digest_invariant_for_every_scheme_and_backend(self, detector, backend):
+        # Regression: under ``fast`` the multi-RHS lstsq phase fit and the
+        # cached-IDFT zgemm gave row-count-dependent bits, so the digest
+        # moved with the flush size.
+        config = small_fleet(
+            links=6,
+            duration_s=2.0,
+            backend=backend,
+            pool_packets=40,
+            pipeline=small_pipeline(detector=detector),
+        )
+        reference = run_fleet(config.replace(batch_windows=1)).event_digest()
+        for batch_windows in (7, 64):
+            report = run_fleet(config.replace(batch_windows=batch_windows))
+            assert report.event_digest() == reference
+        sharded = run_fleet(config.replace(batch_windows=64), max_workers=2)
+        assert sharded.event_digest() == reference
 
     def test_report_to_dict_serialisable(self):
         report = run_fleet(small_fleet(links=3))

