@@ -4,7 +4,7 @@ The window-cached campaign still paid one ``clean_cfr_batch`` call, one
 impairment plan and one sanitisation pass *per window* — 275 synthesis calls
 and 825 sanitise calls across the five default cases.  The case program
 plans every window of a case up front, synthesises all scenes in one batch,
-impairs every packet through one shared plan and sanitises each window once
+impairs every packet in one acquisition call and sanitises each window once
 for all three schemes.  These benchmarks track the per-case wall-clock of
 that path (the campaign gate in ``test_bench_perf_campaign.py`` covers the
 five-case total) and the batched collector's multi-window throughput.

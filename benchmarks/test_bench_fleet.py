@@ -54,7 +54,7 @@ def test_fleet_1000_links_setup_only(benchmark):
     """Traffic synthesis for the 1,000-link population, scheduling excluded.
 
     Setup dominates a fleet run's wall-clock; the batched builder shares
-    clean-CFR synthesis per geometry and one impairment plan per link.
+    clean-CFR synthesis per geometry and one acquisition call per link.
     Tracked separately from the end-to-end run so a setup regression is
     visible even when scheduling noise hides it.
     """

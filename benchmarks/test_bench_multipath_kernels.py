@@ -1,13 +1,14 @@
-"""Perf benchmarks for the batched multipath-factor and impairment kernels.
+"""Perf benchmarks for the batched multipath-factor and weighting kernels.
 
 Before the stacked-IFFT pipeline the campaign spent ~1.3 s of its ~2.7 s
 profile in ~40k independent length-30 ``np.fft.ifft`` calls (one per
-frame/antenna) inside ``dominant_tap_power``, plus ~0.3 s in sequential
-per-packet impairment arithmetic.  These benchmarks track the batched
-kernels directly — a 1000-packet window through ``multipath_factor_trace``
-(one stacked IFFT for all 3000 rows) and a 150-packet static window through
-the collector's draw-order-compatible impairment plan — so a regression in
-either kernel shows up without re-running the whole campaign.
+frame/antenna) inside ``dominant_tap_power``.  These benchmarks track the
+batched kernels directly — a 1000-packet window through
+``multipath_factor_trace`` (one stacked IFFT for all 3000 rows), the stacked
+IFFT itself and one subcarrier-weighting window — so a regression in either
+kernel shows up without re-running the whole campaign.  The impairment
+kernel (every quantity of a call drawn at once from per-quantity streams) is
+tracked by ``test_bench_perf_campaign.py``'s 150-packet collector window.
 """
 
 from __future__ import annotations

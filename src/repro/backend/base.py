@@ -14,9 +14,11 @@ modules through a :class:`NumericBackend`.  Two implementations ship:
   rather than byte equality.
 
 Every kernel of every backend is row-independent: a row's result never
-depends on how many rows share the call.  The stacked scoring program
-relies on this for its batch-invariance contract (a window's score is
-bit-identical for any batch size or composition).
+depends on how many rows share the call.  Acquisition and the stacked
+scoring program rely on this for their batch-invariance contracts (a
+window's packets and score are bit-identical for any batch size or
+composition).  Every layer takes the same operation order under every
+backend; backends differ only inside their kernels.
 
 Backends are looked up by name in a :class:`repro.backend.registry.BackendRegistry`
 and activated with :func:`repro.backend.use_backend`; kernels are taken from
@@ -41,15 +43,6 @@ class NumericBackend(Protocol):
 
     #: Registry name, e.g. ``"exact"``; also the obs span/snapshot tag value.
     name: str
-
-    #: Whether this backend promises only tolerance parity (bounded score
-    #: deltas, identical operating points) rather than byte equality with the
-    #: scalar reference.  Layers with mathematically equivalent but
-    #: float-reassociated fast paths — the fused phase-impairment product in
-    #: :meth:`repro.channel.noise.ImpairmentDrawPlan.apply` — may take them
-    #: only when this is True; the pinned ``exact`` backend keeps the
-    #: historical operation order everywhere.
-    tolerance_parity: bool
 
     # -- dtype policy ---------------------------------------------------- #
     @property

@@ -61,10 +61,6 @@ class ExactBackend:
     """Libm-routed kernels, bit-identical to the scalar reference path."""
 
     name = "exact"
-    #: Byte equality promised: no layer may substitute float-reassociated
-    #: batch programs (stacked scoring, fused phase products) for the
-    #: historical operation order the sha256 score pins depend on.
-    tolerance_parity = False
 
     @property
     def real_dtype(self):

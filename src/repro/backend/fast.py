@@ -36,9 +36,6 @@ class FastBackend:
     """Bare NumPy SIMD kernels with tolerance (not byte) parity."""
 
     name = "fast"
-    #: Only tolerance parity promised: the per-packet impairment phases may
-    #: be fused into a single complex rotation.
-    tolerance_parity = True
 
     def __init__(self, dtype=np.float64) -> None:
         self._real_dtype = np.dtype(dtype)

@@ -27,7 +27,7 @@ from repro.channel.constants import (
 from repro.channel.geometry import Point, Room, Segment
 from repro.channel.human import HumanBody
 from repro.channel.materials import Material, MaterialLibrary
-from repro.channel.noise import ImpairmentModel
+from repro.channel.noise import ImpairmentModel, ImpairmentStreams
 from repro.channel.ofdm import synthesize_cfr
 from repro.channel.propagation import PropagationModel
 from repro.channel.rays import Path, RayTracer
@@ -50,6 +50,7 @@ __all__ = [
     "Material",
     "MaterialLibrary",
     "ImpairmentModel",
+    "ImpairmentStreams",
     "synthesize_cfr",
     "PropagationModel",
     "Path",

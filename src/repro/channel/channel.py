@@ -32,7 +32,7 @@ from repro.channel.geometry import (
 )
 from repro.channel.human import HumanBody, attenuation_profile
 from repro.channel.materials import DEFAULT_MATERIALS, MaterialLibrary
-from repro.channel.noise import ImpairmentDrawPlan, ImpairmentModel
+from repro.channel.noise import ImpairmentModel, ImpairmentStreams
 from repro.channel.propagation import PropagationModel
 from repro.channel.rays import Path, RayTracer, assign_angles_of_arrival
 from repro.channel.scene import PathBundle
@@ -106,7 +106,10 @@ class ChannelSimulator:
         Reflection order for environment paths (1 reproduces the paper's
         one-bounce analysis; 2 adds denser multipath).
     seed:
-        Base seed for per-packet impairment randomness.
+        Seed of the simulator's per-quantity impairment streams
+        (:class:`~repro.channel.noise.ImpairmentStreams`), derived once at
+        construction.  A ``seed=`` passed to a sampling method draws from
+        streams derived from that seed instead.
     """
 
     def __init__(
@@ -127,6 +130,7 @@ class ChannelSimulator:
         self.frequencies = subcarrier_frequencies()
         self.subcarrier_indices = np.asarray(INTEL5300_SUBCARRIER_INDICES, dtype=float)
         self._rng = ensure_rng(seed)
+        self._streams = ImpairmentStreams.derive(self._rng)
         self._static_paths: list[Path] | None = None
         self._bundle: PathBundle | None = None
         self._static_synthesis: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -256,9 +260,8 @@ class ChannelSimulator:
 
         Notes
         -----
-        Consumes no randomness, so callers that interleave CFR synthesis
-        with per-packet impairment draws (the collector) can batch the
-        synthesis up front without disturbing the historical RNG order.
+        Consumes no randomness: synthesis can be batched or regrouped
+        freely without moving any impairment draw.
         """
         scene_people = [self._normalize_humans(scene) for scene in scenes]
         freqs = self.frequencies
@@ -417,31 +420,17 @@ class ChannelSimulator:
             att[indices] = template.shadow_attenuation_batch(bundle, positions)
         return att
 
-    def impair(self, clean: np.ndarray, *, seed: SeedLike = None) -> np.ndarray:
-        """Apply this simulator's per-packet impairments to a clean CFR.
+    def _impaired(
+        self, cleans: np.ndarray, candidates: np.ndarray, seed: SeedLike
+    ) -> np.ndarray:
+        """Impair one packet per candidate index, from *seed*'s streams.
 
-        This is the second half of :meth:`sample_packet`; callers that cache
-        the clean CFR of a static scene (for example
-        :meth:`repro.csi.collector.PacketCollector.collect`) use it to draw
-        per-packet impairments with exactly the same RNG consumption as the
-        uncached path.
+        ``seed=None`` draws from the simulator's own streams (derived at
+        construction); anything else derives fresh streams from it.
         """
-        rng = ensure_rng(seed) if seed is not None else self._rng
-        return self.impairments.apply(clean, self.subcarrier_indices, seed=rng)
-
-    def impairment_plan(
-        self, cleans: np.ndarray, *, num_packets: int | None = None
-    ) -> "ImpairmentDrawPlan":
-        """A draw-order-compatible impairment plan on this simulator's grid.
-
-        Thin wrapper over :meth:`ImpairmentModel.draw_plan` with the
-        simulator's subcarrier indices; used by the collector to pre-draw
-        per-packet randomness (interleaved with its loss process) and impair
-        a whole window in one vectorised pass, byte-identical to sequential
-        :meth:`impair` calls.
-        """
-        return self.impairments.draw_plan(
-            cleans, self.subcarrier_indices, num_packets=num_packets
+        streams = self._streams if seed is None else ImpairmentStreams.derive(seed)
+        return self.impairments.apply(
+            cleans, candidates, self.subcarrier_indices, streams
         )
 
     def sample_packet(
@@ -450,8 +439,8 @@ class ChannelSimulator:
         *,
         seed: SeedLike = None,
     ) -> np.ndarray:
-        """One CSI packet including measurement impairments."""
-        return self.impair(self.clean_cfr(humans), seed=seed)
+        """One CSI packet including measurement impairments (a burst of one)."""
+        return self.sample_burst(humans, num_packets=1, seed=seed)[0]
 
     def sample_burst(
         self,
@@ -464,17 +453,13 @@ class ChannelSimulator:
 
         Returns an array of shape ``(num_packets, num_antennas,
         num_subcarriers)``.  The clean CFR is computed once (the scene is
-        static) and the per-packet impairments are drawn in one vectorized
-        :meth:`~repro.channel.noise.ImpairmentModel.apply_batch` pass, so
-        bursts are cheap even for large *num_packets*.
+        static) and every packet is impaired in one
+        :meth:`~repro.channel.noise.ImpairmentModel.apply` call.
         """
         if num_packets < 1:
             raise ValueError(f"num_packets must be >= 1, got {num_packets}")
-        rng = ensure_rng(seed) if seed is not None else self._rng
-        clean = self.clean_cfr(humans)
-        return self.impairments.apply_batch(
-            clean, self.subcarrier_indices, num_packets=num_packets, seed=rng
-        )
+        cleans = self.clean_cfr_batch([humans])
+        return self._impaired(cleans, np.zeros(num_packets, dtype=np.intp), seed)
 
     def sample_trajectory(
         self,
@@ -491,22 +476,16 @@ class ChannelSimulator:
 
         The clean CFRs of all positions are synthesised in one
         :meth:`clean_cfr_batch` pass (sharing the background bodies across
-        scenes); clean synthesis consumes no randomness, so the per-packet
-        impairment draws keep their historical order and the result is
-        bit-identical to the per-position loop.
+        scenes) and impaired in one
+        :meth:`~repro.channel.noise.ImpairmentModel.apply` call.
         """
-        rng = ensure_rng(seed) if seed is not None else self._rng
         template = body if body is not None else HumanBody(position=self.link.midpoint())
         background = list(background)
         scenes = [
             [template.moved_to(position), *background] for position in positions
         ]
         cleans = self.clean_cfr_batch(scenes)
-        packets = [
-            self.impairments.apply(cleans[i], self.subcarrier_indices, seed=rng)
-            for i in range(len(scenes))
-        ]
-        return np.asarray(packets)
+        return self._impaired(cleans, np.arange(len(scenes)), seed)
 
     # ------------------------------------------------------------------ #
     # helpers

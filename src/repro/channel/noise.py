@@ -7,16 +7,45 @@ packet carries a random common phase from residual carrier frequency offset
 control (AGC), and thermal noise.  The paper calibrates the raw CSI "as in
 [26]" (Sen et al.) to remove the phase artefacts; reproducing the impairments
 here lets the calibration stage in :mod:`repro.csi.calibration` do real work.
+
+The impairments are i.i.d. per packet, and every random quantity reads from
+its own generator (:class:`ImpairmentStreams`).  :meth:`ImpairmentModel.apply`
+draws each quantity for all packets of a call at once, in packet order, so
+impairing packets in one call or split over consecutive calls on the same
+streams gives byte-identical results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from repro.backend import active_backend
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.utils.rng import SeedLike, derive_rng, ensure_rng
+
+
+@dataclass(frozen=True)
+class ImpairmentStreams:
+    """One independent random stream per impairment quantity.
+
+    Built once per owner (a simulator, a packet collector) with
+    :meth:`derive`; each quantity consumes only its own generator, so
+    switching one impairment off or drawing more packets of one kind never
+    shifts the values of another.
+    """
+
+    phase: np.random.Generator
+    slope: np.random.Generator
+    offsets: np.random.Generator
+    gain: np.random.Generator
+    noise: np.random.Generator
+
+    @classmethod
+    def derive(cls, seed: SeedLike) -> "ImpairmentStreams":
+        """Derive every stream from *seed* (advances a generator by 5 draws)."""
+        rng = ensure_rng(seed)
+        return cls(*(derive_rng(rng, field.name) for field in fields(cls)))
 
 
 @dataclass(frozen=True)
@@ -52,180 +81,91 @@ class ImpairmentModel:
 
     def apply(
         self,
-        cfr: np.ndarray,
+        cleans: np.ndarray,
+        candidates: np.ndarray,
         subcarrier_indices: np.ndarray,
-        seed: SeedLike = None,
+        streams: ImpairmentStreams,
     ) -> np.ndarray:
-        """Return a noisy copy of *cfr* (shape ``(antennas, subcarriers)``).
+        """Impair one packet per entry of *candidates*.
 
         Parameters
         ----------
-        cfr:
-            Clean channel frequency response.
+        cleans:
+            Candidate clean CFRs, shape ``(candidates, antennas,
+            subcarriers)``: a static window's scene, one scene per window of
+            a case, or one per trajectory position.
+        candidates:
+            The candidate each packet sees, shape ``(packets,)``; entries may
+            repeat (many packets of one static scene).
         subcarrier_indices:
             Intel-5300 subcarrier indices (used for the SFO phase slope so it
             is linear in actual frequency offset, not array position).
-        seed:
-            Seed or generator controlling the random draws for this packet.
+        streams:
+            The per-quantity generators to draw from.  Each quantity is drawn
+            for every packet at once, in packet order, so splitting the
+            packets over consecutive calls draws exactly the same values.
+
+        Returns
+        -------
+        numpy.ndarray
+            The impaired packets, shape ``(packets, antennas, subcarriers)``.
+            A candidate with zero power receives no noise.
         """
-        rng = ensure_rng(seed)
-        cfr = np.asarray(cfr, dtype=complex)
-        if cfr.ndim != 2:
+        cleans = np.ascontiguousarray(cleans, dtype=complex)
+        if cleans.ndim != 3:
             raise ValueError(
-                f"cfr must have shape (antennas, subcarriers), got {cfr.shape}"
+                "cleans must have shape (candidates, antennas, subcarriers), "
+                f"got {cleans.shape}"
             )
-        indices = np.asarray(subcarrier_indices, dtype=float)
-        if indices.shape != (cfr.shape[1],):
-            raise ValueError(
-                f"subcarrier_indices has shape {indices.shape}, expected ({cfr.shape[1]},)"
-            )
-        noisy = cfr.copy()
-
-        if self.cfo_phase:
-            common_phase = rng.uniform(0.0, 2.0 * np.pi)
-            noisy *= np.exp(1j * common_phase)
-
-        if self.sfo_slope_std > 0:
-            slope = rng.normal(0.0, self.sfo_slope_std)
-            noisy *= np.exp(1j * slope * indices)[None, :]
-
-        if self.antenna_phase_offsets and cfr.shape[0] > 1:
-            offsets = rng.normal(0.0, 0.1, size=cfr.shape[0])
-            noisy *= np.exp(1j * offsets)[:, None]
-
-        if self.agc_std_db > 0:
-            gain_db = rng.normal(0.0, self.agc_std_db)
-            noisy *= 10.0 ** (gain_db / 20.0)
-
-        mean_power = float(np.mean(np.abs(cfr) ** 2))
-        if mean_power > 0 and np.isfinite(self.snr_db):
-            noise_power = mean_power / (10.0 ** (self.snr_db / 10.0))
-            noise = rng.normal(0.0, np.sqrt(noise_power / 2.0), size=cfr.shape) + 1j * rng.normal(
-                0.0, np.sqrt(noise_power / 2.0), size=cfr.shape
-            )
-            noisy += noise
-
-        return noisy
-
-    def apply_batch(
-        self,
-        cfr: np.ndarray,
-        subcarrier_indices: np.ndarray,
-        *,
-        num_packets: int | None = None,
-        seed: SeedLike = None,
-    ) -> np.ndarray:
-        """Apply per-packet impairments to a whole burst in one vectorized pass.
-
-        Accepts either a single clean CFR of shape ``(antennas, subcarriers)``
-        (broadcast to *num_packets* packets of the same static scene) or a
-        stack of per-packet CFRs of shape ``(packets, antennas, subcarriers)``
-        (for example a trajectory).  Every random quantity is drawn per packet
-        exactly as in :meth:`apply`, but the draws are batched per impairment
-        rather than per packet, so for a given generator the *values* differ
-        from ``num_packets`` sequential :meth:`apply` calls while the
-        distribution is identical.  Use this in bulk-generation scenarios
-        (streaming demos, multi-link traffic) that do not need draw-order
-        parity with the sequential path; the packet collector's campaign path
-        keeps the sequential draws so traces stay bit-identical.
-
-        Returns an array of shape ``(packets, antennas, subcarriers)``.
-        """
-        rng = ensure_rng(seed)
-        cfr = np.asarray(cfr, dtype=complex)
-        if cfr.ndim == 2:
-            if num_packets is None:
-                raise ValueError(
-                    "num_packets is required when cfr has shape (antennas, subcarriers)"
-                )
-            if num_packets < 1:
-                raise ValueError(f"num_packets must be >= 1, got {num_packets}")
-            cfr = np.broadcast_to(cfr, (num_packets, *cfr.shape))
-        elif cfr.ndim == 3:
-            if num_packets is not None and num_packets != cfr.shape[0]:
-                raise ValueError(
-                    f"num_packets={num_packets} conflicts with cfr stack of "
-                    f"{cfr.shape[0]} packets"
-                )
-        else:
-            raise ValueError(
-                "cfr must have shape (antennas, subcarriers) or "
-                f"(packets, antennas, subcarriers), got {cfr.shape}"
-            )
-        packets, antennas, subcarriers = cfr.shape
+        candidates = np.asarray(candidates, dtype=np.intp)
+        if candidates.ndim != 1:
+            raise ValueError(f"candidates must be 1-D, got shape {candidates.shape}")
+        if candidates.size and not (
+            candidates.min() >= 0 and candidates.max() < cleans.shape[0]
+        ):
+            raise IndexError(f"candidate index out of range for {cleans.shape[0]} cleans")
+        _, antennas, subcarriers = cleans.shape
         indices = np.asarray(subcarrier_indices, dtype=float)
         if indices.shape != (subcarriers,):
             raise ValueError(
                 f"subcarrier_indices has shape {indices.shape}, expected ({subcarriers},)"
             )
-        noisy = cfr.copy()
+        backend = active_backend()
+        packets = candidates.size
+        noisy = cleans[candidates]
 
         if self.cfo_phase:
-            common_phase = rng.uniform(0.0, 2.0 * np.pi, size=packets)
-            noisy *= np.exp(1j * common_phase)[:, None, None]
-
+            phase = streams.phase.uniform(0.0, 2.0 * np.pi, size=packets)
+            noisy *= backend.cis(phase)[:, None, None]
         if self.sfo_slope_std > 0:
-            slope = rng.normal(0.0, self.sfo_slope_std, size=packets)
-            noisy *= np.exp(1j * slope[:, None, None] * indices[None, None, :])
-
+            slope = streams.slope.normal(0.0, self.sfo_slope_std, size=packets)
+            noisy *= backend.cis(slope[:, None] * indices[None, :])[:, None, :]
         if self.antenna_phase_offsets and antennas > 1:
-            offsets = rng.normal(0.0, 0.1, size=(packets, antennas))
-            noisy *= np.exp(1j * offsets)[:, :, None]
-
+            offsets = streams.offsets.normal(0.0, 0.1, size=(packets, antennas))
+            noisy *= backend.cis(offsets)[:, :, None]
         if self.agc_std_db > 0:
-            gain_db = rng.normal(0.0, self.agc_std_db, size=packets)
-            noisy *= (10.0 ** (gain_db / 20.0))[:, None, None]
+            gain_db = streams.gain.normal(0.0, self.agc_std_db, size=packets)
+            noisy *= backend.power_elementwise(10.0, gain_db / 20.0)[:, None, None]
 
-        mean_power = np.mean(np.abs(cfr) ** 2, axis=(1, 2))
-        if np.isfinite(self.snr_db) and np.any(mean_power > 0):
-            # Per-packet noise power tracks each packet's own clean CFR, as in
-            # apply(); standard normals are scaled per packet so a zero-power
-            # packet receives exactly zero noise.
+        if np.isfinite(self.snr_db):
+            # Noise power tracks each candidate's own mean subcarrier power
+            # (correctly rounded squares reduced row by row, so its bits never
+            # depend on the other candidates); packets of a zero-power
+            # candidate draw, and receive, no noise.
+            power = cleans.real**2 + cleans.imag**2
+            mean_power = power.reshape(power.shape[0], -1).mean(axis=1)
             sigma = np.sqrt(mean_power / (10.0 ** (self.snr_db / 10.0)) / 2.0)
-            noise = rng.normal(0.0, 1.0, size=cfr.shape) + 1j * rng.normal(
-                0.0, 1.0, size=cfr.shape
-            )
-            noisy += noise * sigma[:, None, None]
-
+            noisy_rows = mean_power[candidates] > 0
+            count = int(np.count_nonzero(noisy_rows))
+            if count:
+                # (real, imag) pairs, packet after packet, viewed as complex.
+                noise = streams.noise.standard_normal((count, antennas, subcarriers, 2))
+                noise *= sigma[candidates[noisy_rows], None, None, None]
+                if count == packets:  # a masked add gathers and scatters: ~6x slower
+                    noisy += noise.view(complex)[..., 0]
+                else:
+                    noisy[noisy_rows] += noise.view(complex)[..., 0]
         return noisy
-
-    def draw_plan(
-        self,
-        cleans: np.ndarray,
-        subcarrier_indices: np.ndarray,
-        *,
-        num_packets: int | None = None,
-    ) -> "ImpairmentDrawPlan":
-        """A draw-order-compatible plan for a burst of per-packet impairments.
-
-        Unlike :meth:`apply_batch` (which reorders the draws per impairment
-        and therefore produces *different* values than sequential
-        :meth:`apply` calls), the plan keeps the exact historical RNG
-        consumption order: the caller invokes
-        :meth:`ImpairmentDrawPlan.draw_next` once per received packet —
-        interleaved with its own draws, for example a collector's loss
-        process — and every packet's draws happen in precisely the sequence
-        :meth:`apply` would make them.  The heavy array arithmetic then runs
-        once for the whole burst in :meth:`ImpairmentDrawPlan.apply`,
-        bit-identical to the sequential path.
-
-        Parameters
-        ----------
-        cleans:
-            Either one clean CFR of shape ``(antennas, subcarriers)`` (a
-            static scene; *num_packets* is required) or a stack of candidate
-            CFRs of shape ``(candidates, antennas, subcarriers)`` (for
-            example one per trajectory position, or one per monitoring
-            window of a whole case).
-        subcarrier_indices:
-            Intel-5300 subcarrier indices (for the SFO phase slope).
-        num_packets:
-            Plan capacity.  Required for the single-CFR form; for a
-            candidate stack it defaults to one packet per candidate and may
-            be set higher when candidates repeat (e.g. many packets of the
-            same static window drawn against one shared plan).
-        """
-        return ImpairmentDrawPlan(self, cleans, subcarrier_indices, num_packets=num_packets)
 
     def noiseless(self) -> "ImpairmentModel":
         """A copy of this model with every impairment switched off.
@@ -240,179 +180,3 @@ class ImpairmentModel:
             agc_std_db=0.0,
             antenna_phase_offsets=False,
         )
-
-
-class ImpairmentDrawPlan:
-    """Pre-drawn per-packet impairment randomness with the historical order.
-
-    Built by :meth:`ImpairmentModel.draw_plan`.  The plan splits
-    :meth:`ImpairmentModel.apply` into its two halves: the *draws* (which
-    must consume the generator in exactly the historical per-packet order,
-    interleaved with any caller-side draws such as a loss process) and the
-    *application* (pure array arithmetic with no randomness, which can run
-    once for the whole burst).  Every multiplication happens in the same
-    order and with bit-identical factors as the sequential path — the AGC
-    gain is routed through the backend ``power_elementwise`` kernel
-    (libm-exact in ``exact`` mode)
-    because NumPy's array ``**`` differs from the scalar libm ``pow`` in the
-    last ulp — so ``plan.apply()`` is byte-identical to stacking sequential
-    :meth:`ImpairmentModel.apply` calls.
-    """
-
-    def __init__(
-        self,
-        model: ImpairmentModel,
-        cleans: np.ndarray,
-        subcarrier_indices: np.ndarray,
-        *,
-        num_packets: int | None = None,
-    ) -> None:
-        cleans = np.asarray(cleans, dtype=complex)
-        if cleans.ndim == 2:
-            if num_packets is None:
-                raise ValueError(
-                    "num_packets is required when cleans has shape (antennas, subcarriers)"
-                )
-            if num_packets < 1:
-                raise ValueError(f"num_packets must be >= 1, got {num_packets}")
-            candidates = cleans[None, :, :]
-            capacity = num_packets
-        elif cleans.ndim == 3:
-            if num_packets is not None and num_packets < 1:
-                raise ValueError(f"num_packets must be >= 1, got {num_packets}")
-            candidates = cleans
-            capacity = cleans.shape[0] if num_packets is None else num_packets
-        else:
-            raise ValueError(
-                "cleans must have shape (antennas, subcarriers) or "
-                f"(candidates, antennas, subcarriers), got {cleans.shape}"
-            )
-        _, antennas, subcarriers = candidates.shape
-        indices = np.asarray(subcarrier_indices, dtype=float)
-        if indices.shape != (subcarriers,):
-            raise ValueError(
-                f"subcarrier_indices has shape {indices.shape}, expected ({subcarriers},)"
-            )
-        self._model = model
-        self._candidates = candidates
-        self._indices = indices
-        self._antennas = antennas
-        self._subcarriers = subcarriers
-        self._count = 0
-        self._chosen = np.empty(capacity, dtype=np.intp)
-        self._phases = np.empty(capacity) if model.cfo_phase else None
-        self._slopes = np.empty(capacity) if model.sfo_slope_std > 0 else None
-        self._offsets = (
-            np.empty((capacity, antennas))
-            if model.antenna_phase_offsets and antennas > 1
-            else None
-        )
-        self._gains = np.empty(capacity) if model.agc_std_db > 0 else None
-        # Per-candidate noise scale, exactly as apply() derives it: the noise
-        # power tracks each candidate's own clean mean subcarrier power, and
-        # a zero-power candidate draws (and receives) no noise at all.
-        if np.isfinite(model.snr_db):
-            mean_power = np.array(
-                [float(np.mean(np.abs(c) ** 2)) for c in candidates]
-            )
-            self._noise_scale = np.array(
-                [
-                    np.sqrt((m / (10.0 ** (model.snr_db / 10.0))) / 2.0) if m > 0 else 0.0
-                    for m in mean_power
-                ]
-            )
-            self._noise_active = mean_power > 0
-            self._noise = np.zeros(
-                (capacity, 2, antennas, subcarriers)
-            ) if bool(self._noise_active.any()) else None
-        else:
-            self._noise_scale = None
-            self._noise_active = None
-            self._noise = None
-
-    @property
-    def num_drawn(self) -> int:
-        """How many packets have been drawn so far."""
-        return self._count
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of packets this plan can hold."""
-        return self._chosen.shape[0]
-
-    def draw_next(self, rng: np.random.Generator, candidate: int = 0) -> None:
-        """Draw one packet's impairments for *candidate* (historical order).
-
-        Makes exactly the generator calls :meth:`ImpairmentModel.apply`
-        would make for this packet — same distributions, same sizes, same
-        sequence — and nothing else, so interleaving :meth:`draw_next` with
-        caller-side draws reproduces the sequential stream byte-for-byte.
-        """
-        p = self._count
-        if p >= self._chosen.shape[0]:
-            raise RuntimeError(f"plan capacity {self._chosen.shape[0]} exhausted")
-        if not 0 <= candidate < self._candidates.shape[0]:
-            raise IndexError(f"candidate {candidate} out of range")
-        self._chosen[p] = candidate
-        if self._phases is not None:
-            self._phases[p] = rng.uniform(0.0, 2.0 * np.pi)
-        if self._slopes is not None:
-            self._slopes[p] = rng.normal(0.0, self._model.sfo_slope_std)
-        if self._offsets is not None:
-            self._offsets[p] = rng.normal(0.0, 0.1, size=self._antennas)
-        if self._gains is not None:
-            self._gains[p] = rng.normal(0.0, self._model.agc_std_db)
-        if self._noise is not None and self._noise_active[candidate]:
-            scale = self._noise_scale[candidate]
-            shape = (self._antennas, self._subcarriers)
-            self._noise[p, 0] = rng.normal(0.0, scale, size=shape)
-            self._noise[p, 1] = rng.normal(0.0, scale, size=shape)
-        self._count += 1
-
-    def apply(self) -> np.ndarray:
-        """The impaired burst, shape ``(num_drawn, antennas, subcarriers)``.
-
-        Pure array arithmetic over the pre-drawn randomness.  Under the
-        ``exact`` backend the in-place multiply sequence matches
-        :meth:`ImpairmentModel.apply` factor for factor, so the result is
-        bit-identical to the sequential path; a ``tolerance_parity`` backend
-        (``fast``) rotates by the summed phase in one step instead — the
-        same product up to float reassociation.
-        """
-        n = self._count
-        noisy = self._candidates[self._chosen[:n]]
-        backend = active_backend()
-        if getattr(backend, "tolerance_parity", False):
-            # Tolerance-parity backends collapse the per-factor unit-phasor
-            # multiplies into one rotation by the summed phase — the same
-            # product up to reassociation, at a third of the complex work.
-            phase: np.ndarray | float = 0.0
-            if self._phases is not None:
-                phase = self._phases[:n, None, None]
-            if self._slopes is not None:
-                phase = phase + self._slopes[:n, None, None] * self._indices[None, None, :]
-            if self._offsets is not None:
-                phase = phase + self._offsets[:n, :, None]
-            if isinstance(phase, np.ndarray):
-                noisy *= backend.cis(phase)
-        else:
-            if self._phases is not None:
-                noisy *= np.exp(1j * self._phases[:n])[:, None, None]
-            if self._slopes is not None:
-                noisy *= np.exp(
-                    1j * self._slopes[:n, None, None] * self._indices[None, None, :]
-                )
-            if self._offsets is not None:
-                noisy *= np.exp(1j * self._offsets[:n])[:, :, None]
-        if self._gains is not None:
-            noisy *= active_backend().power_elementwise(10.0, self._gains[:n] / 20.0)[
-                :, None, None
-            ]
-        if self._noise is not None:
-            # Only packets whose candidate has noise enabled receive the add;
-            # apply() skips the += entirely for zero-power cleans, and adding
-            # an all-zero array is not a no-op at the bit level (-0.0 + 0.0).
-            rows = np.flatnonzero(self._noise_active[self._chosen[:n]])
-            if rows.size:
-                noisy[rows] += self._noise[rows, 0] + 1j * self._noise[rows, 1]
-        return noisy

@@ -7,12 +7,12 @@ the CSI tool reports one CSI group per received packet.  The
 :class:`~repro.csi.trace.CSITrace` objects with realistic timestamps and
 optional packet loss.
 
-Within one monitoring window the scene is static, so the clean CFR is
-computed once per :meth:`PacketCollector.collect` call and only the
-per-packet impairments (and loss draws) run in the acquisition loop.  The
-draws consume the collector's RNG stream in exactly the same order as the
-historical per-packet path (loss draw, then impairment draws, per ping), so
-collected traces are bit-identical to the uncached implementation.
+Acquisition is array at a time: a call draws the lost-ping gaps of all its
+packets in one vectorised draw from the collector's loss stream, and impairs
+all its packets in one :meth:`~repro.channel.noise.ImpairmentModel.apply`
+call on the collector's per-quantity impairment streams.  Every quantity is
+drawn in packet order, so collecting windows in one call or split over
+consecutive calls gives byte-identical traces.
 """
 
 from __future__ import annotations
@@ -27,15 +27,16 @@ from repro.channel.channel import ChannelSimulator
 from repro.channel.constants import DEFAULT_PACKET_RATE_HZ
 from repro.channel.geometry import Point
 from repro.channel.human import HumanBody
+from repro.channel.noise import ImpairmentStreams
 from repro.csi.trace import CSITrace
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.utils.rng import SeedLike, derive_rng, ensure_rng
 from repro.utils.validation import check_probability
 
 #: Consecutive lost pings after which collection aborts.  With the validated
 #: ``loss_probability < 1`` this is astronomically unlikely to trigger for any
 #: sane configuration (p = 0.999 reaches it with probability ~1e-44); it
 #: exists to turn a mis-modelled loss process into a clear error instead of a
-#: silent near-infinite loop.
+#: silent near-endless capture.
 MAX_CONSECUTIVE_LOSSES = 100_000
 
 
@@ -57,9 +58,10 @@ class PacketCollector:
         Seed for the loss process and per-packet impairments.
     rng:
         Explicit generator for the loss process and impairments; takes
-        precedence over *seed*.  Passing the same generator to several
-        collectors (or other components) makes them share one stream,
-        mirroring :func:`repro.utils.rng.ensure_rng` usage elsewhere.
+        precedence over *seed*.  The collector derives its loss stream and
+        its :class:`~repro.channel.noise.ImpairmentStreams` from it once, at
+        construction, so collectors built from one shared generator get
+        distinct streams in construction order.
     """
 
     simulator: ChannelSimulator
@@ -81,24 +83,20 @@ class PacketCollector:
             raise TypeError(
                 f"rng must be a numpy.random.Generator, got {type(self.rng).__name__}"
             )
-        self._rng = self.rng if self.rng is not None else ensure_rng(self.seed)
+        rng = self.rng if self.rng is not None else ensure_rng(self.seed)
+        # Impairment streams first: a collector and ``sample_trajectory``
+        # given the same seed then impair identically.
+        self._streams = ImpairmentStreams.derive(rng)
+        self._loss = derive_rng(rng, "loss")
 
-    # ------------------------------------------------------------------ #
-    # loss process
-    # ------------------------------------------------------------------ #
-    def _ping_lost(self, consecutive_losses: int) -> bool:
-        """One loss draw; raise if the loss streak exceeds the retry cap."""
-        if self.loss_probability <= 0:
-            return False
-        if self._rng.random() >= self.loss_probability:
-            return False
-        if consecutive_losses + 1 >= MAX_CONSECUTIVE_LOSSES:
-            raise RuntimeError(
-                f"aborting capture: {MAX_CONSECUTIVE_LOSSES} consecutive pings "
-                f"lost at loss_probability={self.loss_probability}; the loss "
-                "process never delivers packets"
-            )
-        return True
+    def _impair(self, cleans: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        """Impair one packet per candidate index on this collector's streams."""
+        simulator = self.simulator
+        csi = simulator.impairments.apply(
+            cleans, candidates, simulator.subcarrier_indices, self._streams
+        )
+        obs.count("collect.packets", candidates.size)
+        return csi
 
     # ------------------------------------------------------------------ #
     # static scenes
@@ -115,42 +113,16 @@ class PacketCollector:
 
         Lost pings are skipped (they consume time but produce no CSI), so the
         returned trace always contains exactly *num_packets* frames, matching
-        how a fixed-size capture is gathered on hardware.
-
-        The scene is static within the capture, so the clean CFR is
-        synthesized once; the acquisition loop only *draws* the per-packet
-        randomness (loss draw, then impairment draws, per ping — exactly the
-        historical RNG consumption order, via
-        :meth:`~repro.channel.noise.ImpairmentModel.draw_plan`) and the
-        impairment arithmetic runs once for the whole window, array at a
-        time.  Traces are bit-identical to sampling every packet from
-        scratch at a fraction of the cost.
+        how a fixed-size capture is gathered on hardware.  This is
+        :meth:`collect_batch` of one window.
         """
         if num_packets < 1:
             raise ValueError(f"num_packets must be >= 1, got {num_packets}")
-        interval = 1.0 / self.packet_rate_hz
         with obs.span("collect.synthesize"):
-            clean = self.simulator.clean_cfr(humans)
-            plan = self.simulator.impairment_plan(clean, num_packets=num_packets)
-        timestamps = np.empty(num_packets, dtype=float)
-        t = start_time
-        consecutive_losses = 0
-        with obs.span("collect.impair"):
-            while plan.num_drawn < num_packets:
-                t += interval
-                if self._ping_lost(consecutive_losses):
-                    consecutive_losses += 1
-                    continue
-                consecutive_losses = 0
-                timestamps[plan.num_drawn] = t
-                plan.draw_next(self._rng)
-            csi = plan.apply()
-        obs.count("collect.packets", num_packets)
-        return CSITrace(
-            csi=csi,
-            timestamps=timestamps,
-            label=label,
-        )
+            cleans = self.simulator.clean_cfr_batch([humans])
+        return self.collect_batch(
+            cleans, [num_packets], labels=[label], start_time=start_time
+        )[0]
 
     def collect_batch(
         self,
@@ -160,17 +132,13 @@ class PacketCollector:
         labels: Sequence[str] | None = None,
         start_time: float = 0.0,
     ) -> list[CSITrace]:
-        """Collect several static-scene windows through one impairment plan.
+        """Collect several static-scene windows in one vectorised pass.
 
-        Byte-identical to calling :meth:`collect` once per window with the
-        corresponding clean CFR: the windows share a single
-        :class:`~repro.channel.noise.ImpairmentDrawPlan` (candidate ``w`` =
-        window ``w``) and the acquisition loop walks the windows in order,
-        making exactly the sequential path's generator calls — loss draw,
-        then impairment draws, per ping, with the loss streak and the time
-        axis restarting at every window boundary just as separate
-        :meth:`collect` calls would.  The impairment arithmetic then runs
-        once for all windows in one vectorised ``plan.apply()``.
+        Every window's time axis starts at *start_time*.  Lost pings draw
+        geometric gaps between received packets, one per packet, and every
+        impairment quantity is drawn per packet in window order, so the
+        traces are byte-identical to collecting the same windows over any
+        run of consecutive calls.
 
         Parameters
         ----------
@@ -202,38 +170,36 @@ class PacketCollector:
             raise ValueError(
                 f"got {len(labels)} labels for {len(counts)} windows"
             )
-        interval = 1.0 / self.packet_rate_hz
         total = sum(counts)
-        with obs.span("collect.synthesize"):
-            plan = self.simulator.impairment_plan(cleans, num_packets=total)
-        timestamps = np.empty(total, dtype=float)
         with obs.span("collect.impair"):
-            for window, count in enumerate(counts):
-                drawn = 0
-                t = start_time
-                consecutive_losses = 0
-                while drawn < count:
-                    t += interval
-                    if self._ping_lost(consecutive_losses):
-                        consecutive_losses += 1
-                        continue
-                    consecutive_losses = 0
-                    timestamps[plan.num_drawn] = t
-                    plan.draw_next(self._rng, candidate=window)
-                    drawn += 1
-            csi = plan.apply()
-        obs.count("collect.packets", total)
+            # Pings per received packet: 1 + the lost pings before it.
+            if self.loss_probability > 0:
+                gaps = self._loss.geometric(1.0 - self.loss_probability, size=total)
+                if gaps.max() > MAX_CONSECUTIVE_LOSSES:
+                    raise RuntimeError(
+                        f"aborting capture: {MAX_CONSECUTIVE_LOSSES} consecutive "
+                        f"pings lost at loss_probability={self.loss_probability}; "
+                        "the loss process never delivers packets"
+                    )
+            else:
+                gaps = np.ones(total, dtype=np.int64)
+            window_of = np.repeat(np.arange(len(counts)), counts)
+            csi = self._impair(cleans, window_of)
+        # Ping slots since each window's start: the running gap total,
+        # restarted at every window boundary.
+        slots = np.cumsum(gaps)
+        window_start = np.cumsum(counts) - counts
+        slots -= np.repeat(slots[window_start] - gaps[window_start], counts)
+        timestamps = start_time + slots / self.packet_rate_hz
         traces: list[CSITrace] = []
-        offset = 0
-        for window, count in enumerate(counts):
+        for window, (start, count) in enumerate(zip(window_start, counts)):
             traces.append(
                 CSITrace(
-                    csi=csi[offset : offset + count],
-                    timestamps=timestamps[offset : offset + count],
+                    csi=csi[start : start + count],
+                    timestamps=timestamps[start : start + count],
                     label=labels[window] if labels is not None else "",
                 )
             )
-            offset += count
         return traces
 
     def collect_empty(self, *, num_packets: int, label: str = "empty") -> CSITrace:
@@ -258,26 +224,23 @@ class PacketCollector:
         :func:`repro.experiments.workloads.walking_trajectory`); each ping
         sees the person at the corresponding position.
 
-        The loss process is the same as :meth:`collect`: a lost ping consumes
-        its trajectory position (the person keeps walking) and shifts
-        subsequent timestamps, but produces no CSI.  With loss enabled the
-        returned trace therefore holds *fewer* packets than positions — the
-        walk is bounded in time, unlike a fixed-size static capture.  With
-        ``loss_probability=0`` there is exactly one packet per position.
+        The loss process is the same as :meth:`collect`, drawn as one
+        uniform per position: a lost ping consumes its trajectory position
+        (the person keeps walking) and shifts subsequent timestamps, but
+        produces no CSI.  With loss enabled the returned trace therefore
+        holds *fewer* packets than positions — the walk is bounded in time,
+        unlike a fixed-size static capture.  With ``loss_probability=0``
+        there is exactly one packet per position, identical to
+        :meth:`~repro.channel.channel.ChannelSimulator.sample_trajectory` on
+        the same seed.
 
-        All per-position clean CFRs are synthesised up front in one
+        All per-position clean CFRs are synthesised in one
         :meth:`~repro.channel.channel.ChannelSimulator.clean_cfr_batch` pass
-        (the background bodies are shared across scenes), and the per-packet
-        impairments are batched the same way as :meth:`collect`: the loop
-        only draws randomness (loss draw, then impairment draws, per ping —
-        the exact historical order) and the arithmetic runs once for all
-        received packets.  The trace is bit-identical to the per-position
-        loop — a lost ping's pre-computed CFR is simply discarded, just as
-        the loop never computed it.
+        (the background bodies are shared across scenes); the received
+        positions are then impaired in one kernel call.
         """
         if not positions:
             raise ValueError("positions must contain at least one point")
-        interval = 1.0 / self.packet_rate_hz
         template = (
             body if body is not None else HumanBody(position=self.simulator.link.midpoint())
         )
@@ -287,21 +250,16 @@ class PacketCollector:
                 [template.moved_to(position), *background] for position in positions
             ]
             cleans = self.simulator.clean_cfr_batch(scenes)
-            plan = self.simulator.impairment_plan(cleans)
-        timestamps = []
-        t = start_time
         with obs.span("collect.impair"):
-            for i in range(len(scenes)):
-                t += interval
-                if self._ping_lost(0):
-                    continue
-                plan.draw_next(self._rng, candidate=i)
-                timestamps.append(t)
-            if plan.num_drawn == 0:
-                raise RuntimeError(
-                    f"every ping of the {len(positions)}-position walk was lost "
-                    f"(loss_probability={self.loss_probability}); no CSI collected"
-                )
-            csi = plan.apply()
-        obs.count("collect.packets", plan.num_drawn)
-        return CSITrace(csi=csi, timestamps=np.asarray(timestamps), label=label)
+            received = np.arange(len(positions))
+            if self.loss_probability > 0:
+                lost = self._loss.random(len(positions)) < self.loss_probability
+                received = received[~lost]
+                if received.size == 0:
+                    raise RuntimeError(
+                        f"every ping of the {len(positions)}-position walk was lost "
+                        f"(loss_probability={self.loss_probability}); no CSI collected"
+                    )
+            csi = self._impair(cleans, received)
+        timestamps = start_time + (received + 1) / self.packet_rate_hz
+        return CSITrace(csi=csi, timestamps=timestamps, label=label)

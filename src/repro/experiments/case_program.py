@@ -12,17 +12,18 @@ campaign into a *plan* and an *execute* phase:
   one :class:`PlannedWindow` per capture — scene, packet count, label and
   drift gain.
 * The executor (``run_case``) then synthesises every scene in one
-  ``clean_cfr_batch`` call, samples every packet through one shared
-  impairment plan (:meth:`~repro.csi.collector.PacketCollector.collect_batch`)
-  and scores every window through one shared sanitisation pass.
+  ``clean_cfr_batch`` call, acquires every packet in one
+  :meth:`~repro.csi.collector.PacketCollector.collect_batch` call and
+  scores every window through one shared sanitisation pass.
 
 The split is safe because the case's random streams are independent
 generators: the planner only consumes the background and drift streams (in
 their historical per-window order) and the executor only consumes the
-collector stream, so regrouping the work across windows changes no draw.
-Clean CFR synthesis consumes no randomness at all.  Drift gains are applied
-to the raw traces *before* sanitisation, exactly as the historical path
-does — sanitisation is not bit-wise scale-invariant, so the order matters.
+collector's streams, whose per-packet draws do not depend on how windows
+are grouped into calls.  Clean CFR synthesis consumes no randomness at all.
+Drift gains are applied to the raw traces *before* sanitisation, exactly as
+the historical path does — sanitisation is not bit-wise scale-invariant, so
+the order matters.
 """
 
 from __future__ import annotations
@@ -129,9 +130,8 @@ def plan_case(
     (:meth:`~repro.experiments.workloads.BackgroundDynamics.people_for_window`)
     then a clutter draw, and — for monitoring windows — a gain draw
     immediately after, so a planned campaign replays the same ambient
-    conditions bit for bit.  The collector stream is untouched; it is
-    consumed later by the batched acquisition loop in the same per-packet
-    order as the historical one.
+    conditions bit for bit.  The collector's streams are untouched; batched
+    acquisition consumes them later.
     """
     windows: list[PlannedWindow] = [
         PlannedWindow(

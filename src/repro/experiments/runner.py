@@ -400,11 +400,14 @@ def build_detectors(
 def _case_components(
     link: Link, config: EvaluationConfig, seed: int
 ) -> tuple[ChannelSimulator, PacketCollector, BackgroundDynamics, EnvironmentDrift]:
-    """The four per-case components, seeded in the historical draw order.
+    """The four per-case components, seeded off the case seed.
 
-    The four sequential integer draws off the case RNG are the seeding
-    contract both campaign paths share: changing the order (or count) would
-    silently re-randomise every published number.
+    Four sequential integer draws off the case RNG seed the simulator, the
+    collector, the background and the drift, in that order.  This is the
+    seeding contract both campaign paths share: changing the order (or
+    count) would silently re-randomise every published number.  The
+    collector derives its loss stream and its per-quantity impairment
+    streams from its seed.
     """
     rng = ensure_rng(seed)
     simulator = ChannelSimulator(
@@ -451,11 +454,13 @@ def run_case(
     (:mod:`repro.experiments.case_program`): the window schedule is planned
     up front, every scene is synthesised in one
     :meth:`~repro.channel.channel.ChannelSimulator.clean_cfr_batch` call,
-    every packet is impaired through one shared plan
-    (:meth:`~repro.csi.collector.PacketCollector.collect_batch`) and every
+    every packet of the case is acquired in one
+    :meth:`~repro.csi.collector.PacketCollector.collect_batch` call and every
     window is sanitised once and scored by all schemes from that shared view
-    (:func:`~repro.api.monitor.score_windows_shared`).  Scores are
-    bit-identical to the retained window-by-window path,
+    (:func:`~repro.api.monitor.score_windows_shared`).  Acquisition is
+    batch-invariant (each impairment quantity and the loss gaps are drawn
+    per packet, in packet order, from the collector's own streams), so
+    scores are bit-identical to the retained window-by-window path,
     :func:`run_case_reference`, which the parity suite pins.
 
     The whole case — synthesis, impairments, sanitisation and scoring —

@@ -77,8 +77,8 @@ class FleetConfig:
     backend:
         Numeric backend (:mod:`repro.backend`) every shard — traffic
         synthesis and scheduling alike — computes through: ``"exact"``
-        (default; the event digest is byte-identical to the historical
-        stream) or ``"fast"`` (SIMD kernels, tolerance parity).  Authoritative
+        (default; libm-routed kernels) or ``"fast"`` (SIMD kernels,
+        tolerance parity).  Authoritative
         for the whole fleet: the per-link ``pipeline.backend`` field is
         ignored here, exactly as ``pipeline.seed`` is.
     batch_windows:
@@ -363,7 +363,7 @@ def _setup_streams(
     """Build the (calibrated session, traffic) streams of one shard.
 
     Traffic comes from :func:`~repro.fleet.traffic.build_fleet_traffic`
-    (geometry-shared clean CFRs, one impairment plan per link) unless
+    (geometry-shared clean CFRs, one acquisition call per link) unless
     prebuilt *traffics* are handed in by the setup pool.  Every session is
     calibrated in one shard-wide :func:`~repro.api.monitor.calibrate_sessions`
     pass: one sanitisation of all calibration traces, one scoring call for

@@ -299,15 +299,16 @@ def build_fleet_traffic(
       (one empty, one occupied scene per geometry) are synthesised once per
       *geometry* — one :meth:`~repro.channel.channel.ChannelSimulator.clean_cfr_batch`
       call each — instead of once per link.  Sharing a simulator across links
-      is byte-safe because the collect path never consumes the simulator's
-      own RNG: all per-packet randomness comes from each link's "collector"
+      is byte-safe because the collect path never draws from the simulator's
+      own streams: all per-packet randomness comes from the loss and
+      impairment streams each link's collector derives from its "collector"
       stream.  (:func:`build_link_traffic` seeds its simulator from the
       link's "channel" stream; that stream is independent of every other, so
       not consuming it changes no other draw.)
     * Each link's three captures (calibration, empty pool, occupied pool)
-      run through one shared impairment plan via
-      :meth:`~repro.csi.collector.PacketCollector.collect_batch`, drawing
-      the "collector" stream in exactly the sequential per-capture order.
+      are acquired in one
+      :meth:`~repro.csi.collector.PacketCollector.collect_batch` call, which
+      draws exactly what three consecutive captures would.
 
     *links* holds the geometry of each entry of *indices*, aligned
     one-to-one (entries may repeat — they are deduplicated by identity).

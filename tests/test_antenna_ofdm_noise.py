@@ -13,7 +13,7 @@ from repro.channel.constants import (
     subcarrier_frequencies,
 )
 from repro.channel.geometry import Point
-from repro.channel.noise import ImpairmentModel
+from repro.channel.noise import ImpairmentModel, ImpairmentStreams
 from repro.channel.ofdm import dominant_tap_power, synthesize_cfr, total_subcarrier_power
 from repro.channel.propagation import PropagationModel
 from repro.channel.rays import Path
@@ -139,129 +139,114 @@ class TestSynthesizeCfr:
         assert np.allclose(total_subcarrier_power(cfr), np.abs(cfr) ** 2)
 
 
-class TestImpairmentModel:
-    def _clean(self) -> np.ndarray:
-        rng = np.random.default_rng(0)
-        return rng.normal(size=(3, 30)) + 1j * rng.normal(size=(3, 30))
+INDICES = np.asarray(INTEL5300_SUBCARRIER_INDICES, dtype=float)
 
+
+def _clean() -> np.ndarray:
+    rng = np.random.default_rng(0)
+    return rng.normal(size=(3, 30)) + 1j * rng.normal(size=(3, 30))
+
+
+def _impair(model: ImpairmentModel, cleans, candidates, seed) -> np.ndarray:
+    """*model*'s kernel on streams freshly derived from *seed*."""
+    cleans = np.asarray(cleans)
+    if cleans.ndim == 2:
+        cleans = cleans[None]
+    return model.apply(cleans, candidates, INDICES, ImpairmentStreams.derive(seed))
+
+
+NOISE_ONLY = dict(cfo_phase=False, sfo_slope_std=0.0, agc_std_db=0.0, antenna_phase_offsets=False)
+
+
+class TestImpairmentModel:
     def test_noiseless_copy_is_identity(self):
-        clean = self._clean()
-        model = ImpairmentModel().noiseless()
-        noisy = model.apply(clean, np.asarray(INTEL5300_SUBCARRIER_INDICES), seed=1)
-        assert np.allclose(noisy, clean)
+        clean = _clean()
+        noisy = _impair(ImpairmentModel().noiseless(), clean, [0, 0, 0, 0], seed=1)
+        assert np.array_equal(noisy, np.broadcast_to(clean, (4, 3, 30)))
 
     def test_apply_changes_csi(self):
-        clean = self._clean()
-        noisy = ImpairmentModel(snr_db=20.0).apply(
-            clean, np.asarray(INTEL5300_SUBCARRIER_INDICES), seed=1
-        )
-        assert not np.allclose(noisy, clean)
+        clean = _clean()
+        noisy = _impair(ImpairmentModel(snr_db=20.0), clean, [0], seed=1)
+        assert not np.allclose(noisy[0], clean)
 
     def test_snr_controls_noise_level(self):
-        clean = self._clean()
-        indices = np.asarray(INTEL5300_SUBCARRIER_INDICES)
-        low = ImpairmentModel(snr_db=5.0, cfo_phase=False, sfo_slope_std=0.0, agc_std_db=0.0,
-                              antenna_phase_offsets=False)
-        high = ImpairmentModel(snr_db=40.0, cfo_phase=False, sfo_slope_std=0.0, agc_std_db=0.0,
-                               antenna_phase_offsets=False)
-        err_low = np.linalg.norm(low.apply(clean, indices, seed=2) - clean)
-        err_high = np.linalg.norm(high.apply(clean, indices, seed=2) - clean)
+        clean = _clean()
+        low = ImpairmentModel(snr_db=5.0, **NOISE_ONLY)
+        high = ImpairmentModel(snr_db=40.0, **NOISE_ONLY)
+        err_low = np.linalg.norm(_impair(low, clean, [0], seed=2)[0] - clean)
+        err_high = np.linalg.norm(_impair(high, clean, [0], seed=2)[0] - clean)
         assert err_low > 5 * err_high
 
     def test_cfo_only_applies_common_phase(self):
-        clean = self._clean()
-        indices = np.asarray(INTEL5300_SUBCARRIER_INDICES)
+        clean = _clean()
         model = ImpairmentModel(snr_db=np.inf, cfo_phase=True, sfo_slope_std=0.0,
                                 agc_std_db=0.0, antenna_phase_offsets=False)
-        noisy = model.apply(clean, indices, seed=3)
-        ratio = noisy / clean
+        noisy = _impair(model, clean, [0, 0], seed=3)
+        ratio = noisy / clean[None]
         assert np.allclose(np.abs(ratio), 1.0)
-        assert np.allclose(ratio, ratio[0, 0])
+        # One phase per packet, shared by every antenna and subcarrier.
+        assert np.allclose(ratio, ratio[:, :1, :1])
+        assert not np.isclose(ratio[0, 0, 0], ratio[1, 0, 0])
+
+    def test_zero_power_candidate_gets_no_noise(self):
+        cleans = np.stack([np.zeros((3, 30), dtype=complex), _clean()])
+        noisy = _impair(ImpairmentModel(), cleans, [0, 1, 0, 1], seed=4)
+        assert not noisy[[0, 2]].any()
+        assert not np.allclose(noisy[[1, 3]], cleans[1])
 
     def test_shape_validation(self):
         model = ImpairmentModel()
-        with pytest.raises(ValueError):
-            model.apply(np.zeros(30, dtype=complex), np.zeros(30))
-        with pytest.raises(ValueError):
-            model.apply(np.zeros((3, 30), dtype=complex), np.zeros(29))
+        streams = ImpairmentStreams.derive(0)
+        with pytest.raises(ValueError, match="cleans"):
+            model.apply(np.zeros((3, 30), dtype=complex), [0], INDICES, streams)
+        with pytest.raises(ValueError, match="subcarrier_indices"):
+            model.apply(np.zeros((1, 3, 30), dtype=complex), [0], np.zeros(29), streams)
 
     def test_deterministic_given_seed(self):
-        clean = self._clean()
-        indices = np.asarray(INTEL5300_SUBCARRIER_INDICES)
+        clean = _clean()
         model = ImpairmentModel()
-        a = model.apply(clean, indices, seed=77)
-        b = model.apply(clean, indices, seed=77)
-        assert np.allclose(a, b)
+        a = _impair(model, clean, [0] * 6, seed=77)
+        b = _impair(model, clean, [0] * 6, seed=77)
+        assert a.tobytes() == b.tobytes()
+        assert not np.allclose(a, _impair(model, clean, [0] * 6, seed=78))
 
 
 class TestApplyBatch:
-    def _clean(self) -> np.ndarray:
-        rng = np.random.default_rng(0)
-        return rng.normal(size=(3, 30)) + 1j * rng.normal(size=(3, 30))
-
-    def _indices(self) -> np.ndarray:
-        return np.asarray(INTEL5300_SUBCARRIER_INDICES, dtype=float)
-
     def test_broadcasts_static_scene(self):
-        batch = ImpairmentModel().apply_batch(
-            self._clean(), self._indices(), num_packets=8, seed=1
-        )
+        batch = _impair(ImpairmentModel(), _clean(), np.zeros(8, dtype=int), seed=1)
         assert batch.shape == (8, 3, 30)
         # Per-packet draws differ, so no two packets are identical.
         assert not np.allclose(batch[0], batch[1])
 
     def test_accepts_per_packet_stack(self):
-        stack = np.stack([self._clean(), 2.0 * self._clean()])
-        batch = ImpairmentModel().apply_batch(stack, self._indices(), seed=1)
+        stack = np.stack([_clean(), 2.0 * _clean()])
+        batch = _impair(ImpairmentModel(), stack, [0, 1], seed=1)
         assert batch.shape == (2, 3, 30)
 
     def test_noiseless_batch_is_identity(self):
-        clean = self._clean()
-        batch = ImpairmentModel().noiseless().apply_batch(
-            clean, self._indices(), num_packets=4, seed=5
-        )
-        assert np.array_equal(batch, np.broadcast_to(clean, (4, 3, 30)))
-
-    def test_deterministic_given_seed(self):
-        clean = self._clean()
-        a = ImpairmentModel().apply_batch(clean, self._indices(), num_packets=6, seed=9)
-        b = ImpairmentModel().apply_batch(clean, self._indices(), num_packets=6, seed=9)
-        assert np.array_equal(a, b)
-
-    def test_matches_apply_distribution(self):
-        # Same model, same clean CFR: the batched draws must reproduce the
-        # sequential path's noise level (distribution, not bit pattern).
-        clean = self._clean()
-        indices = self._indices()
-        model = ImpairmentModel(snr_db=15.0)
-        rng = np.random.default_rng(3)
-        sequential = np.stack([model.apply(clean, indices, seed=rng) for _ in range(400)])
-        batched = model.apply_batch(clean, indices, num_packets=400, seed=4)
-        err_seq = np.abs(np.abs(sequential) - np.abs(clean)[None]).mean()
-        err_bat = np.abs(np.abs(batched) - np.abs(clean)[None]).mean()
-        assert err_bat == pytest.approx(err_seq, rel=0.1)
-
-    def test_snr_tracks_each_packet_of_a_stack(self):
-        # A packet with 10x the amplitude gets 10x the noise amplitude.
-        clean = self._clean()
-        stack = np.stack([clean, 10.0 * clean])
-        model = ImpairmentModel(snr_db=20.0, cfo_phase=False, sfo_slope_std=0.0,
-                                agc_std_db=0.0, antenna_phase_offsets=False)
-        batch = model.apply_batch(stack, self._indices(), seed=11)
-        err_small = np.linalg.norm(batch[0] - stack[0])
-        err_big = np.linalg.norm(batch[1] - stack[1])
-        assert err_big == pytest.approx(10.0 * err_small, rel=0.5)
+        stack = np.stack([_clean(), 2.0 * _clean()])
+        candidates = [1, 0, 0, 1, 1]
+        batch = _impair(ImpairmentModel().noiseless(), stack, candidates, seed=5)
+        assert np.array_equal(batch, stack[candidates])
 
     def test_shape_validation(self):
         model = ImpairmentModel()
-        with pytest.raises(ValueError):
-            model.apply_batch(self._clean(), self._indices())  # num_packets missing
-        with pytest.raises(ValueError):
-            model.apply_batch(self._clean(), self._indices(), num_packets=0)
-        with pytest.raises(ValueError):
-            model.apply_batch(np.zeros((2, 3, 30), dtype=complex), self._indices(),
-                              num_packets=5)
-        with pytest.raises(ValueError):
-            model.apply_batch(np.zeros(30, dtype=complex), self._indices(), num_packets=2)
-        with pytest.raises(ValueError):
-            model.apply_batch(self._clean(), np.zeros(29), num_packets=2)
+        streams = ImpairmentStreams.derive(0)
+        stack = np.zeros((2, 3, 30), dtype=complex)
+        with pytest.raises(ValueError, match="candidates"):
+            model.apply(stack, [[0]], INDICES, streams)
+        with pytest.raises(IndexError):
+            model.apply(stack, [0, 2], INDICES, streams)
+        with pytest.raises(IndexError):
+            model.apply(stack, [-1], INDICES, streams)
+        assert model.apply(stack, [], INDICES, streams).shape == (0, 3, 30)
+
+    def test_snr_tracks_each_packet_of_a_stack(self):
+        # A packet with 10x the amplitude gets 10x the noise amplitude.
+        clean = _clean()
+        stack = np.stack([clean, 10.0 * clean])
+        model = ImpairmentModel(snr_db=20.0, **NOISE_ONLY)
+        batch = _impair(model, stack, [0, 1], seed=11)
+        err_small = np.linalg.norm(batch[0] - stack[0])
+        err_big = np.linalg.norm(batch[1] - stack[1])
+        assert err_big == pytest.approx(10.0 * err_small, rel=0.5)

@@ -1,10 +1,15 @@
-"""The batch-invariance contract of the stacked scoring program.
+"""The batch-invariance contract of acquisition and stacked scoring.
 
-A window's score depends only on its detector's calibration and its packets:
-scored inside any batch :func:`~repro.api.monitor.score_windows` is handed —
-any size, any order, windows of several links, schemes and packet counts
-mixed, the same window under several detectors — it is bit-identical to its
-batch of one, ``detector.score(window)``, under every numeric backend.
+Acquisition: a collector draws every random quantity per packet, in packet
+order, from its own streams, so collecting a list of windows in one
+:meth:`~repro.csi.collector.PacketCollector.collect_batch` call or split
+over any run of consecutive calls gives byte-identical traces.
+
+Scoring: a window's score depends only on its detector's calibration and its
+packets: scored inside any batch :func:`~repro.api.monitor.score_windows` is
+handed — any size, any order, windows of several links, schemes and packet
+counts mixed, the same window under several detectors — it is bit-identical
+to its batch of one, ``detector.score(window)``, under every numeric backend.
 """
 
 from __future__ import annotations
@@ -47,6 +52,55 @@ DETECTORS = (
 NUM_DETECTORS = LINKS * len(DETECTORS)
 #: An empty and an occupied window per link and packet count.
 NUM_WINDOWS = LINKS * len(WINDOW_PACKETS) * 2
+
+
+@pytest.fixture(scope="module")
+def candidates():
+    """A simulator and its candidate scenes: empty, occupied, zero power."""
+    link = evaluation_cases()[0][1]
+    simulator = ChannelSimulator(link, seed=3)
+    cleans = simulator.clean_cfr_batch([None, [HumanBody(position=link.midpoint())]])
+    return simulator, np.concatenate([cleans, np.zeros_like(cleans[:1])])
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    backend=st.sampled_from(BACKENDS),
+    loss_probability=st.sampled_from((0.0, 0.3)),
+    windows=st.lists(
+        st.tuples(st.integers(0, 1), st.integers(1, 40)), min_size=0, max_size=7
+    ),
+    zero_power=st.tuples(st.integers(0, 7), st.integers(1, 40)),
+    cuts=st.sets(st.integers(1, 7)),
+)
+def test_collect_batch_is_invariant_to_splitting(
+    candidates, backend, loss_probability, windows, zero_power, cuts
+):
+    simulator, cleans = candidates
+    position, count = zero_power
+    windows = list(windows)
+    windows.insert(position, (2, count))
+    scenes = cleans[[scene for scene, _ in windows]]
+    counts = [count for _, count in windows]
+    labels = [f"w{i}" for i in range(len(windows))]
+    bounds = [0, *sorted(cut for cut in cuts if cut < len(windows)), len(windows)]
+
+    def collector():
+        return PacketCollector(simulator, loss_probability=loss_probability, seed=9)
+
+    with use_backend(backend):
+        whole = collector().collect_batch(scenes, counts, labels=labels)
+        split_collector = collector()
+        split = []
+        for start, end in zip(bounds, bounds[1:]):
+            split += split_collector.collect_batch(
+                scenes[start:end], counts[start:end], labels=labels[start:end]
+            )
+    assert len(split) == len(whole)
+    for got, expected in zip(split, whole):
+        assert got.csi.tobytes() == expected.csi.tobytes()
+        assert got.timestamps.tobytes() == expected.timestamps.tobytes()
+        assert got.label == expected.label
 
 
 @pytest.fixture(scope="module")

@@ -144,14 +144,3 @@ class TestSampling:
         b = simulator.sample_burst(human, num_packets=5, seed=8)
         assert np.array_equal(a, b)
         assert not np.allclose(a[0], a[1])
-
-    def test_impair_consumes_rng_like_sample_packet(self, link):
-        # impair() on a cached clean CFR is the per-packet path split in two:
-        # identical draws, identical packet.
-        sim = ChannelSimulator(link, seed=0)
-        rng_a = np.random.default_rng(3)
-        rng_b = np.random.default_rng(3)
-        clean = sim.clean_cfr(None)
-        assert np.array_equal(
-            sim.impair(clean, seed=rng_a), sim.sample_packet(None, seed=rng_b)
-        )

@@ -170,18 +170,18 @@ class TestPacketCollector:
             PacketCollector(simulator, loss_probability=1.0)
 
     def test_pathological_loss_stream_aborts_with_clear_error(self, simulator):
-        # A generator whose loss draws always lose (valid probability, broken
-        # stream) must hit the retry cap instead of looping forever.
-        class _AlwaysLost(np.random.Generator):
-            def __init__(self) -> None:
-                super().__init__(np.random.PCG64(0))
-
-            def random(self, *args, **kwargs):  # noqa: ARG002
-                return 0.0
-
-        lossy = PacketCollector(simulator, loss_probability=0.5, rng=_AlwaysLost())
+        # A valid but near-certain loss probability must hit the retry cap
+        # instead of capturing (almost) forever: one geometric lost-ping gap
+        # here exceeds the cap with probability ~1 - 1e-4.
+        lossy = PacketCollector(simulator, loss_probability=1 - 1e-9, seed=0)
         with pytest.raises(RuntimeError, match="consecutive pings"):
             lossy.collect_empty(num_packets=1)
+
+    def test_walk_with_every_ping_lost_raises(self, simulator):
+        lossy = PacketCollector(simulator, loss_probability=1 - 1e-9, seed=0)
+        positions = [Point(3.0, 1.0 + 0.5 * i) for i in range(6)]
+        with pytest.raises(RuntimeError, match="every ping of the 6-position walk was lost"):
+            lossy.collect_walk(positions)
 
     def test_collect_walk(self, collector, link):
         positions = [Point(3.0, 1.0), Point(3.0, 3.0), Point(3.0, 5.0)]

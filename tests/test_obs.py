@@ -472,7 +472,7 @@ class TestSweepSeamUnderObs:
 # --------------------------------------------------------------------------- #
 class TestOnOffParity:
     def test_campaign_scores_identical_with_obs_enabled(self):
-        from tests.test_scene_parity import scores_sha256
+        from tests.pins import scores_sha256
 
         from repro.experiments.runner import EvaluationConfig, run_evaluation
         from repro.experiments.scenarios import evaluation_cases

@@ -1,102 +1,16 @@
-"""Bit-identity of the performance paths against the reference semantics.
+"""Bit-identity of the process-parallel campaign against the sequential one.
 
-The window-cached fast path of :meth:`PacketCollector.collect` and the
-process-parallel campaign of :func:`run_evaluation` are pure optimisations:
-for any seed they must produce byte-identical traces and results versus the
-historical per-packet / sequential implementations.  These tests pin that
-contract down so future perf work cannot silently change the numbers.
+The process-parallel campaign of :func:`run_evaluation` is a pure
+optimisation: for any seed it must produce byte-identical results to the
+sequential campaign, whatever the worker count.
 """
 
 from __future__ import annotations
 
-
-import numpy as np
 import pytest
 
-from repro.channel import ChannelSimulator, HumanBody, ImpairmentModel, Point
-from repro.csi.collector import PacketCollector
-from repro.csi.trace import CSITrace
 from repro.experiments.runner import EvaluationConfig, run_evaluation
 from repro.experiments.scenarios import evaluation_cases
-
-
-# --------------------------------------------------------------------------- #
-# reference implementation: the seed repo's per-packet acquisition loop
-# --------------------------------------------------------------------------- #
-def reference_collect(
-    simulator: ChannelSimulator,
-    humans,
-    *,
-    num_packets: int,
-    packet_rate_hz: float,
-    loss_probability: float,
-    rng: np.random.Generator,
-    start_time: float = 0.0,
-) -> CSITrace:
-    """The uncached acquisition loop: one full ``sample_packet`` per ping."""
-    interval = 1.0 / packet_rate_hz
-    frames = []
-    timestamps = []
-    t = start_time
-    while len(frames) < num_packets:
-        t += interval
-        if loss_probability > 0 and rng.random() < loss_probability:
-            continue
-        frames.append(simulator.sample_packet(humans, seed=rng))
-        timestamps.append(t)
-    return CSITrace(csi=np.asarray(frames), timestamps=np.asarray(timestamps))
-
-
-def _scenes(link):
-    return {
-        "empty": None,
-        "one-person": HumanBody(position=Point(4.0, 3.0)),
-        "two-people": [
-            HumanBody(position=Point(4.0, 3.0)),
-            HumanBody(position=Point(3.0, 4.5)),
-        ],
-    }
-
-
-class TestCollectFastPathBitIdentity:
-    @pytest.mark.parametrize("loss_probability", [0.0, 0.3])
-    @pytest.mark.parametrize("scene", ["empty", "one-person", "two-people"])
-    def test_collect_matches_per_packet_reference(self, link, loss_probability, scene):
-        humans = _scenes(link)[scene]
-        simulator = ChannelSimulator(link, seed=17)
-        collector = PacketCollector(
-            simulator,
-            loss_probability=loss_probability,
-            rng=np.random.default_rng(99),
-        )
-        fast = collector.collect(humans, num_packets=25, start_time=1.0)
-        reference = reference_collect(
-            simulator,
-            humans,
-            num_packets=25,
-            packet_rate_hz=collector.packet_rate_hz,
-            loss_probability=loss_probability,
-            rng=np.random.default_rng(99),
-            start_time=1.0,
-        )
-        assert np.array_equal(fast.csi, reference.csi)
-        assert np.array_equal(fast.timestamps, reference.timestamps)
-
-    def test_collect_matches_reference_with_noiseless_impairments(self, link):
-        simulator = ChannelSimulator(
-            link, impairments=ImpairmentModel().noiseless(), seed=17
-        )
-        collector = PacketCollector(simulator, rng=np.random.default_rng(1))
-        fast = collector.collect(None, num_packets=10)
-        reference = reference_collect(
-            simulator,
-            None,
-            num_packets=10,
-            packet_rate_hz=collector.packet_rate_hz,
-            loss_probability=0.0,
-            rng=np.random.default_rng(1),
-        )
-        assert np.array_equal(fast.csi, reference.csi)
 
 
 # --------------------------------------------------------------------------- #

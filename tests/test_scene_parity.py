@@ -6,14 +6,12 @@ The vectorised geometry (:func:`segment_point_distances`), shadowing
 (:func:`sanitize_trace` / :func:`sanitize_csi_array`) are pure optimisations:
 for any scene they must reproduce the scalar reference implementations *to
 the bit*.  These tests pin that contract with randomized rooms, bounce
-orders, body counts and offsets, plus sha256 pins of the campaign scores so
-no future perf work can silently move the headline numbers.
+orders, body counts and offsets, plus the sha256 pins of the campaign
+scores (``pins.py``) so no future perf work can silently move the headline
+numbers.
 """
 
 from __future__ import annotations
-
-import hashlib
-import struct
 
 import numpy as np
 import pytest
@@ -43,7 +41,13 @@ from repro.csi.collector import PacketCollector
 from repro.csi.trace import CSITrace
 from repro.experiments.runner import EvaluationConfig, run_evaluation
 from repro.experiments.scenarios import evaluation_cases
-from repro.experiments.workloads import walking_trajectory
+from tests.pins import (
+    FULL_CAMPAIGN_HEADLINE,
+    FULL_CAMPAIGN_SHA256,
+    TINY_CAMPAIGN_SHA256,
+    pinned_headline,
+    scores_sha256,
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -384,105 +388,15 @@ class TestSanitizeParity:
 
 
 # --------------------------------------------------------------------------- #
-# trajectory layer regression
-# --------------------------------------------------------------------------- #
-def reference_collect_walk(
-    collector: PacketCollector,
-    positions,
-    *,
-    body=None,
-    background=(),
-    label="walk",
-    start_time=0.0,
-) -> CSITrace:
-    """The historical per-position acquisition loop (pre-batching), verbatim."""
-    interval = 1.0 / collector.packet_rate_hz
-    template = (
-        body
-        if body is not None
-        else HumanBody(position=collector.simulator.link.midpoint())
-    )
-    frames = []
-    timestamps = []
-    t = start_time
-    for position in positions:
-        t += interval
-        if collector._ping_lost(0):
-            continue
-        person = template.moved_to(position)
-        clean = reference_clean_cfr(collector.simulator, [person, *background])
-        frames.append(collector.simulator.impair(clean, seed=collector._rng))
-        timestamps.append(t)
-    return CSITrace(
-        csi=np.asarray(frames), timestamps=np.asarray(timestamps), label=label
-    )
-
-
-class TestCollectWalkRegression:
-    @pytest.mark.parametrize("loss_probability", [0.0, 0.3])
-    def test_walk_byte_identical_to_reference(self, loss_probability):
-        simulator, scenes = random_scene(5)
-        positions = walking_trajectory(simulator.link, num_packets=60, seed=50)
-        background = scenes[0][:2]
-        fast = PacketCollector(
-            simulator,
-            loss_probability=loss_probability,
-            rng=np.random.default_rng(51),
-        ).collect_walk(positions, background=background)
-        reference = reference_collect_walk(
-            PacketCollector(
-                simulator,
-                loss_probability=loss_probability,
-                rng=np.random.default_rng(51),
-            ),
-            positions,
-            background=background,
-        )
-        assert fast.csi.tobytes() == reference.csi.tobytes()
-        assert fast.timestamps.tobytes() == reference.timestamps.tobytes()
-
-    def test_sample_trajectory_matches_per_position_loop(self):
-        simulator, scenes = random_scene(6)
-        positions = walking_trajectory(simulator.link, num_packets=40, seed=60)
-        background = scenes[1][:1]
-        got = simulator.sample_trajectory(
-            positions, background=background, seed=np.random.default_rng(61)
-        )
-        reference_rng = np.random.default_rng(61)
-        template = HumanBody(position=simulator.link.midpoint())
-        expected = []
-        for position in positions:
-            clean = reference_clean_cfr(
-                simulator, [template.moved_to(position), *background]
-            )
-            expected.append(
-                simulator.impairments.apply(
-                    clean, simulator.subcarrier_indices, seed=reference_rng
-                )
-            )
-        assert np.array_equal(got, np.asarray(expected))
-
-
-# --------------------------------------------------------------------------- #
 # campaign sha256 pins (bit-identity of every campaign float)
 # --------------------------------------------------------------------------- #
-def scores_sha256(result) -> str:
-    digest = hashlib.sha256()
-    for window in result.windows:
-        digest.update(f"{window.scheme}|{window.case}|{window.occupied}|".encode())
-        digest.update(struct.pack("<d", window.score))
-    return digest.hexdigest()
-
-
 class TestCampaignScoreParity:
-    """sha256 over all window scores.
+    """sha256 over all window scores under the default configuration.
 
-    Captured before the array-based engine landed, and re-captured once when
-    the combined scheme moved to the stacked Gram-factorised kernel (its
-    scores moved by at most 4.2e-14 relative; every ROC operating point and
-    headline number held).  These pins are platform-sensitive by design
-    (libm/LAPACK bit patterns): they assert that on the reference container
-    no change moves a single campaign float unannounced.
+    Re-captured once when acquisition moved to per-quantity impairment
+    streams.  These pins are platform-sensitive by design (libm/LAPACK bit
+    patterns): they assert that on the reference container no change moves
+    a single campaign float unannounced.
     """
 
     def test_tiny_campaign_scores_unchanged(self):
@@ -497,19 +411,9 @@ class TestCampaignScoreParity:
             schemes=("baseline", "subcarrier", "combined"),
         )
         result = run_evaluation(config, cases=evaluation_cases()[:2])
-        assert (
-            scores_sha256(result)
-            == "dd3b930f06885b46c3d610c046bacb0e91a22c06cd2ed6d83f5558c550159e45"
-        )
+        assert scores_sha256(result) == TINY_CAMPAIGN_SHA256
 
     def test_full_campaign_scores_and_headline_unchanged(self):
         result = run_evaluation(EvaluationConfig(seed=2015))
-        assert (
-            scores_sha256(result)
-            == "3f3c4c29f2f89a2c1c7c09d4a53d7c91eee49dc504d3ba4141b43c104066a853"
-        )
-        headline = result.headline()
-        assert headline["combined"]["true_positive_rate"] == 0.9629629629629629
-        assert headline["combined"]["false_positive_rate"] == 0.014814814814814815
-        assert headline["baseline"]["true_positive_rate"] == 0.8592592592592593
-        assert headline["subcarrier"]["true_positive_rate"] == 0.9851851851851852
+        assert scores_sha256(result) == FULL_CAMPAIGN_SHA256
+        assert pinned_headline(result) == FULL_CAMPAIGN_HEADLINE
