@@ -17,7 +17,7 @@ from repro.channel.channel import ChannelSimulator
 from repro.channel.human import HumanBody
 from repro.channel.noise import ImpairmentModel
 from repro.core.fade_level import fade_level_db
-from repro.core.multipath_factor import multipath_factor
+from repro.core.multipath_factor import multipath_factor_batch
 from repro.csi.collector import PacketCollector
 from repro.csi.rssi import trace_rss_change_db
 from repro.experiments.scenarios import classroom_scenario
@@ -48,7 +48,7 @@ def test_ablation_multipath_factor_vs_fade_level(benchmark):
         for position in locations:
             trace = collector.collect(HumanBody(position=position), num_packets=15)
             change_rows.append(trace_rss_change_db(trace, baseline).mean(axis=0)[0])
-            factor_rows.append(multipath_factor(trace.mean_csi())[0])
+            factor_rows.append(multipath_factor_batch(trace.mean_csi())[0])
         changes = np.asarray(change_rows)
         factors = np.asarray(factor_rows)
         correlations = []

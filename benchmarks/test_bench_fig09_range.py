@@ -7,33 +7,20 @@ yielding roughly a 1x detection-range gain at a 90 % minimum detection rate.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-import numpy as np
-
 from repro.experiments.figures import fig9_range
 from repro.experiments.metrics import range_gain
-from repro.experiments.runner import run_evaluation
-
-#: Campaign seeds the detection-rate curve is averaged over.  A distance bin
-#: holds 15-42 occupied windows per campaign, so one seed's rates swing by
-#: several points and the range gain read off them by whole bins (at seeds
-#: 2015-2034 it is below 0.5 on about half); the averaged curve reads +1.0.
-CAMPAIGN_SEEDS = range(2015, 2025)
 
 
-def test_fig9_detection_range(benchmark, campaign, campaign_config, rates_table):
+def test_fig9_detection_range(
+    benchmark, campaign, campaigns, mean_over_campaigns, rates_table
+):
     data = benchmark.pedantic(lambda: fig9_range(campaign), rounds=1, iterations=1)
     rates_table("Fig. 9: detection rate vs distance to the receiver", data)
-    curves = [data] + [
-        fig9_range(run_evaluation(replace(campaign_config, seed=seed)))
-        for seed in CAMPAIGN_SEEDS[1:]
-    ]
-    mean = {
-        scheme: {label: float(np.mean([c[scheme][label] for c in curves])) for label in rates}
-        for scheme, rates in data.items()
-    }
-    rates_table(f"Fig. 9 averaged over {len(curves)} campaign seeds", mean)
+    # The range gain is read off the curve by whole bins (at seeds 2015-2034
+    # a single seed's reads below 0.5 on about half); the averaged curve
+    # reads +1.0.
+    mean = mean_over_campaigns(fig9_range)
+    rates_table(f"Fig. 9 averaged over {len(campaigns)} campaign seeds", mean)
     gain_combined = range_gain(mean["baseline"], mean["combined"], minimum_rate=0.9)
     gain_subcarrier = range_gain(mean["baseline"], mean["subcarrier"], minimum_rate=0.9)
     print(f"\n  range gain at >=90% detection: subcarrier {gain_subcarrier:+.2f}x, "

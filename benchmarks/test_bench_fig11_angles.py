@@ -12,20 +12,32 @@ import numpy as np
 from repro.experiments.figures import fig11_angles
 
 
-def test_fig11_detection_rate_vs_angle(benchmark, campaign, rates_table):
+def is_large(label: str) -> bool:
+    """Whether an angle bin label such as ``"-90--60"`` has an edge beyond 30 degrees."""
+    bounds = [abs(float(x)) for x in str(label).split("-") if x not in ("", "m")]
+    return max(bounds) > 30.0
+
+
+def large_angle_rates(result):
+    """Each scheme's mean detection rate over the large-angle bins."""
+    return {
+        scheme: {"large": float(np.mean([v for k, v in rates.items() if is_large(k)]))}
+        for scheme, rates in fig11_angles(result).items()
+    }
+
+
+def test_fig11_detection_rate_vs_angle(
+    benchmark, campaign, campaigns, mean_over_campaigns, rates_table
+):
     data = benchmark.pedantic(lambda: fig11_angles(campaign), rounds=1, iterations=1)
     rates_table("Fig. 11: detection rate vs angle from the receiver broadside", data)
-    combined = data["combined"]
-    baseline = data["baseline"]
-    # Identify the large-angle bins (|angle| >= 30 deg as labelled).
-    def is_large(label: str) -> bool:
-        bounds = [abs(float(x)) for x in str(label).split("-") if x not in ("", "m")]
-        return max(bounds) > 30.0
-
-    large_combined = np.mean([v for k, v in combined.items() if is_large(k)])
-    large_baseline = np.mean([v for k, v in baseline.items() if is_large(k)])
-    print(f"\n  mean detection at large angles: baseline {large_baseline:.2f}, "
-          f"combined {large_combined:.2f}")
-    # The combined scheme holds up at large angles at least as well as the baseline.
+    mean = mean_over_campaigns(large_angle_rates)
+    large_combined = mean["combined"]["large"]
+    large_baseline = mean["baseline"]["large"]
+    print(f"\n  mean detection at large angles over {len(campaigns)} campaign seeds: "
+          f"baseline {large_baseline:.2f}, combined {large_combined:.2f}")
+    # The combined scheme holds up at large angles at least as well as the
+    # baseline, on the seed mean: a single seed's comparison fails on 2 of
+    # seeds 2015-2034.
     assert large_combined >= large_baseline - 0.05
-    assert all(0.0 <= v <= 1.0 for v in combined.values())
+    assert all(0.0 <= v <= 1.0 for v in data["combined"].values())

@@ -12,8 +12,9 @@ Post-refactor the same workloads measure ~0.13 / 0.32 / 0.91 ms,
 ~0.042 s (~12x) and ~0.55 ms (~12x): the point-to-segment geometry runs
 over a stacked ``(bodies, segments)`` array, CFR synthesis reuses cached
 per-path spectral tables, and the per-frame ``np.polyfit`` loop became one
-batched least-squares solve — all bit-identical to the scalar layer (pinned
-by tests/test_scene_parity.py).
+cached pseudo-inverse applied row by row.  Geometry and synthesis are
+bit-identical to the scalar layer; sanitisation matches per-frame
+``np.polyfit`` to rounding (both checked by tests/test_scene_parity.py).
 """
 
 from __future__ import annotations

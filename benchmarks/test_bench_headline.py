@@ -12,22 +12,32 @@ from __future__ import annotations
 from repro.experiments.figures import headline_numbers
 
 
-def test_headline_numbers(benchmark, campaign):
+def balanced_accuracy(stats):
+    return (stats["true_positive_rate"] + 1 - stats["false_positive_rate"]) / 2
+
+
+def test_headline_numbers(benchmark, campaign, campaigns, mean_over_campaigns):
     data = benchmark.pedantic(lambda: headline_numbers(campaign), rounds=1, iterations=1)
-    print("\n=== Headline: balanced operating point per scheme ===")
-    print("scheme        TPR     FPR     AUC   balanced-accuracy")
-    accuracy = {}
-    for scheme, stats in data.items():
-        accuracy[scheme] = (stats["true_positive_rate"] + 1 - stats["false_positive_rate"]) / 2
-        print(
-            f"{scheme:12s} {stats['true_positive_rate']:6.3f} "
-            f"{stats['false_positive_rate']:7.3f} {stats['auc']:7.3f} "
-            f"{accuracy[scheme]:10.3f}"
-        )
-    # Ordering of the paper's headline result.
+    mean = mean_over_campaigns(headline_numbers)
+    for title, summary in (
+        ("Headline: balanced operating point per scheme", data),
+        (f"Headline averaged over {len(campaigns)} campaign seeds", mean),
+    ):
+        print(f"\n=== {title} ===")
+        print("scheme        TPR     FPR     AUC   balanced-accuracy")
+        for scheme, stats in summary.items():
+            print(
+                f"{scheme:12s} {stats['true_positive_rate']:6.3f} "
+                f"{stats['false_positive_rate']:7.3f} {stats['auc']:7.3f} "
+                f"{balanced_accuracy(stats):10.3f}"
+            )
+    accuracy = {scheme: balanced_accuracy(stats) for scheme, stats in mean.items()}
+    # Ordering of the paper's headline result, on the seed mean: a single
+    # seed's "subcarrier beats baseline" fails on 3 of seeds 2015-2034 and
+    # "combined within 0.02 of subcarrier" on 1.
     assert accuracy["combined"] > accuracy["baseline"]
     assert accuracy["subcarrier"] > accuracy["baseline"]
     assert accuracy["combined"] >= accuracy["subcarrier"] - 0.02
     # The combined scheme operates at a high detection rate with the lowest FP.
-    assert data["combined"]["true_positive_rate"] > 0.85
-    assert data["combined"]["false_positive_rate"] < 0.1
+    assert mean["combined"]["true_positive_rate"] > 0.85
+    assert mean["combined"]["false_positive_rate"] < 0.1

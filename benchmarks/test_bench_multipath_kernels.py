@@ -2,7 +2,7 @@
 
 Before the stacked-IFFT pipeline the campaign spent ~1.3 s of its ~2.7 s
 profile in ~40k independent length-30 ``np.fft.ifft`` calls (one per
-frame/antenna) inside ``dominant_tap_power``.  These benchmarks track the
+frame/antenna) inside the per-row dominant-tap power.  These benchmarks track the
 batched kernels directly — a 1000-packet window through
 ``multipath_factor_trace`` (one stacked IFFT for all 3000 rows), the stacked
 IFFT itself and one subcarrier-weighting window — so a regression in either

@@ -3,7 +3,8 @@
 The repo's headline guarantee (byte-identical window scores and fleet event
 digests across batch sizes, worker counts, and vectorisation rounds) rests on
 three hand-maintained conventions: route last-ulp-divergent transcendentals
-through :mod:`repro.utils.exactmath`, derive all randomness via
+through the numeric backend (libm per element in :mod:`repro.backend.exact`),
+derive all randomness via
 :func:`repro.utils.rng.ensure_rng` / :func:`~repro.utils.rng.derive_rng`, and
 validate every ``from_dict`` with
 :func:`repro.utils.validation.check_known_keys`.  This package enforces those

@@ -1,6 +1,6 @@
 """Lint configuration: the ``[tool.repro.lint]`` table of ``pyproject.toml``.
 
-The contract being enforced is not uniform across the tree — exactmath
+The contract being enforced is not uniform across the tree — libm
 routing (DET001) is required in the batch-path modules whose bits are pinned
 by the parity suites, but ``cli.py`` may freely call ``np.exp``; wall clocks
 (DET003) are fine in the CLI and benchmark layers.  That scoping lives here::

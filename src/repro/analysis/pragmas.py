@@ -3,7 +3,7 @@
 A finding may be silenced only on its own line, only by naming the rule, and
 only with a written justification::
 
-    from numpy.linalg import _umath_linalg  # repro: allow-det006 -- polyfit fallback below
+    from numpy.linalg import _private  # repro: allow-det006 -- public fallback below
 
 Several rules can share one pragma (comma-separated)::
 

@@ -3,8 +3,8 @@
 Each rule statically enforces one of the conventions the repo's bit-parity
 guarantee rests on (see README, "Determinism contract"):
 
-* exactmath routing — last-ulp-divergent transcendentals go through
-  :mod:`repro.utils.exactmath` (DET001);
+* libm routing — last-ulp-divergent transcendentals go through the active
+  numeric backend, whose ``exact`` mode calls libm per element (DET001);
 * RNG discipline — all randomness derives from
   :func:`repro.utils.rng.ensure_rng` / :func:`~repro.utils.rng.derive_rng`
   (DET002), and library code never reads wall clocks or OS entropy (DET003);
@@ -29,15 +29,15 @@ from repro.analysis.base import FileContext, Rule
 from repro.analysis.registry import register_rule
 
 # --------------------------------------------------------------------------- #
-# DET001 — exactmath routing
+# DET001 — libm routing
 # --------------------------------------------------------------------------- #
 
 #: NumPy transcendentals whose SIMD kernels diverge from CPython's libm route
 #: in the last ulp, with the backend-seam replacement to suggest (the batch
 #: path modules take kernels from :func:`repro.backend.active_backend`; the
-#: ``exact`` backend routes them through :mod:`repro.utils.exactmath`).
+#: ``exact`` backend routes them through :mod:`math`).
 _DIVERGENT_UFUNCS = {
-    "numpy.exp": "active_backend().exp (repro.backend; exactmath.exp in exact mode)",
+    "numpy.exp": "active_backend().exp (repro.backend; math.exp in exact mode)",
     "numpy.hypot": "active_backend().hypot (repro.backend)",
     "numpy.arccos": "active_backend().acos (repro.backend)",
     "numpy.power": "active_backend().power (repro.backend)",
@@ -56,7 +56,7 @@ def _contains_complex_literal(node: ast.AST) -> bool:
 
 @register_rule("DET001")
 class BareTranscendentalRule(Rule):
-    """Bare NumPy transcendental / float-exponent ``**`` in exactmath scope.
+    """Bare NumPy transcendental / float-exponent ``**`` in libm-routed scope.
 
     ``np.exp`` with a complex-literal argument (the ``np.exp(-1j * phase)``
     steering/phase factors) is exempt: complex exp has a single shared kernel
@@ -68,7 +68,7 @@ class BareTranscendentalRule(Rule):
 
     summary = (
         "bare NumPy transcendental (np.exp/np.power/np.hypot/np.arccos/"
-        "np.arctan2) or non-integral-literal ** in an exactmath-scoped module"
+        "np.arctan2) or non-integral-literal ** in a libm-routed module"
     )
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -363,14 +363,14 @@ class FromDictValidationRule(Rule):
 class PrivateNumpyApiRule(Rule):
     """Private NumPy API access without a documented fallback.
 
-    ``numpy.linalg._umath_linalg`` and friends can move or vanish between
-    NumPy releases; any use must sit next to a pragma whose justification
-    names the fallback that keeps results correct (if slower) when the
-    private attribute disappears.
+    Private modules and attributes (any ``numpy.*._name``) can move or
+    vanish between NumPy releases; any use must sit next to a pragma whose
+    justification names the fallback that keeps results correct (if slower)
+    when the private attribute disappears.
     """
 
     summary = (
-        "private NumPy API access (_umath_linalg et al.) without a pragma "
+        "private NumPy API access (numpy.*._name) without a pragma "
         "documenting the fallback"
     )
 
@@ -412,8 +412,8 @@ class PrivateNumpyApiRule(Rule):
                 f"access to private NumPy API {resolved!r}; add a pragma "
                 "documenting the public fallback",
             )
-            # The inner chain (`np.linalg._umath_linalg` inside
-            # `np.linalg._umath_linalg.lstsq`) would re-fire on the same
-            # private component — one finding per access site is enough.
+            # The inner chain (`np.linalg._private` inside
+            # `np.linalg._private.func`) would re-fire on the same private
+            # component — one finding per access site is enough.
             return
         self.generic_visit(node)

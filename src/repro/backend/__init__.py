@@ -1,16 +1,16 @@
 """Pluggable numeric backends (`exact` bit-parity vs `fast` SIMD).
 
-The batch-path modules take their divergent kernels — the exactmath
-transcendental surface, the channel IFFT and the batched linear-phase fit —
-from the *active backend* instead of importing :mod:`repro.utils.exactmath`
-directly::
+The batch-path modules take the elementwise transcendentals whose NumPy SIMD
+kernels diverge from libm in the last ulp from the *active backend*; every
+other stage (IFFT, phase fit, arithmetic) has one implementation shared by
+both modes::
 
     from repro.backend import active_backend
 
     factor = active_backend().power(4.0 * np.pi * d, exponent)
 
-The process-wide default is ``"exact"`` (bit-identical to the scalar
-reference path; all sha256 pins hold).  A run switches modes with
+The process-wide default is ``"exact"`` (libm-routed, bit-identical to the
+scalar reference path; all sha256 pins hold).  A run switches modes with
 :func:`use_backend`, which every entry point (campaign ``run_case``, fleet
 shards, the ``figure``/``pipeline`` CLI commands) wraps around its
 computation based on the ``backend`` config field::

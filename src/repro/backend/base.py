@@ -1,24 +1,24 @@
 """The numeric backend protocol.
 
-Every transcendental whose NumPy SIMD kernel diverges from CPython's libm
-route in the last ulp (see :mod:`repro.utils.exactmath`), plus the batched
-linear-phase least-squares fit and the channel IFFT, reaches the batch-path
-modules through a :class:`NumericBackend`.  Two implementations ship:
+A :class:`NumericBackend` is the set of elementwise transcendentals whose
+NumPy SIMD kernels diverge from CPython's libm route in the last ulp — the
+one place two implementations are needed.  Everything else (the IFFT, the
+linear-phase fit, the surrounding arithmetic) has one implementation that
+every mode shares.  Two backends ship:
 
-* :class:`repro.backend.exact.ExactBackend` (``"exact"``) routes every kernel
-  through the same libm calls the scalar reference code makes, preserving the
-  campaign sha256 pins byte-for-byte.  It is the default everywhere.
+* :class:`repro.backend.exact.ExactBackend` (``"exact"``) calls libm once per
+  element, so its output is independent of NumPy's SIMD dispatch; it holds
+  the campaign sha256 pins and is the default everywhere.
 * :class:`repro.backend.fast.FastBackend` (``"fast"``) takes NumPy's SIMD
-  ufuncs and a cached least-squares pseudo-inverse; it is verified by
-  tolerance parity (bounded score deltas, identical ROC operating points)
-  rather than byte equality.
+  ufuncs; it is verified by tolerance parity (bounded score deltas,
+  identical ROC operating points) rather than byte equality.
 
-Every kernel of every backend is row-independent: a row's result never
-depends on how many rows share the call.  Acquisition and the stacked
-scoring program rely on this for their batch-invariance contracts (a
+Every kernel of every backend is elementwise, hence row-independent: a row's
+result never depends on how many rows share the call.  Acquisition and the
+stacked scoring program rely on this for their batch-invariance contracts (a
 window's packets and score are bit-identical for any batch size or
 composition).  Every layer takes the same operation order under every
-backend; backends differ only inside their kernels.
+backend; backends differ only inside these kernels.
 
 Backends are looked up by name in a :class:`repro.backend.registry.BackendRegistry`
 and activated with :func:`repro.backend.use_backend`; kernels are taken from
@@ -28,34 +28,22 @@ shard or CLI command switches modes with one ``with`` block.
 
 from __future__ import annotations
 
-from typing import Any, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 
 @runtime_checkable
 class NumericBackend(Protocol):
-    """Kernel surface the batch-path modules draw from.
+    """The elementwise transcendentals the batch-path modules draw from.
 
-    Implementations are stateless apart from caches (FFT plans), so one
-    instance per registry is shared by every caller in the process.
+    Implementations are stateless, so one instance per registry is shared by
+    every caller in the process.
     """
 
     #: Registry name, e.g. ``"exact"``; also the obs span/snapshot tag value.
     name: str
 
-    # -- dtype policy ---------------------------------------------------- #
-    @property
-    def real_dtype(self) -> Any:
-        """Dtype for real-valued kernel results (``float64`` in exact mode)."""
-        ...
-
-    @property
-    def complex_dtype(self) -> Any:
-        """Dtype for complex kernel results (``complex128`` in exact mode)."""
-        ...
-
-    # -- elementwise transcendentals (the exactmath surface) ------------- #
     def exp(self, x: np.ndarray) -> np.ndarray:
         """Elementwise ``exp``."""
         ...
@@ -96,19 +84,5 @@ class NumericBackend(Protocol):
         synthesis; ``exact`` takes NumPy's complex ``exp`` (shared by the
         scalar and batch paths, so there is nothing to pin around), ``fast``
         assembles ``cos + 1j sin`` directly.
-        """
-        ...
-
-    # -- FFT entry points ------------------------------------------------ #
-    def ifft(self, rows: np.ndarray, axis: int = -1) -> np.ndarray:
-        """Inverse DFT along *axis* (the CFR → impulse-response transform)."""
-        ...
-
-    # -- batched linear algebra ------------------------------------------ #
-    def linear_phase_fits(self, indices: np.ndarray, phases: np.ndarray) -> np.ndarray:
-        """Per-row ``(slope, offset)`` degree-1 fits of *phases* against *indices*.
-
-        ``indices`` has shape ``(K,)``, ``phases`` has shape ``(rows, K)``;
-        the result has shape ``(rows, 2)`` ordered ``[slope, offset]``.
         """
         ...

@@ -5,7 +5,7 @@ under a name, decorator or direct registration, an overwrite guard so typos
 cannot silently shadow the built-ins, and a get-or-error lookup that names
 the registered backends.  Unlike detectors — constructed per link — a backend
 is process-wide state, so the registry caches one instance per name and hands
-the same instance to every caller (FFT plan caches are shared that way).
+the same instance to every caller.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class BackendRegistry:
         """The (shared) backend instance registered under *name*.
 
         The first lookup instantiates the factory; later lookups return the
-        same instance, so per-backend caches (FFT plans) are shared.
+        same instance.
         """
         instance = self._instances.get(name)
         if instance is not None:

@@ -284,8 +284,8 @@ def segment_point_distances(
     Bit-identical batch form of :meth:`Segment.distance_to_point`: the same
     clamp-projection arithmetic evaluated over a stack of segments, with the
     final Euclidean norm routed through the active backend's ``hypot``
-    (:func:`repro.utils.exactmath.hypot` in ``exact`` mode) so each entry
-    matches the scalar ``math.hypot`` call exactly.
+    (``math.hypot`` per element in ``exact`` mode) so each entry matches the
+    scalar ``math.hypot`` call exactly.
 
     Parameters
     ----------

@@ -77,8 +77,8 @@ def synthesize_cfr(
     return cfr
 
 
-def dominant_tap_power(cfr_row: np.ndarray) -> float:
-    """Power of the dominant (earliest strong) time-domain tap ``|h(0)|^2``.
+def dominant_tap_power_batch(cfr_rows: np.ndarray) -> np.ndarray:
+    """Power of the dominant (earliest strong) time-domain tap ``|h(0)|^2`` per row.
 
     The paper (Section IV-A1, following FILA [21] and [11]) approximates the
     LOS power by transforming the 30-subcarrier CSI back to the time domain
@@ -87,28 +87,9 @@ def dominant_tap_power(cfr_row: np.ndarray) -> float:
     first few taps is a reasonable stand-in for the combined direct-path
     energy.
 
-    Thin wrapper over :func:`dominant_tap_power_batch` with a one-row batch;
-    bit-identical to the historical scalar implementation.
-
-    Parameters
-    ----------
-    cfr_row:
-        Complex CSI of one antenna, shape ``(num_subcarriers,)``.
-    """
-    cfr_row = np.asarray(cfr_row)
-    if cfr_row.ndim != 1:
-        raise ValueError("dominant_tap_power expects a 1-D CSI vector")
-    return float(dominant_tap_power_batch(cfr_row[None, :])[0])
-
-
-def dominant_tap_power_batch(cfr_rows: np.ndarray) -> np.ndarray:
-    """Dominant-tap power of many CSI rows through one stacked IFFT.
-
-    All rows are transformed in a single backend ``ifft(..., axis=-1)`` call
-    (pocketfft, which transforms every row on its own) followed by the same
-    early-window tap search as :func:`dominant_tap_power`; under the
-    ``exact`` backend every output element is bit-identical to the per-row
-    scalar call, which the parity suite pins.
+    All rows are transformed in a single ``np.fft.ifft(..., axis=-1)`` call;
+    pocketfft transforms every row on its own, so a row's power does not
+    depend on the other rows in the call.
 
     Parameters
     ----------
@@ -125,19 +106,12 @@ def dominant_tap_power_batch(cfr_rows: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"dominant_tap_power_batch expects (rows, subcarriers), got {cfr_rows.shape}"
         )
-    impulse = active_backend().ifft(cfr_rows, axis=-1)
+    impulse = np.fft.ifft(cfr_rows, axis=-1)
     # The direct path energy concentrates in the first taps; searching a
     # small early window guards against the dominant tap aliasing to the end
     # of the IFFT window because of residual phase slope.
     early = np.abs(impulse[:, : max(3, cfr_rows.shape[-1] // 8)])
-    # The scalar path squares a NumPy scalar, which takes the libm ``pow``
-    # route; ``array ** 2`` strength-reduces to ``x * x`` and differs in the
-    # last ulp for a fraction of inputs, so the square goes through the
-    # backend's power kernel (libm-exact in ``exact`` mode).
+    # The square takes the backend's power kernel (libm ``pow`` under
+    # ``exact``), the route the campaign pins were taken with; ``x * x``
+    # differs from it in the last ulp for a fraction of inputs.
     return active_backend().power(early.max(axis=-1), 2)
-
-
-def total_subcarrier_power(cfr_row: np.ndarray) -> np.ndarray:
-    """Per-subcarrier received power ``|H(f_k)|^2`` of one antenna."""
-    cfr_row = np.asarray(cfr_row)
-    return np.abs(cfr_row) ** 2

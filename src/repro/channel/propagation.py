@@ -75,8 +75,8 @@ class PropagationModel:
         ``**`` takes the libm route), whereas an array ``**`` would use
         NumPy's SIMD pow kernel, which differs in the last ulp for some
         inputs — so the batch routes the pow through the active backend's
-        ``power`` kernel (:func:`repro.utils.exactmath.power` in ``exact``
-        mode) and keeps everything else in vectorised (exact) arithmetic.
+        ``power`` kernel (libm ``pow`` per element in ``exact`` mode) and
+        keeps everything else in vectorised (exact) arithmetic.
         """
         d = np.maximum(np.asarray(distances, dtype=float), self.reference_distance)
         if d.ndim != 1:

@@ -699,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="statically enforce the determinism contract (exactmath routing, "
+        help="statically enforce the determinism contract (libm routing, "
         "RNG discipline, canonical serialisation); exits 1 on any "
         "unsuppressed finding",
     )

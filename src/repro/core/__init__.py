@@ -30,11 +30,7 @@ from repro.core.fade_level import fade_level_db
 from repro.core.fitting import LogFit, fit_log_curve, fit_per_subcarrier
 from repro.core.hmm import TwoStateHMM
 from repro.core.link_model import OneBounceLinkModel
-from repro.core.multipath_factor import (
-    los_power_per_subcarrier,
-    multipath_factor,
-    multipath_factor_trace,
-)
+from repro.core.multipath_factor import multipath_factor_trace
 from repro.core.path_weighting import PathWeighting
 from repro.core.subcarrier_weighting import SubcarrierWeighting, SubcarrierWeights
 from repro.core.thresholds import RocCurve, balanced_threshold, roc_curve
@@ -50,8 +46,6 @@ __all__ = [
     "fit_per_subcarrier",
     "TwoStateHMM",
     "OneBounceLinkModel",
-    "los_power_per_subcarrier",
-    "multipath_factor",
     "multipath_factor_trace",
     "PathWeighting",
     "SubcarrierWeighting",

@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.channel.constants import subcarrier_frequencies
 from repro.channel.ofdm import dominant_tap_power_batch
-from repro.csi.format import CSIFrame
 from repro.csi.trace import CSITrace
 
 #: Cached ``f_k^{-2}`` apportionment weights of the default Intel 5300 grid.
@@ -52,39 +51,12 @@ def _apportionment_weights(frequencies: np.ndarray | None) -> np.ndarray:
     if frequencies is None:
         if _DEFAULT_APPORTIONMENT is None:
             freqs = subcarrier_frequencies()
-            inverse_f2 = freqs**-2.0  # repro: allow-det001 -- historical pinned expression; scalar and batch layers share this exact kernel, so the sha256 score pins depend on it staying as-is
+            inverse_f2 = freqs**-2.0  # repro: allow-det001 -- pinned expression: the sha256 score pins depend on this exact kernel staying as-is
             _DEFAULT_APPORTIONMENT = inverse_f2 / inverse_f2.sum()
         return _DEFAULT_APPORTIONMENT
     freqs = np.asarray(frequencies, dtype=float)
     inverse_f2 = freqs**-2.0  # repro: allow-det001 -- must match the cached default-grid expression above bit for bit (custom frequency grids take this uncached path)
     return inverse_f2 / inverse_f2.sum()
-
-
-def los_power_per_subcarrier(
-    csi_row: np.ndarray, frequencies: np.ndarray | None = None
-) -> np.ndarray:
-    """Apportion the dominant-tap power across subcarriers (Eq. 10).
-
-    Thin wrapper over :func:`los_power_per_subcarrier_batch` with a one-row
-    batch; bit-identical to the historical scalar implementation.
-
-    Parameters
-    ----------
-    csi_row:
-        Complex CSI of one antenna, shape ``(num_subcarriers,)``.
-    frequencies:
-        Absolute subcarrier frequencies in Hz; defaults to the Intel 5300
-        grid on channel 11.
-
-    Returns
-    -------
-    numpy.ndarray
-        Estimated LOS power on every subcarrier, shape ``(num_subcarriers,)``.
-    """
-    csi_row = np.asarray(csi_row)
-    if csi_row.ndim != 1:
-        raise ValueError(f"csi_row must be 1-D, got shape {csi_row.shape}")
-    return los_power_per_subcarrier_batch(csi_row[None, :], frequencies)[0]
 
 
 def los_power_per_subcarrier_batch(
@@ -94,7 +66,7 @@ def los_power_per_subcarrier_batch(
 
     One stacked IFFT (:func:`~repro.channel.ofdm.dominant_tap_power_batch`)
     followed by a broadcast multiply with the cached ``f_k^{-2}`` weights;
-    every row is bit-identical to :func:`los_power_per_subcarrier` on its own.
+    every row is bit-identical whatever other rows share the call.
 
     Parameters
     ----------
@@ -137,54 +109,16 @@ def los_power_per_subcarrier_batch(
     return weights[None, :] * total_los_power[:, None]
 
 
-def multipath_factor(
-    csi: np.ndarray | CSIFrame, frequencies: np.ndarray | None = None
-) -> np.ndarray:
-    """Per-subcarrier multipath factor ``mu_k`` of one packet (Eq. 11).
-
-    All antennas are processed in one :func:`multipath_factor_batch` call
-    (the historical per-antenna Python loop is gone); the result is
-    bit-identical to the per-antenna computation.
-
-    Parameters
-    ----------
-    csi:
-        A :class:`~repro.csi.format.CSIFrame` or a complex array of shape
-        ``(num_antennas, num_subcarriers)`` (a 1-D array is treated as a
-        single antenna).
-    frequencies:
-        Absolute subcarrier frequencies; defaults to the Intel 5300 grid.
-
-    Returns
-    -------
-    numpy.ndarray
-        Multipath factors of shape ``(num_antennas, num_subcarriers)``.
-    """
-    if isinstance(csi, CSIFrame):
-        matrix = csi.csi
-        if frequencies is None:
-            frequencies = csi.frequencies()
-    else:
-        matrix = np.asarray(csi)
-        if matrix.ndim == 1:
-            matrix = matrix[None, :]
-    if matrix.ndim != 2:
-        raise ValueError(
-            f"csi must have shape (antennas, subcarriers), got {matrix.shape}"
-        )
-    return multipath_factor_batch(matrix, frequencies)
-
-
 def multipath_factor_batch(
     csi_rows: np.ndarray, frequencies: np.ndarray | None = None
 ) -> np.ndarray:
-    """Eq. 11 for a stack of CSI rows in one vectorised pass.
+    """Per-subcarrier multipath factor ``mu_k`` (Eq. 11) of a stack of CSI rows.
 
-    The workhorse behind :func:`multipath_factor` and
-    :func:`multipath_factor_trace` (and through them the subcarrier
-    weighting and detector scoring): one stacked IFFT for the LOS powers,
-    one broadcast division for the ratios.  Bit-identical to the historical
-    per-row loop, which the parity suite pins.
+    The workhorse behind :func:`multipath_factor_trace` (and through it the
+    subcarrier weighting and detector scoring): one stacked IFFT for the LOS
+    powers, one broadcast division for the ratios.  Bit-identical to the
+    per-row loop, which the parity suite checks.  One packet of shape
+    ``(antennas, subcarriers)`` is a batch of its antenna rows.
 
     Parameters
     ----------

@@ -12,17 +12,14 @@ angle estimation consume.
 
 Sanitisation runs over whole traces in one vectorised pass: a batched unwrap
 over ``(packets, subcarriers)``, one batched least-squares slope/offset fit
-and one broadcast correction.  The fit is taken from the active numeric
-backend (:mod:`repro.backend`): under the default ``exact`` backend the
-per-frame LAPACK solve that ``np.polyfit`` performs is kept *exactly* (each
-row is still its own single-RHS ``dgelsd`` call, routed through NumPy's
-``lstsq`` gufunc with a batch dimension), so every sanitised frame is
-bit-identical to the historical per-frame loop — a contract the detection
-pipeline's score parity tests pin down.  The ``fast`` backend applies one
-cached pseudo-inverse of the shared design matrix to every row instead
-(tolerance parity).  Either way every frame's fit is independent of the
-others, so a window sanitised inside any batch is bit-identical to the
-same window sanitised alone.
+and one broadcast correction.  The fit keeps ``np.polyfit``'s preprocessing
+(Vandermonde matrix, column scaling, default ``rcond``) but applies one cached
+pseudo-inverse of the shared design matrix to every row, so it agrees with a
+per-frame ``np.polyfit`` to rounding, not to the bit.  Every frame's fit is
+independent of the others, so a window sanitised inside any batch is
+bit-identical to the same window sanitised alone.  The fit and the unwrap
+have no libm transcendental, so both numeric backends share them; only the
+correction phasor comes from the active backend.
 """
 
 from __future__ import annotations
@@ -37,14 +34,20 @@ from repro.csi.format import CSIFrame
 from repro.csi.trace import CSITrace
 
 
-def _linear_phase_fits(indices: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Per-row ``(slope, offset)`` fits via the active backend.
+#: Pseudo-inverses of the scaled fit design matrix, keyed by abscissa bytes;
+#: one ``2 x K`` entry per subcarrier grid in use.
+_FIT_PINVS: dict[bytes, np.ndarray] = {}
 
-    Under the ``exact`` backend this is bit-identical to
-    ``np.polyfit(indices, row, 1)`` per row (single-RHS LAPACK solves through
-    NumPy's ``lstsq`` gufunc, with a per-row ``np.polyfit`` fallback — see
-    :meth:`repro.backend.exact.ExactBackend.linear_phase_fits`); the ``fast``
-    backend applies one cached pseudo-inverse to every row.
+
+def _linear_phase_fits(indices: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Per-row ``(slope, offset)`` degree-1 least-squares fits.
+
+    Same Vandermonde/column-scaling/``rcond`` preprocessing as
+    ``np.polyfit(indices, row, 1)``; the pseudo-inverse of the scaled design
+    matrix is computed once per abscissa and applied row by row as an
+    elementwise product and a reduction along the row.  No row sees another
+    (a multi-RHS ``lstsq`` would give bits that depend on the row count), so
+    the fits are batch-invariant.
 
     Parameters
     ----------
@@ -58,7 +61,17 @@ def _linear_phase_fits(indices: np.ndarray, phases: np.ndarray) -> np.ndarray:
     numpy.ndarray
         Coefficients of shape ``(rows, 2)`` ordered ``[slope, offset]``.
     """
-    return active_backend().linear_phase_fits(indices, phases)
+    indices = np.asarray(indices, dtype=float)
+    phases = np.asarray(phases, dtype=float)
+    key = indices.tobytes()
+    pinv = _FIT_PINVS.get(key)
+    if pinv is None:
+        lhs = np.vander(indices, 2)
+        scale = np.sqrt((lhs * lhs).sum(axis=0))
+        rcond = len(indices) * np.finfo(indices.dtype).eps
+        pinv = np.linalg.pinv(lhs / scale, rcond=rcond) / scale[:, None]
+        _FIT_PINVS[key] = pinv
+    return (phases[:, None, :] * pinv[None]).sum(axis=2)
 
 
 def sanitize_csi_array(
@@ -85,7 +98,7 @@ def sanitize_csi_array(
     -------
     numpy.ndarray
         Sanitised CSI with the same shape; every packet is bit-identical to
-        the historical per-frame :func:`sanitize_frame` computation.
+        :func:`sanitize_frame` on that packet alone.
     """
     csi = np.asarray(csi, dtype=complex)
     if csi.ndim != 3:
@@ -133,8 +146,8 @@ def remove_linear_phase(csi: np.ndarray, subcarrier_indices: np.ndarray) -> np.n
     numpy.ndarray
         CSI with the fitted linear phase removed, same shape as the input.
         All antennas are fitted in one batched pass (see
-        :func:`sanitize_csi_array`), bit-identical to the historical
-        per-antenna ``np.polyfit`` loop.
+        :func:`sanitize_csi_array`); each fit agrees with a per-antenna
+        ``np.polyfit`` to rounding.
     """
     csi = np.asarray(csi, dtype=complex)
     if csi.ndim != 2:

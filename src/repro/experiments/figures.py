@@ -21,11 +21,7 @@ from repro.channel.channel import ChannelSimulator
 from repro.channel.human import HumanBody
 from repro.channel.noise import ImpairmentModel
 from repro.core.fitting import fit_log_curve, fit_per_subcarrier
-from repro.core.multipath_factor import (
-    multipath_factor,
-    multipath_factor_batch,
-    multipath_factor_trace,
-)
+from repro.core.multipath_factor import multipath_factor_batch, multipath_factor_trace
 from repro.csi.collector import PacketCollector
 from repro.csi.rssi import trace_rss_change_db
 from repro.experiments.runner import (

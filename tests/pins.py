@@ -21,15 +21,15 @@ import struct
 
 #: Seed 11, a 1 x 2 grid, one 8-packet window per location, 30 calibration
 #: packets, single-bounce rays, every scheme; the first two evaluation cases.
-TINY_CAMPAIGN_SHA256 = "4fc496f5721d960e5fa079f37f5f87335c51c2c5fe984675d10dbc05bf07f932"
+TINY_CAMPAIGN_SHA256 = "0f9213e30cb4af331580b1f4227c9ab406112485f625c29e9b47d91bdbde184c"
 
 #: ``EvaluationConfig(seed=2015)`` on the first two evaluation cases.
 TWO_CASE_DEFAULT_CAMPAIGN_SHA256 = (
-    "ae15e4e0e1c8b597039dd3de6f9d27e324b7e13a503bc1ff0a1cc8497cbc08b4"
+    "fb61a78312714b6ca5a2ffff0c52f5cff8e688878daa9d197b3fc453b466a9cb"
 )
 
 #: ``EvaluationConfig(seed=2015)`` on all five evaluation cases.
-FULL_CAMPAIGN_SHA256 = "d92c02075c9c127759a93542356c88f24974fb60d0e8ab2e733113a9332dfd73"
+FULL_CAMPAIGN_SHA256 = "1c8fe77c6c2e5fee8510778590e8bd45745b437dd00b371732e9e6d3a22965f2"
 
 #: The full seed-2015 campaign's headline detection numbers.
 FULL_CAMPAIGN_HEADLINE = {

@@ -14,7 +14,7 @@ from repro.channel.constants import (
 )
 from repro.channel.geometry import Point
 from repro.channel.noise import ImpairmentModel, ImpairmentStreams
-from repro.channel.ofdm import dominant_tap_power, synthesize_cfr, total_subcarrier_power
+from repro.channel.ofdm import dominant_tap_power_batch, synthesize_cfr
 from repro.channel.propagation import PropagationModel
 from repro.channel.rays import Path
 
@@ -126,17 +126,10 @@ class TestSynthesizeCfr:
             synthesize_cfr([self._los_path()], frequencies=np.array([]))
 
     def test_dominant_tap_power_reflects_los_strength(self):
-        strong = synthesize_cfr([self._los_path(2.0)])[0]
-        weak = synthesize_cfr([self._los_path(6.0)])[0]
-        assert dominant_tap_power(strong) > dominant_tap_power(weak)
-
-    def test_dominant_tap_power_requires_1d(self):
-        with pytest.raises(ValueError):
-            dominant_tap_power(np.zeros((3, 30), dtype=complex))
-
-    def test_total_subcarrier_power(self):
-        cfr = synthesize_cfr([self._los_path()])[0]
-        assert np.allclose(total_subcarrier_power(cfr), np.abs(cfr) ** 2)
+        strong = synthesize_cfr([self._los_path(2.0)])
+        weak = synthesize_cfr([self._los_path(6.0)])
+        powers = dominant_tap_power_batch(np.vstack([strong, weak]))
+        assert powers[0] > powers[1]
 
 
 INDICES = np.asarray(INTEL5300_SUBCARRIER_INDICES, dtype=float)

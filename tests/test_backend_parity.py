@@ -42,7 +42,7 @@ from tests.pins import (
 SCHEMES = ("baseline", "subcarrier", "combined")
 
 #: Relative per-window score tolerance of the fast backend.  Measured max
-#: across the five-case campaign is ~6e-14; the bound leaves a decade of
+#: across the five-case campaign is ~2.9e-14; the bound leaves a decade of
 #: headroom without ever excusing a macroscopic divergence.
 FAST_RELATIVE_TOLERANCE = 1e-12
 

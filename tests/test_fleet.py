@@ -359,9 +359,9 @@ class TestRunFleet:
     @pytest.mark.parametrize("backend", ["exact", "fast"])
     @pytest.mark.parametrize("detector", ["baseline", "subcarrier", "combined"])
     def test_digest_invariant_for_every_scheme_and_backend(self, detector, backend):
-        # Regression: under ``fast`` the multi-RHS lstsq phase fit and the
-        # cached-IDFT zgemm gave row-count-dependent bits, so the digest
-        # moved with the flush size.
+        # Regression: a multi-RHS lstsq phase fit or a cached-IDFT zgemm
+        # gives row-count-dependent bits, so the digest would move with the
+        # flush size.
         config = small_fleet(
             links=6,
             duration_s=2.0,

@@ -14,11 +14,9 @@ import pytest
 
 from repro.channel import HumanBody, Point
 from repro.channel.constants import subcarrier_frequencies
-from repro.channel.ofdm import dominant_tap_power, dominant_tap_power_batch
+from repro.channel.ofdm import dominant_tap_power_batch
 from repro.core.multipath_factor import (
-    los_power_per_subcarrier,
     los_power_per_subcarrier_batch,
-    multipath_factor,
     multipath_factor_batch,
     multipath_factor_trace,
 )
@@ -84,10 +82,6 @@ class TestDominantTapPowerBatch:
         expected = np.array([reference_dominant_tap_power(row) for row in stack])
         assert np.array_equal(got, expected)
 
-    def test_scalar_wrapper_unchanged(self, rng):
-        row = random_csi(rng, 30)
-        assert dominant_tap_power(row) == reference_dominant_tap_power(row)
-
     def test_short_rows_use_minimum_window(self, rng):
         stack = random_csi(rng, 5, 8)
         got = dominant_tap_power_batch(stack)
@@ -106,10 +100,6 @@ class TestLosPowerBatch:
         expected = np.stack([reference_los_power(row, None) for row in stack])
         assert np.array_equal(got, expected)
 
-    def test_scalar_wrapper_matches_reference(self, rng):
-        row = random_csi(rng, 30)
-        assert np.array_equal(los_power_per_subcarrier(row), reference_los_power(row, None))
-
     def test_custom_frequencies_take_uncached_path(self, rng):
         """A custom grid is recomputed per call — and computed correctly."""
         stack = random_csi(rng, 12, 16)
@@ -127,7 +117,8 @@ class TestLosPowerBatch:
         # default-grid cache (the cache is keyed on the default grid only).
         row30 = random_csi(rng, 30)
         assert np.array_equal(
-            los_power_per_subcarrier(row30), reference_los_power(row30, None)
+            los_power_per_subcarrier_batch(row30[None])[0],
+            reference_los_power(row30, None),
         )
 
     def test_frequency_shape_mismatch_raises(self, rng):
@@ -141,9 +132,9 @@ class TestLosPowerBatch:
         silently broadcast a 64-subcarrier row against the 30-wide weights.
         """
         with pytest.raises(ValueError, match="does not match csi shape"):
-            los_power_per_subcarrier(np.ones(64, dtype=complex))
+            los_power_per_subcarrier_batch(np.ones((1, 64), dtype=complex))
         with pytest.raises(ValueError, match="does not match csi shape"):
-            multipath_factor(np.ones((3, 64), dtype=complex))
+            multipath_factor_batch(np.ones((3, 64), dtype=complex))
 
 
 class TestMultipathFactorBatch:
@@ -163,7 +154,7 @@ class TestMultipathFactorBatch:
     def test_single_packet_matches_scalar(self, rng):
         matrix = random_csi(rng, 3, 30)
         assert np.array_equal(
-            multipath_factor(matrix), reference_multipath_factor(matrix, None)
+            multipath_factor_batch(matrix), reference_multipath_factor(matrix, None)
         )
 
     def test_batch_accepts_any_leading_shape(self, rng):

@@ -7,16 +7,15 @@ import pytest
 
 from repro.channel import Point
 from repro.channel.constants import subcarrier_frequencies
-from repro.channel.ofdm import synthesize_cfr
+from repro.channel.ofdm import dominant_tap_power_batch, synthesize_cfr
 from repro.channel.rays import Path
 from repro.core.multipath_factor import (
-    los_power_per_subcarrier,
-    multipath_factor,
+    los_power_per_subcarrier_batch,
+    multipath_factor_batch,
     multipath_factor_trace,
     stability_ratio,
     temporal_mean_factor,
 )
-from repro.csi import CSIFrame
 
 
 def _los_only_cfr() -> np.ndarray:
@@ -38,73 +37,68 @@ def _two_path_cfr(gain: float = 0.95) -> np.ndarray:
 
 class TestLosPowerApportionment:
     def test_sums_to_dominant_tap_power(self):
-        cfr = _los_only_cfr()[0]
-        los_power = los_power_per_subcarrier(cfr)
-        from repro.channel.ofdm import dominant_tap_power
-
-        assert los_power.sum() == pytest.approx(dominant_tap_power(cfr))
+        cfr = _los_only_cfr()
+        los_power = los_power_per_subcarrier_batch(cfr)[0]
+        assert los_power.sum() == pytest.approx(dominant_tap_power_batch(cfr)[0])
 
     def test_lower_frequencies_get_more_power(self):
         """Eq. 10: apportionment follows f^-2, so lower subcarriers get more."""
-        cfr = _los_only_cfr()[0]
-        los_power = los_power_per_subcarrier(cfr)
+        los_power = los_power_per_subcarrier_batch(_los_only_cfr())[0]
         freqs = subcarrier_frequencies()
         order = np.argsort(freqs)
         assert los_power[order][0] > los_power[order][-1]
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            los_power_per_subcarrier(np.zeros((3, 30), dtype=complex))
+            los_power_per_subcarrier_batch(np.zeros((2, 3, 30), dtype=complex))
         with pytest.raises(ValueError):
-            los_power_per_subcarrier(np.zeros(30, dtype=complex), frequencies=np.zeros(29))
+            los_power_per_subcarrier_batch(
+                np.zeros((1, 30), dtype=complex), frequencies=np.zeros(29)
+            )
 
 
 class TestMultipathFactor:
     def test_output_shape_matrix_and_frame(self):
         cfr = _two_path_cfr()
-        assert multipath_factor(cfr).shape == (1, 30)
-        frame = CSIFrame(csi=np.vstack([cfr, cfr, cfr]))
-        assert multipath_factor(frame).shape == (3, 30)
-
-    def test_1d_input_promoted(self):
-        assert multipath_factor(_two_path_cfr()[0]).shape == (1, 30)
+        assert multipath_factor_batch(cfr).shape == (1, 30)
+        assert multipath_factor_batch(np.vstack([cfr, cfr, cfr])).shape == (3, 30)
 
     def test_factors_positive(self):
-        factors = multipath_factor(_two_path_cfr())
+        factors = multipath_factor_batch(_two_path_cfr())
         assert np.all(factors > 0)
 
     def test_los_only_channel_is_nearly_flat(self):
         """With a single path, every subcarrier has the same superposition state."""
-        factors = multipath_factor(_los_only_cfr())[0]
+        factors = multipath_factor_batch(_los_only_cfr())[0]
         assert factors.std() / factors.mean() < 0.1
 
     def test_multipath_channel_varies_across_subcarriers(self):
-        factors = multipath_factor(_two_path_cfr())[0]
+        factors = multipath_factor_batch(_two_path_cfr())[0]
         assert factors.std() / factors.mean() > 0.2
 
     def test_faded_subcarriers_have_larger_factor(self):
         """mu is largest where the superposition is destructive (weak |H|)."""
         cfr = _two_path_cfr()[0]
-        factors = multipath_factor(cfr[None, :])[0]
+        factors = multipath_factor_batch(cfr[None, :])[0]
         power = np.abs(cfr) ** 2
         assert factors[np.argmin(power)] > factors[np.argmax(power)]
 
     def test_trace_computation_matches_per_packet(self, empty_trace):
         factors = multipath_factor_trace(empty_trace)
         assert factors.shape == empty_trace.csi.shape
-        single = multipath_factor(empty_trace.csi[0])
+        single = multipath_factor_batch(empty_trace.csi[0])
         assert np.allclose(factors[0], single)
 
     def test_scale_invariance(self):
         """mu is a power ratio, so a global gain leaves it unchanged."""
         cfr = _two_path_cfr()
-        assert np.allclose(multipath_factor(cfr), multipath_factor(3.0 * cfr))
+        assert np.allclose(multipath_factor_batch(cfr), multipath_factor_batch(3.0 * cfr))
 
 
 class TestTemporalStatistics:
     def _factors(self, num_packets: int = 40) -> np.ndarray:
         rng = np.random.default_rng(3)
-        base = multipath_factor(_two_path_cfr())
+        base = multipath_factor_batch(_two_path_cfr())
         noise = rng.lognormal(mean=0.0, sigma=0.1, size=(num_packets, *base.shape))
         return base[None, :, :] * noise
 
@@ -138,11 +132,11 @@ class TestTemporalStatistics:
 
 class TestPhysicalBehaviour:
     def test_human_presence_changes_factors(self, clean_simulator, human):
-        empty = multipath_factor(clean_simulator.clean_cfr(None))
-        occupied = multipath_factor(clean_simulator.clean_cfr(human))
+        empty = multipath_factor_batch(clean_simulator.clean_cfr(None))
+        occupied = multipath_factor_batch(clean_simulator.clean_cfr(human))
         assert not np.allclose(empty, occupied)
 
     def test_measurable_from_single_noisy_packet(self, simulator):
         packet = simulator.sample_packet(None, seed=11)
-        factors = multipath_factor(packet)
+        factors = multipath_factor_batch(packet)
         assert np.all(np.isfinite(factors)) and np.all(factors > 0)

@@ -20,7 +20,7 @@ from repro.channel.ofdm import synthesize_cfr
 from repro.channel.propagation import PropagationModel
 from repro.channel.rays import Path
 from repro.core.link_model import OneBounceLinkModel
-from repro.core.multipath_factor import multipath_factor, stability_ratio
+from repro.core.multipath_factor import multipath_factor_batch, stability_ratio
 from repro.core.subcarrier_weighting import SubcarrierWeighting
 from repro.core.thresholds import roc_curve
 from repro.utils.stats import ecdf
@@ -42,7 +42,7 @@ class TestScaleInvariances:
         )
         cfr = synthesize_cfr([los, wall])
         assert np.allclose(
-            multipath_factor(cfr), multipath_factor(gain * cfr), rtol=1e-9
+            multipath_factor_batch(cfr), multipath_factor_batch(gain * cfr), rtol=1e-9
         )
 
     @slow_settings
@@ -96,7 +96,7 @@ class TestLinkModelConsistency:
         cfr = (los_amp * np.exp(-1j * phases_los) + reflected_amp * np.exp(-1j * phases_ref))[
             None, :
         ]
-        measured = multipath_factor(cfr)[0]
+        measured = multipath_factor_batch(cfr)[0]
         predicted = np.array(
             [
                 OneBounceLinkModel.from_excess_distance(gamma, excess, f).multipath_factor()
