@@ -1,12 +1,13 @@
 """Perf benchmark: a 1,000-link fleet through the cross-link batch scheduler.
 
-The fleet engine merges per-link Poisson arrival streams into one
-event-ordered schedule and flushes ready windows across links through the
-shared stacked scoring program.  This benchmark runs a 1,000-link
-heterogeneous population (normal/busy/abusive rate classes) end to end, on
-the baseline scheme and on the paper's combined scheme, and prints the
-service-level numbers the README quotes: scheduler throughput in
-windows/sec plus p50/p99 arrival-to-emission latency.  The event stream is
+The fleet engine plans every link's windows from its Poisson arrival times,
+sorts them into one time order and scores them in flushes across links
+through the shared stacked scoring program.  This benchmark runs a
+1,000-link heterogeneous population (normal/busy/abusive rate classes) end
+to end, on the baseline scheme and on the paper's combined scheme, and
+prints the service-level numbers the README quotes: scheduler throughput in
+windows/sec plus p50/p99 flush latency (the wall time from the start of an
+event's flush to its emission).  The event stream is
 deterministic, so the run also doubles as a smoke check that the digest is
 stable across CI pushes.
 """

@@ -1,11 +1,12 @@
 """Cross-link scoring and multi-link monitoring.
 
 :func:`score_windows` is the one scoring program of every caller: the
-campaign (:func:`score_windows_shared`), :class:`MultiLinkMonitor`, the fleet
-scheduler (:func:`score_windows_batch`) and the calibration-threshold replay
-of :func:`calibrate_sessions` (behind
+campaign (:func:`score_windows_shared`), the calibration-threshold replay of
+:func:`calibrate_sessions` (behind
 :meth:`~repro.api.session.StreamingSession.calibrate`,
-:meth:`MultiLinkMonitor.calibrate` and the fleet's shard set-up).  It groups
+:meth:`MultiLinkMonitor.calibrate` and the fleet's shard set-up), and
+:class:`MultiLinkMonitor` and the fleet scheduler, which both score and emit
+sessions' completed windows through :func:`score_windows_batch`.  It groups
 (detector, window) pairs by scheme kernel and window shape, sanitises every
 window once, and scores each group in one stacked kernel call
 (:meth:`~repro.core.detector._BaseDetector.stacked_scores`).  A window's score
@@ -17,7 +18,9 @@ A deployment rarely watches a single TX-RX pair — the paper's evaluation alone
 spans five links.  :class:`MultiLinkMonitor` owns one
 :class:`~repro.api.session.StreamingSession` per link, accepts per-link frames
 in lockstep (the links all hear the same ping schedule, so their windows
-complete on the same pushes) and scores every completed window in one batch.
+complete on the same pushes), advances each session with
+:meth:`~repro.api.session.StreamingSession.advance` and scores every window
+completed on a push in one batch.
 """
 
 from __future__ import annotations
@@ -118,12 +121,13 @@ class MultiLinkMonitor:
                 f"frames for unknown links {sorted(unknown)}; "
                 f"known links: {sorted(self._sessions)}"
             )
-        ready: list[tuple[StreamingSession, CSITrace]] = []
+        ready: list[tuple[StreamingSession, CSITrace, int]] = []
         for name, session in self._sessions.items():
             if name not in frames:
                 continue
-            if session.advance(frames[name]):
-                ready.append((session, session.pending_window()))
+            window = session.advance(frames[name])
+            if window is not None:
+                ready.append((session, window, session.packets_seen))
         return score_windows_batch(ready)
 
     def push_traces(self, traces: Mapping[str, CSITrace]) -> list[DetectionEvent]:
@@ -254,10 +258,12 @@ def score_windows(
 
 
 def score_windows_batch(
-    ready: Sequence[tuple[StreamingSession, CSITrace]]
+    ready: Sequence[tuple[StreamingSession, CSITrace, int]]
 ) -> list[DetectionEvent]:
     """Score completed windows from several sessions and emit their events.
 
+    *ready* holds ``(session, window, packets_seen)`` triples, where
+    *packets_seen* is the session's packet count when the window completed.
     The cross-link scoring step of :meth:`MultiLinkMonitor.push` and the
     fleet scheduler (:mod:`repro.fleet.scheduler`): one
     :func:`score_windows` call, then events through
@@ -265,8 +271,11 @@ def score_windows_batch(
     bit-identical to the ones inline
     :meth:`~repro.api.session.StreamingSession.push` would emit.
     """
-    scores = score_windows([(session.detector, window) for session, window in ready])
-    return [session.emit(window, score) for (session, window), score in zip(ready, scores)]
+    scores = score_windows([(session.detector, window) for session, window, _ in ready])
+    return [
+        session.emit(window, score, packets_seen)
+        for (session, window, packets_seen), score in zip(ready, scores)
+    ]
 
 
 def calibrate_sessions(pairs: Sequence[tuple[StreamingSession, CSITrace]]) -> None:

@@ -16,6 +16,12 @@ streamed score is bit-identical to scoring the equivalent batch trace.
         event = session.push(frame)
         if event is not None and event.detected:
             alert(event)
+
+``push`` is :meth:`~StreamingSession.advance` (buffer a frame, return the
+window it completes) + ``score`` + :meth:`~StreamingSession.emit` (stamp the
+event).  Callers that score many sessions' windows together use those two
+halves directly, and :meth:`~StreamingSession.window_starts` gives the same
+window rule as an array, for traffic known in advance.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable
+
+import numpy as np
 
 from repro.csi.format import CSIFrame
 from repro.csi.trace import CSITrace
@@ -150,11 +158,6 @@ class StreamingSession:
         self.link_name = link_name
         self._buffer: deque[CSIFrame] = deque(maxlen=window_packets)
         self._packets_seen = 0
-        # Completed-but-unscored windows, each paired with the packet count
-        # at its completion: deferred scoring must stamp events with the
-        # count the inline path would have seen, not the count at emit time.
-        self._pending: deque[tuple[CSITrace, int]] = deque()
-        self._awaiting_emit: deque[tuple[CSITrace, int]] = deque()
         self._events: deque[DetectionEvent] = deque(maxlen=event_history)
         self._event_count = 0
 
@@ -226,11 +229,14 @@ class StreamingSession:
     # streaming
     # ------------------------------------------------------------------ #
     def push(self, frame: CSIFrame) -> DetectionEvent | None:
-        """Consume one frame; return an event when a window completes."""
-        if not self.advance(frame):
+        """Consume one frame; return an event when a window completes.
+
+        Exactly :meth:`advance` + ``score`` + :meth:`emit`.
+        """
+        window = self.advance(frame)
+        if window is None:
             return None
-        window = self.pending_window()
-        return self.emit(window, float(self.detector.score(window)))
+        return self.emit(window, float(self.detector.score(window)), self._packets_seen)
 
     def push_many(self, frames: Iterable[CSIFrame]) -> list[DetectionEvent]:
         """Consume several frames; return the events they triggered."""
@@ -246,41 +252,15 @@ class StreamingSession:
         return self.push_many(trace)
 
     # ------------------------------------------------------------------ #
-    # scheduler hooks: non-scoring advance, deferred scoring
+    # the window rule, for callers that score windows themselves
     # ------------------------------------------------------------------ #
-    def advance(self, frame: CSIFrame) -> bool:
-        """Consume one frame *without* scoring; True when a window completed.
+    def advance(self, frame: CSIFrame) -> CSITrace | None:
+        """Buffer one frame *without* scoring; return the window it completes.
 
-        External schedulers (:class:`~repro.api.monitor.MultiLinkMonitor`,
-        the fleet scheduler) use this hook to collect ready windows from many
-        sessions and score them together in one vectorized batch.  The
-        completed window is queued; pop it with :meth:`pending_window` and
-        hand the score back through :meth:`emit`.  :meth:`push` is exactly
-        ``advance`` + ``pending_window`` + ``score`` + ``emit``, so deferred
-        scoring is bit-identical to the inline path.
+        :class:`~repro.api.monitor.MultiLinkMonitor` collects the windows
+        its sessions complete on one push, scores them together and hands
+        each score back through :meth:`emit`.
         """
-        window = self._advance(frame)
-        if window is None:
-            return False
-        self._pending.append((window, self._packets_seen))
-        return True
-
-    def pending_window(self) -> CSITrace | None:
-        """Pop the oldest completed-but-unscored window, or ``None``.
-
-        Windows are queued by :meth:`advance` in completion order; a caller
-        mixing :meth:`push` with an external scheduler should drain pending
-        windows before pushing again (``push`` scores the oldest pending
-        window, which is then necessarily its own).
-        """
-        if not self._pending:
-            return None
-        window, packets_seen = self._pending.popleft()
-        self._awaiting_emit.append((window, packets_seen))
-        return window
-
-    def _advance(self, frame: CSIFrame) -> CSITrace | None:
-        """Buffer one frame; return the completed window trace, if any."""
         if not self.is_calibrated:
             raise RuntimeError("StreamingSession must be calibrated before pushing frames")
         if not isinstance(frame, CSIFrame):
@@ -293,21 +273,24 @@ class StreamingSession:
             return None
         return CSITrace.from_frames(list(self._buffer), label=self.link_name)
 
-    def emit(self, window: CSITrace, score: float) -> DetectionEvent:
+    def window_starts(self, num_packets: int) -> np.ndarray:
+        """First-packet indices of the windows *num_packets* frames complete.
+
+        The array form of :meth:`advance`'s rule for a fresh session: the
+        window starting at packet ``s`` completes on packet ``s +
+        window_packets``.  The fleet scheduler plans every window of a link
+        from it.
+        """
+        last = num_packets - self.window_packets
+        return np.arange(0, max(last + 1, 0), self.window_stride)
+
+    def emit(self, window: CSITrace, score: float, packets_seen: int) -> DetectionEvent:
         """Record and return the event for a completed, scored window.
 
-        When *window* came out of :meth:`pending_window`, the event carries
-        the packet count at the window's *completion* — so an externally
-        scheduled, batch-scored event is bit-identical to the one
-        :meth:`push` would have emitted inline, even if the session consumed
-        more frames between completion and deferred scoring.
+        *packets_seen* is the session's packet count when *window*
+        completed, so a window scored after later packets arrived still
+        gets the event :meth:`push` would have emitted.
         """
-        packets_seen = self._packets_seen
-        for position, (awaiting, completion_count) in enumerate(self._awaiting_emit):
-            if awaiting is window:
-                del self._awaiting_emit[position]
-                packets_seen = completion_count
-                break
         detected = None if self.threshold is None else bool(score > self.threshold)
         event = DetectionEvent(
             link=self.link_name,
@@ -349,8 +332,6 @@ class StreamingSession:
         """
         self._buffer.clear()
         self._packets_seen = 0
-        self._pending.clear()
-        self._awaiting_emit.clear()
         self._events.clear()
         self._event_count = 0
 

@@ -27,7 +27,7 @@ progress, and pivot the stored results::
     python -m repro sweep status --spec sweep.json --store sweep.jsonl
     python -m repro sweep report --store sweep.jsonl --axis window_packets
 
-Run a fleet of synthetic links through the streaming scheduler
+Run a fleet of synthetic links through the window scheduler
 (``FleetConfig`` keys in the --config file), persist the event stream, and
 summarise it later::
 
@@ -393,7 +393,7 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
     """Run a synthetic fleet through the streaming scheduler.
 
     Prints the :class:`~repro.fleet.FleetReport` summary (throughput,
-    p50/p99 arrival-to-emission latency, class census, event digest) as
+    p50/p99 scheduler flush latency, class census, event digest) as
     JSON; ``--events PATH`` additionally persists the canonical event
     stream as one JSON line per event.
     """
@@ -740,8 +740,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet_run = fleet_sub.add_parser(
         "run",
-        help="run a synthetic fleet (FleetConfig keys in --config) and print "
-        "the throughput/latency report as JSON",
+        help="run a synthetic fleet (FleetConfig keys in --config) through the "
+        "window scheduler and print the throughput/flush-latency report as JSON",
     )
     fleet_run.add_argument(
         "--links", type=int, default=None, help="population size (default 100)"

@@ -8,14 +8,14 @@ supplies that layer on top of :mod:`repro.api`:
   heterogeneous (``normal`` / ``busy`` / ``abusive``) link population; every
   link's streams derive from the fleet seed and its index alone, so any
   subset rebuilds byte-identically on any worker.
-* :mod:`repro.fleet.scheduler` — a heap-based, event-ordered scheduler that
-  merges the per-link arrival streams, advances each link's
-  :class:`~repro.api.session.StreamingSession` through the non-scoring
-  ``advance`` hook and flushes ready windows *across links* through the
-  shared vectorized batch scorer.  Events are bit-identical to sequential
-  per-link ``push`` for any batch size.
+* :mod:`repro.fleet.scheduler` — a window scheduler that plans every
+  link's windows from its arrival times (each link's
+  :class:`~repro.api.session.StreamingSession` supplies the window rule),
+  sorts them once by completion time and scores them in flushes *across
+  links* through the shared vectorized batch scorer.  Events are
+  bit-identical to sequential per-link ``push`` for any batch size.
 * :mod:`repro.fleet.engine` — :class:`FleetConfig` (JSON round-trip),
-  :class:`FleetReport` (throughput, p50/p99 arrival-to-emission latency, a
+  :class:`FleetReport` (throughput, p50/p99 flush latency, a
   canonical event stream with a sha256 digest) and :func:`run_fleet`, which
   runs the same fleet as an in-process library call, from the CLI
   (``repro fleet run``), or sharded over a process pool with a

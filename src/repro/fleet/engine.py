@@ -82,9 +82,9 @@ class FleetConfig:
         for the whole fleet: the per-link ``pipeline.backend`` field is
         ignored here, exactly as ``pipeline.seed`` is.
     batch_windows:
-        Scheduler flush threshold — ready windows accumulated across links
-        before one vectorized scoring pass.  Events are bit-identical for
-        every value.
+        Windows per scheduler flush — the time-ordered windows of all links
+        are scored across links in vectorized passes of this many.  Events
+        are bit-identical for every value.
     pool_packets:
         Synthetic monitoring packets collected per link; arrivals cycle
         through the pool (an idle burst then an occupied burst).
@@ -238,7 +238,9 @@ class FleetReport:
 
     The event stream (canonically ordered by ``(timestamp, link, index)``)
     is deterministic — byte-identical for any worker count and batch size.
-    The throughput/latency numbers are wall-clock measurements of this run.
+    The throughput/latency numbers are wall-clock measurements of this run;
+    an event's latency is the wall time of its scheduler flush, from
+    gathering the flush's windows to emitting its events.
     """
 
     links: int

@@ -29,7 +29,6 @@ from repro import obs
 from repro.channel.channel import ChannelSimulator
 from repro.channel.human import HumanBody
 from repro.channel.propagation import PropagationModel
-from repro.csi.format import CSIFrame
 from repro.csi.trace import CSITrace
 from repro.experiments.scenarios import human_grid
 from repro.utils.rng import derive_rng, ensure_rng
@@ -140,13 +139,14 @@ class LinkTraffic:
     profile:
         The link's static description.
     arrivals:
-        Strictly increasing packet arrival times in seconds.
+        Non-decreasing packet arrival times in seconds (so a link's windows
+        complete in order).
     calibration:
         Empty-environment capture used to calibrate the link's session.
     pool_csi:
-        Complex array of shape ``(pool, antennas, subcarriers)``; arrival
-        ``i`` reports frame ``i % pool``, so the link cycles through an
-        idle burst followed by an occupied burst.
+        Finite complex array of shape ``(pool, antennas, subcarriers)``;
+        arrival ``i`` reports frame ``i % pool``, so the link cycles through
+        an idle burst followed by an occupied burst.
     pool_occupied:
         Ground-truth occupancy per pool frame.
     subcarrier_indices:
@@ -167,6 +167,8 @@ class LinkTraffic:
                 f"pool_csi must be (pool, antennas, subcarriers) with at "
                 f"least one frame, got shape {pool_csi.shape}"
             )
+        if not np.all(np.isfinite(pool_csi)):
+            raise ValueError("pool_csi contains non-finite values")
         if pool_occupied.shape != (pool_csi.shape[0],):
             raise ValueError(
                 f"pool_occupied has shape {pool_occupied.shape}, expected "
@@ -174,6 +176,8 @@ class LinkTraffic:
             )
         self.profile = profile
         self.arrivals = np.asarray(arrivals, dtype=float)
+        if self.arrivals.ndim != 1 or not np.all(np.diff(self.arrivals) >= 0):
+            raise ValueError("arrivals must be a non-decreasing 1-D array of times")
         self.calibration = calibration
         self.pool_csi = pool_csi
         self.pool_occupied = pool_occupied
@@ -183,19 +187,6 @@ class LinkTraffic:
     def num_arrivals(self) -> int:
         """Packets this link delivers over the fleet run."""
         return int(self.arrivals.shape[0])
-
-    def frame(self, index: int) -> CSIFrame:
-        """The *index*-th arriving packet as a :class:`CSIFrame`."""
-        return CSIFrame(
-            csi=self.pool_csi[index % self.pool_csi.shape[0]],
-            timestamp=float(self.arrivals[index]),
-            sequence_number=index,
-            subcarrier_indices=self.subcarrier_indices,
-        )
-
-    def occupied_at(self, index: int) -> bool:
-        """Ground-truth occupancy of the *index*-th packet's scene."""
-        return bool(self.pool_occupied[index % self.pool_csi.shape[0]])
 
     def __repr__(self) -> str:
         return (

@@ -3,7 +3,7 @@
 The repo's determinism contract forbids wall-clock reads in library code
 (rule DET003 of ``repro lint``): scores, events and digests must be pure
 functions of seed and config.  Timing *measurements* are still wanted — the
-fleet scheduler reports arrival-to-emission latency, the sweep runner
+fleet scheduler reports each flush's wall latency, the sweep runner
 per-point wall time — so every such measurement flows through this module
 instead of calling :func:`time.perf_counter` directly:
 

@@ -23,7 +23,7 @@ from repro.api import (
 )
 from repro.channel import ChannelSimulator, HumanBody, Link, Point, Room
 from repro.core.detector import BaselineDetector, DetectionResult
-from repro.csi import CSITrace, PacketCollector
+from repro.csi import CSIFrame, CSITrace, PacketCollector
 from repro.experiments.scenarios import evaluation_cases
 from repro.utils.rng import ensure_rng
 
@@ -378,51 +378,63 @@ class TestStreamingSession:
         assert [e.index for e in session.events] == [4, 5, 6]  # numbering intact
 
     def test_advance_defers_scoring_until_emit(self, link, collector, calibration):
-        """The scheduler hook: advance + pending_window + emit == push."""
+        """advance + score + emit(..., completion count) == push."""
         reference = self._session(link, calibration)
         session = self._session(link, calibration)
         trace = collector.collect_empty(num_packets=6)
         expected = reference.push_trace(trace)
 
         completed = [session.advance(frame) for frame in trace]
-        assert completed == [False] * 5 + [True]
-        window = session.pending_window()
+        assert completed[:5] == [None] * 5
+        window = completed[5]
         assert window is not None and window.num_packets == 6
-        event = session.emit(window, float(session.detector.score(window)))
+        event = session.emit(window, float(session.detector.score(window)), 6)
         assert [event] == expected
-
-    def test_pending_window_empty_returns_none(self, link, calibration):
-        session = self._session(link, calibration)
-        assert session.pending_window() is None
 
     def test_deferred_emit_keeps_completion_packets_seen(
         self, link, collector, calibration
     ):
-        """packets_seen is stamped at window completion, not at emit time.
+        """emit stamps the packet count it is given, not the current one.
 
-        A batch scheduler keeps consuming frames between a window completing
-        and its deferred scoring; the emitted event must still match what
-        inline ``push`` would have produced.
+        A caller that keeps consuming frames between a window completing
+        and its deferred scoring passes the completion count; the emitted
+        event must still match what inline ``push`` would have produced.
         """
         reference = self._session(link, calibration)
         session = self._session(link, calibration)
         trace = collector.collect_empty(num_packets=18)
         expected = reference.push_trace(trace)
 
-        for frame in trace:  # advance everything before scoring anything
-            session.advance(frame)
-        events = []
-        while (window := session.pending_window()) is not None:
-            events.append(session.emit(window, float(session.detector.score(window))))
+        ready = []  # advance everything before scoring anything
+        for frame in trace:
+            window = session.advance(frame)
+            if window is not None:
+                ready.append((window, session.packets_seen))
+        assert session.packets_seen == 18
+        events = [
+            session.emit(window, float(session.detector.score(window)), seen)
+            for window, seen in ready
+        ]
         assert [e.packets_seen for e in events] == [6, 12, 18]
         assert events == expected
 
-    def test_reset_drops_pending_windows(self, link, collector, calibration):
-        session = self._session(link, calibration)
-        for frame in collector.collect_empty(num_packets=6):
-            session.advance(frame)
-        session.reset()
-        assert session.pending_window() is None
+    def test_window_starts_match_advance(self):
+        """The array form of the window rule completes the windows advance
+        does, for every window size, stride and packet count."""
+        frame = CSIFrame(csi=np.ones((1, 30), dtype=complex))
+        for size in range(1, 13):
+            for stride in range(1, 16):
+                session = StreamingSession(
+                    object(), window_packets=size, window_stride=stride
+                )
+                completions = [
+                    count for count in range(1, 41) if session.advance(frame) is not None
+                ]
+                for num_packets in range(41):
+                    starts = session.window_starts(num_packets)
+                    assert (starts + size).tolist() == [
+                        count for count in completions if count <= num_packets
+                    ], (size, stride, num_packets)
 
     def test_invalid_session_parameters(self, link):
         detector = BaselineDetector()

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.api import PipelineConfig
+from repro.csi.format import CSIFrame
 from repro.experiments.scenarios import evaluation_cases
 from repro.fleet import (
     RATE_CLASSES,
@@ -74,15 +75,26 @@ def build_traffic(config: FleetConfig, index: int) -> LinkTraffic:
 
 
 def sequential_events(config: FleetConfig, index: int):
-    """The reference stream: fresh session, plain per-frame push."""
+    """The reference stream: fresh session, plain per-frame push.
+
+    Arrival ``i`` reports pool frame ``i % pool``, stamped with its arrival
+    time.
+    """
     cases = evaluation_cases()
     _, link = cases[index % len(cases)]
     traffic = build_traffic(config, index)
     session = config.pipeline.session(link, link_name=traffic.profile.name)
     session.calibrate(traffic.calibration)
+    pool = traffic.pool_csi.shape[0]
     events = []
     for i in range(traffic.num_arrivals):
-        event = session.push(traffic.frame(i))
+        frame = CSIFrame(
+            csi=traffic.pool_csi[i % pool],
+            timestamp=float(traffic.arrivals[i]),
+            sequence_number=i,
+            subcarrier_indices=traffic.subcarrier_indices,
+        )
+        event = session.push(frame)
         if event is not None:
             events.append(event)
     return events
@@ -212,16 +224,31 @@ class TestTraffic:
         traffic = build_traffic(config, 1)
         assert int(traffic.pool_occupied.sum()) == expected
 
-    def test_frames_cycle_pool_with_arrival_timestamps(self):
-        config = small_fleet(pool_packets=5)
-        traffic = build_traffic(config, 2)
-        assert traffic.num_arrivals > traffic.pool_csi.shape[0] + 3
-        pool = traffic.pool_csi.shape[0]
-        frame = traffic.frame(pool + 3)
-        assert np.array_equal(frame.csi, traffic.pool_csi[3])
-        assert frame.timestamp == float(traffic.arrivals[pool + 3])
-        assert frame.sequence_number == pool + 3
-        assert traffic.occupied_at(pool + 3) == bool(traffic.pool_occupied[3])
+    def test_non_finite_pool_rejected(self):
+        traffic = build_traffic(small_fleet(pool_packets=5), 2)
+        pool_csi = traffic.pool_csi.copy()
+        pool_csi[3, 0, 7] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            LinkTraffic(
+                traffic.profile,
+                traffic.arrivals,
+                traffic.calibration,
+                pool_csi,
+                traffic.pool_occupied,
+                traffic.subcarrier_indices,
+            )
+
+    def test_decreasing_arrivals_rejected(self):
+        traffic = build_traffic(small_fleet(pool_packets=5), 2)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            LinkTraffic(
+                traffic.profile,
+                traffic.arrivals[::-1],
+                traffic.calibration,
+                traffic.pool_csi,
+                traffic.pool_occupied,
+                traffic.subcarrier_indices,
+            )
 
 
 # --------------------------------------------------------------------------- #
@@ -305,6 +332,54 @@ class TestSchedulerParity:
         assert events
         for event in events:
             assert event == reference[(event.link, event.index)]
+
+    def assert_matches_sequential_push(self, config, events):
+        """Events come out in (completion time, link) order, and each link's
+        are the ones its plain per-frame push emits."""
+        keys = [(event.timestamp, event.link) for event in events]
+        assert keys == sorted(keys)
+        by_link: dict[str, list] = {}
+        for event in events:
+            by_link.setdefault(event.link, []).append(event)
+        for index in range(config.links):
+            reference = sequential_events(config, index)
+            assert by_link.get(f"link-{index:05d}", []) == reference
+
+    @pytest.mark.parametrize("detector", ["baseline", "combined"])
+    @pytest.mark.parametrize("stride", [3, 10, 15])
+    def test_strided_windows_match_sequential_push(self, detector, stride):
+        config = small_fleet(
+            links=4,
+            duration_s=2.0,
+            pipeline=small_pipeline(detector=detector, window_stride=stride),
+        )
+        events, stats = FleetScheduler(batch_windows=5).run(self.fleet_streams(config))
+        assert events and stats.windows == len(events)
+        self.assert_matches_sequential_push(config, events)
+
+    def test_short_links_emit_nothing_but_count_their_arrivals(self):
+        config = small_fleet(duration_s=1.5)
+        streams = self.fleet_streams(config)
+        window = config.pipeline.window_packets
+        counts = [traffic.num_arrivals for _, traffic in streams]
+        assert min(counts) < window <= max(counts)
+        events, stats = FleetScheduler(batch_windows=4).run(streams)
+        assert stats.arrivals == sum(counts)
+        short = {t.profile.name for _, t in streams if t.num_arrivals < window}
+        assert not short & {event.link for event in events}
+        self.assert_matches_sequential_push(config, events)
+
+    def test_scheduler_requires_calibrated_sessions(self):
+        config = small_fleet(links=1)
+        session = config.pipeline.session(evaluation_cases()[0][1])
+        with pytest.raises(RuntimeError, match="calibrated"):
+            FleetScheduler().run([(session, build_traffic(config, 0))])
+
+    def test_scheduler_requires_fresh_sessions(self):
+        streams = self.fleet_streams(small_fleet(links=2))
+        FleetScheduler().run(streams)
+        with pytest.raises(ValueError, match="first packet"):
+            FleetScheduler().run(streams)
 
     def test_scheduler_rejects_bad_batch_and_sessions(self):
         with pytest.raises(ValueError, match="batch_windows"):

@@ -424,12 +424,11 @@ class TestFleetUnderManualClock:
         assert latency.count == len(report.events)
         assert latency.sum == 0.0
 
-    def test_scheduler_accepts_an_explicit_clock(self):
+    def test_empty_schedule_under_the_recorder_clock(self):
         from repro.fleet import FleetScheduler
 
-        clock = ManualClock()
-        scheduler = FleetScheduler(batch_windows=2, clock=clock)
-        events, stats = scheduler.run([])
+        with obs.recording(Recorder(clock=ManualClock())):
+            events, stats = FleetScheduler(batch_windows=2).run([])
         assert events == []
         assert stats.elapsed_s == 0.0
         assert stats.latencies_s == ()
