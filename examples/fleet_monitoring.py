@@ -8,7 +8,7 @@ ships:
 1. as a library — build a :class:`repro.fleet.FleetConfig` and call
    :func:`repro.fleet.run_fleet` in-process;
 2. from the CLI — persist the same config as JSON and run
-   ``repro fleet run --config fleet.json --events events.jsonl``, then
+   ``repro --config fleet.json fleet run --events events.jsonl``, then
    summarise the persisted stream with ``repro fleet report``;
 3. sharded — rerun with ``max_workers=4`` and check the merged event stream
    is byte-identical to the sequential run (the sha256 digest matches).

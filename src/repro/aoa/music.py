@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from repro.aoa.covariance import spatial_covariance
 from repro.channel.antenna import UniformLinearArray
@@ -96,6 +95,9 @@ class PseudoSpectrum:
             Prominence threshold relative to the spectrum maximum, filtering
             out ripple in the noise floor.
         """
+        # SciPy loads on first use: the detection path never picks peaks.
+        from scipy.signal import find_peaks
+
         values = self.normalized().values
         indices, properties = find_peaks(values, prominence=min_prominence)
         if indices.size == 0:

@@ -291,29 +291,30 @@ def calibrate_sessions(pairs: Sequence[tuple[StreamingSession, CSITrace]]) -> No
     is scored in one :func:`score_windows` call.  Detectors and thresholds
     end up bit-identical to calibrating each session alone.
     """
-    pairs = list(pairs)
-    shared = [shares_sanitized_view(session.detector) for session, _ in pairs]
-    cleaned = iter(sanitize_traces([trace for (_, trace), s in zip(pairs, shared) if s]))
-    replays: dict[bool, list[tuple[StreamingSession, CSITrace]]] = {True: [], False: []}
-    for (session, baseline), is_shared in zip(pairs, shared):
-        if is_shared:
-            baseline = next(cleaned)
-            session.detector.calibrate_prepared(baseline)
-        else:
-            session.detector.calibrate(baseline)
-        if session.threshold_policy == "calibration":
-            replays[is_shared].extend(
-                (session, window) for window in session.calibration_windows(baseline)
+    with obs.span("calibrate"):
+        pairs = list(pairs)
+        shared = [shares_sanitized_view(session.detector) for session, _ in pairs]
+        cleaned = iter(sanitize_traces([trace for (_, trace), s in zip(pairs, shared) if s]))
+        replays: dict[bool, list[tuple[StreamingSession, CSITrace]]] = {True: [], False: []}
+        for (session, baseline), is_shared in zip(pairs, shared):
+            if is_shared:
+                baseline = next(cleaned)
+                session.detector.calibrate_prepared(baseline)
+            else:
+                session.detector.calibrate(baseline)
+            if session.threshold_policy == "calibration":
+                replays[is_shared].extend(
+                    (session, window) for window in session.calibration_windows(baseline)
+                )
+        largest: dict[StreamingSession, float] = {}
+        for is_shared, replay in replays.items():
+            scores = score_windows(
+                [(session.detector, window) for session, window in replay], prepared=is_shared
             )
-    largest: dict[StreamingSession, float] = {}
-    for is_shared, replay in replays.items():
-        scores = score_windows(
-            [(session.detector, window) for session, window in replay], prepared=is_shared
-        )
-        for (session, _), score in zip(replay, scores):
-            largest[session] = max(largest.get(session, score), score)
-    for session, score in largest.items():
-        session.threshold = score * session.threshold_margin
+            for (session, _), score in zip(replay, scores):
+                largest[session] = max(largest.get(session, score), score)
+        for session, score in largest.items():
+            session.threshold = score * session.threshold_margin
 
 
 def calibrate_shared(detectors: Mapping[str, Any], baseline: CSITrace) -> None:
@@ -326,14 +327,15 @@ def calibrate_shared(detectors: Mapping[str, Any], baseline: CSITrace) -> None:
     detector ends up in the state its standalone ``calibrate`` would have
     produced, bit for bit.
     """
-    prepared: CSITrace | None = None
-    for detector in detectors.values():
-        if shares_sanitized_view(detector):
-            if prepared is None:
-                prepared = sanitize_trace(baseline)
-            detector.calibrate_prepared(prepared)
-        else:
-            detector.calibrate(baseline)
+    with obs.span("calibrate"):
+        prepared: CSITrace | None = None
+        for detector in detectors.values():
+            if shares_sanitized_view(detector):
+                if prepared is None:
+                    prepared = sanitize_trace(baseline)
+                detector.calibrate_prepared(prepared)
+            else:
+                detector.calibrate(baseline)
 
 
 def score_windows_shared(

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -72,6 +71,9 @@ def fit_log_curve(mu: np.ndarray, delta_s: np.ndarray) -> LogFit:
         raise ValueError(f"need at least 3 samples to fit, got {mu.size}")
     if np.any(mu <= 0):
         raise ValueError("multipath factors must be positive")
+    # SciPy loads on first use: only the Fig. 3 analysis fits the log curve.
+    from scipy import stats
+
     log_mu = np.log10(mu)
     result = stats.linregress(log_mu, delta_s)
     spearman = stats.spearmanr(mu, delta_s).statistic

@@ -6,7 +6,7 @@ the scheduler's batch-flush policy — as a JSON-round-trippable dataclass.
 :func:`run_fleet` executes it in any of three modes from the same code path:
 
 * **library** — ``run_fleet(FleetConfig(...))`` in-process;
-* **CLI** — ``repro fleet run --config fleet.json`` (see :mod:`repro.cli`);
+* **CLI** — ``repro --config fleet.json fleet run`` (see :mod:`repro.cli`);
 * **sharded** — ``max_workers > 1`` partitions the link population over a
   process pool; every worker rebuilds its links' traffic from the fleet seed
   (per-link streams are pure functions of ``(seed, link_index)``) and runs

@@ -582,6 +582,53 @@ class TestOnOffParity:
         assert snapshot.metrics.histograms["sweep.point_s"].count == 2
 
 
+class TestCalibrateSpan:
+    def test_campaign_calibrates_once_per_case(self):
+        from repro.experiments.runner import EvaluationConfig, run_evaluation
+        from repro.experiments.scenarios import evaluation_cases
+
+        config = EvaluationConfig(
+            seed=11,
+            grid_rows=1,
+            grid_cols=1,
+            windows_per_location=1,
+            window_packets=8,
+            calibration_packets=30,
+            max_bounces=1,
+        )
+        cases = evaluation_cases()[:2]
+        with obs.recording() as recorder:
+            run_evaluation(config, cases=cases)
+        spans = recorder.snapshot().spans
+        calibrate = [s.path for s in spans if s.name == "calibrate"]
+        assert calibrate == ["eval.campaign/eval.case/calibrate"] * len(cases)
+        # Every scheme calibrates from one shared sanitisation of the trace.
+        inside = [s.name for s in spans if s.path.startswith(calibrate[0] + "/")]
+        assert inside == ["collect.sanitize"] * len(cases)
+
+    def test_single_shard_fleet_calibrates_in_one_span(self):
+        from repro.api import PipelineConfig
+        from repro.fleet import FleetConfig, run_fleet
+
+        config = FleetConfig(
+            links=6,
+            duration_s=3.0,
+            seed=11,
+            pool_packets=20,
+            pipeline=PipelineConfig(
+                detector="combined", window_packets=10, calibration_packets=30
+            ),
+        )
+        with obs.recording() as recorder:
+            run_fleet(config)
+        spans = recorder.snapshot().spans
+        calibrate = [s.path for s in spans if s.name == "calibrate"]
+        assert calibrate == ["fleet.shard_setup/calibrate"]
+        # The shard-wide sanitisation and the threshold replay sit under it.
+        children = [s.name for s in spans if s.path.rpartition("/")[0] == calibrate[0]]
+        assert sorted(children) == ["collect.sanitize", "score.batch"]
+
+
 # --------------------------------------------------------------------------- #
 # CLI
 # --------------------------------------------------------------------------- #

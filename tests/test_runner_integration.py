@@ -3,6 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,3 +172,71 @@ class TestEvaluationConfigDict:
         path.write_text('{"window_packets": 8, "windw_packets": 10}')
         assert main(["--config", str(path), "headline"]) == 2
         assert "unknown EvaluationConfig keys" in capsys.readouterr().err
+
+
+def figure_helper_outputs() -> dict:
+    """Outputs of the two figure-only helpers that load SciPy on first use.
+
+    Self-contained, imports included: its source also runs in the fresh
+    interpreter of :data:`COLD_START`.
+    """
+    import dataclasses
+
+    import numpy as np
+
+    from repro.aoa.music import PseudoSpectrum
+    from repro.core.fitting import fit_log_curve
+
+    angles = np.linspace(-90.0, 90.0, 181)
+    values = 0.01 + np.exp(-0.5 * ((angles - 20.0) / 4.0) ** 2)
+    values += 0.6 * np.exp(-0.5 * ((angles + 40.0) / 4.0) ** 2)
+    mu = np.linspace(0.2, 4.0, 25)
+    delta_s = -6.0 * np.log10(mu) + 0.3 * np.sin(np.arange(25.0))
+    return {
+        "peaks": PseudoSpectrum(angles, values).peaks(),
+        "fit": dataclasses.asdict(fit_log_curve(mu, delta_s)),
+    }
+
+
+#: A fresh interpreter that runs the detection stack (CLI, fleet and sweep
+#: modules; the default campaign under both backends; a small combined fleet),
+#: records whether SciPy got loaded, then calls the figure-only helpers.
+COLD_START = f"""
+import json
+import sys
+
+import repro.cli, repro.fleet, repro.sweep
+from repro.api import PipelineConfig
+from repro.experiments.runner import EvaluationConfig, run_evaluation
+from repro.fleet import FleetConfig, run_fleet
+
+for backend in ("exact", "fast"):
+    run_evaluation(EvaluationConfig(backend=backend))
+pipeline = PipelineConfig(detector="combined", window_packets=10, calibration_packets=30)
+run_fleet(FleetConfig(links=6, duration_s=3.0, seed=11, pool_packets=20, pipeline=pipeline))
+detection = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+{inspect.getsource(figure_helper_outputs)}
+helpers = figure_helper_outputs()
+print(json.dumps({{"detection": detection, "helpers": helpers, "after": "scipy" in sys.modules}}))
+"""
+
+
+class TestColdStart:
+    def test_detection_path_never_loads_scipy(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        child = subprocess.run(
+            [sys.executable, "-c", COLD_START],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert child.returncode == 0, child.stderr
+        report = json.loads(child.stdout.splitlines()[-1])
+        assert report["detection"] == []
+        # The helpers still load SciPy themselves and give the in-process results.
+        assert report["after"]
+        assert report["helpers"] == figure_helper_outputs()
