@@ -17,6 +17,8 @@ from repro.csi.trace import CSITrace
 def spatial_covariance(csi: np.ndarray) -> np.ndarray:
     """Spatial covariance matrix ``R = E[x x^H]`` from CSI snapshots.
 
+    The batch of one of :func:`spatial_covariances`.
+
     Parameters
     ----------
     csi:
@@ -30,20 +32,32 @@ def spatial_covariance(csi: np.ndarray) -> np.ndarray:
         Hermitian matrix of shape ``(antennas, antennas)``.
     """
     csi = np.asarray(csi, dtype=complex)
-    if csi.ndim == 2:
-        snapshots = csi
-    elif csi.ndim == 3:
-        # Collapse packets and subcarriers into one snapshot axis.
-        snapshots = np.moveaxis(csi, 1, 0).reshape(csi.shape[1], -1)
-    else:
+    if csi.ndim not in (2, 3):
         raise ValueError(
             "csi must have shape (antennas, subcarriers) or "
             f"(packets, antennas, subcarriers), got {csi.shape}"
         )
-    num_snapshots = snapshots.shape[1]
+    return spatial_covariances(csi.reshape((1,) * (4 - csi.ndim) + csi.shape))[0]
+
+
+def spatial_covariances(csi: np.ndarray) -> np.ndarray:
+    """Spatial covariances of a stack of bursts, ``(N, antennas, antennas)``.
+
+    *csi* has shape ``(N, packets, antennas, subcarriers)``; burst *n*'s
+    matrix averages its own (packet, subcarrier) snapshots, in one matrix
+    product per burst, so it does not depend on the rest of the stack.
+    """
+    csi = np.asarray(csi, dtype=complex)
+    if csi.ndim != 4:
+        raise ValueError(
+            f"csi must have shape (N, packets, antennas, subcarriers), got {csi.shape}"
+        )
+    # Collapse packets and subcarriers into one snapshot axis per burst.
+    snapshots = np.moveaxis(csi, 2, 1).reshape(csi.shape[0], csi.shape[2], -1)
+    num_snapshots = snapshots.shape[2]
     if num_snapshots == 0:
         raise ValueError("cannot estimate a covariance from zero snapshots")
-    return snapshots @ snapshots.conj().T / num_snapshots
+    return snapshots @ snapshots.conj().transpose(0, 2, 1) / num_snapshots
 
 
 def trace_covariance(trace: CSITrace) -> np.ndarray:

@@ -12,7 +12,11 @@ window once, and scores each group in one stacked kernel call
 (:meth:`~repro.core.detector._BaseDetector.stacked_scores`).  A window's score
 depends only on its detector's calibration and its packets, so it is
 bit-identical for any batch size or composition — a standalone
-``detector.score(window)`` is the batch of one.
+``detector.score(window)`` is the batch of one.  Calibration is grouped the
+same way, by the same key: :func:`calibrate_sessions` and
+:func:`calibrate_shared` stack each group's calibration traces into one
+:meth:`~repro.core.detector._BaseDetector.stacked_calibrate` call per chunk,
+and a standalone ``detector.calibrate(trace)`` is the batch of one.
 
 A deployment rarely watches a single TX-RX pair — the paper's evaluation alone
 spans five links.  :class:`MultiLinkMonitor` owns one
@@ -30,8 +34,12 @@ from typing import TYPE_CHECKING, Any, Hashable, Mapping, Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.detector import runs_scheme_kernel, shares_sanitized_view
-from repro.csi.calibration import sanitize_trace, sanitize_traces
+from repro.core.detector import (
+    calibrates_by_kernel,
+    runs_scheme_kernel,
+    shares_sanitized_view,
+)
+from repro.csi.calibration import sanitize_traces
 from repro.csi.format import CSIFrame
 from repro.csi.trace import CSITrace
 
@@ -178,9 +186,47 @@ class MultiLinkMonitor:
         return f"{type(self).__name__}(links={list(self._sessions)})"
 
 
-#: Most windows one kernel call stacks: bounds the temporaries of a large
-#: calibration replay (scores do not depend on how a group is split).
+#: Most detectors one kernel call stacks: bounds the temporaries of a large
+#: calibration or replay and keeps each stack in cache (results do not
+#: depend on how a group is split).
 _MAX_STACK = 256
+
+
+def _prepared_views(
+    pairs: Sequence[tuple[Any, CSITrace]], positions: Sequence[int]
+) -> list[CSITrace]:
+    """The traces of (detector, trace) *pairs*, those at *positions* as
+    their detectors' kernels read them: cleaned for a sanitising detector —
+    every distinct trace once, all in one
+    :func:`~repro.csi.calibration.sanitize_traces` pass."""
+    views = [trace for _, trace in pairs]
+    cleaning = [i for i in positions if pairs[i][0].sanitize]
+    raw = {id(views[i]): views[i] for i in cleaning}
+    cleaned = dict(zip(raw, sanitize_traces(list(raw.values()))))
+    for i in cleaning:
+        views[i] = cleaned[id(views[i])]
+    return views
+
+
+def _kernel_groups(
+    detectors: Sequence[Any], views: Sequence[CSITrace], positions: Sequence[int]
+) -> list[tuple[type, list[list[int]]]]:
+    """The *positions* whose (detector, prepared view) pairs one kernel call
+    may stack: grouped by kernel (class and
+    :meth:`~repro.core.detector._BaseDetector.batch_key`) and view shape, in
+    first-seen order, each group cut into chunks of at most ``_MAX_STACK``."""
+    keys: dict[int, Hashable] = {}
+    groups: dict[tuple[type, Hashable, tuple[int, ...]], list[int]] = {}
+    for position in positions:
+        detector = detectors[position]
+        if id(detector) not in keys:
+            keys[id(detector)] = detector.batch_key()
+        key = (type(detector), keys[id(detector)], views[position].csi.shape)
+        groups.setdefault(key, []).append(position)
+    return [
+        (cls, [members[i : i + _MAX_STACK] for i in range(0, len(members), _MAX_STACK)])
+        for (cls, _, _), members in groups.items()
+    ]
 
 
 def score_windows(
@@ -193,8 +239,9 @@ def score_windows(
     and window shape; every window a sanitising detector needs is cleaned in
     one :func:`~repro.csi.calibration.sanitize_traces` pass (once, however
     many detectors score it) and each group is scored by one stacked kernel
-    call.  Any other detector scores its raw window through its own
-    ``score``.  Every score is bit-identical to ``detector.score(window)``.
+    call per chunk.  Any other detector scores its raw window through its
+    own ``score``.  Every score is bit-identical to
+    ``detector.score(window)``.
 
     With *prepared*, the windows are already sanitised views — slices of one
     shared ``sanitize_trace`` pass, as in the calibration replay of
@@ -206,50 +253,30 @@ def score_windows(
         return []
     scores = [0.0] * len(pairs)
     with obs.span("score.batch"):
-        # Per detector: its kernel (class and batch key), or None when it
-        # scores through its own ``score``.
-        kernels: dict[int, tuple[type, Hashable] | None] = {}
-        for detector, _ in pairs:
-            if id(detector) not in kernels:
-                kernels[id(detector)] = (
-                    (type(detector), detector.batch_key())
-                    if runs_scheme_kernel(detector)
-                    else None
-                )
+        kernel: dict[int, bool] = {}
         stacked = []
         for position, (detector, window) in enumerate(pairs):
-            if kernels[id(detector)] is None:
+            if id(detector) not in kernel:
+                kernel[id(detector)] = runs_scheme_kernel(detector)
+            if not kernel[id(detector)]:
                 scores[position] = float(detector.score(window))
             elif window.num_packets < 1:
                 raise ValueError("monitoring window must contain at least one packet")
             else:
                 stacked.append(position)
-        # Every window a sanitising detector scores is cleaned once, in one pass.
-        raw: dict[int, CSITrace] = {}
-        if not prepared:
-            for detector, window in (pairs[i] for i in stacked):
-                if detector.sanitize:
-                    raw[id(window)] = window
-        cleaned = dict(zip(raw, sanitize_traces(list(raw.values()))))
-        views: dict[int, CSITrace] = {}
-        groups: dict[tuple[Any, tuple[int, ...]], list[int]] = {}
-        for position in stacked:
-            detector, window = pairs[position]
-            views[position] = cleaned.get(id(window), window) if detector.sanitize else window
-            key = (kernels[id(detector)], views[position].csi.shape)
-            groups.setdefault(key, []).append(position)
+        detectors = [detector for detector, _ in pairs]
+        views = [window for _, window in pairs] if prepared else _prepared_views(pairs, stacked)
         # Schemes scoring the same windows share one stack and its window-only
         # intermediates (the subcarrier weights).
         scratches: dict[tuple[int, ...], dict] = {}
-        for ((cls, _), _), positions in groups.items():
+        for cls, chunks in _kernel_groups(detectors, views, stacked):
             with obs.span(f"score.{cls.scheme}"):
-                for start in range(0, len(positions), _MAX_STACK):
-                    chunk = positions[start : start + _MAX_STACK]
+                for chunk in chunks:
                     scratch = scratches.setdefault(tuple(id(views[i]) for i in chunk), {})
                     if "csi" not in scratch:
                         scratch["csi"] = np.stack([views[i].csi for i in chunk])
                     values = cls.stacked_scores(
-                        [pairs[i][0] for i in chunk], scratch["csi"], scratch
+                        [detectors[i] for i in chunk], scratch["csi"], scratch
                     )
                     for position, value in zip(chunk, values):
                         scores[position] = float(value)
@@ -278,6 +305,34 @@ def score_windows_batch(
     ]
 
 
+def _calibrate(pairs: Sequence[tuple[Any, CSITrace]]) -> list[CSITrace]:
+    """Calibrate each (detector, baseline) pair; return the baselines as the
+    detectors' kernels read them.
+
+    Kernel-calibrated detectors (:func:`~repro.core.detector.calibrates_by_kernel`)
+    are grouped the way :func:`score_windows` groups windows — by class,
+    :meth:`~repro.core.detector._BaseDetector.batch_key` and trace shape —
+    and each chunk is one
+    :meth:`~repro.core.detector._BaseDetector.stacked_calibrate` call; every
+    baseline a sanitising one needs is cleaned once, in one pass.  Any other
+    detector calibrates from its raw baseline through its own ``calibrate``.
+    """
+    detectors = [detector for detector, _ in pairs]
+    stacked = []
+    for position, (detector, baseline) in enumerate(pairs):
+        if calibrates_by_kernel(detector):
+            stacked.append(position)
+        else:
+            detector.calibrate(baseline)
+    views = _prepared_views(pairs, stacked)
+    for cls, chunks in _kernel_groups(detectors, views, stacked):
+        for chunk in chunks:
+            cls.stacked_calibrate(
+                [detectors[i] for i in chunk], np.stack([views[i].csi for i in chunk])
+            )
+    return views
+
+
 def calibrate_sessions(pairs: Sequence[tuple[StreamingSession, CSITrace]]) -> None:
     """Calibrate several sessions from their empty-environment traces at once.
 
@@ -285,26 +340,24 @@ def calibrate_sessions(pairs: Sequence[tuple[StreamingSession, CSITrace]]) -> No
     the detector is calibrated and, under the ``"calibration"`` threshold
     policy, the trace is replayed as monitoring windows whose largest score
     times the session's margin becomes its threshold.  Across sessions it is
-    one program: the traces of every detector that shares sanitised views
-    are cleaned in one :func:`~repro.csi.calibration.sanitize_traces` pass,
-    whose window slices are also the replay windows, and every replay window
-    is scored in one :func:`score_windows` call.  Detectors and thresholds
-    end up bit-identical to calibrating each session alone.
+    one program: every calibration trace is sanitised in one
+    :func:`~repro.csi.calibration.sanitize_traces` pass, the detectors are
+    grouped like :func:`score_windows` groups windows and each group
+    calibrates in one stacked kernel call per chunk, and every replay window
+    — a slice of the sanitised trace for a detector that shares sanitised
+    views — is scored in one :func:`score_windows` call.  Detectors and
+    thresholds end up bit-identical to calibrating each session alone.
     """
     with obs.span("calibrate"):
         pairs = list(pairs)
-        shared = [shares_sanitized_view(session.detector) for session, _ in pairs]
-        cleaned = iter(sanitize_traces([trace for (_, trace), s in zip(pairs, shared) if s]))
+        views = _calibrate([(session.detector, baseline) for session, baseline in pairs])
         replays: dict[bool, list[tuple[StreamingSession, CSITrace]]] = {True: [], False: []}
-        for (session, baseline), is_shared in zip(pairs, shared):
-            if is_shared:
-                baseline = next(cleaned)
-                session.detector.calibrate_prepared(baseline)
-            else:
-                session.detector.calibrate(baseline)
+        for (session, baseline), view in zip(pairs, views):
             if session.threshold_policy == "calibration":
-                replays[is_shared].extend(
-                    (session, window) for window in session.calibration_windows(baseline)
+                shared = shares_sanitized_view(session.detector)
+                replays[shared].extend(
+                    (session, window)
+                    for window in session.calibration_windows(view if shared else baseline)
                 )
         largest: dict[StreamingSession, float] = {}
         for is_shared, replay in replays.items():
@@ -320,22 +373,17 @@ def calibrate_sessions(pairs: Sequence[tuple[StreamingSession, CSITrace]]) -> No
 def calibrate_shared(detectors: Mapping[str, Any], baseline: CSITrace) -> None:
     """Calibrate several detectors from one baseline, sanitising it once.
 
-    Detectors that keep the base-class prepare/compute split (see
-    :func:`~repro.core.detector.shares_sanitized_view`) receive one shared
-    ``sanitize_trace(baseline)`` via ``calibrate_prepared``; everything else
+    The campaign's calibration step: kernel-calibrated detectors (see
+    :func:`~repro.core.detector.calibrates_by_kernel`) share one
+    ``sanitize_trace(baseline)`` and are grouped like :func:`score_windows`
+    groups windows, each group calibrating in one stacked kernel call (one
+    detector per scheme, so every group is a batch of one); everything else
     gets the raw trace through its own ``calibrate``.  Either way each
     detector ends up in the state its standalone ``calibrate`` would have
     produced, bit for bit.
     """
     with obs.span("calibrate"):
-        prepared: CSITrace | None = None
-        for detector in detectors.values():
-            if shares_sanitized_view(detector):
-                if prepared is None:
-                    prepared = sanitize_trace(baseline)
-                detector.calibrate_prepared(prepared)
-            else:
-                detector.calibrate(baseline)
+        _calibrate([(detector, baseline) for detector in detectors.values()])
 
 
 def score_windows_shared(

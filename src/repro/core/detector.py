@@ -20,14 +20,19 @@ Three schemes are implemented, matching the evaluation's comparison:
 The single-antenna schemes report their score averaged across the available
 antennas, exactly as the paper does "for fair comparison".
 
-Each scheme scores through one stacked array program,
-:meth:`_BaseDetector.stacked_scores`: window *i* of a ``(windows, packets,
-antennas, subcarriers)`` stack is scored with detector *i*'s calibration
-state.  :func:`repro.api.monitor.score_windows` groups the (detector, window)
-pairs of every caller by kernel and shape and calls it; a standalone
-:meth:`~_BaseDetector.score` is the batch of one.  A window's score depends
-only on its detector's calibration and its packets, so it is bit-identical
-for any batch size or composition, under every numeric backend.
+Each scheme calibrates and scores through two stacked array programs, one
+per stage.  :meth:`_BaseDetector.stacked_calibrate` turns a ``(detectors,
+packets, antennas, subcarriers)`` stack of prepared calibration traces into
+every detector's state at once, and :meth:`_BaseDetector.stacked_scores`
+scores window *i* of a ``(windows, packets, antennas, subcarriers)`` stack
+with detector *i*'s calibration state.  :mod:`repro.api.monitor` groups the
+detectors of every caller by kernel (:meth:`~_BaseDetector.batch_key`) and
+shape and calls them once per chunk; a standalone
+:meth:`~_BaseDetector.calibrate` or :meth:`~_BaseDetector.score` is the
+batch of one.  A detector's state depends only on its own trace and
+settings, and a window's score only on its detector's calibration and its
+packets, so both are bit-identical for any batch size or composition, under
+every numeric backend.
 """
 
 from __future__ import annotations
@@ -38,8 +43,9 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from repro.aoa.covariance import spatial_covariance
+from repro.aoa.covariance import spatial_covariances
 from repro.aoa.music import PseudoSpectrum
+from repro.channel.antenna import UniformLinearArray
 from repro.core.path_weighting import PathWeighting
 from repro.core.subcarrier_weighting import SubcarrierWeighting, SubcarrierWeights
 from repro.csi.calibration import sanitize_trace
@@ -75,11 +81,14 @@ class DetectionResult:
 
 
 def _value_key(value: object) -> Hashable:
-    """A hashable key equal for equal values: arrays by their bytes,
-    hashable objects as themselves, mutable dataclasses by class and
-    fields, anything else by identity."""
+    """A hashable key equal for values no kernel can tell apart: arrays by
+    their bytes, a receive array by element count and spacing (where it sits
+    in the room steers no spectrum), hashable objects as themselves, mutable
+    dataclasses by class and fields, anything else by identity."""
     if isinstance(value, np.ndarray):
         return (value.shape, value.dtype.str, value.tobytes())
+    if isinstance(value, UniformLinearArray):
+        return (value.num_elements, value.spacing)
     try:
         hash(value)
         return value
@@ -92,15 +101,15 @@ def _value_key(value: object) -> Hashable:
 
 
 class _BaseDetector:
-    """Common calibration plumbing and the stacked scoring contract.
+    """Common calibration plumbing and the two stacked programs.
 
-    Calibration splits into a *prepare* half (packet-count validation plus
-    optional phase sanitisation) and a *compute* half
-    (:meth:`_calibrate_prepared`), so a caller that already holds a
-    sanitised baseline — one batched pass shared across detectors — hands it
-    in through :meth:`calibrate_prepared`.  Scoring is the scheme's
-    :meth:`stacked_scores` kernel; :meth:`batch_key` says which detectors may
-    share one kernel call.
+    Calibration is the scheme's :meth:`stacked_calibrate` kernel over
+    *prepared* traces: :meth:`calibrate` prepares a raw trace (optional
+    phase sanitisation) and :meth:`calibrate_prepared` takes one that a
+    caller already cleaned — one batched pass shared across detectors — and
+    both are its batch of one.  Scoring is the scheme's
+    :meth:`stacked_scores` kernel.  :meth:`batch_key` says which detectors
+    may share a call of either kernel.
     """
 
     #: Scheme name: the ``score.<scheme>`` span of the kernel.
@@ -113,20 +122,9 @@ class _BaseDetector:
     # ------------------------------------------------------------------ #
     # calibration
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _check_calibration_trace(baseline: CSITrace) -> None:
-        if baseline.num_packets < 2:
-            raise ValueError(
-                "calibration requires at least 2 packets, "
-                f"got {baseline.num_packets}"
-            )
-
     def calibrate(self, baseline: CSITrace) -> None:
         """Store the static (no human) profile from a calibration trace."""
-        self._check_calibration_trace(baseline)
-        self._calibrate_prepared(
-            sanitize_trace(baseline) if self.sanitize else baseline
-        )
+        self.calibrate_prepared(sanitize_trace(baseline) if self.sanitize else baseline)
 
     def calibrate_prepared(self, baseline: CSITrace) -> None:
         """Calibrate from an already-prepared (sanitised) baseline.
@@ -135,19 +133,44 @@ class _BaseDetector:
         produced internally — i.e. ``sanitize_trace(raw)`` for a sanitising
         detector.  Callers batching the sanitisation across several
         consumers (see :func:`repro.api.monitor.calibrate_shared`) use this
-        to skip the redundant per-detector pass; the stored profile is
+        to skip the redundant per-detector pass; the stored state is
         bit-identical to :meth:`calibrate` on the raw trace.
         """
-        self._check_calibration_trace(baseline)
-        self._calibrate_prepared(baseline)
+        type(self).stacked_calibrate([self], baseline.csi[None])
 
-    def _calibrate_prepared(self, trace: CSITrace) -> None:
-        """Store the profile from a prepared trace (schemes extend this)."""
-        self._profile_amplitude = trace.mean_amplitude()
+    @classmethod
+    def stacked_calibrate(
+        cls, detectors: Sequence["_BaseDetector"], csi: np.ndarray
+    ) -> None:
+        """Calibrate detector *i* from prepared calibration trace *i*.
+
+        *csi* has shape ``(detectors, packets, antennas, subcarriers)``;
+        every detector is of this class and shares one :meth:`batch_key`.
+        The whole group's state is computed and checked before any of it is
+        stored, so a raise leaves every detector as it was.  Every reduction
+        runs along one trace's axes, so a detector's state does not depend
+        on the rest of the stack.
+        """
+        if csi.shape[1] < 2:
+            raise ValueError(
+                f"calibration requires at least 2 packets, got {csi.shape[1]}"
+            )
+        state = cls._calibration_state(detectors, csi)
+        for position, detector in enumerate(detectors):
+            for name, values in state.items():
+                setattr(detector, name, values[position])
+
+    @classmethod
+    def _calibration_state(
+        cls, detectors: Sequence["_BaseDetector"], csi: np.ndarray
+    ) -> dict[str, Sequence]:
+        """Per state attribute, its value for every detector of the stack
+        (schemes extend this)."""
+        return {"_profile_amplitude": np.abs(csi).mean(axis=1)}
 
     @property
     def is_calibrated(self) -> bool:
-        """Whether :meth:`calibrate` has been called."""
+        """Whether a calibration has stored this detector's state."""
         return self._profile_amplitude is not None
 
     def _require_calibration(self) -> None:
@@ -177,9 +200,10 @@ class _BaseDetector:
     def batch_key(self) -> Hashable:
         """Detectors of one class with equal keys may share a kernel call.
 
-        The key covers every setting :meth:`stacked_scores` reads from the
-        batch's first detector on behalf of all of them; per-detector
-        calibration state is stacked instead and needs no key.
+        The key covers every setting :meth:`stacked_calibrate` and
+        :meth:`stacked_scores` read from the batch's first detector on
+        behalf of all of them; per-detector settings and calibration state
+        are stacked instead and need no key.
         """
         return ()
 
@@ -231,18 +255,32 @@ def runs_scheme_kernel(detector: object) -> bool:
     return _keeps_base_hooks(detector, ("score", "_prepare"))
 
 
-def shares_sanitized_view(detector: object) -> bool:
-    """Whether *detector* may be handed one shared sanitised window view.
+def calibrates_by_kernel(detector: object) -> bool:
+    """Whether ``detector.calibrate`` is its scheme kernel's batch of one.
 
-    True only for sanitising scheme-kernel detectors that also keep the
-    base-class ``calibrate`` (the built-in schemes override just the
-    ``_calibrate_prepared`` compute hook).  For such detectors one batched
+    True for :class:`_BaseDetector` instances that keep the base
+    ``calibrate`` and ``calibrate_prepared`` plumbing;
+    :func:`repro.api.monitor.calibrate_sessions` and
+    :func:`~repro.api.monitor.calibrate_shared` stack their traces.  Any
+    other detector calibrates through its own ``calibrate``.
+    """
+    return _keeps_base_hooks(detector, ("calibrate", "calibrate_prepared"))
+
+
+def shares_sanitized_view(detector: object) -> bool:
+    """Whether *detector* may be handed one shared sanitised view.
+
+    True only for sanitising detectors that both calibrate and score
+    through their scheme kernels (:func:`calibrates_by_kernel`,
+    :func:`runs_scheme_kernel`).  For such detectors one batched
     sanitisation pass can serve every scheme, at calibration and at
     scoring; detectors that override the plumbing — or patch it per
     instance — get the raw traces.
     """
-    return bool(getattr(detector, "sanitize", False)) and _keeps_base_hooks(
-        detector, ("score", "calibrate", "_prepare")
+    return (
+        bool(getattr(detector, "sanitize", False))
+        and runs_scheme_kernel(detector)
+        and calibrates_by_kernel(detector)
     )
 
 
@@ -351,7 +389,11 @@ class SubcarrierPathWeightingDetector(_BaseDetector):
         angular spectrum, the library default for detection) or a
         :class:`~repro.aoa.music.MusicEstimator` (the paper's literal choice;
         sharper peaks but scale-free values).  See DESIGN.md for the
-        trade-off.  Each spectrum must depend only on its own covariance.
+        trade-off.  Each spectrum must depend only on its own covariance
+        and on the estimator's class and fields, reading of the array only
+        its element count and spacing, never its placement.  Detectors
+        whose estimators agree on those settings (:meth:`batch_key`) share
+        one kernel call, which runs the first detector's estimator for all.
     theta_min_deg, theta_max_deg:
         Angular gate of the path weights.
     use_stability_ratio:
@@ -389,30 +431,36 @@ class SubcarrierPathWeightingDetector(_BaseDetector):
     # ------------------------------------------------------------------ #
     # calibration
     # ------------------------------------------------------------------ #
-    def _calibrate_prepared(self, trace: CSITrace) -> None:
-        super()._calibrate_prepared(trace)
-        csi = trace.csi
+    @classmethod
+    def _calibration_state(cls, detectors, csi):
+        state = super()._calibration_state(detectors, csi)
         # Path weights come from the *unweighted* static environment: this is
         # the calibration-stage MUSIC/Bartlett pass of Section IV-C, which
         # only needs to know where the static propagation paths arrive from.
-        (raw_static,) = self.spectrum_estimator.pseudospectra_from_covariances(
-            spatial_covariance(csi)[None]
+        spectra = detectors[0].spectrum_estimator.pseudospectra_from_covariances(
+            spatial_covariances(csi)
         )
-        if float(np.sum(raw_static.values)) <= 0:
+        if any(float(np.sum(spectrum.values)) <= 0 for spectrum in spectra):
             raise ValueError("calibration produced a spectrum with no power")
-        self._path_weighting = PathWeighting(
-            static_spectrum=raw_static,
-            theta_min_deg=self.theta_min_deg,
-            theta_max_deg=self.theta_max_deg,
-        )
-        self._path_weights = self._path_weighting.weights()
+        # The angular gate is per-detector state, like the spectrum.
+        weightings = [
+            PathWeighting(
+                static_spectrum=spectrum,
+                theta_min_deg=detector.theta_min_deg,
+                theta_max_deg=detector.theta_max_deg,
+            )
+            for detector, spectrum in zip(detectors, spectra)
+        ]
+        state["_path_weighting"] = weightings
+        state["_path_weights"] = PathWeighting.stacked_weights(weightings)
         # The subcarrier weights are measured per monitoring window and the
         # *same* weights are applied to the calibration CSI "before
         # subtracting" (Section IV-C).  They factor out of the calibration
         # Gram tensor, so a window's static covariance is one contraction of
         # this tensor with its weights.
-        self._calibration_gram = np.einsum("cas,cbs->abs", csi, csi.conj())
-        self._calibration_packets = csi.shape[0]
+        state["_calibration_gram"] = np.einsum("ncas,ncbs->nabs", csi, csi.conj())
+        state["_calibration_packets"] = [csi.shape[1]] * len(detectors)
+        return state
 
     @property
     def path_weighting(self) -> PathWeighting:

@@ -18,6 +18,7 @@ unreliable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -61,17 +62,34 @@ class PathWeighting:
     # weights
     # ------------------------------------------------------------------ #
     def weights(self) -> np.ndarray:
-        """The weight ``w(theta)`` evaluated on the static spectrum's grid."""
-        spectrum = self.static_spectrum.normalized()
-        angles = spectrum.angles_deg
-        values = np.maximum(spectrum.values, self.floor)
-        weights = 1.0 / values
-        inside = (angles > self.theta_min_deg) & (angles < self.theta_max_deg)
+        """The weight ``w(theta)`` evaluated on the static spectrum's grid.
+
+        The batch of one of :meth:`stacked_weights`.
+        """
+        return self.stacked_weights([self])[0]
+
+    @staticmethod
+    def stacked_weights(weightings: Sequence["PathWeighting"]) -> np.ndarray:
+        """The weights of several weightings as one ``(N, angles)`` array.
+
+        Row *n* is ``weightings[n].weights()``: every reduction runs along
+        one weighting's own grid, under its own gate and floor, so a row
+        does not depend on the rest of the stack.  The static spectra must
+        share a grid length.
+        """
+        values = np.stack([w.static_spectrum.values for w in weightings])
+        angles = np.stack([w.static_spectrum.angles_deg for w in weightings])
+        theta_min = np.array([w.theta_min_deg for w in weightings])[:, None]
+        theta_max = np.array([w.theta_max_deg for w in weightings])[:, None]
+        floors = np.array([w.floor for w in weightings])[:, None]
+        peaks = values.max(axis=1, keepdims=True)
+        if np.any(peaks <= 0):
+            raise ValueError("cannot normalise a non-positive pseudospectrum")
+        weights = 1.0 / np.maximum(values / peaks, floors)
+        inside = (angles > theta_min) & (angles < theta_max)
         weights = np.where(inside, weights, 0.0)
-        total = weights.sum()
-        if total > 0:
-            weights = weights / total
-        return weights
+        totals = weights.sum(axis=1, keepdims=True)
+        return weights / np.where(totals > 0, totals, 1.0)
 
     def angular_gate(self) -> np.ndarray:
         """Boolean mask of the trusted angular window on the spectrum grid."""

@@ -368,8 +368,10 @@ def _setup_streams(
     (geometry-shared clean CFRs, one acquisition call per link) unless
     prebuilt *traffics* are handed in by the setup pool.  Every session is
     calibrated in one shard-wide :func:`~repro.api.monitor.calibrate_sessions`
-    pass: one sanitisation of all calibration traces, one scoring call for
-    all threshold-replay windows.
+    pass: one sanitisation of all calibration traces, one stacked
+    calibration call per chunk of links that share a kernel (links on
+    geometries that differ only in array placement share one), and one
+    scoring call for all threshold-replay windows.
     """
     links = _shard_links(indices)
     if traffics is None:

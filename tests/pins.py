@@ -1,4 +1,4 @@
-"""sha256 pins of the campaign scores and the seed-2015 headline.
+"""sha256 pins of the campaign scores, the seed-2015 headline and a fleet.
 
 Every pinned campaign number lives here, once, next to the one digest
 helper: a tiny two-case campaign, the default protocol on two cases, and the
@@ -7,7 +7,8 @@ suites assert them under the default configuration
 (``test_scene_parity.py``, ``test_multipath_batch_parity.py``) and with
 ``backend="exact"`` spelled out (``test_backend_parity.py``), so the pins
 also hold the backend seam (config field, activation wrapper, kernel
-indirection) to the bit.
+indirection) to the bit.  The combined-scheme fleet's event digests
+(``test_fleet.py``) pin the cross-link calibration and scoring kernels.
 
 The pins are platform-sensitive by design (libm/LAPACK/FFT bit patterns of
 the reference container); a change that moves a campaign float must re-pin
@@ -36,6 +37,16 @@ FULL_CAMPAIGN_HEADLINE = {
     "combined": {"true_positive_rate": 0.9555555555555556, "false_positive_rate": 0.0},
     "baseline": {"true_positive_rate": 0.9333333333333333},
     "subcarrier": {"true_positive_rate": 0.9851851851851852},
+}
+
+
+#: Event digests, per backend, of a 40-link fleet on the combined scheme:
+#: every one of the five evaluation geometries, ``FleetConfig(links=40,
+#: duration_s=4.0, seed=11, batch_windows=64, pool_packets=40)`` with
+#: 10-packet windows and 30 calibration packets.
+COMBINED_FLEET_EVENT_SHA256 = {
+    "exact": "d93c0e601b7e8108a95aee6bbf2f0c8b61678b3da49d301836f203ab2f68677b",
+    "fast": "ed748635786d97e7467ac39ba769bb20e2cde627f0721c632aa9c346317ada30",
 }
 
 

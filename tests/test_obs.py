@@ -629,6 +629,32 @@ class TestCalibrateSpan:
         assert sorted(children) == ["collect.sanitize", "score.batch"]
 
 
+class TestKernelSpans:
+    def test_fleet_flush_scores_every_geometry_in_one_kernel_call(self):
+        """Links on five geometries that differ only in array placement
+        share one ``score.combined`` call per flush and per replay."""
+        from repro.api import PipelineConfig
+        from repro.fleet import FleetConfig, run_fleet
+
+        config = FleetConfig(
+            links=10,
+            duration_s=3.0,
+            seed=11,
+            pool_packets=20,
+            batch_windows=4,
+            pipeline=PipelineConfig(
+                detector="combined", window_packets=10, calibration_packets=30
+            ),
+        )
+        with obs.recording() as recorder:
+            run_fleet(config)
+        spans = recorder.snapshot().spans
+        batches = [s.path for s in spans if s.name == "score.batch"]
+        kernels = [s.path.rpartition("/")[0] for s in spans if s.name == "score.combined"]
+        assert len(batches) > 2
+        assert kernels == batches
+
+
 # --------------------------------------------------------------------------- #
 # CLI
 # --------------------------------------------------------------------------- #
