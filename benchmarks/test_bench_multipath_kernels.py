@@ -9,16 +9,24 @@ IFFT itself and one subcarrier-weighting window — so a regression in either
 kernel shows up without re-running the whole campaign.  The impairment
 kernel (every quantity of a call drawn at once from per-quantity streams) is
 tracked by ``test_bench_perf_campaign.py``'s 150-packet collector window.
+The combined scheme's scoring kernel is timed on a fleet-shaped stack: one
+window from each of 256 calibrated combined sessions, the size of the
+fleet's flushes and calibration replays.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from repro.api import PipelineConfig
 from repro.channel.ofdm import dominant_tap_power_batch
+from repro.core.detector import SubcarrierPathWeightingDetector
 from repro.core.multipath_factor import multipath_factor_trace
 from repro.core.subcarrier_weighting import SubcarrierWeighting
+from repro.csi.calibration import sanitize_trace
 from repro.csi.trace import CSITrace
+from repro.fleet import FleetConfig
 
 
 def _random_trace(packets: int, antennas: int = 3, subcarriers: int = 30) -> CSITrace:
@@ -52,3 +60,44 @@ def test_subcarrier_weighting_window(benchmark):
     weighting = SubcarrierWeighting()
     weights = benchmark(weighting.weights_from_trace, trace)
     assert weights.weights.shape == (3, 30)
+
+
+@pytest.fixture(scope="module")
+def combined_stack():
+    """256 calibrated combined sessions and one raw 10-packet window each.
+
+    The sessions are a fleet's (five geometries, one kernel group), and the
+    windows cycle through the idle and occupied halves of each link's pool.
+    """
+    from repro.fleet.engine import _setup_streams
+
+    config = FleetConfig(
+        links=256,
+        duration_s=2.0,
+        seed=5,
+        pool_packets=40,
+        pipeline=PipelineConfig(
+            detector="combined", window_packets=10, calibration_packets=30
+        ),
+    )
+    streams, _ = _setup_streams(config, range(config.links))
+    detectors = [session.detector for session, _ in streams]
+    windows = [
+        CSITrace(
+            csi=traffic.pool_csi[10 * (i % 4) : 10 * (i % 4) + 10],
+            subcarrier_indices=traffic.subcarrier_indices,
+        )
+        for i, (_, traffic) in enumerate(streams)
+    ]
+    return detectors, windows
+
+
+def test_combined_kernel_256_windows(benchmark, combined_stack):
+    """The combined ``stacked_scores`` on 256 prepared windows in one call."""
+    detectors, windows = combined_stack
+    assert len({detector.batch_key() for detector in detectors}) == 1
+    csi = np.stack([sanitize_trace(window).csi for window in windows])
+    scores = benchmark(SubcarrierPathWeightingDetector.stacked_scores, detectors, csi)
+    assert scores.shape == (256,)
+    assert np.all(np.isfinite(scores))
+    assert scores[7] == detectors[7].score(windows[7])

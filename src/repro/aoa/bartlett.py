@@ -15,6 +15,11 @@ therefore uses MUSIC to *identify* path directions (Fig. 5b, Fig. 10) and the
 Bartlett spectrum as the default angular power representation inside the
 combined detector; the MUSIC pseudospectrum remains available there as a
 configuration option (see DESIGN.md).
+
+Like every estimator the detector accepts, it has one array method,
+:meth:`BartlettEstimator.spectrum_values`: an ``(N, M, M)`` covariance
+stack in, ``(N, K)`` values out, or only the requested grid columns, each
+to the bits it has in the full grid.
 """
 
 from __future__ import annotations
@@ -59,19 +64,23 @@ class BartlettEstimator:
         :func:`~repro.aoa.music.grid_steering_matrix`)."""
         return grid_steering_matrix(self)
 
-    def pseudospectra_from_covariances(
-        self, covariances: np.ndarray
-    ) -> list[PseudoSpectrum]:
-        """Angular power spectra of a batch of covariance matrices.
+    def spectrum_values(
+        self, covariances: np.ndarray, columns: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Angular power spectra of a covariance stack as one ``(N, K)`` array.
 
-        All spectra are evaluated in a single steering-matrix einsum over the
-        whole angle grid; the values are bit-identical to evaluating each
-        covariance (or each angle) individually.
+        One steering-matrix einsum evaluates every spectrum; the values are
+        bit-identical to evaluating each covariance (or each angle)
+        individually.  With *columns* (indices into the angle grid) only
+        those angles are evaluated, each to the same bits as in the full
+        grid: the einsum runs on the selected steering columns alone.
 
         Parameters
         ----------
         covariances:
             Complex covariance stack of shape ``(N, antennas, antennas)``.
+        columns:
+            Optional angle-grid indices; ``None`` evaluates the whole grid.
         """
         covariances = np.asarray(covariances, dtype=complex)
         expected = (self.array.num_elements, self.array.num_elements)
@@ -81,10 +90,19 @@ class BartlettEstimator:
                 f"got {covariances.shape}"
             )
         steering = self.steering()
+        if columns is not None:
+            steering = steering[:, columns]
         # Quadratic form per angle: a^H R a, normalised by M^2 so that a
         # single unit-power plane wave yields a peak value of ~1.
         quad = np.einsum("ik,nij,jk->nk", steering.conj(), covariances, steering)
-        values = np.maximum(np.real(quad) / (self.array.num_elements**2), 0.0)
+        return np.maximum(np.real(quad) / (self.array.num_elements**2), 0.0)
+
+    def pseudospectra_from_covariances(
+        self, covariances: np.ndarray
+    ) -> list[PseudoSpectrum]:
+        """:meth:`spectrum_values` over the whole grid, one
+        :class:`~repro.aoa.music.PseudoSpectrum` per covariance."""
+        values = self.spectrum_values(covariances)
         return [PseudoSpectrum(self.angle_grid_deg.copy(), row) for row in values]
 
     def pseudospectrum_from_covariance(self, covariance: np.ndarray) -> PseudoSpectrum:

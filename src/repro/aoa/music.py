@@ -10,6 +10,11 @@ span the noise subspace, and the pseudospectrum
 peaks at the arrival angles of the incoming paths.  With the Intel 5300's
 three antennas at most two paths can be resolved, which is exactly what the
 paper relies on to separate the LOS direction from the strongest reflection.
+
+The batched evaluation is one array method,
+:meth:`MusicEstimator.spectrum_values` (``(N, M, M)`` covariances in,
+``(N, K)`` values out); ``pseudospectra_from_covariances`` wraps its rows
+in :class:`PseudoSpectrum` objects.
 """
 
 from __future__ import annotations
@@ -196,20 +201,33 @@ class MusicEstimator:
         :func:`grid_steering_matrix`)."""
         return grid_steering_matrix(self)
 
-    def pseudospectra_from_covariances(
-        self, covariances: np.ndarray
-    ) -> list[PseudoSpectrum]:
-        """MUSIC pseudospectra of a batch of covariance matrices.
+    def spectrum_values(
+        self, covariances: np.ndarray, columns: np.ndarray | None = None
+    ) -> np.ndarray:
+        """MUSIC pseudospectra of a covariance stack as one ``(N, K)`` array.
 
-        The noise-subspace projections of the whole batch go through one
+        The noise-subspace projections of the whole stack go through one
         batched matmul against the shared steering matrix; values are
-        bit-identical to evaluating each covariance individually.
+        bit-identical to evaluating each covariance individually.  With
+        *columns* (indices into the angle grid) the full grid is evaluated
+        and then indexed: the matmul runs through BLAS, whose bits for one
+        column can change with the number of columns in the call, so a
+        matmul on the selected columns alone would break the rule that a
+        column's value does not depend on the other columns requested.
         """
         noise = self.noise_subspaces(covariances)
         steering = self.steering()
         projected = np.matmul(noise.conj().transpose(0, 2, 1), steering)
         denom = np.sum(np.abs(projected) ** 2, axis=1)
         values = 1.0 / np.maximum(denom, 1e-12)
+        return values if columns is None else values[:, columns]
+
+    def pseudospectra_from_covariances(
+        self, covariances: np.ndarray
+    ) -> list[PseudoSpectrum]:
+        """:meth:`spectrum_values` over the whole grid, one
+        :class:`PseudoSpectrum` per covariance."""
+        values = self.spectrum_values(covariances)
         return [PseudoSpectrum(self.angle_grid_deg.copy(), row) for row in values]
 
     def pseudospectrum_from_covariance(self, covariance: np.ndarray) -> PseudoSpectrum:

@@ -9,6 +9,11 @@ smoothing "relegates three antennas to only two, thus unable to detect more
 than one path", which is why the main pipeline uses plain MUSIC.  This module
 implements the smoothed variant so that the trade-off can be reproduced (see
 the MUSIC ablation benchmark).
+
+The estimator is smoothing plus plain MUSIC's array method on the virtual
+subarray; that inner estimator is rebuilt from the current fields whenever
+one of them changed, so the fields can be rebound like those of the plain
+estimators.
 """
 
 from __future__ import annotations
@@ -96,35 +101,65 @@ class SmoothedMusicEstimator:
                 f"subarray_size ({self.subarray_size})"
             )
         self.angle_grid_deg = np.asarray(self.angle_grid_deg, dtype=float)
-        # The smoothed problem behaves like a smaller array with the same
-        # spacing; reuse the plain estimator on that virtual geometry.
-        self._virtual_array = UniformLinearArray(
+        self._inner: MusicEstimator | None = None
+
+    def _inner_estimator(self) -> MusicEstimator:
+        """Plain MUSIC on the virtual subarray, built from the current fields.
+
+        The smoothed problem behaves like a smaller array with the same
+        spacing.  The inner estimator is cached and rebuilt whenever a field
+        it is built from differs from its own (compared by value, the grid
+        by a snapshot copy), so rebinding or mutating any field takes effect
+        on the next spectrum, as on the plain estimators.
+        """
+        virtual = UniformLinearArray(
             num_elements=self.subarray_size,
             spacing=self.array.spacing,
             reference=self.array.reference,
             broadside=self.array.broadside,
         )
-        self._estimator = MusicEstimator(
-            array=self._virtual_array,
-            num_sources=self.num_sources,
-            frequency_hz=self.frequency_hz,
-            angle_grid_deg=self.angle_grid_deg,
-        )
+        inner = self._inner
+        if (
+            inner is None
+            or inner.array != virtual
+            or inner.num_sources != self.num_sources
+            or inner.frequency_hz != self.frequency_hz
+            or not np.array_equal(inner.angle_grid_deg, self.angle_grid_deg)
+        ):
+            inner = MusicEstimator(
+                array=virtual,
+                num_sources=self.num_sources,
+                frequency_hz=self.frequency_hz,
+                angle_grid_deg=np.array(self.angle_grid_deg, dtype=float),
+            )
+            self._inner = inner
+        return inner
+
+    def spectrum_values(
+        self, covariances: np.ndarray, columns: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Smoothed-MUSIC pseudospectra of a full-array covariance stack
+        ``(N, M, M)`` as one ``(N, K)`` array: each covariance is
+        forward-smoothed, then plain MUSIC's
+        :meth:`~repro.aoa.music.MusicEstimator.spectrum_values` runs on the
+        smoothed ``(N, L, L)`` stack (evaluating the full grid, then
+        indexing *columns*)."""
+        smoothed = forward_smoothed_covariance(covariances, self.subarray_size)
+        return self._inner_estimator().spectrum_values(smoothed, columns)
 
     def pseudospectra_from_covariances(
         self, covariances: np.ndarray
     ) -> list[PseudoSpectrum]:
-        """Smoothed-MUSIC pseudospectra of a full-array covariance stack
-        ``(N, M, M)``: each covariance is forward-smoothed, then the inner
-        MUSIC estimator runs on the smoothed ``(N, L, L)`` stack."""
-        smoothed = forward_smoothed_covariance(covariances, self.subarray_size)
-        return self._estimator.pseudospectra_from_covariances(smoothed)
+        """:meth:`spectrum_values` over the whole grid, one
+        :class:`~repro.aoa.music.PseudoSpectrum` per covariance."""
+        values = self.spectrum_values(covariances)
+        return [PseudoSpectrum(self.angle_grid_deg.copy(), row) for row in values]
 
     def pseudospectrum(self, csi: np.ndarray) -> PseudoSpectrum:
         """Smoothed-MUSIC pseudospectrum from CSI snapshots."""
         covariance = spatial_covariance(csi)
         smoothed = forward_smoothed_covariance(covariance, self.subarray_size)
-        return self._estimator.pseudospectrum_from_covariance(smoothed)
+        return self._inner_estimator().pseudospectrum_from_covariance(smoothed)
 
     def estimate_angles(self, csi: np.ndarray, *, max_paths: int | None = None) -> list[float]:
         """Estimated arrival angles in degrees, strongest peak first."""

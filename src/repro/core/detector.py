@@ -33,6 +33,12 @@ batch of one.  A detector's state depends only on its own trace and
 settings, and a window's score only on its detector's calibration and its
 packets, so both are bit-identical for any batch size or composition, under
 every numeric backend.
+
+The combined scheme's path weights are exactly zero outside each detector's
+angular gate, so its scoring kernel evaluates the angular spectra only on
+the grid columns inside some stacked detector's gate.  The estimator's
+column contract and a full-grid norm keep each finite or infinite score
+the bytes of the full-grid evaluation; a NaN score stays NaN.
 """
 
 from __future__ import annotations
@@ -382,18 +388,23 @@ class SubcarrierPathWeightingDetector(_BaseDetector):
     Parameters
     ----------
     spectrum_estimator:
-        Any estimator exposing ``pseudospectra_from_covariances(covariances)
-        -> list[PseudoSpectrum]`` over an ``(N, antennas, antennas)`` stack,
-        bound to the receive array — typically a
+        Any estimator with an ``angle_grid_deg`` of ``K`` angles and the
+        array method ``spectrum_values(covariances, columns=None)``, which
+        maps an ``(N, antennas, antennas)`` covariance stack to ``(N, K)``
+        spectrum values, or to the ``(N, len(columns))`` values of the grid
+        indices *columns*.  Typically a
         :class:`~repro.aoa.bartlett.BartlettEstimator` (power-calibrated
         angular spectrum, the library default for detection) or a
         :class:`~repro.aoa.music.MusicEstimator` (the paper's literal choice;
         sharper peaks but scale-free values).  See DESIGN.md for the
         trade-off.  Each spectrum must depend only on its own covariance
         and on the estimator's class and fields, reading of the array only
-        its element count and spacing, never its placement.  Detectors
-        whose estimators agree on those settings (:meth:`batch_key`) share
-        one kernel call, which runs the first detector's estimator for all.
+        its element count and spacing, never its placement; and a column's
+        value must not depend on which other columns were requested.
+        Calibration evaluates the whole grid, scoring only the columns
+        inside some window's gate.  Detectors whose estimators agree on
+        those settings (:meth:`batch_key`) share one kernel call, which runs
+        the first detector's estimator for all.
     theta_min_deg, theta_max_deg:
         Angular gate of the path weights.
     use_stability_ratio:
@@ -414,10 +425,10 @@ class SubcarrierPathWeightingDetector(_BaseDetector):
         sanitize: bool = True,
     ) -> None:
         super().__init__(sanitize=sanitize)
-        if not callable(getattr(spectrum_estimator, "pseudospectra_from_covariances", None)):
+        if not callable(getattr(spectrum_estimator, "spectrum_values", None)):
             raise TypeError(
-                "spectrum_estimator must provide pseudospectra_from_covariances"
-                f"(covariances), got {type(spectrum_estimator).__name__}"
+                "spectrum_estimator must provide spectrum_values"
+                f"(covariances, columns=None), got {type(spectrum_estimator).__name__}"
             )
         self.spectrum_estimator = spectrum_estimator
         self.theta_min_deg = theta_min_deg
@@ -437,9 +448,11 @@ class SubcarrierPathWeightingDetector(_BaseDetector):
         # Path weights come from the *unweighted* static environment: this is
         # the calibration-stage MUSIC/Bartlett pass of Section IV-C, which
         # only needs to know where the static propagation paths arrive from.
-        spectra = detectors[0].spectrum_estimator.pseudospectra_from_covariances(
-            spatial_covariances(csi)
-        )
+        estimator = detectors[0].spectrum_estimator
+        spectra = [
+            PseudoSpectrum(np.array(estimator.angle_grid_deg, dtype=float), values)
+            for values in estimator.spectrum_values(spatial_covariances(csi))
+        ]
         if any(float(np.sum(spectrum.values)) <= 0 for spectrum in spectra):
             raise ValueError("calibration produced a spectrum with no power")
         # The angular gate is per-detector state, like the spectrum.
@@ -481,11 +494,11 @@ class SubcarrierPathWeightingDetector(_BaseDetector):
         detectors: Sequence["SubcarrierPathWeightingDetector"],
         csi: np.ndarray,
         scratch: dict | None = None,
+        columns: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(monitored, static) spectrum values, each ``(windows, angles)``,
-        under every window's own subcarrier weights."""
-        for detector in detectors:
-            detector._require_calibration()
+        """(monitored, static) spectrum values of calibrated detectors, each
+        ``(windows, angles)``, under every window's own subcarrier weights;
+        with *columns*, only those grid angles."""
         # Weights act on signal power, so amplitudes are scaled by the square
         # root of the normalised weights before the spatial processing.
         sqrt_weights = np.sqrt(_stacked_weights(detectors[0].weighting, csi, scratch))
@@ -499,31 +512,44 @@ class SubcarrierPathWeightingDetector(_BaseDetector):
         static_cov = np.einsum(
             "was,wbs,wabs->wab", sqrt_weights, sqrt_weights, grams
         ) / (snapshots * subcarriers)[:, None, None]
-        spectra = detectors[0].spectrum_estimator.pseudospectra_from_covariances(
-            np.concatenate([monitored_cov, static_cov])
+        values = detectors[0].spectrum_estimator.spectrum_values(
+            np.concatenate([monitored_cov, static_cov]), columns
         )
-        values = np.stack([spectrum.values for spectrum in spectra])
         return values[:windows], values[windows:]
 
     @classmethod
     def stacked_scores(cls, detectors, csi, scratch=None):
-        monitored, static = cls._stacked_spectra(detectors, csi, scratch)
+        for detector in detectors:
+            detector._require_calibration()
         path_weights = np.stack([detector._path_weights for detector in detectors])
-        weighted_monitored = path_weights * monitored
-        weighted_static = path_weights * static
+        # The path weights are exactly zero outside each window's gate, so
+        # only the columns inside some window's gate are evaluated; every
+        # other column of the full-grid computation is zero.
+        columns = np.flatnonzero(path_weights.any(axis=0))
+        gated_weights = path_weights[:, columns]
+        monitored, static = cls._stacked_spectra(detectors, csi, scratch, columns)
+        weighted_monitored = gated_weights * monitored
+        weighted_static = gated_weights * static
         # Express the distance in units of relative per-direction power
         # change (the path weights invert the static spectrum, so the
         # weighted static spectrum is flat inside the gate); dividing by its
         # peak makes one global threshold transfer across link cases with
-        # very different absolute received powers.
-        reference = weighted_static.max(axis=1)
+        # very different absolute received powers.  The zero columns left
+        # out add nothing to the peak but its ``initial`` zero.
+        reference = weighted_static.max(axis=1, initial=0.0)
         if np.any(reference <= 0):
             raise ValueError("path-weighted static spectrum has no power inside the gate")
-        difference = (weighted_monitored - weighted_static) / reference[:, None]
+        scaled = (weighted_monitored - weighted_static) / reference[:, None]
+        # The norm runs over a full-grid row, zeros included, so its
+        # summation order is the full-grid one.
+        difference = np.zeros(path_weights.shape)
+        difference[:, columns] = scaled
         return np.linalg.norm(difference, axis=1)
 
     def monitored_spectrum(self, window: CSITrace) -> PseudoSpectrum:
         """Angular spectrum of a monitoring window after subcarrier weighting."""
-        monitored, _ = self._stacked_spectra([self], self._prepare(window).csi[None])
+        window = self._prepare(window)
+        self._require_calibration()
+        monitored, _ = self._stacked_spectra([self], window.csi[None])
         angles = self.path_weighting.static_spectrum.angles_deg.copy()
         return PseudoSpectrum(angles, monitored[0])

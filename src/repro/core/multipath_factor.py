@@ -22,6 +22,11 @@ the dominant-tap approximation; what the detection pipeline relies on — and
 what Fig. 3 demonstrates — is that ``mu_k`` varies monotonically with the
 link's sensitivity to human presence, and that its *relative* values across
 subcarriers rank them by sensitivity.
+
+The module also holds the per-packet statistics of Eq. 13–15 on these
+factors: the temporal mean and the stability ratio, whose mask of factors
+above their packet's median (:func:`exceeds_row_median`) the stacked
+subcarrier weights share.
 """
 
 from __future__ import annotations
@@ -171,12 +176,31 @@ def temporal_mean_factor(factors: np.ndarray) -> np.ndarray:
     return factors.mean(axis=0)
 
 
+def exceeds_row_median(values: np.ndarray) -> np.ndarray:
+    """Mask of the values above their row's median, ``values >
+    np.median(values, axis=-1, keepdims=True)``, from one sort.
+
+    ``np.median`` runs a separate selection per row; on rows of a few dozen
+    subcarriers one ``np.sort`` along the last axis is several times
+    cheaper.  The median is the mean of the middle value or pair of the
+    sorted row, exactly as ``np.median`` takes it, and a row whose sorted
+    last value is NaN (NaN sorts last) has a NaN median, which no value
+    exceeds — the same mask bit for bit.
+    """
+    ordered = np.sort(values, axis=-1)
+    size = values.shape[-1]
+    middle = ordered[..., (size - 1) // 2 : size // 2 + 1]
+    medians = middle.mean(axis=-1, keepdims=True)
+    return (values > medians) & ~np.isnan(ordered[..., -1:])
+
+
 def stability_ratio(factors: np.ndarray) -> np.ndarray:
     """Fraction of packets where ``mu_k`` exceeds the per-packet median (Eq. 13–14).
 
     A subcarrier that is consistently above the median multipath factor of
     its packet is temporally stable and deserves a higher weight; one that
-    only occasionally spikes is penalised.
+    only occasionally spikes is penalised.  The mask comes from
+    :func:`exceeds_row_median`, which the stacked weights share.
 
     Parameters
     ----------
@@ -194,6 +218,4 @@ def stability_ratio(factors: np.ndarray) -> np.ndarray:
             "factors must have shape (packets, antennas, subcarriers), "
             f"got {factors.shape}"
         )
-    medians = np.median(factors, axis=2, keepdims=True)
-    exceeds = factors > medians
-    return exceeds.mean(axis=0)
+    return exceeds_row_median(factors).mean(axis=0)

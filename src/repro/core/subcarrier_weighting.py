@@ -12,6 +12,12 @@ the detection statistic.  Two variants are provided:
   stability ratio ``r_k`` (fraction of packets where the subcarrier exceeds
   the per-packet median factor), assigning high weight only to consistently
   sensitive subcarriers.
+
+Both the stacked weights of the detectors' scoring kernels and the
+single-window :meth:`SubcarrierWeighting.weights_from_factors` take the
+stability ratio's above-median mask from one helper,
+:func:`~repro.core.multipath_factor.exceeds_row_median`: one sort per stack
+along the subcarrier axis, the same mask as ``np.median`` gives.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.multipath_factor import (
+    exceeds_row_median,
     multipath_factor_batch,
     multipath_factor_trace,
     stability_ratio,
@@ -170,8 +177,7 @@ class SubcarrierWeighting:
         factors = multipath_factor_batch(csi_stack, self.frequencies)
         mean_factor = factors.mean(axis=1)
         if self.use_stability_ratio:
-            medians = np.median(factors, axis=3, keepdims=True)
-            ratio = (factors > medians).mean(axis=1)
+            ratio = exceeds_row_median(factors).mean(axis=1)
         else:
             ratio = np.ones_like(mean_factor)
         raw = np.abs(mean_factor * ratio)

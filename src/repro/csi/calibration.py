@@ -11,7 +11,8 @@ subcarriers and antennas, which is what the multipath factor and the MUSIC
 angle estimation consume.
 
 Sanitisation runs over whole traces in one vectorised pass: a batched unwrap
-over ``(packets, subcarriers)``, one batched least-squares slope/offset fit
+over ``(packets, subcarriers)`` (``np.unwrap``'s bytes, with its modulo run
+only on the steps that wrap), one batched least-squares slope/offset fit
 and one broadcast correction.  The fit keeps ``np.polyfit``'s preprocessing
 (Vandermonde matrix, column scaling, default ``rcond``) but applies one cached
 pseudo-inverse of the shared design matrix to every row, so it agrees with a
@@ -74,6 +75,31 @@ def _linear_phase_fits(indices: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return (phases[:, None, :] * pinv[None]).sum(axis=2)
 
 
+def _unwrap(phases: np.ndarray) -> np.ndarray:
+    """``np.unwrap(phases, axis=-1)``, bit for bit, correcting only the steps
+    that wrap.
+
+    ``np.unwrap`` reduces every step modulo 2π, then zeroes the correction
+    of each step with ``abs(step) < π``.  Few steps of CSI phase wrap, so
+    the reduction runs on those alone — the steps where ``not abs(step) <
+    π``, which takes in NaN and infinite steps as ``np.unwrap`` does — with
+    its expressions, boundary rule and running sum unchanged.
+    """
+    steps = np.diff(phases, axis=-1)
+    wraps = ~(np.abs(steps) < np.pi)
+    wrapped = steps[wraps]
+    reduced = np.mod(wrapped + np.pi, 2 * np.pi) - np.pi
+    # A step of exactly +π reduces to -π; np.unwrap keeps its sign.
+    reduced[(reduced == -np.pi) & (wrapped > 0)] = np.pi
+    corrections = np.zeros_like(steps)
+    corrections[wraps] = reduced - wrapped
+    unwrapped = phases.copy()
+    # np.unwrap's own form of the sum: an in-place add can keep the other
+    # operand's NaN when both are NaN.
+    unwrapped[..., 1:] = phases[..., 1:] + corrections.cumsum(axis=-1)
+    return unwrapped
+
+
 def sanitize_csi_array(
     csi: np.ndarray,
     subcarrier_indices: np.ndarray,
@@ -113,14 +139,14 @@ def sanitize_csi_array(
         )
     if keep_inter_antenna_phase:
         with obs.span("collect.sanitize"):
-            phases = np.unwrap(np.angle(csi[:, 0, :]), axis=-1)
+            phases = _unwrap(np.angle(csi[:, 0, :]))
             coefficients = _linear_phase_fits(indices, phases)
             corrections = (
                 coefficients[:, :1] * indices[None, :] + coefficients[:, 1:]
             )
             return csi * active_backend().cis(-corrections)[:, None, :]
     with obs.span("collect.sanitize"):
-        phases = np.unwrap(np.angle(csi), axis=-1)
+        phases = _unwrap(np.angle(csi))
         coefficients = _linear_phase_fits(
             indices, phases.reshape(packets * antennas, subcarriers)
         )

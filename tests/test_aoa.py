@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.aoa import (
     BartlettEstimator,
@@ -182,6 +183,47 @@ class TestSmoothedMusic:
         stacked = forward_smoothed_covariance(np.stack([np.eye(3)] * 2), 2)
         assert stacked.shape == (2, 2, 2)
 
+    def test_rebound_fields_give_a_fresh_estimators_spectra(self):
+        wide = UniformLinearArray(num_elements=4)
+        captures = [
+            synthetic_snapshots([angle], array=wide, coherent=True, seed=seed)
+            for seed, angle in enumerate((-35.0, 10.0, 50.0))
+        ]
+        covariances = np.stack([spatial_covariance(csi) for csi in captures])
+        base = {"array": wide, "subarray_size": 3, "num_sources": 1}
+        changes = [
+            ("angle_grid_deg", np.linspace(-60.0, 60.0, 121)),
+            ("frequency_hz", 5e9),
+            ("num_sources", 2),
+            ("subarray_size", 2),
+            ("array", UniformLinearArray(num_elements=4, spacing=0.05)),
+        ]
+        for name, value in changes:
+            rebound = SmoothedMusicEstimator(**base)
+            rebound.pseudospectrum(captures[0])  # builds the inner estimator
+            setattr(rebound, name, value)
+            fresh = SmoothedMusicEstimator(**{**base, name: value})
+            for got, want in zip(
+                rebound.pseudospectra_from_covariances(covariances),
+                fresh.pseudospectra_from_covariances(covariances),
+            ):
+                assert np.array_equal(got.angles_deg, want.angles_deg), name
+                assert np.array_equal(got.values, want.values), name
+            got = rebound.pseudospectrum(captures[1])
+            want = fresh.pseudospectrum(captures[1])
+            assert np.array_equal(got.values, want.values), name
+        # An in-place edit of the grid counts as a rebinding too.
+        mutated = SmoothedMusicEstimator(**base)
+        mutated.pseudospectrum(captures[0])
+        mutated.angle_grid_deg[:] = np.linspace(-45.0, 45.0, 181)
+        fresh = SmoothedMusicEstimator(
+            **base, angle_grid_deg=np.linspace(-45.0, 45.0, 181)
+        )
+        assert np.array_equal(
+            mutated.pseudospectrum(captures[2]).values,
+            fresh.pseudospectrum(captures[2]).values,
+        )
+
     def test_invalid_configuration_rejected(self, array):
         with pytest.raises(ValueError):
             SmoothedMusicEstimator(array=array, subarray_size=5)
@@ -341,3 +383,48 @@ class TestBatchedSpectraBitIdentity:
             batched = est.pseudospectra(captures)
             for csi, spectrum in zip(captures, batched):
                 assert np.array_equal(spectrum.values, est.pseudospectrum(csi).values)
+
+
+class TestSpectrumValuesContract:
+    """``spectrum_values(covariances, columns)``: a column's value does not
+    depend on which other columns were requested, or on the stack size."""
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        estimator=st.sampled_from(
+            (BartlettEstimator, MusicEstimator, SmoothedMusicEstimator)
+        ),
+        stack=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        columns=st.lists(
+            st.integers(min_value=0, max_value=180), min_size=1, max_size=181, unique=True
+        ),
+        ordered=st.booleans(),
+    )
+    def test_columns_are_separable(self, estimator, stack, seed, columns, ordered):
+        est = estimator(array=UniformLinearArray(num_elements=3))
+        rng = np.random.default_rng(seed)
+        csi = rng.normal(size=(stack, 3, 12)) + 1j * rng.normal(size=(stack, 3, 12))
+        covariances = np.einsum("nas,nbs->nab", csi, csi.conj()) / 12
+        columns = np.sort(columns) if ordered else np.asarray(columns)
+        full = est.spectrum_values(covariances)
+        assert full.shape == (stack, est.angle_grid_deg.size)
+        assert np.array_equal(est.spectrum_values(covariances, columns), full[:, columns])
+        head = est.spectrum_values(covariances[:1], columns)
+        assert np.array_equal(head, full[:1, columns])
+
+    def test_list_wrapper_is_the_full_grid(self, array):
+        covariances = np.stack(
+            [spatial_covariance(synthetic_snapshots([a], array=array)) for a in (-20.0, 35.0)]
+        )
+        for est in (
+            BartlettEstimator(array=array),
+            MusicEstimator(array=array),
+            SmoothedMusicEstimator(array=array),
+        ):
+            values = est.spectrum_values(covariances)
+            spectra = est.pseudospectra_from_covariances(covariances)
+            assert np.array_equal(np.stack([s.values for s in spectra]), values)
+            assert all(np.array_equal(s.angles_deg, est.angle_grid_deg) for s in spectra)

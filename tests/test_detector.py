@@ -230,9 +230,9 @@ class TestSchemeOrdering:
 
 
 class TestBatchedSpectraDispatch:
-    """The combined kernel's estimator contract is
-    ``pseudospectra_from_covariances``: honoured when overridden, required
-    at construction."""
+    """The combined kernel's estimator contract is the array method
+    ``spectrum_values``: honoured when overridden, required at
+    construction."""
 
     def test_covariance_contract_override_honoured_by_score(
         self, link, empty_trace, occupied_trace
@@ -240,15 +240,16 @@ class TestBatchedSpectraDispatch:
         calls = []
 
         class LoadedBartlett(BartlettEstimator):
-            def pseudospectra_from_covariances(self, covariances):
+            def spectrum_values(self, covariances, columns=None):
                 calls.append(covariances.shape)
                 loaded = covariances + 0.1 * np.eye(covariances.shape[-1])
-                return super().pseudospectra_from_covariances(loaded)
+                return super().spectrum_values(loaded, columns)
 
         plain = SubcarrierPathWeightingDetector(BartlettEstimator(array=link.array))
         loaded = SubcarrierPathWeightingDetector(LoadedBartlett(array=link.array))
         for detector in (plain, loaded):
             detector.calibrate(empty_trace)
+        assert calls == [(1, 3, 3)]  # calibration's full-grid pass
         calls.clear()
         assert loaded.score(occupied_trace) != plain.score(occupied_trace)
         # One call for the window: its monitored and its static covariance.
@@ -259,7 +260,10 @@ class TestBatchedSpectraDispatch:
             def pseudospectrum(self, csi):  # pragma: no cover - never called
                 raise NotImplementedError
 
-        with pytest.raises(TypeError, match="pseudospectra_from_covariances") as excinfo:
+            def pseudospectra_from_covariances(self, covariances):  # pragma: no cover
+                raise NotImplementedError
+
+        with pytest.raises(TypeError, match="spectrum_values") as excinfo:
             SubcarrierPathWeightingDetector(PerCaptureOnly())
         assert "\n" not in str(excinfo.value)
 
@@ -274,7 +278,14 @@ class TestBatchedSpectraDispatch:
                 calls.append(covariance.shape)
                 return super().noise_subspace(covariance)
 
+            def noise_subspaces(self, covariances):
+                calls.append(covariances.shape)
+                return super().noise_subspaces(covariances)
+
         est = TracingMusic(array=UniformLinearArray(num_elements=3))
         csi = rng.normal(size=(3, 30)) + 1j * rng.normal(size=(3, 30))
         est.pseudospectrum(csi)
-        assert calls  # the documented hook is dispatched through
+        assert calls == [(3, 3)]  # the documented hook is dispatched through
+        calls.clear()
+        est.spectrum_values(np.stack([np.eye(3)] * 2), np.array([0, 90]))
+        assert calls == [(2, 3, 3)]  # and the array method's batched hook

@@ -2,8 +2,9 @@
 
 These complement the per-module unit tests by checking relationships that
 must hold for *any* admissible input: scale invariances, consistency between
-the analytic link model and the simulator, and conservation-style checks on
-the weighting schemes.
+the analytic link model and the simulator, conservation-style checks on
+the weighting schemes, and the byte identity of the cheaper kernels with the
+NumPy routines they replace.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.channel.constants import subcarrier_frequencies
 from repro.channel.geometry import Point
@@ -20,9 +22,14 @@ from repro.channel.ofdm import synthesize_cfr
 from repro.channel.propagation import PropagationModel
 from repro.channel.rays import Path
 from repro.core.link_model import OneBounceLinkModel
-from repro.core.multipath_factor import multipath_factor_batch, stability_ratio
+from repro.core.multipath_factor import (
+    exceeds_row_median,
+    multipath_factor_batch,
+    stability_ratio,
+)
 from repro.core.subcarrier_weighting import SubcarrierWeighting
 from repro.core.thresholds import roc_curve
+from repro.csi.calibration import _unwrap
 from repro.utils.stats import ecdf
 
 slow_settings = settings(
@@ -148,3 +155,65 @@ class TestStatisticalInvariants:
 
         weights = SubcarrierWeighting().weights_from_trace(CSITrace(csi=csi))
         assert np.allclose(weights.weights.sum(axis=1), 1.0)
+
+
+#: Values that stress ties, signed zeros and non-finite handling.
+_SPECIAL_FLOATS = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, -math.nan)
+#: Phase steps on and around the unwrap's ±π boundary and its 2π period.
+_PHASE_FLOATS = tuple(k * math.pi for k in range(-4, 5)) + (
+    math.nextafter(math.pi, 0.0),
+    math.nextafter(math.pi, 4.0),
+    -math.nextafter(math.pi, 0.0),
+    0.0,
+    -0.0,
+    math.inf,
+    -math.inf,
+    math.nan,
+    -math.nan,
+)
+
+
+def _float_arrays(specials, *, max_dims, max_side):
+    return hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=max_dims, min_side=1, max_side=max_side),
+        elements=st.one_of(
+            st.sampled_from(specials),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.floats(min_value=-20.0, max_value=20.0),
+        ),
+    )
+
+
+class TestKernelByteIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(_float_arrays(_SPECIAL_FLOATS, max_dims=4, max_side=9))
+    def test_row_median_mask_matches_numpy_median(self, values):
+        # Masks, not medians: np.median's NaN may carry the sign bit.
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = values > np.median(values, axis=-1, keepdims=True)
+            mask = exceeds_row_median(values)
+        assert np.array_equal(mask, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_float_arrays(_PHASE_FLOATS, max_dims=3, max_side=12))
+    def test_unwrap_matches_numpy_unwrap_bit_for_bit(self, phases):
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = np.unwrap(phases, axis=-1)
+            unwrapped = _unwrap(phases)
+        assert unwrapped.dtype == expected.dtype
+        assert unwrapped.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_unwrap_matches_numpy_on_csi_phase(self, rows, subcarriers, seed):
+        rng = np.random.default_rng(seed)
+        slope = rng.uniform(-1.5, 1.5, size=(rows, 1))
+        phases = np.angle(
+            np.exp(1j * (slope * np.arange(subcarriers) + rng.normal(size=(rows, subcarriers))))
+        )
+        assert _unwrap(phases).tobytes() == np.unwrap(phases, axis=-1).tobytes()
