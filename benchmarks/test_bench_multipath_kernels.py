@@ -16,6 +16,8 @@ fleet's flushes and calibration replays.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -62,18 +64,29 @@ def test_subcarrier_weighting_window(benchmark):
     assert weights.weights.shape == (3, 30)
 
 
+#: sha256 over the stack's 256 windows and the links' calibration captures
+#: (a detector is a function of its capture and geometry; its replay
+#: threshold is left out because its bits depend on the FFT build).  Pool
+#: and calibration bytes do not depend on the traffic duration, so this is
+#: the stack the 2-second fleet of the same seed gave when set-up still
+#: acquired every link's whole pool.
+COMBINED_STACK_SHA256 = "2f8a70b40cac5d287e3d54613f39a636c868b3a0b499532f097de49a1511213c"
+
+
 @pytest.fixture(scope="module")
 def combined_stack():
     """256 calibrated combined sessions and one raw 10-packet window each.
 
     The sessions are a fleet's (five geometries, one kernel group), and the
     windows cycle through the idle and occupied halves of each link's pool.
+    The fleet runs 20 s, so every link's windows read (and set-up acquires)
+    its whole 40-frame pool.
     """
     from repro.fleet.engine import _setup_streams
 
     config = FleetConfig(
         links=256,
-        duration_s=2.0,
+        duration_s=20.0,
         seed=5,
         pool_packets=40,
         pipeline=PipelineConfig(
@@ -81,14 +94,20 @@ def combined_stack():
         ),
     )
     streams, _ = _setup_streams(config, range(config.links))
+    assert all(traffic.pool_csi.shape[0] == 40 for _, traffic in streams)
     detectors = [session.detector for session, _ in streams]
     windows = [
         CSITrace(
-            csi=traffic.pool_csi[10 * (i % 4) : 10 * (i % 4) + 10],
+            csi=traffic.arrival_csi(np.arange(10 * (i % 4), 10 * (i % 4) + 10)),
             subcarrier_indices=traffic.subcarrier_indices,
         )
         for i, (_, traffic) in enumerate(streams)
     ]
+    digest = hashlib.sha256()
+    for (_, traffic), window in zip(streams, windows):
+        digest.update(window.csi.tobytes())
+        digest.update(traffic.calibration.csi.tobytes())
+    assert digest.hexdigest() == COMBINED_STACK_SHA256
     return detectors, windows
 
 

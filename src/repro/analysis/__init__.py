@@ -5,7 +5,8 @@ digests across batch sizes, worker counts, and vectorisation rounds) rests on
 three hand-maintained conventions: route last-ulp-divergent transcendentals
 through the numeric backend (libm per element in :mod:`repro.backend.exact`),
 derive all randomness via
-:func:`repro.utils.rng.ensure_rng` / :func:`~repro.utils.rng.derive_rng`, and
+:func:`repro.utils.rng.ensure_rng` / :func:`~repro.utils.rng.derive_rng` /
+:func:`~repro.utils.rng.child_rng`, and
 validate every ``from_dict`` with
 :func:`repro.utils.validation.check_known_keys`.  This package enforces those
 conventions *statically* — before the runtime parity suites ever run — via an

@@ -7,7 +7,7 @@ guarantee rests on (see README, "Determinism contract"):
   numeric backend, whose ``exact`` mode calls libm per element (DET001);
 * RNG discipline — all randomness derives from
   :func:`repro.utils.rng.ensure_rng` / :func:`~repro.utils.rng.derive_rng`
-  (DET002), and library code never reads wall clocks or OS entropy (DET003);
+  / :func:`~repro.utils.rng.child_rng` (DET002), and library code never reads wall clocks or OS entropy (DET003);
 * canonical serialisation — no unordered set iteration that could reach
   event streams or digests (DET004), every ``from_dict`` validates its keys
   (DET005), and private NumPy APIs are only touched with a documented
@@ -123,7 +123,8 @@ def _literal_number(node: ast.AST) -> Optional[float]:
 # --------------------------------------------------------------------------- #
 @register_rule("DET002")
 class RngDisciplineRule(Rule):
-    """Randomness not flowing through ``ensure_rng`` / ``derive_rng``.
+    """Randomness not flowing through ``ensure_rng`` / ``derive_rng`` /
+    ``child_rng``.
 
     Any call into ``numpy.random`` (``default_rng``, ``Generator``,
     ``SeedSequence``, ``RandomState``, the legacy global distributions) or
@@ -134,7 +135,7 @@ class RngDisciplineRule(Rule):
 
     summary = (
         "np.random.* / random.* call outside utils/rng.py — randomness must "
-        "flow through ensure_rng/derive_rng"
+        "flow through ensure_rng/derive_rng/child_rng"
     )
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -144,7 +145,7 @@ class RngDisciplineRule(Rule):
                 self.report(
                     node,
                     f"{resolved} constructs or draws randomness directly; "
-                    "derive it via repro.utils.rng.ensure_rng/derive_rng so "
+                    "derive it via repro.utils.rng.ensure_rng/derive_rng/child_rng so "
                     "streams stay order-independent and reproducible",
                 )
             elif resolved.startswith("random.") or resolved == "random":

@@ -44,6 +44,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.registry import DetectorRegistry
 
 
+def window_starts(num_packets: int, window_packets: int, window_stride: int | None) -> np.ndarray:
+    """:meth:`StreamingSession.window_starts` for these window settings,
+    before the session exists (``window_stride=None``: tumbling)."""
+    stride = window_packets if window_stride is None else window_stride
+    return np.arange(0, max(num_packets - window_packets + 1, 0), stride)
+
+
 @dataclass(frozen=True)
 class DetectionEvent:
     """One scored monitoring window emitted by a streaming session.
@@ -281,8 +288,7 @@ class StreamingSession:
         window_packets``.  The fleet scheduler plans every window of a link
         from it.
         """
-        last = num_packets - self.window_packets
-        return np.arange(0, max(last + 1, 0), self.window_stride)
+        return window_starts(num_packets, self.window_packets, self.window_stride)
 
     def emit(self, window: CSITrace, score: float, packets_seen: int) -> DetectionEvent:
         """Record and return the event for a completed, scored window.

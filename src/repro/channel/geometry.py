@@ -152,11 +152,6 @@ class Segment:
         return closest.distance_to(point)
 
 
-def distance_point_to_segment(point: Point, start: Point, end: Point) -> float:
-    """Convenience wrapper: distance from *point* to segment ``start→end``."""
-    return Segment(start, end).distance_to_point(point)
-
-
 @dataclass(frozen=True)
 class Wall:
     """A reflective wall: a segment plus the name of its material."""

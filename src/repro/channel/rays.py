@@ -60,10 +60,6 @@ class Path:
         """Number of reflection points along the path."""
         return max(0, len(self.vertices) - 2)
 
-    def last_segment(self) -> Segment:
-        """The final segment arriving at the receiver."""
-        return Segment(self.vertices[-2], self.vertices[-1])
-
     def segments(self) -> list[Segment]:
         """All straight segments making up the path."""
         return [Segment(a, b) for a, b in zip(self.vertices[:-1], self.vertices[1:])]

@@ -12,7 +12,9 @@ packets in one vectorised draw from the collector's loss stream, and impairs
 all its packets in one :meth:`~repro.channel.noise.ImpairmentModel.apply`
 call on the collector's per-quantity impairment streams.  Every quantity is
 drawn in packet order, so collecting windows in one call or split over
-consecutive calls gives byte-identical traces.
+consecutive calls gives byte-identical traces (a capture cut short holds
+the full one's leading packets).  A loss-free collector never builds its
+loss generator.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.channel.geometry import Point
 from repro.channel.human import HumanBody
 from repro.channel.noise import ImpairmentStreams
 from repro.csi.trace import CSITrace
-from repro.utils.rng import SeedLike, derive_rng, ensure_rng
+from repro.utils.rng import SeedLike, child_rng, draw_word, ensure_rng
 from repro.utils.validation import check_probability
 
 #: Consecutive lost pings after which collection aborts.  With the validated
@@ -87,7 +89,15 @@ class PacketCollector:
         # Impairment streams first: a collector and ``sample_trajectory``
         # given the same seed then impair identically.
         self._streams = ImpairmentStreams.derive(rng)
-        self._loss = derive_rng(rng, "loss")
+        self._loss_word = draw_word(rng)
+        self._loss_rng: np.random.Generator | None = None
+
+    @property
+    def _loss(self) -> np.random.Generator:
+        """``derive_rng(rng, "loss")``, built on the first loss draw."""
+        if self._loss_rng is None:
+            self._loss_rng = child_rng(self._loss_word, "loss")
+        return self._loss_rng
 
     def _impair(self, cleans: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         """Impair one packet per candidate index on this collector's streams."""

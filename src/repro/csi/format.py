@@ -117,14 +117,3 @@ class CSIFrame:
             sequence_number=self.sequence_number,
             subcarrier_indices=self.subcarrier_indices,
         )
-
-    @classmethod
-    def from_matrix(
-        cls,
-        csi: np.ndarray,
-        *,
-        timestamp: float = 0.0,
-        sequence_number: int = 0,
-    ) -> "CSIFrame":
-        """Build a frame from a raw ``(antennas, 30)`` complex matrix."""
-        return cls(csi=csi, timestamp=timestamp, sequence_number=sequence_number)

@@ -28,7 +28,6 @@ from repro.experiments.runner import (
     EvaluationConfig,
     EvaluationResult,
     run_case,
-    run_evaluation,
 )
 from repro.experiments.scenarios import (
     classroom_scenario,
@@ -257,11 +256,6 @@ def fig5_aoa(
 # --------------------------------------------------------------------------- #
 # Fig. 7 – 9, 11 — evaluation campaign figures
 # --------------------------------------------------------------------------- #
-def default_campaign(config: EvaluationConfig | None = None) -> EvaluationResult:
-    """Run the full five-case campaign used by Fig. 7, 8, 9 and 11."""
-    return run_evaluation(config if config is not None else EvaluationConfig())
-
-
 def fig7_roc(result: EvaluationResult) -> dict[str, object]:
     """ROC curves of the three schemes plus their balanced operating points."""
     out: dict[str, object] = {}

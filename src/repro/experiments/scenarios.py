@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from repro.channel.channel import Link
 from repro.channel.geometry import Point, Room, Segment
-from repro.channel.human import HumanBody
 
 
 @dataclass(frozen=True)
@@ -261,8 +260,3 @@ def grid_angle_to_receiver_deg(link: Link, position: Point) -> float:
     cos_a = max(-1.0, min(1.0, direction.dot(broadside)))
     sign = 1.0 if broadside.cross(direction) >= 0 else -1.0
     return math.degrees(sign * math.acos(cos_a))
-
-
-def default_human(position: Point) -> HumanBody:
-    """The standard human body model used across the evaluation."""
-    return HumanBody(position=position)

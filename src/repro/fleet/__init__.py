@@ -7,7 +7,8 @@ supplies that layer on top of :mod:`repro.api`:
 * :mod:`repro.fleet.traffic` — deterministic per-link Poisson traffic over a
   heterogeneous (``normal`` / ``busy`` / ``abusive``) link population; every
   link's streams derive from the fleet seed and its index alone, so any
-  subset rebuilds byte-identically on any worker.
+  subset rebuilds byte-identically on any worker, and set-up acquires only
+  the pool frames a link's windows read.
 * :mod:`repro.fleet.scheduler` — a window scheduler that plans every
   link's windows from its arrival times (each link's
   :class:`~repro.api.session.StreamingSession` supplies the window rule),
@@ -35,7 +36,6 @@ from repro.fleet.traffic import (
     RATE_CLASSES,
     LinkProfile,
     LinkTraffic,
-    build_link_traffic,
     derive_link_seed,
     poisson_arrival_times,
 )
@@ -48,7 +48,6 @@ __all__ = [
     "LinkProfile",
     "LinkTraffic",
     "ScheduleStats",
-    "build_link_traffic",
     "derive_link_seed",
     "poisson_arrival_times",
     "run_fleet",

@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -58,6 +59,13 @@ def _default_class_mix() -> dict[str, float]:
 
 def _default_class_rates() -> dict[str, float]:
     return {"normal": 5.0, "busy": 20.0, "abusive": 60.0}
+
+
+def _finite_real(name: str, value: Any) -> float:
+    """*value* as a float, if it is a finite, non-boolean number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -148,7 +156,7 @@ class FleetConfig:
                 f"setup_workers must be None or an integer >= 1, "
                 f"got {self.setup_workers!r}"
             )
-        if not isinstance(self.duration_s, (int, float)) or self.duration_s <= 0:
+        if _finite_real("duration_s", self.duration_s) <= 0:
             raise ValueError(f"duration_s must be > 0, got {self.duration_s!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
@@ -167,7 +175,7 @@ class FleetConfig:
                 f"unknown class_mix classes {sorted(unknown)}; "
                 f"known classes: {list(RATE_CLASSES)}"
             )
-        weights = {name: float(value) for name, value in self.class_mix.items()}
+        weights = {k: _finite_real(f"class_mix[{k!r}]", v) for k, v in self.class_mix.items()}
         if any(value < 0 for value in weights.values()) or sum(weights.values()) <= 0:
             raise ValueError(
                 f"class_mix weights must be non-negative with a positive sum, "
@@ -177,11 +185,13 @@ class FleetConfig:
             raise ValueError(
                 f"class_rates_hz must be a mapping, got {self.class_rates_hz!r}"
             )
+        for name, rate in self.class_rates_hz.items():
+            _finite_real(f"class_rates_hz[{name!r}]", rate)
         for name, weight in weights.items():
             if weight <= 0:
                 continue
             rate = self.class_rates_hz.get(name)
-            if not isinstance(rate, (int, float)) or isinstance(rate, bool) or rate <= 0:
+            if rate is None or rate <= 0:
                 raise ValueError(
                     f"class_rates_hz[{name!r}] must be a positive rate for a "
                     f"class with positive mix weight, got {rate!r}"
@@ -365,8 +375,9 @@ def _setup_streams(
     """Build the (calibrated session, traffic) streams of one shard.
 
     Traffic comes from :func:`~repro.fleet.traffic.build_fleet_traffic`
-    (geometry-shared clean CFRs, one acquisition call per link) unless
-    prebuilt *traffics* are handed in by the setup pool.  Every session is
+    (geometry-shared clean CFRs, one acquisition call per link of the frames
+    it reads) unless prebuilt *traffics* are handed in by the setup pool.
+    Every session is
     calibrated in one shard-wide :func:`~repro.api.monitor.calibrate_sessions`
     pass: one sanitisation of all calibration traces, one stacked
     calibration call per chunk of links that share a kernel (links on

@@ -7,6 +7,9 @@ them from arrays — each link's window starts
 at its last packet's arrival — sorts all links' windows once by (completion
 time, link position) and scores them in flushes of ``batch_windows`` through
 the shared batch scorer (:func:`repro.api.monitor.score_windows_batch`).
+Set-up acquires only the pool frames these windows read, and a window
+gathers them through :meth:`~repro.fleet.traffic.LinkTraffic.arrival_csi`
+(:class:`IndexError` for a frame its traffic did not acquire).
 
 A window's score depends only on its detector's calibration and its packets
 (:func:`repro.api.monitor.score_windows`), and every event field is
@@ -62,11 +65,11 @@ def _window(
     session: StreamingSession, traffic: "LinkTraffic", start: int
 ) -> tuple[StreamingSession, CSITrace, int]:
     """The window starting at packet *start* and the packet count at which
-    it completes; arrival ``i`` reports pool frame ``i % pool``."""
+    it completes (:meth:`~repro.fleet.traffic.LinkTraffic.arrival_csi`
+    gives its frames)."""
     end = start + session.window_packets
-    pool = traffic.pool_csi
     window = CSITrace(
-        csi=pool[np.arange(start, end) % pool.shape[0]],
+        csi=traffic.arrival_csi(np.arange(start, end)),
         timestamps=traffic.arrivals[start:end],
         subcarrier_indices=traffic.subcarrier_indices,
         label=session.link_name,

@@ -16,22 +16,28 @@ link reports comes from the paper's channel simulator: a per-link calibration
 capture of the empty environment plus a pool of monitoring packets split
 between empty and occupied scenes, cycled over the arrival schedule so the
 link alternates idle and occupied bursts.
+
+Set-up does only the work the run reads: a link's arrivals are drawn before
+its CSI, so only the pool frames its complete windows read are acquired
+(:class:`LinkTraffic` holds that prefix of the cycle).
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from repro import obs
+from repro.api.session import window_starts
 from repro.channel.channel import ChannelSimulator
 from repro.channel.human import HumanBody
 from repro.channel.propagation import PropagationModel
 from repro.csi.trace import CSITrace
 from repro.experiments.scenarios import human_grid
-from repro.utils.rng import derive_rng, ensure_rng
+from repro.utils.rng import child_rng, draw_word, ensure_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.channel.channel import Link
@@ -52,17 +58,6 @@ def derive_link_seed(seed: int, link_index: int) -> int:
     worker sharding.
     """
     return seed + 1000 * link_index
-
-
-def _stream_rng(link_seed: int, key: str) -> np.random.Generator:
-    """One named, order-independent random stream of a link.
-
-    Each stream derives from a *fresh* generator of the link seed via
-    :func:`~repro.utils.rng.derive_rng`, so the streams are mutually
-    independent and adding a new stream never shifts the draws of an
-    existing one.
-    """
-    return derive_rng(ensure_rng(link_seed), key)
 
 
 def poisson_arrival_times(
@@ -90,20 +85,28 @@ def poisson_arrival_times(
     return times[times < duration_s]
 
 
-def assign_rate_class(
-    rng: np.random.Generator, class_mix: Mapping[str, float]
-) -> str:
-    """Draw one link's rate class from the population mix.
+def rate_class_table(class_mix: Mapping[str, float]) -> tuple[list[str], list[float]]:
+    """The population mix as a draw table: the classes with positive weight,
+    in :data:`RATE_CLASSES` order, and their cumulative normalised weights.
 
-    Classes are laid out in :data:`RATE_CLASSES` order and selected by a
-    single uniform draw against the cumulative (normalised) mix, so the
-    assignment is deterministic per link stream.
+    Built once per fleet and handed to every :func:`assign_rate_class`.
     """
     names = [name for name in RATE_CLASSES if class_mix.get(name, 0.0) > 0]
     weights = np.asarray([class_mix[name] for name in names], dtype=float)
-    cumulative = np.cumsum(weights) / weights.sum()
-    draw = rng.random()
-    return names[int(np.searchsorted(cumulative, draw, side="right").clip(0, len(names) - 1))]
+    return names, (np.cumsum(weights) / weights.sum()).tolist()
+
+
+def assign_rate_class(
+    rng: np.random.Generator, table: tuple[list[str], list[float]]
+) -> str:
+    """Draw one link's rate class from a :func:`rate_class_table`.
+
+    A single uniform draw against the cumulative mix selects the first class
+    whose cumulative weight exceeds it, so the assignment is deterministic
+    per link stream.
+    """
+    names, cumulative = table
+    return names[min(bisect.bisect_right(cumulative, rng.random()), len(names) - 1)]
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,11 @@ class LinkProfile:
 
 
 class LinkTraffic:
-    """One link's complete synthetic traffic: schedule, calibration and CSI.
+    """One link's synthetic traffic: schedule, calibration and pool CSI.
+
+    Arrival ``i`` reports pool frame ``i % pool_cycle`` (an idle burst, then
+    an occupied one); the traffic holds the prefix of that cycle its windows
+    read, and :meth:`arrival_csi` is the one lookup from arrivals to frames.
 
     Parameters
     ----------
@@ -144,13 +151,15 @@ class LinkTraffic:
     calibration:
         Empty-environment capture used to calibrate the link's session.
     pool_csi:
-        Finite complex array of shape ``(pool, antennas, subcarriers)``;
-        arrival ``i`` reports frame ``i % pool``, so the link cycles through
-        an idle burst followed by an occupied burst.
+        Finite complex ``(frames, antennas, subcarriers)`` array of the
+        acquired pool frames ``0 … frames - 1`` (none for a link that
+        completes no window).
     pool_occupied:
-        Ground-truth occupancy per pool frame.
+        Ground-truth occupancy per acquired frame.
     subcarrier_indices:
         Frequency grid shared by every frame.
+    pool_cycle:
+        Frames in the pool's full cycle, ``>= max(frames, 1)``.
     """
 
     def __init__(
@@ -161,18 +170,23 @@ class LinkTraffic:
         pool_csi: np.ndarray,
         pool_occupied: np.ndarray,
         subcarrier_indices: tuple[int, ...],
+        pool_cycle: int,
     ) -> None:
-        if pool_csi.ndim != 3 or pool_csi.shape[0] < 1:
+        if pool_csi.ndim != 3:
+            raise ValueError(f"pool_csi must be (frames, antennas, subcarriers): {pool_csi.shape}")
+        frames = pool_csi.shape[0]
+        if isinstance(pool_cycle, bool) or not isinstance(pool_cycle, int) or (
+            pool_cycle < max(frames, 1)
+        ):
             raise ValueError(
-                f"pool_csi must be (pool, antennas, subcarriers) with at "
-                f"least one frame, got shape {pool_csi.shape}"
+                f"pool_cycle must be an integer >= max(1, {frames} acquired "
+                f"frames), got {pool_cycle!r}"
             )
         if not np.all(np.isfinite(pool_csi)):
             raise ValueError("pool_csi contains non-finite values")
-        if pool_occupied.shape != (pool_csi.shape[0],):
+        if pool_occupied.shape != (frames,):
             raise ValueError(
-                f"pool_occupied has shape {pool_occupied.shape}, expected "
-                f"({pool_csi.shape[0]},)"
+                f"pool_occupied has shape {pool_occupied.shape}, expected ({frames},)"
             )
         self.profile = profile
         self.arrivals = np.asarray(arrivals, dtype=float)
@@ -182,91 +196,26 @@ class LinkTraffic:
         self.pool_csi = pool_csi
         self.pool_occupied = pool_occupied
         self.subcarrier_indices = subcarrier_indices
+        self.pool_cycle = pool_cycle
 
     @property
     def num_arrivals(self) -> int:
         """Packets this link delivers over the fleet run."""
         return int(self.arrivals.shape[0])
 
+    def arrival_csi(self, arrivals: int | np.ndarray) -> np.ndarray:
+        """The CSI arrival(s) ``i`` report, frame ``i % pool_cycle``;
+        :class:`IndexError` for a frame that was not acquired."""
+        return self.pool_csi[np.asarray(arrivals) % self.pool_cycle]
+
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(link={self.profile.name!r}, "
             f"class={self.profile.rate_class!r}, "
             f"rate={self.profile.packet_rate_hz}Hz, "
-            f"arrivals={self.num_arrivals})"
+            f"arrivals={self.num_arrivals}, "
+            f"frames={self.pool_csi.shape[0]}/{self.pool_cycle})"
         )
-
-
-def build_link_traffic(
-    link_index: int,
-    link: "Link",
-    *,
-    seed: int,
-    pipeline: "PipelineConfig",
-    duration_s: float,
-    pool_packets: int,
-    occupied_fraction: float,
-    class_mix: Mapping[str, float],
-    class_rates_hz: Mapping[str, float],
-) -> LinkTraffic:
-    """Synthesise one link's traffic from the fleet seed and its index.
-
-    Every random stream (class assignment, arrival schedule, channel
-    impairments, collector draws) is derived from ``(seed, link_index)``
-    alone — see :func:`derive_link_seed` / :func:`_stream_rng` — so the same
-    link is byte-identical no matter which worker builds it or how large the
-    population is.
-    """
-    link_seed = derive_link_seed(seed, link_index)
-    rate_class = assign_rate_class(_stream_rng(link_seed, "class"), class_mix)
-    profile = LinkProfile(
-        index=link_index,
-        name=f"link-{link_index:05d}",
-        rate_class=rate_class,
-        packet_rate_hz=float(class_rates_hz[rate_class]),
-        case_name=getattr(link, "name", "") or "",
-    )
-    arrivals = poisson_arrival_times(
-        _stream_rng(link_seed, "arrivals"), profile.packet_rate_hz, duration_s
-    )
-
-    simulator = ChannelSimulator(
-        link,
-        propagation=PropagationModel(tx_power=link.tx_power),
-        seed=int(_stream_rng(link_seed, "channel").integers(0, 2**31 - 1)),
-    )
-    collector = pipeline.collector(simulator, rng=_stream_rng(link_seed, "collector"))
-    calibration = collector.collect(
-        None,
-        num_packets=pipeline.calibration_packets,
-        label=f"{profile.name}/calibration",
-    )
-
-    occupied_packets = int(round(pool_packets * occupied_fraction))
-    occupied_packets = min(max(occupied_packets, 0), pool_packets)
-    empty_packets = pool_packets - occupied_packets
-    pools: list[CSITrace] = []
-    if empty_packets:
-        pools.append(collector.collect(None, num_packets=empty_packets))
-    if occupied_packets:
-        grid = human_grid(link)
-        human = HumanBody(position=grid[len(grid) // 2])
-        pools.append(collector.collect([human], num_packets=occupied_packets))
-    pool_csi = np.concatenate([trace.csi for trace in pools], axis=0)
-    pool_occupied = np.concatenate(
-        [
-            np.zeros(empty_packets, dtype=bool),
-            np.ones(occupied_packets, dtype=bool),
-        ]
-    )
-    return LinkTraffic(
-        profile=profile,
-        arrivals=arrivals,
-        calibration=calibration,
-        pool_csi=pool_csi,
-        pool_occupied=pool_occupied,
-        subcarrier_indices=calibration.subcarrier_indices,
-    )
 
 
 def build_fleet_traffic(
@@ -281,36 +230,38 @@ def build_fleet_traffic(
     class_mix: Mapping[str, float],
     class_rates_hz: Mapping[str, float],
 ) -> list[LinkTraffic]:
-    """Synthesise many links' traffic through shared batched plans.
+    """Synthesise many links' traffic, acquiring only what their windows read.
 
-    Byte-identical to :func:`build_link_traffic` per link (the parity suite
-    pins it), at a fraction of the cost for realistic populations:
+    Each stream of a link (class, arrivals, collector) is
+    ``derive_rng(ensure_rng(derive_link_seed(seed, link_index)), key)``, so
+    a link is byte-identical whichever worker builds it; the streams share
+    one parent state, so its word is drawn once per link.
 
-    * Links reuse a handful of evaluation-case geometries, so the clean CFRs
-      (one empty, one occupied scene per geometry) are synthesised once per
-      *geometry* — one :meth:`~repro.channel.channel.ChannelSimulator.clean_cfr_batch`
-      call each — instead of once per link.  Sharing a simulator across links
-      is byte-safe because the collect path never draws from the simulator's
-      own streams: all per-packet randomness comes from the loss and
-      impairment streams each link's collector derives from its "collector"
-      stream.  (:func:`build_link_traffic` seeds its simulator from the
-      link's "channel" stream; that stream is independent of every other, so
-      not consuming it changes no other draw.)
-    * Each link's three captures (calibration, empty pool, occupied pool)
-      are acquired in one
-      :meth:`~repro.csi.collector.PacketCollector.collect_batch` call, which
-      draws exactly what three consecutive captures would.
+    * Clean CFRs (one empty, one occupied scene) are synthesised once per
+      *geometry*, in one
+      :meth:`~repro.channel.channel.ChannelSimulator.clean_cfr_batch` call.
+      Sharing a simulator across links is byte-safe: the collect path draws
+      only from each link's collector streams.
+    * A link's arrivals are drawn before its CSI, so its complete windows
+      are planned first, by the session's rule
+      (:func:`~repro.api.session.window_starts`).  Arrival ``i`` reports
+      pool frame ``i % pool_packets``, so only frames ``0 …
+      min(pool_packets, last window end) - 1`` are acquired, after the
+      calibration capture, in one
+      :meth:`~repro.csi.collector.PacketCollector.collect_batch` call.
+      Every impairment quantity and loss gap is drawn per packet, in packet
+      order, on its own stream, so they are the bytes a full-pool
+      acquisition gives those frames.
 
     *links* holds the geometry of each entry of *indices*, aligned
     one-to-one (entries may repeat — they are deduplicated by identity).
     """
     if len(links) != len(indices):
-        raise ValueError(
-            f"got {len(links)} links for {len(indices)} link indices"
-        )
+        raise ValueError(f"got {len(links)} links for {len(indices)} link indices")
     occupied_packets = int(round(pool_packets * occupied_fraction))
     occupied_packets = min(max(occupied_packets, 0), pool_packets)
     empty_packets = pool_packets - occupied_packets
+    classes = rate_class_table(class_mix)
 
     # One (simulator, [empty, occupied] cleans) per distinct geometry.
     cache: dict[int, tuple[ChannelSimulator, np.ndarray]] = {}
@@ -331,8 +282,8 @@ def build_fleet_traffic(
     for link_index, link in zip(indices, links):
         simulator, cleans = cache[id(link)]
         with obs.span("collect.plan"):
-            link_seed = derive_link_seed(seed, link_index)
-            rate_class = assign_rate_class(_stream_rng(link_seed, "class"), class_mix)
+            link_word = draw_word(ensure_rng(derive_link_seed(seed, link_index)))
+            rate_class = assign_rate_class(child_rng(link_word, "class"), classes)
             profile = LinkProfile(
                 index=link_index,
                 name=f"link-{link_index:05d}",
@@ -341,41 +292,35 @@ def build_fleet_traffic(
                 case_name=getattr(link, "name", "") or "",
             )
             arrivals = poisson_arrival_times(
-                _stream_rng(link_seed, "arrivals"), profile.packet_rate_hz, duration_s
+                child_rng(link_word, "arrivals"), profile.packet_rate_hz, duration_s
             )
+            # Only the pool frames the link's complete windows read.
+            starts = window_starts(arrivals.size, pipeline.window_packets, pipeline.window_stride)
+            frames = min(pool_packets, starts[-1] + pipeline.window_packets) if starts.size else 0
+            empty = min(empty_packets, frames)
             window_cleans = [cleans[0]]
             counts = [pipeline.calibration_packets]
             labels = [f"{profile.name}/calibration"]
-            if empty_packets:
-                window_cleans.append(cleans[0])
-                counts.append(empty_packets)
-                labels.append("")
-            if occupied_packets:
-                window_cleans.append(cleans[1])
-                counts.append(occupied_packets)
-                labels.append("")
-        collector = pipeline.collector(
-            simulator, rng=_stream_rng(link_seed, "collector")
-        )
-        traces = collector.collect_batch(
+            for clean, count in ((cleans[0], empty), (cleans[1], frames - empty)):
+                if count:
+                    window_cleans.append(clean)
+                    counts.append(count)
+                    labels.append("")
+        collector = pipeline.collector(simulator, rng=child_rng(link_word, "collector"))
+        calibration, *pools = collector.collect_batch(
             np.stack(window_cleans), counts, labels=labels
-        )
-        calibration = traces[0]
-        pool_csi = np.concatenate([trace.csi for trace in traces[1:]], axis=0)
-        pool_occupied = np.concatenate(
-            [
-                np.zeros(empty_packets, dtype=bool),
-                np.ones(occupied_packets, dtype=bool),
-            ]
         )
         traffics.append(
             LinkTraffic(
                 profile=profile,
                 arrivals=arrivals,
                 calibration=calibration,
-                pool_csi=pool_csi,
-                pool_occupied=pool_occupied,
+                pool_csi=np.concatenate(
+                    [calibration.csi[:0], *(trace.csi for trace in pools)]
+                ),
+                pool_occupied=np.arange(frames) >= empty_packets,
                 subcarrier_indices=calibration.subcarrier_indices,
+                pool_cycle=pool_packets,
             )
         )
     return traffics

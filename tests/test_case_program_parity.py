@@ -4,8 +4,10 @@ Every batched path introduced by the case program — multi-window collection
 through one impairment plan, grouped trace sanitisation, shared-sanitised
 scoring, the planned ``run_case`` and the geometry-shared fleet traffic
 builder — must be *byte-identical* to the retained scalar reference it
-replaced.  These tests pin that contract with exact ``==`` comparisons on
-floats and arrays; any ulp of drift is a regression.
+replaced (for the fleet builder: the per-link full-pool oracle in
+``tests/traffic_oracle.py``, whose pool the fleet's frames are a prefix of).
+These tests pin that contract with exact ``==`` comparisons on floats and
+arrays; any ulp of drift is a regression.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scenarios import evaluation_cases
 from repro.fleet.engine import FleetConfig, run_fleet
-from repro.fleet.traffic import build_fleet_traffic, build_link_traffic
+from repro.api.session import window_starts
+from repro.fleet.traffic import build_fleet_traffic
+from tests.traffic_oracle import full_pool_traffic
 
 
 @pytest.fixture(scope="module")
@@ -388,32 +392,52 @@ FLEET_TRAFFIC_KW = dict(
 )
 
 
+def assert_pool_prefix_matches(traffic, expected, pipeline, pool_packets):
+    """*traffic* equals the full-pool *expected* up to the pool frames its
+    windows read, which are exactly ``0 … min(pool, last window end) - 1``."""
+    assert traffic.profile == expected.profile
+    assert np.array_equal(traffic.arrivals, expected.arrivals)
+    assert_traces_equal(traffic.calibration, expected.calibration)
+    starts = window_starts(
+        traffic.num_arrivals, pipeline.window_packets, pipeline.window_stride
+    )
+    last_end = int(starts[-1]) + pipeline.window_packets if starts.size else 0
+    frames = traffic.pool_csi.shape[0]
+    assert frames == min(pool_packets, last_end)
+    assert traffic.pool_cycle == expected.pool_cycle == pool_packets
+    assert np.array_equal(traffic.pool_csi, expected.pool_csi[:frames])
+    assert np.array_equal(traffic.pool_occupied, expected.pool_occupied[:frames])
+    assert traffic.subcarrier_indices == expected.subcarrier_indices
+
+
 class TestFleetTrafficParity:
     @pytest.mark.parametrize("occupied_fraction", [0.0, 0.5, 1.0])
     def test_matches_per_link_builder(self, links, occupied_fraction):
-        """Geometry-shared cleans + one plan per link == scalar builder."""
+        """Geometry-shared cleans + prefix acquisition == per-link full pool."""
         pipeline = PipelineConfig(detector="baseline", calibration_packets=30)
         kw = dict(FLEET_TRAFFIC_KW, occupied_fraction=occupied_fraction)
         indices = list(range(8))
         geometry = [links[i % len(links)] for i in indices]
         batched = build_fleet_traffic(indices, geometry, pipeline=pipeline, **kw)
+        assert any(traffic.pool_csi.shape[0] for traffic in batched)
         for index, link, traffic in zip(indices, geometry, batched):
-            expected = build_link_traffic(index, link, pipeline=pipeline, **kw)
-            assert traffic.profile == expected.profile
-            assert np.array_equal(traffic.arrivals, expected.arrivals)
-            assert_traces_equal(traffic.calibration, expected.calibration)
-            assert np.array_equal(traffic.pool_csi, expected.pool_csi)
-            assert np.array_equal(traffic.pool_occupied, expected.pool_occupied)
-            assert traffic.subcarrier_indices == expected.subcarrier_indices
+            expected = full_pool_traffic(index, link, pipeline=pipeline, **kw)
+            assert_pool_prefix_matches(traffic, expected, pipeline, kw["pool_packets"])
 
     def test_lossy_pipeline_matches_per_link_builder(self, links):
+        # A 10-packet window makes link 3's 13 arrivals read pool frames.
         pipeline = PipelineConfig(
-            detector="baseline", calibration_packets=30, loss_probability=0.25
+            detector="baseline",
+            calibration_packets=30,
+            loss_probability=0.25,
+            window_packets=10,
         )
         batched = build_fleet_traffic([3], [links[3]], pipeline=pipeline, **FLEET_TRAFFIC_KW)
-        expected = build_link_traffic(3, links[3], pipeline=pipeline, **FLEET_TRAFFIC_KW)
-        assert np.array_equal(batched[0].pool_csi, expected.pool_csi)
-        assert_traces_equal(batched[0].calibration, expected.calibration)
+        expected = full_pool_traffic(3, links[3], pipeline=pipeline, **FLEET_TRAFFIC_KW)
+        assert batched[0].pool_csi.shape[0] > 0
+        assert_pool_prefix_matches(
+            batched[0], expected, pipeline, FLEET_TRAFFIC_KW["pool_packets"]
+        )
 
     def test_misaligned_links_rejected(self, links):
         pipeline = PipelineConfig(detector="baseline")

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.channel import Point
+from repro.channel.noise import ImpairmentStreams
 from repro.channel.constants import INTEL5300_SUBCARRIER_INDICES
 from repro.csi import (
     CSIFrame,
@@ -19,6 +21,7 @@ from repro.csi import (
     subcarrier_rss_db,
 )
 from repro.csi.rssi import mean_rss_change_db, rss_variance_db, trace_rss_change_db
+from repro.utils.rng import derive_rng, ensure_rng
 
 
 def _random_csi(rng: np.random.Generator, packets: int = 0) -> np.ndarray:
@@ -154,6 +157,34 @@ class TestPacketCollector:
         # Losses stretch the capture in time beyond the loss-free duration.
         loss_free_duration = 20 / lossy.packet_rate_hz
         assert trace.timestamps[-1] > loss_free_duration
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        loss=st.floats(0.05, 0.9),
+        counts=st.lists(st.integers(1, 30), min_size=1, max_size=3),
+    )
+    def test_lazy_loss_stream_draws_what_an_eager_one_draws(
+        self, simulator, seed, loss, counts
+    ):
+        # The eager stream: the loss generator derived right after the
+        # impairment streams, as the collector's construction orders them.
+        parent = ensure_rng(seed)
+        ImpairmentStreams.derive(parent)
+        eager = derive_rng(parent, "loss")
+        lossy = PacketCollector(simulator, loss_probability=loss, seed=seed)
+        cleans = simulator.clean_cfr_batch([None] * len(counts))
+        traces = lossy.collect_batch(cleans, counts)
+        for trace, count in zip(traces, counts):
+            slots = np.cumsum(eager.geometric(1.0 - loss, size=count))
+            expected = slots / lossy.packet_rate_hz
+            assert trace.timestamps.tobytes() == expected.tobytes()
+
+    def test_loss_free_collector_never_builds_a_loss_generator(self, simulator):
+        collector = PacketCollector(simulator, seed=4)
+        collector.collect_empty(num_packets=5)
+        collector.collect_walk([Point(3.0, 2.0), Point(3.0, 4.0)])
+        assert collector._loss_rng is None
 
     def test_invalid_parameters(self, simulator):
         with pytest.raises(ValueError):

@@ -18,8 +18,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import PipelineConfig
+from repro.backend import use_backend
 from repro.csi.format import CSIFrame
 from repro.experiments.scenarios import evaluation_cases
 from repro.fleet import (
@@ -27,13 +29,14 @@ from repro.fleet import (
     FleetConfig,
     FleetScheduler,
     LinkTraffic,
-    build_link_traffic,
     derive_link_seed,
     poisson_arrival_times,
     run_fleet,
 )
+from repro.fleet.traffic import build_fleet_traffic
 from repro.utils.rng import ensure_rng
 from tests.pins import COMBINED_FLEET_EVENT_SHA256
+from tests.traffic_oracle import full_pool_traffic
 
 
 def small_pipeline(**changes) -> PipelineConfig:
@@ -59,12 +62,8 @@ def small_fleet(**changes) -> FleetConfig:
     return FleetConfig(**settings)
 
 
-def build_traffic(config: FleetConfig, index: int) -> LinkTraffic:
-    cases = evaluation_cases()
-    _, link = cases[index % len(cases)]
-    return build_link_traffic(
-        index,
-        link,
+def traffic_kw(config: FleetConfig) -> dict:
+    return dict(
         seed=config.seed,
         pipeline=config.pipeline,
         duration_s=config.duration_s,
@@ -75,15 +74,35 @@ def build_traffic(config: FleetConfig, index: int) -> LinkTraffic:
     )
 
 
+def fleet_traffic(config: FleetConfig, indices) -> list[LinkTraffic]:
+    """The links' traffic as the fleet builds it (only the frames read)."""
+    cases = evaluation_cases()
+    links = [cases[index % len(cases)][1] for index in indices]
+    return build_fleet_traffic(list(indices), links, **traffic_kw(config))
+
+
+def oracle_traffic(config: FleetConfig, index: int) -> LinkTraffic:
+    """The full-pool oracle's traffic of one link."""
+    cases = evaluation_cases()
+    return full_pool_traffic(
+        index, cases[index % len(cases)][1], **traffic_kw(config)
+    )
+
+
 def sequential_events(config: FleetConfig, index: int):
-    """The reference stream: fresh session, plain per-frame push.
+    """The reference stream: fresh session, plain per-frame push over the
+    oracle's full pool."""
+    return replay(config, oracle_traffic(config, index))
+
+
+def replay(config: FleetConfig, traffic: LinkTraffic):
+    """Push every arrival of a full-pool *traffic* through a fresh session.
 
     Arrival ``i`` reports pool frame ``i % pool``, stamped with its arrival
     time.
     """
     cases = evaluation_cases()
-    _, link = cases[index % len(cases)]
-    traffic = build_traffic(config, index)
+    _, link = cases[traffic.profile.index % len(cases)]
     session = config.pipeline.session(link, link_name=traffic.profile.name)
     session.calibrate(traffic.calibration)
     pool = traffic.pool_csi.shape[0]
@@ -165,6 +184,24 @@ class TestFleetConfig:
         with pytest.raises(ValueError):
             small_fleet(**changes)
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"duration_s": float("inf")},
+            {"duration_s": float("nan")},
+            {"duration_s": True},
+            {"class_mix": {"normal": float("nan"), "busy": 1.0}},
+            {"class_mix": {"normal": float("inf"), "busy": 1.0}},
+            {"class_mix": {"normal": True}},
+            {"class_rates_hz": {"normal": float("inf"), "busy": 20.0, "abusive": 60.0}},
+            {"class_rates_hz": {"normal": float("nan"), "busy": 20.0, "abusive": 60.0}},
+            {"class_rates_hz": {"normal": True, "busy": 20.0, "abusive": 60.0}},
+        ],
+    )
+    def test_non_finite_and_boolean_numbers_rejected(self, changes):
+        with pytest.raises(ValueError, match="must be a finite number"):
+            small_fleet(**changes)
+
     def test_replace_validates(self):
         config = small_fleet()
         assert config.replace(links=50).links == 50
@@ -192,16 +229,16 @@ class TestTraffic:
 
     def test_traffic_is_pure_function_of_seed_and_index(self):
         config = small_fleet()
-        first = build_traffic(config, 4)
-        second = build_traffic(config, 4)
+        first = fleet_traffic(config, [4])[0]
+        second = fleet_traffic(config, [0, 2, 4, 7])[2]
         assert np.array_equal(first.arrivals, second.arrivals)
         assert np.array_equal(first.pool_csi, second.pool_csi)
         assert np.array_equal(first.calibration.csi, second.calibration.csi)
         assert first.profile == second.profile
 
     def test_different_links_draw_different_traffic(self):
-        config = small_fleet()
-        a, b = build_traffic(config, 0), build_traffic(config, 5)
+        config = small_fleet(duration_s=20.0)
+        a, b = fleet_traffic(config, [0, 5])
         # Same case geometry (5 mod 5 == 0) but independent streams.
         assert a.profile.case_name == b.profile.case_name
         assert not np.array_equal(a.pool_csi, b.pool_csi)
@@ -210,23 +247,25 @@ class TestTraffic:
         config = small_fleet(
             class_mix={"abusive": 1.0}, class_rates_hz={"abusive": 30.0}
         )
-        for index in range(4):
-            assert build_traffic(config, index).profile.rate_class == "abusive"
+        for traffic in fleet_traffic(config, range(4)):
+            assert traffic.profile.rate_class == "abusive"
 
     def test_mix_census_tracks_weights(self):
         config = small_fleet(class_mix={"normal": 0.5, "busy": 0.5})
-        classes = {build_traffic(config, i).profile.rate_class for i in range(12)}
+        classes = {traffic.profile.rate_class for traffic in fleet_traffic(config, range(12))}
         assert classes <= {"normal", "busy"}
         assert len(classes) == 2
 
     @pytest.mark.parametrize("fraction, expected", [(0.0, 0), (1.0, 20)])
     def test_occupied_fraction_extremes(self, fraction, expected):
-        config = small_fleet(occupied_fraction=fraction)
-        traffic = build_traffic(config, 1)
+        # 20 s at >= 5 Hz: the link's windows read its whole 20-frame pool.
+        config = small_fleet(occupied_fraction=fraction, duration_s=20.0)
+        traffic = fleet_traffic(config, [1])[0]
+        assert traffic.pool_csi.shape[0] == traffic.pool_cycle == 20
         assert int(traffic.pool_occupied.sum()) == expected
 
     def test_non_finite_pool_rejected(self):
-        traffic = build_traffic(small_fleet(pool_packets=5), 2)
+        traffic = fleet_traffic(small_fleet(pool_packets=5), [2])[0]
         pool_csi = traffic.pool_csi.copy()
         pool_csi[3, 0, 7] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
@@ -237,10 +276,11 @@ class TestTraffic:
                 pool_csi,
                 traffic.pool_occupied,
                 traffic.subcarrier_indices,
+                traffic.pool_cycle,
             )
 
     def test_decreasing_arrivals_rejected(self):
-        traffic = build_traffic(small_fleet(pool_packets=5), 2)
+        traffic = fleet_traffic(small_fleet(pool_packets=5), [2])[0]
         with pytest.raises(ValueError, match="non-decreasing"):
             LinkTraffic(
                 traffic.profile,
@@ -249,7 +289,140 @@ class TestTraffic:
                 traffic.pool_csi,
                 traffic.pool_occupied,
                 traffic.subcarrier_indices,
+                traffic.pool_cycle,
             )
+
+
+class TestPoolCycle:
+    """``LinkTraffic`` holds a prefix of its pool's cycle; ``arrival_csi``
+    maps arrival ``i`` to frame ``i % pool_cycle``."""
+
+    def traffic(self, frames: int, cycle) -> LinkTraffic:
+        oracle = oracle_traffic(small_fleet(pool_packets=6), 3)
+        return LinkTraffic(
+            oracle.profile,
+            oracle.arrivals,
+            oracle.calibration,
+            oracle.pool_csi[:frames],
+            oracle.pool_occupied[:frames],
+            oracle.subcarrier_indices,
+            pool_cycle=cycle,
+        )
+
+    def test_arrival_csi_cycles_over_the_pool(self):
+        full = self.traffic(6, 6)
+        arrivals = np.arange(20)
+        assert np.array_equal(full.arrival_csi(arrivals), full.pool_csi[arrivals % 6])
+        assert np.array_equal(full.arrival_csi(13), full.pool_csi[1])
+
+    def test_prefix_reads_acquired_frames_and_refuses_the_rest(self):
+        full, prefix = self.traffic(6, 6), self.traffic(4, 6)
+        assert np.array_equal(prefix.arrival_csi(np.arange(4)), full.pool_csi[:4])
+        assert np.array_equal(prefix.arrival_csi(np.arange(6, 10)), full.pool_csi[:4])
+        with pytest.raises(IndexError):
+            prefix.arrival_csi(np.arange(2, 6))
+        with pytest.raises(IndexError):
+            prefix.arrival_csi(11)
+
+    def test_zero_frames_keep_their_cycle(self):
+        empty = self.traffic(0, 6)
+        assert empty.pool_csi.shape[0] == 0 and empty.pool_cycle == 6
+        assert "frames=0/6" in repr(empty)
+        with pytest.raises(IndexError):
+            empty.arrival_csi(0)
+
+    @pytest.mark.parametrize("frames, cycle", [(4, 3), (0, 0), (4, True), (4, 6.0), (4, None)])
+    def test_bad_cycle_rejected(self, frames, cycle):
+        with pytest.raises(ValueError, match="pool_cycle"):
+            self.traffic(frames, cycle)
+
+    def test_link_without_a_complete_window_holds_no_frames(self):
+        config = small_fleet(duration_s=1.5)
+        traffics = fleet_traffic(config, range(config.links))
+        window = config.pipeline.window_packets
+        short = [t for t in traffics if t.num_arrivals < window]
+        assert short and len(short) < len(traffics)
+        for traffic in short:
+            assert traffic.pool_csi.shape == (0, 3, 30)
+            assert traffic.pool_occupied.shape == (0,)
+            assert traffic.pool_cycle == config.pool_packets
+
+
+# --------------------------------------------------------------------------- #
+# prefix acquisition vs the full-pool oracle
+# --------------------------------------------------------------------------- #
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    duration_s=st.floats(0.3, 5.0),
+    pool_packets=st.integers(1, 30),
+    occupied_fraction=st.sampled_from((0.0, 0.5, 1.0)),
+    window_packets=st.integers(1, 12),
+    window_stride=st.one_of(st.none(), st.integers(1, 12)),
+    loss_probability=st.sampled_from((0.0, 0.3)),
+    detector=st.sampled_from(("baseline", "combined")),
+    backend=st.sampled_from(("exact", "fast")),
+    seed=st.integers(0, 10_000),
+)
+def test_fleet_acquires_the_full_pool_prefix_its_windows_read(
+    duration_s,
+    pool_packets,
+    occupied_fraction,
+    window_packets,
+    window_stride,
+    loss_probability,
+    detector,
+    backend,
+    seed,
+):
+    """Each link holds pool frames ``0 … min(pool, last window end) - 1``,
+    byte-equal to the full-pool oracle's prefix; every frame a planned
+    window reads is there; the fleet's events are the sequential push
+    replayed on the full pool."""
+    config = small_fleet(
+        links=3,
+        seed=seed,
+        duration_s=duration_s,
+        pool_packets=pool_packets,
+        occupied_fraction=occupied_fraction,
+        backend=backend,
+        pipeline=small_pipeline(
+            detector=detector,
+            window_packets=window_packets,
+            window_stride=window_stride,
+            loss_probability=loss_probability,
+        ),
+    )
+    cases = evaluation_cases()
+    with use_backend(backend):
+        traffics = fleet_traffic(config, range(config.links))
+        oracles = [oracle_traffic(config, index) for index in range(config.links)]
+        references = [replay(config, oracle) for oracle in oracles]
+    report = run_fleet(config)
+    for traffic, oracle, reference in zip(traffics, oracles, references):
+        assert traffic.profile == oracle.profile
+        assert traffic.arrivals.tobytes() == oracle.arrivals.tobytes()
+        assert traffic.calibration.csi.tobytes() == oracle.calibration.csi.tobytes()
+        assert (
+            traffic.calibration.timestamps.tobytes()
+            == oracle.calibration.timestamps.tobytes()
+        )
+        assert traffic.calibration.label == oracle.calibration.label
+        session = config.pipeline.session(cases[traffic.profile.index % len(cases)][1])
+        starts = session.window_starts(traffic.num_arrivals)
+        last_end = int(starts[-1]) + window_packets if starts.size else 0
+        frames = traffic.pool_csi.shape[0]
+        assert frames == min(pool_packets, last_end)
+        assert traffic.pool_cycle == pool_packets
+        assert traffic.pool_csi.tobytes() == oracle.pool_csi[:frames].tobytes()
+        assert np.array_equal(traffic.pool_occupied, oracle.pool_occupied[:frames])
+        for start in starts:
+            read = np.arange(start, start + window_packets)
+            assert (
+                traffic.arrival_csi(read).tobytes()
+                == oracle.pool_csi[read % pool_packets].tobytes()
+            )
+        events = [event for event in report.events if event.link == traffic.profile.name]
+        assert events == reference
 
 
 # --------------------------------------------------------------------------- #
@@ -257,11 +430,12 @@ class TestTraffic:
 # --------------------------------------------------------------------------- #
 class TestSchedulerParity:
     def fleet_streams(self, config):
+        """Calibrated sessions over the fleet builder's traffic (only the
+        frames the windows read); the reference replays the oracle's."""
         cases = evaluation_cases()
         streams = []
-        for index in range(config.links):
+        for index, traffic in enumerate(fleet_traffic(config, range(config.links))):
             _, link = cases[index % len(cases)]
-            traffic = build_traffic(config, index)
             session = config.pipeline.session(link, link_name=traffic.profile.name)
             session.calibrate(traffic.calibration)
             streams.append((session, traffic))
@@ -374,7 +548,7 @@ class TestSchedulerParity:
         config = small_fleet(links=1)
         session = config.pipeline.session(evaluation_cases()[0][1])
         with pytest.raises(RuntimeError, match="calibrated"):
-            FleetScheduler().run([(session, build_traffic(config, 0))])
+            FleetScheduler().run([(session, oracle_traffic(config, 0))])
 
     def test_scheduler_requires_fresh_sessions(self):
         streams = self.fleet_streams(small_fleet(links=2))
@@ -540,6 +714,19 @@ class TestFleetCli:
         err = capsys.readouterr().err
         assert "unknown FleetConfig keys" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("duration", ["inf", "nan"])
+    def test_fleet_run_non_finite_duration_is_one_line_exit_2(self, capsys, duration):
+        assert self.run_cli(["fleet", "run", "--links", "2", "--duration", duration]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: duration_s must be a finite number")
+        assert "Traceback" not in err
+
+    def test_fleet_run_nan_class_weight_is_one_line_exit_2(self, capsys, tmp_path):
+        config_path = tmp_path / "fleet.json"
+        config_path.write_text('{"links": 2, "class_mix": {"normal": NaN, "busy": 1.0}}')
+        assert self.run_cli(["--config", str(config_path), "fleet", "run"]) == 2
+        assert "class_mix['normal'] must be a finite number" in capsys.readouterr().err
 
     def test_fleet_report_missing_file_exit_2(self, capsys, tmp_path):
         assert (

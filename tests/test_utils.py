@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.utils import (
     amplitude_to_db,
@@ -22,7 +22,7 @@ from repro.utils import (
     running_mean,
     sliding_windows,
 )
-from repro.utils.rng import spawn_children
+from repro.utils.rng import child_rng, draw_word, spawn_children
 from repro.utils.stats import median_absolute_deviation
 
 
@@ -44,6 +44,47 @@ class TestRng:
         child_a = derive_rng(parent, "packet", 1)
         child_b = derive_rng(parent, "packet", 2)
         assert child_a.integers(0, 10**6) != child_b.integers(0, 10**6)
+
+    @staticmethod
+    def list_seeded(base: int, keys) -> np.random.Generator:
+        """The child generator seeded from a Python list of words."""
+        words = [base]
+        for key in keys:
+            if isinstance(key, str):
+                words.append(sum(ord(c) * (i + 1) for i, c in enumerate(key)) % (2**31 - 1))
+            else:
+                words.append(key % (2**31 - 1))
+        return np.random.default_rng(np.random.SeedSequence(words))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=st.integers(0, 2**31 - 2),
+        keys=st.lists(
+            st.one_of(st.integers(-(2**64), 2**64), st.text(max_size=16)), max_size=4
+        ),
+    )
+    @example(base=0, keys=[""])
+    @example(base=2**31 - 2, keys=["", "loss", "ünïcødé", "日本語", 0, -1, 2**31 - 1])
+    def test_child_rng_state_equals_the_list_seeded_generator(self, base, keys):
+        # The uint32 word array gives the entropy pool the list gives, so
+        # every child generator starts in the same state.
+        expected = self.list_seeded(base, keys).bit_generator.state
+        assert child_rng(base, *keys).bit_generator.state == expected
+        # The memoised string words hold on a second derivation.
+        assert child_rng(base, *keys).bit_generator.state == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64),
+        keys=st.lists(st.one_of(st.integers(0, 2**40), st.text(max_size=8)), max_size=3),
+    )
+    def test_derive_rng_is_the_child_of_one_drawn_word(self, seed, keys):
+        parent, twin = ensure_rng(seed), ensure_rng(seed)
+        derived = derive_rng(parent, *keys)
+        base = draw_word(twin)
+        assert 0 <= base < 2**31 - 1
+        assert derived.bit_generator.state == self.list_seeded(base, keys).bit_generator.state
+        assert parent.bit_generator.state == twin.bit_generator.state
 
     def test_spawn_children_count_and_independence(self):
         children = spawn_children(3, 4)
