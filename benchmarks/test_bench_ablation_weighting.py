@@ -1,4 +1,6 @@
-"""Ablations on the weighting design choices called out in DESIGN.md.
+"""Ablations on the weighting design choices of the combined scheme (the
+module docstring of :mod:`repro.aoa.bartlett` gives the reasoning for its
+Bartlett spectrum over MUSIC).
 
 * Stability ratio: Eq. 15 weights (temporal mean x stability ratio) vs the
   plain per-packet Eq. 12 weighting averaged over the window.

@@ -61,7 +61,7 @@ def test_subcarrier_weighting_window(benchmark):
     trace = _random_trace(25)
     weighting = SubcarrierWeighting()
     weights = benchmark(weighting.weights_from_trace, trace)
-    assert weights.weights.shape == (3, 30)
+    assert weights.shape == (3, 30)
 
 
 #: sha256 over the stack's 256 windows and the links' calibration captures

@@ -14,12 +14,13 @@ with ``R`` the spatial covariance and ``a`` the steering vector.  The library
 therefore uses MUSIC to *identify* path directions (Fig. 5b, Fig. 10) and the
 Bartlett spectrum as the default angular power representation inside the
 combined detector; the MUSIC pseudospectrum remains available there as a
-configuration option (see DESIGN.md).
+configuration option.
 
 Like every estimator the detector accepts, it has one array method,
 :meth:`BartlettEstimator.spectrum_values`: an ``(N, M, M)`` covariance
 stack in, ``(N, K)`` values out, or only the requested grid columns, each
-to the bits it has in the full grid.
+to the bits it has in the full grid.  The spectrum of one capture is its
+batch of one (:func:`~repro.aoa.music.capture_spectrum`).
 """
 
 from __future__ import annotations
@@ -28,8 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.aoa.covariance import spatial_covariance
-from repro.aoa.music import PseudoSpectrum, grid_steering_matrix
+from repro.aoa.music import (
+    PseudoSpectrum,
+    capture_spectrum,
+    checked_angle_grid,
+    grid_steering_matrix,
+)
 from repro.channel.antenna import UniformLinearArray
 from repro.channel.constants import CHANNEL_11_CENTER_HZ
 
@@ -55,9 +60,7 @@ class BartlettEstimator:
     )
 
     def __post_init__(self) -> None:
-        self.angle_grid_deg = np.asarray(self.angle_grid_deg, dtype=float)
-        if self.angle_grid_deg.ndim != 1 or self.angle_grid_deg.size < 2:
-            raise ValueError("angle_grid_deg must be a 1-D array with at least 2 angles")
+        self.angle_grid_deg = checked_angle_grid(self.angle_grid_deg)
 
     def steering(self) -> np.ndarray:
         """The cached steering matrix over the angle grid (see
@@ -97,56 +100,10 @@ class BartlettEstimator:
         quad = np.einsum("ik,nij,jk->nk", steering.conj(), covariances, steering)
         return np.maximum(np.real(quad) / (self.array.num_elements**2), 0.0)
 
-    def pseudospectra_from_covariances(
-        self, covariances: np.ndarray
-    ) -> list[PseudoSpectrum]:
-        """:meth:`spectrum_values` over the whole grid, one
-        :class:`~repro.aoa.music.PseudoSpectrum` per covariance."""
-        values = self.spectrum_values(covariances)
-        return [PseudoSpectrum(self.angle_grid_deg.copy(), row) for row in values]
-
-    def pseudospectrum_from_covariance(self, covariance: np.ndarray) -> PseudoSpectrum:
-        """Angular power spectrum from a spatial covariance matrix.
-
-        Self-contained single-covariance path (bit-identical to the batched
-        :meth:`pseudospectra_from_covariances`), so subclasses can override
-        either granularity independently.
-        """
-        covariance = np.asarray(covariance, dtype=complex)
-        expected = (self.array.num_elements, self.array.num_elements)
-        if covariance.shape != expected:
-            raise ValueError(
-                f"covariance has shape {covariance.shape}, expected {expected}"
-            )
-        steering = self.steering()
-        # Quadratic form per angle: a^H R a, normalised by M^2 so that a
-        # single unit-power plane wave yields a peak value of ~1.
-        quad = np.einsum("ik,ij,jk->k", steering.conj(), covariance, steering)
-        values = np.maximum(np.real(quad) / (self.array.num_elements**2), 0.0)
-        return PseudoSpectrum(self.angle_grid_deg.copy(), values)
-
     def pseudospectrum(self, csi: np.ndarray) -> PseudoSpectrum:
-        """Angular power spectrum from raw CSI snapshots.
-
-        Parameters
-        ----------
-        csi:
-            Complex CSI of shape ``(antennas, subcarriers)`` or
-            ``(packets, antennas, subcarriers)``.
-        """
-        return self.pseudospectrum_from_covariance(spatial_covariance(csi))
-
-    def pseudospectra(self, csi_seq) -> list[PseudoSpectrum]:
-        """Angular power spectra of several CSI captures in one evaluation.
-
-        Each capture goes through this estimator's own CSI-to-covariance step
-        (plain :func:`~repro.aoa.covariance.spatial_covariance`), then all
-        spectra share one batched steering-matrix evaluation — bit-identical
-        to calling :meth:`pseudospectrum` per capture.  Captures may have
-        different packet counts.
-        """
-        covariances = np.stack([spatial_covariance(csi) for csi in csi_seq])
-        return self.pseudospectra_from_covariances(covariances)
+        """Angular power spectrum of one CSI capture (see
+        :func:`~repro.aoa.music.capture_spectrum`)."""
+        return capture_spectrum(self, csi)
 
     def estimate_angles(self, csi: np.ndarray, *, max_paths: int = 2) -> list[float]:
         """Arrival angles from the Bartlett spectrum peaks (coarse)."""

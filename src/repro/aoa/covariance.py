@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.csi.trace import CSITrace
-
 
 def spatial_covariance(csi: np.ndarray) -> np.ndarray:
     """Spatial covariance matrix ``R = E[x x^H]`` from CSI snapshots.
@@ -59,18 +57,3 @@ def spatial_covariances(csi: np.ndarray) -> np.ndarray:
         raise ValueError("cannot estimate a covariance from zero snapshots")
     return snapshots @ snapshots.conj().transpose(0, 2, 1) / num_snapshots
 
-
-def trace_covariance(trace: CSITrace) -> np.ndarray:
-    """Spatial covariance of an entire trace (all packets, all subcarriers)."""
-    return spatial_covariance(trace.csi)
-
-
-def condition_number(covariance: np.ndarray) -> float:
-    """Condition number of a covariance matrix (diagnostic helper)."""
-    covariance = np.asarray(covariance)
-    eigenvalues = np.linalg.eigvalsh(covariance)
-    smallest = float(np.min(np.abs(eigenvalues)))
-    largest = float(np.max(np.abs(eigenvalues)))
-    if smallest <= 0:
-        return float("inf")
-    return largest / smallest

@@ -11,10 +11,12 @@ peaks at the arrival angles of the incoming paths.  With the Intel 5300's
 three antennas at most two paths can be resolved, which is exactly what the
 paper relies on to separate the LOS direction from the strongest reflection.
 
-The batched evaluation is one array method,
-:meth:`MusicEstimator.spectrum_values` (``(N, M, M)`` covariances in,
-``(N, K)`` values out); ``pseudospectra_from_covariances`` wraps its rows
-in :class:`PseudoSpectrum` objects.
+Every estimator of this package computes spectra through one array method,
+``spectrum_values`` (``(N, M, M)`` covariances in, ``(N, K)`` values out).
+A single capture is its batch of one: :func:`capture_spectrum` wraps that
+row in a :class:`PseudoSpectrum` for the figures that pick peaks, and
+:func:`checked_angle_grid` is the grid check every estimator runs at
+construction.
 """
 
 from __future__ import annotations
@@ -59,6 +61,35 @@ def grid_steering_matrix(estimator) -> np.ndarray:
     return cache[3]
 
 
+def checked_angle_grid(angle_grid_deg) -> np.ndarray:
+    """*angle_grid_deg* as a float array, if it is a 1-D grid of at least 2
+    finite angles.
+
+    Every spectrum estimator runs this at construction: a scalar, 2-D,
+    one-angle or NaN grid would otherwise surface only later, as a shape
+    error, a spectrum with no power or a NaN score.
+    """
+    grid = np.asarray(angle_grid_deg, dtype=float)
+    if grid.ndim != 1 or grid.size < 2 or not np.all(np.isfinite(grid)):
+        raise ValueError(
+            "angle_grid_deg must be a 1-D array of at least 2 finite angles, "
+            f"got shape {grid.shape}"
+        )
+    return grid
+
+
+def capture_spectrum(estimator, csi: np.ndarray) -> PseudoSpectrum:
+    """The angular spectrum of one CSI capture over *estimator*'s whole grid.
+
+    The batch of one of ``estimator.spectrum_values``: *csi* of shape
+    ``(antennas, subcarriers)`` or ``(packets, antennas, subcarriers)``
+    gives one covariance, whose row is wrapped with a copy of the grid.
+    Every estimator's ``pseudospectrum`` returns this.
+    """
+    values = estimator.spectrum_values(spatial_covariance(csi)[None])[0]
+    return PseudoSpectrum(estimator.angle_grid_deg.copy(), values)
+
+
 @dataclass(frozen=True)
 class PseudoSpectrum:
     """An angular pseudospectrum: power-like values over a grid of angles."""
@@ -83,11 +114,6 @@ class PseudoSpectrum:
         if peak <= 0:
             raise ValueError("cannot normalise a non-positive pseudospectrum")
         return PseudoSpectrum(self.angles_deg, self.values / peak)
-
-    def in_db(self) -> np.ndarray:
-        """Spectrum values in dB relative to the peak."""
-        normalized = self.normalized().values
-        return 10.0 * np.log10(np.maximum(normalized, 1e-12))
 
     def peaks(self, max_peaks: int | None = None, *, min_prominence: float = 0.01) -> list[float]:
         """Angles (degrees) of the spectrum peaks, strongest first.
@@ -115,10 +141,6 @@ class PseudoSpectrum:
         if max_peaks is not None:
             ranked = ranked[:max_peaks]
         return ranked
-
-    def value_at(self, angle_deg: float) -> float:
-        """Spectrum value linearly interpolated at *angle_deg*."""
-        return float(np.interp(angle_deg, self.angles_deg, self.values))
 
 
 @dataclass
@@ -156,31 +178,11 @@ class MusicEstimator:
                 f"num_sources ({self.num_sources}) must be smaller than the "
                 f"number of antennas ({self.array.num_elements})"
             )
-        self.angle_grid_deg = np.asarray(self.angle_grid_deg, dtype=float)
+        self.angle_grid_deg = checked_angle_grid(self.angle_grid_deg)
 
     # ------------------------------------------------------------------ #
     # subspace machinery
     # ------------------------------------------------------------------ #
-    def noise_subspace(self, covariance: np.ndarray) -> np.ndarray:
-        """Noise-subspace basis ``E_n`` of shape ``(M, M - num_sources)``.
-
-        The single-covariance path is self-contained (it does not route
-        through :meth:`noise_subspaces`) so subclasses can override either
-        granularity independently; the two are bit-identical for the base
-        implementation (``eigh`` batches per matrix).
-        """
-        covariance = np.asarray(covariance, dtype=complex)
-        expected = (self.array.num_elements, self.array.num_elements)
-        if covariance.shape != expected:
-            raise ValueError(
-                f"covariance has shape {covariance.shape}, expected {expected}"
-            )
-        eigenvalues, eigenvectors = np.linalg.eigh(covariance)
-        # eigh returns ascending eigenvalues; the smallest M - d span the
-        # noise subspace.
-        num_noise = self.array.num_elements - self.num_sources
-        return eigenvectors[:, :num_noise]
-
     def noise_subspaces(self, covariances: np.ndarray) -> np.ndarray:
         """Noise-subspace bases of a covariance stack, ``(N, M, M - num_sources)``."""
         covariances = np.asarray(covariances, dtype=complex)
@@ -222,55 +224,12 @@ class MusicEstimator:
         values = 1.0 / np.maximum(denom, 1e-12)
         return values if columns is None else values[:, columns]
 
-    def pseudospectra_from_covariances(
-        self, covariances: np.ndarray
-    ) -> list[PseudoSpectrum]:
-        """:meth:`spectrum_values` over the whole grid, one
-        :class:`PseudoSpectrum` per covariance."""
-        values = self.spectrum_values(covariances)
-        return [PseudoSpectrum(self.angle_grid_deg.copy(), row) for row in values]
-
-    def pseudospectrum_from_covariance(self, covariance: np.ndarray) -> PseudoSpectrum:
-        """Evaluate the MUSIC pseudospectrum from a covariance matrix.
-
-        Dispatches through :meth:`noise_subspace` so subclasses overriding the
-        subspace hook keep working; bit-identical to the batched
-        :meth:`pseudospectra_from_covariances` for the base implementation.
-        """
-        noise = self.noise_subspace(covariance)
-        steering = self.steering()
-        projected = noise.conj().T @ steering
-        denom = np.sum(np.abs(projected) ** 2, axis=0)
-        values = 1.0 / np.maximum(denom, 1e-12)
-        return PseudoSpectrum(self.angle_grid_deg.copy(), values)
-
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
     def pseudospectrum(self, csi: np.ndarray) -> PseudoSpectrum:
-        """Pseudospectrum from raw CSI snapshots.
-
-        Parameters
-        ----------
-        csi:
-            Complex CSI of shape ``(antennas, subcarriers)`` or
-            ``(packets, antennas, subcarriers)``.
-        """
-        covariance = spatial_covariance(csi)
-        return self.pseudospectrum_from_covariance(covariance)
-
-    def pseudospectra(self, csi_seq) -> list[PseudoSpectrum]:
-        """MUSIC pseudospectra of several CSI captures in one evaluation.
-
-        Each capture goes through this estimator's own CSI-to-covariance step
-        (plain :func:`~repro.aoa.covariance.spatial_covariance`), then the
-        whole batch shares one steering-matrix evaluation — bit-identical to
-        calling :meth:`pseudospectrum` per capture.  An estimator with a
-        different covariance step (e.g. spatial smoothing) must override this
-        method, not just :meth:`pseudospectra_from_covariances`.
-        """
-        covariances = np.stack([spatial_covariance(csi) for csi in csi_seq])
-        return self.pseudospectra_from_covariances(covariances)
+        """Pseudospectrum of one CSI capture (see :func:`capture_spectrum`)."""
+        return capture_spectrum(self, csi)
 
     def estimate_angles(
         self, csi: np.ndarray, *, max_paths: int | None = None
@@ -279,8 +238,3 @@ class MusicEstimator:
         spectrum = self.pseudospectrum(csi)
         limit = max_paths if max_paths is not None else self.num_sources
         return spectrum.peaks(max_peaks=limit)
-
-    def estimate_los_angle(self, csi: np.ndarray) -> float:
-        """Angle of the strongest pseudospectrum peak (assumed LOS)."""
-        angles = self.estimate_angles(csi, max_paths=1)
-        return angles[0]

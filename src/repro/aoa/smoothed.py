@@ -13,7 +13,8 @@ the MUSIC ablation benchmark).
 The estimator is smoothing plus plain MUSIC's array method on the virtual
 subarray; that inner estimator is rebuilt from the current fields whenever
 one of them changed, so the fields can be rebound like those of the plain
-estimators.
+estimators.  The spectrum of one capture is the batch of one of that array
+method (:func:`~repro.aoa.music.capture_spectrum`).
 """
 
 from __future__ import annotations
@@ -22,8 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.aoa.covariance import spatial_covariance
-from repro.aoa.music import MusicEstimator, PseudoSpectrum
+from repro.aoa.music import (
+    MusicEstimator,
+    PseudoSpectrum,
+    capture_spectrum,
+    checked_angle_grid,
+)
 from repro.channel.antenna import UniformLinearArray
 from repro.channel.constants import CHANNEL_11_CENTER_HZ
 
@@ -100,7 +105,7 @@ class SmoothedMusicEstimator:
                 f"num_sources ({self.num_sources}) must be smaller than "
                 f"subarray_size ({self.subarray_size})"
             )
-        self.angle_grid_deg = np.asarray(self.angle_grid_deg, dtype=float)
+        self.angle_grid_deg = checked_angle_grid(self.angle_grid_deg)
         self._inner: MusicEstimator | None = None
 
     def _inner_estimator(self) -> MusicEstimator:
@@ -147,19 +152,10 @@ class SmoothedMusicEstimator:
         smoothed = forward_smoothed_covariance(covariances, self.subarray_size)
         return self._inner_estimator().spectrum_values(smoothed, columns)
 
-    def pseudospectra_from_covariances(
-        self, covariances: np.ndarray
-    ) -> list[PseudoSpectrum]:
-        """:meth:`spectrum_values` over the whole grid, one
-        :class:`~repro.aoa.music.PseudoSpectrum` per covariance."""
-        values = self.spectrum_values(covariances)
-        return [PseudoSpectrum(self.angle_grid_deg.copy(), row) for row in values]
-
     def pseudospectrum(self, csi: np.ndarray) -> PseudoSpectrum:
-        """Smoothed-MUSIC pseudospectrum from CSI snapshots."""
-        covariance = spatial_covariance(csi)
-        smoothed = forward_smoothed_covariance(covariance, self.subarray_size)
-        return self._inner_estimator().pseudospectrum_from_covariance(smoothed)
+        """Smoothed-MUSIC pseudospectrum of one CSI capture (see
+        :func:`~repro.aoa.music.capture_spectrum`)."""
+        return capture_spectrum(self, csi)
 
     def estimate_angles(self, csi: np.ndarray, *, max_paths: int | None = None) -> list[float]:
         """Estimated arrival angles in degrees, strongest peak first."""

@@ -26,7 +26,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.utils.validation import check_known_keys, check_probability
+from repro.utils.validation import (
+    check_finite_real,
+    check_integer,
+    check_known_keys,
+    check_probability,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.channel.channel import ChannelSimulator, Link
@@ -40,6 +45,9 @@ SPECTRA: tuple[str, ...] = ("bartlett", "music")
 
 #: Supported threshold policies (see :class:`PipelineConfig.threshold_policy`).
 THRESHOLD_POLICIES: tuple[str, ...] = ("fixed", "calibration")
+
+#: Fields whose ``None`` means "not set" (see :class:`PipelineConfig`).
+_OPTIONAL_FIELDS = frozenset({"window_stride", "threshold", "seed"})
 
 
 @dataclass(frozen=True)
@@ -125,6 +133,26 @@ class PipelineConfig:
             raise ValueError(
                 f"spectrum must be one of {SPECTRA}, got {self.spectrum!r}"
             )
+        # Types first, so a config file fails here with one line: a fraction
+        # or boolean size, a NaN rate or a "no" flag would otherwise crash
+        # mid-run or run a pipeline other than the one written down.
+        for name in ("sanitize", "use_stability_ratio"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        for name, check in (
+            ("window_packets", check_integer),
+            ("window_stride", check_integer),
+            ("calibration_packets", check_integer),
+            ("seed", check_integer),
+            ("threshold", check_finite_real),
+            ("threshold_margin", check_finite_real),
+            ("packet_rate_hz", check_finite_real),
+            ("theta_min_deg", check_finite_real),
+            ("theta_max_deg", check_finite_real),
+        ):
+            value = getattr(self, name)
+            if not (value is None and name in _OPTIONAL_FIELDS):
+                check(name, value)
         if self.window_packets < 1:
             raise ValueError(f"window_packets must be >= 1, got {self.window_packets}")
         if self.window_stride is not None and self.window_stride < 1:

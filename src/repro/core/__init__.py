@@ -8,9 +8,10 @@
 * :mod:`repro.core.fitting` — the logarithmic relation between RSS change and
   multipath factor (Fig. 3).
 * :mod:`repro.core.subcarrier_weighting` — frequency-diversity weighting
-  (Section IV-A2, Eq. 12–15).
+  (Section IV-A2, Eq. 12–15), one stacked program over windows.
 * :mod:`repro.core.path_weighting` — spatial-diversity weighting of the
-  angular pseudospectrum (Section IV-B2, Eq. 17).
+  angular pseudospectrum (Section IV-B2, Eq. 17), one array function over
+  static spectra.
 * :mod:`repro.core.detector` — the calibration/monitoring detection pipeline
   and the baseline it is compared against (Section IV-C, Section V).
 * :mod:`repro.core.thresholds` — ROC sweeps and threshold selection.
@@ -31,8 +32,8 @@ from repro.core.fitting import LogFit, fit_log_curve, fit_per_subcarrier
 from repro.core.hmm import TwoStateHMM
 from repro.core.link_model import OneBounceLinkModel
 from repro.core.multipath_factor import multipath_factor_trace
-from repro.core.path_weighting import PathWeighting
-from repro.core.subcarrier_weighting import SubcarrierWeighting, SubcarrierWeights
+from repro.core.path_weighting import path_weights
+from repro.core.subcarrier_weighting import SubcarrierWeighting
 from repro.core.thresholds import RocCurve, balanced_threshold, roc_curve
 
 __all__ = [
@@ -47,9 +48,8 @@ __all__ = [
     "TwoStateHMM",
     "OneBounceLinkModel",
     "multipath_factor_trace",
-    "PathWeighting",
+    "path_weights",
     "SubcarrierWeighting",
-    "SubcarrierWeights",
     "RocCurve",
     "balanced_threshold",
     "roc_curve",

@@ -4,7 +4,7 @@ All detectors share the paper's two-stage structure:
 
 * **Calibration** — collect N CSI packets of the empty environment, sanitise
   them, store the mean amplitude profile ``s^(0)`` and (for the combined
-  scheme) the static angular pseudospectrum and its path weights.
+  scheme) the path weights of the static angular spectrum.
 * **Monitoring** — collect M packets, compute a scalar detection score and
   compare it against a threshold.
 
@@ -34,11 +34,14 @@ settings, and a window's score only on its detector's calibration and its
 packets, so both are bit-identical for any batch size or composition, under
 every numeric backend.
 
-The combined scheme's path weights are exactly zero outside each detector's
-angular gate, so its scoring kernel evaluates the angular spectra only on
-the grid columns inside some stacked detector's gate.  The estimator's
-column contract and a full-grid norm keep each finite or infinite score
-the bytes of the full-grid evaluation; a NaN score stays NaN.
+The combined scheme keeps its calibration as arrays: the static spectra
+of a stack become path weights in one
+:func:`~repro.core.path_weighting.path_weights` call.  The path weights are
+exactly zero outside each detector's angular gate, so its scoring kernel
+evaluates the angular spectra only on the grid columns inside some stacked
+detector's gate.  The estimator's column contract and a full-grid norm keep
+each finite or infinite score the bytes of the full-grid evaluation; a NaN
+score stays NaN.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ import numpy as np
 from repro.aoa.covariance import spatial_covariances
 from repro.aoa.music import PseudoSpectrum
 from repro.channel.antenna import UniformLinearArray
-from repro.core.path_weighting import PathWeighting
-from repro.core.subcarrier_weighting import SubcarrierWeighting, SubcarrierWeights
+from repro.core.path_weighting import path_weights
+from repro.core.subcarrier_weighting import SubcarrierWeighting
 from repro.csi.calibration import sanitize_trace
 from repro.csi.trace import CSITrace
 from repro.utils.convert import power_to_db
@@ -299,7 +302,7 @@ def _stacked_profiles(detectors: Sequence[_BaseDetector]) -> np.ndarray:
 
 def _weighting_key(weighting: SubcarrierWeighting) -> Hashable:
     """The settings :meth:`SubcarrierWeighting.stacked_weights` reads."""
-    return (weighting.use_stability_ratio, _value_key(weighting.frequencies))
+    return (weighting.use_stability_ratio,)
 
 
 def _stacked_weights(
@@ -370,10 +373,10 @@ class SubcarrierWeightingDetector(_BaseDetector):
         )
         return distances.mean(axis=1)
 
-    def last_weights(self, window: CSITrace) -> SubcarrierWeights:
-        """Expose the weights computed for a window (diagnostics, figures)."""
-        window = self._prepare(window)
-        return self.weighting.weights_from_trace(window)
+    def last_weights(self, window: CSITrace) -> np.ndarray:
+        """The ``(antennas, subcarriers)`` weights of a window (diagnostics,
+        figures)."""
+        return self.weighting.weights_from_trace(self._prepare(window))
 
 
 class SubcarrierPathWeightingDetector(_BaseDetector):
@@ -396,17 +399,19 @@ class SubcarrierPathWeightingDetector(_BaseDetector):
         :class:`~repro.aoa.bartlett.BartlettEstimator` (power-calibrated
         angular spectrum, the library default for detection) or a
         :class:`~repro.aoa.music.MusicEstimator` (the paper's literal choice;
-        sharper peaks but scale-free values).  See DESIGN.md for the
-        trade-off.  Each spectrum must depend only on its own covariance
-        and on the estimator's class and fields, reading of the array only
-        its element count and spacing, never its placement; and a column's
-        value must not depend on which other columns were requested.
+        sharper peaks but scale-free values); the module docstring of
+        :mod:`repro.aoa.bartlett` gives the trade-off.  Each spectrum must
+        depend only on its own covariance and on the estimator's class and
+        fields, reading of the array only its element count and spacing,
+        never its placement; and a column's value must not depend on which
+        other columns were requested.
         Calibration evaluates the whole grid, scoring only the columns
         inside some window's gate.  Detectors whose estimators agree on
         those settings (:meth:`batch_key`) share one kernel call, which runs
         the first detector's estimator for all.
     theta_min_deg, theta_max_deg:
-        Angular gate of the path weights.
+        Angular gate of the path weights; it must hold at least one angle
+        of the estimator's grid.
     use_stability_ratio:
         Subcarrier weighting variant (see :class:`SubcarrierWeightingDetector`).
     sanitize:
@@ -430,11 +435,16 @@ class SubcarrierPathWeightingDetector(_BaseDetector):
                 "spectrum_estimator must provide spectrum_values"
                 f"(covariances, columns=None), got {type(spectrum_estimator).__name__}"
             )
+        grid = np.asarray(spectrum_estimator.angle_grid_deg, dtype=float)
+        if not np.any((grid > theta_min_deg) & (grid < theta_max_deg)):
+            raise ValueError(
+                f"angular gate ({theta_min_deg}, {theta_max_deg}) holds no angle "
+                "of the spectrum estimator's grid"
+            )
         self.spectrum_estimator = spectrum_estimator
         self.theta_min_deg = theta_min_deg
         self.theta_max_deg = theta_max_deg
         self.weighting = SubcarrierWeighting(use_stability_ratio=use_stability_ratio)
-        self._path_weighting: PathWeighting | None = None
         self._path_weights: np.ndarray | None = None
         self._calibration_gram: np.ndarray | None = None
         self._calibration_packets = 0
@@ -449,23 +459,18 @@ class SubcarrierPathWeightingDetector(_BaseDetector):
         # the calibration-stage MUSIC/Bartlett pass of Section IV-C, which
         # only needs to know where the static propagation paths arrive from.
         estimator = detectors[0].spectrum_estimator
-        spectra = [
-            PseudoSpectrum(np.array(estimator.angle_grid_deg, dtype=float), values)
-            for values in estimator.spectrum_values(spatial_covariances(csi))
-        ]
-        if any(float(np.sum(spectrum.values)) <= 0 for spectrum in spectra):
+        static = np.asarray(
+            estimator.spectrum_values(spatial_covariances(csi)), dtype=float
+        )
+        if np.any(static.sum(axis=1) <= 0):
             raise ValueError("calibration produced a spectrum with no power")
         # The angular gate is per-detector state, like the spectrum.
-        weightings = [
-            PathWeighting(
-                static_spectrum=spectrum,
-                theta_min_deg=detector.theta_min_deg,
-                theta_max_deg=detector.theta_max_deg,
-            )
-            for detector, spectrum in zip(detectors, spectra)
-        ]
-        state["_path_weighting"] = weightings
-        state["_path_weights"] = PathWeighting.stacked_weights(weightings)
+        state["_path_weights"] = path_weights(
+            static,
+            estimator.angle_grid_deg,
+            [detector.theta_min_deg for detector in detectors],
+            [detector.theta_max_deg for detector in detectors],
+        )
         # The subcarrier weights are measured per monitoring window and the
         # *same* weights are applied to the calibration CSI "before
         # subtracting" (Section IV-C).  They factor out of the calibration
@@ -474,13 +479,6 @@ class SubcarrierPathWeightingDetector(_BaseDetector):
         state["_calibration_gram"] = np.einsum("ncas,ncbs->nabs", csi, csi.conj())
         state["_calibration_packets"] = [csi.shape[1]] * len(detectors)
         return state
-
-    @property
-    def path_weighting(self) -> PathWeighting:
-        """The path weighting derived at calibration time."""
-        self._require_calibration()
-        assert self._path_weighting is not None
-        return self._path_weighting
 
     # ------------------------------------------------------------------ #
     # monitoring
@@ -547,9 +545,10 @@ class SubcarrierPathWeightingDetector(_BaseDetector):
         return np.linalg.norm(difference, axis=1)
 
     def monitored_spectrum(self, window: CSITrace) -> PseudoSpectrum:
-        """Angular spectrum of a monitoring window after subcarrier weighting."""
+        """Angular spectrum of a monitoring window after subcarrier
+        weighting, over the estimator's grid (diagnostics)."""
         window = self._prepare(window)
         self._require_calibration()
         monitored, _ = self._stacked_spectra([self], window.csi[None])
-        angles = self.path_weighting.static_spectrum.angles_deg.copy()
+        angles = np.array(self.spectrum_estimator.angle_grid_deg, dtype=float)
         return PseudoSpectrum(angles, monitored[0])

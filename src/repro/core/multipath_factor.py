@@ -23,10 +23,10 @@ what Fig. 3 demonstrates — is that ``mu_k`` varies monotonically with the
 link's sensitivity to human presence, and that its *relative* values across
 subcarriers rank them by sensitivity.
 
-The module also holds the per-packet statistics of Eq. 13–15 on these
-factors: the temporal mean and the stability ratio, whose mask of factors
-above their packet's median (:func:`exceeds_row_median`) the stacked
-subcarrier weights share.
+The module also holds :func:`exceeds_row_median`, the mask of factors
+above their packet's median from which
+:meth:`~repro.core.subcarrier_weighting.SubcarrierWeighting.stacked_weights`
+takes the stability ratio of Eq. 13–14.
 """
 
 from __future__ import annotations
@@ -37,49 +37,35 @@ from repro.channel.constants import subcarrier_frequencies
 from repro.channel.ofdm import dominant_tap_power_batch
 from repro.csi.trace import CSITrace
 
-#: Cached ``f_k^{-2}`` apportionment weights of the default Intel 5300 grid.
-#: The grid is a module-level constant, so the weight vector is a pure
-#: function of it; computing it once removes a per-call ``**-2.0`` + sum +
-#: divide from the hottest loop of the campaign profile.  Custom ``frequencies``
-#: arguments always take the uncached path below.
+#: Cached ``f_k^{-2}`` apportionment weights of the Intel 5300 grid.  The
+#: grid is a module-level constant, so the weight vector is a pure function
+#: of it; computing it once removes a per-call ``**-2.0`` + sum + divide from
+#: the hottest loop of the campaign profile.
 _DEFAULT_APPORTIONMENT: np.ndarray | None = None
 
 
-def _apportionment_weights(frequencies: np.ndarray | None) -> np.ndarray:
-    """The normalised ``f_k^{-2}`` weight vector of Eq. 10.
-
-    ``None`` resolves to the default Intel 5300 grid and is cached (keyed on
-    that grid being the module constant); an explicit *frequencies* array is
-    recomputed on every call with exactly the historical expressions.
-    """
+def _apportionment_weights() -> np.ndarray:
+    """The normalised ``f_k^{-2}`` weight vector of Eq. 10, computed once."""
     global _DEFAULT_APPORTIONMENT
-    if frequencies is None:
-        if _DEFAULT_APPORTIONMENT is None:
-            freqs = subcarrier_frequencies()
-            inverse_f2 = freqs**-2.0  # repro: allow-det001 -- pinned expression: the sha256 score pins depend on this exact kernel staying as-is
-            _DEFAULT_APPORTIONMENT = inverse_f2 / inverse_f2.sum()
-        return _DEFAULT_APPORTIONMENT
-    freqs = np.asarray(frequencies, dtype=float)
-    inverse_f2 = freqs**-2.0  # repro: allow-det001 -- must match the cached default-grid expression above bit for bit (custom frequency grids take this uncached path)
-    return inverse_f2 / inverse_f2.sum()
+    if _DEFAULT_APPORTIONMENT is None:
+        freqs = subcarrier_frequencies()
+        inverse_f2 = freqs**-2.0  # repro: allow-det001 -- pinned expression: the sha256 score pins depend on this exact kernel staying as-is
+        _DEFAULT_APPORTIONMENT = inverse_f2 / inverse_f2.sum()
+    return _DEFAULT_APPORTIONMENT
 
 
-def los_power_per_subcarrier_batch(
-    csi_rows: np.ndarray, frequencies: np.ndarray | None = None
-) -> np.ndarray:
+def los_power_per_subcarrier_batch(csi_rows: np.ndarray) -> np.ndarray:
     """Eq. 10 for many CSI rows at once.
 
     One stacked IFFT (:func:`~repro.channel.ofdm.dominant_tap_power_batch`)
-    followed by a broadcast multiply with the cached ``f_k^{-2}`` weights;
-    every row is bit-identical whatever other rows share the call.
+    followed by a broadcast multiply with the cached ``f_k^{-2}`` weights of
+    the Intel 5300 grid; every row is bit-identical whatever other rows
+    share the call.
 
     Parameters
     ----------
     csi_rows:
         Complex CSI rows, shape ``(num_rows, num_subcarriers)``.
-    frequencies:
-        Absolute subcarrier frequencies shared by all rows; defaults to the
-        Intel 5300 grid (whose weight vector is cached).
 
     Returns
     -------
@@ -91,48 +77,33 @@ def los_power_per_subcarrier_batch(
         raise ValueError(
             f"csi_rows must have shape (rows, subcarriers), got {csi_rows.shape}"
         )
-    if frequencies is not None:
-        # Validate before computing: a malformed custom grid must raise here,
-        # not emit ``**-2.0`` warnings first (the historical check order).
-        frequencies = np.asarray(frequencies, dtype=float)
-        if frequencies.shape != csi_rows.shape[-1:]:
-            raise ValueError(
-                f"frequencies shape {frequencies.shape} does not match csi shape "
-                f"{csi_rows.shape[-1:]}"
-            )
-        weights = _apportionment_weights(frequencies)
-    else:
-        weights = _apportionment_weights(None)
-        # Guard the default grid too: rows of the wrong subcarrier count must
-        # fail with the historical message, not broadcast to (rows, 30).
-        if weights.shape != csi_rows.shape[-1:]:
-            raise ValueError(
-                f"frequencies shape {weights.shape} does not match csi shape "
-                f"{csi_rows.shape[-1:]}"
-            )
+    weights = _apportionment_weights()
+    # Rows of the wrong subcarrier count must fail with the historical
+    # message, not broadcast to (rows, 30).
+    if weights.shape != csi_rows.shape[-1:]:
+        raise ValueError(
+            f"frequencies shape {weights.shape} does not match csi shape "
+            f"{csi_rows.shape[-1:]}"
+        )
     total_los_power = dominant_tap_power_batch(csi_rows)
     return weights[None, :] * total_los_power[:, None]
 
 
-def multipath_factor_batch(
-    csi_rows: np.ndarray, frequencies: np.ndarray | None = None
-) -> np.ndarray:
+def multipath_factor_batch(csi_rows: np.ndarray) -> np.ndarray:
     """Per-subcarrier multipath factor ``mu_k`` (Eq. 11) of a stack of CSI rows.
 
-    The workhorse behind :func:`multipath_factor_trace` (and through it the
-    subcarrier weighting and detector scoring): one stacked IFFT for the LOS
-    powers, one broadcast division for the ratios.  Bit-identical to the
+    The workhorse behind :func:`multipath_factor_trace` and the subcarrier
+    weighting of the detectors' scoring kernels: one stacked IFFT for the
+    LOS powers, one broadcast division for the ratios.  Bit-identical to the
     per-row loop, which the parity suite checks.  One packet of shape
     ``(antennas, subcarriers)`` is a batch of its antenna rows.
 
     Parameters
     ----------
     csi_rows:
-        Complex CSI of shape ``(..., num_subcarriers)``; leading axes (for
-        example packets and antennas) are flattened for the batch and
-        restored on output.
-    frequencies:
-        Absolute subcarrier frequencies; defaults to the Intel 5300 grid.
+        Complex CSI of shape ``(..., num_subcarriers)`` on the Intel 5300
+        grid; leading axes (for example packets and antennas) are flattened
+        for the batch and restored on output.
 
     Returns
     -------
@@ -144,36 +115,21 @@ def multipath_factor_batch(
         raise ValueError("csi_rows must have at least one dimension")
     shape = csi_rows.shape
     rows = np.ascontiguousarray(csi_rows).reshape(-1, shape[-1])
-    los_power = los_power_per_subcarrier_batch(rows, frequencies)
+    los_power = los_power_per_subcarrier_batch(rows)
     total_power = np.abs(rows) ** 2
     factors = los_power / np.maximum(total_power, 1e-30)
     return factors.reshape(shape)
 
 
-def multipath_factor_trace(
-    trace: CSITrace, frequencies: np.ndarray | None = None
-) -> np.ndarray:
+def multipath_factor_trace(trace: CSITrace) -> np.ndarray:
     """Multipath factors for every packet of a trace.
 
     All ``packets * antennas`` rows go through one stacked IFFT
-    (:func:`multipath_factor_batch`) instead of the historical per-packet /
-    per-antenna loop — the dominant cost of the campaign profile before this
-    layer was batched.
+    (:func:`multipath_factor_batch`).
 
     Returns an array of shape ``(num_packets, num_antennas, num_subcarriers)``.
     """
-    return multipath_factor_batch(trace.csi, frequencies)
-
-
-def temporal_mean_factor(factors: np.ndarray) -> np.ndarray:
-    """Temporal mean ``mu_bar_k`` over the packet axis (Eq. 15 ingredient)."""
-    factors = np.asarray(factors, dtype=float)
-    if factors.ndim != 3:
-        raise ValueError(
-            "factors must have shape (packets, antennas, subcarriers), "
-            f"got {factors.shape}"
-        )
-    return factors.mean(axis=0)
+    return multipath_factor_batch(trace.csi)
 
 
 def exceeds_row_median(values: np.ndarray) -> np.ndarray:
@@ -193,29 +149,3 @@ def exceeds_row_median(values: np.ndarray) -> np.ndarray:
     medians = middle.mean(axis=-1, keepdims=True)
     return (values > medians) & ~np.isnan(ordered[..., -1:])
 
-
-def stability_ratio(factors: np.ndarray) -> np.ndarray:
-    """Fraction of packets where ``mu_k`` exceeds the per-packet median (Eq. 13–14).
-
-    A subcarrier that is consistently above the median multipath factor of
-    its packet is temporally stable and deserves a higher weight; one that
-    only occasionally spikes is penalised.  The mask comes from
-    :func:`exceeds_row_median`, which the stacked weights share.
-
-    Parameters
-    ----------
-    factors:
-        Multipath factors of shape ``(packets, antennas, subcarriers)``.
-
-    Returns
-    -------
-    numpy.ndarray
-        Ratios ``r_k`` in ``[0, 1]`` of shape ``(antennas, subcarriers)``.
-    """
-    factors = np.asarray(factors, dtype=float)
-    if factors.ndim != 3:
-        raise ValueError(
-            "factors must have shape (packets, antennas, subcarriers), "
-            f"got {factors.shape}"
-        )
-    return exceeds_row_median(factors).mean(axis=0)

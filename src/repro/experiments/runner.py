@@ -37,7 +37,7 @@ from repro.experiments.scenarios import (
 )
 from repro.experiments.workloads import BackgroundDynamics, EnvironmentDrift
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_known_keys
+from repro.utils.validation import check_integer, check_known_keys
 
 #: Names of the three evaluation schemes, in the paper's order.
 SCHEMES: tuple[str, ...] = ("baseline", "subcarrier", "combined")
@@ -111,11 +111,7 @@ class EvaluationConfig:
             ("calibration_packets", 2),
             ("seed", None),
         ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                # A quoted number in a JSON config ("2015") must fail here
-                # with a config error, not as a TypeError mid-campaign.
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            value = check_integer(name, getattr(self, name))
             if minimum is not None and value < minimum:
                 raise ValueError(f"{name} must be >= {minimum}, got {value}")
         if not isinstance(self.packet_rate_hz, (int, float)) or self.packet_rate_hz <= 0:
@@ -131,6 +127,9 @@ class EvaluationConfig:
             raise ValueError(
                 f"schemes must be non-empty scheme names, got {self.schemes!r}"
             )
+        # The knobs every scheme's pipeline is built from are checked by the
+        # config they are forwarded to, here rather than mid-campaign.
+        self.pipeline_config(self.schemes[0])
 
     def impairments(self) -> ImpairmentModel:
         """The per-packet impairment model used by every case."""

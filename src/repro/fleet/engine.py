@@ -25,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -38,7 +37,12 @@ from repro.api.monitor import calibrate_sessions
 from repro.backend import use_backend
 from repro.api.session import DetectionEvent, StreamingSession
 from repro.obs.trace import ObsSnapshot
-from repro.utils.validation import check_known_keys, check_probability
+from repro.utils.validation import (
+    check_finite_real,
+    check_integer,
+    check_known_keys,
+    check_probability,
+)
 
 from repro.fleet.scheduler import FleetScheduler
 from repro.fleet.traffic import RATE_CLASSES, LinkTraffic, build_fleet_traffic
@@ -59,13 +63,6 @@ def _default_class_mix() -> dict[str, float]:
 
 def _default_class_rates() -> dict[str, float]:
     return {"normal": 5.0, "busy": 20.0, "abusive": 60.0}
-
-
-def _finite_real(name: str, value: Any) -> float:
-    """*value* as a float, if it is a finite, non-boolean number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -142,9 +139,7 @@ class FleetConfig:
             ("pool_packets", 1),
             ("max_workers", 1),
         ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            value = check_integer(name, getattr(self, name))
             if value < minimum:
                 raise ValueError(f"{name} must be >= {minimum}, got {value}")
         if self.setup_workers is not None and (
@@ -156,10 +151,9 @@ class FleetConfig:
                 f"setup_workers must be None or an integer >= 1, "
                 f"got {self.setup_workers!r}"
             )
-        if _finite_real("duration_s", self.duration_s) <= 0:
+        if check_finite_real("duration_s", self.duration_s) <= 0:
             raise ValueError(f"duration_s must be > 0, got {self.duration_s!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        check_integer("seed", self.seed)
         if not self.backend or not isinstance(self.backend, str):
             raise ValueError(f"backend must be a non-empty string, got {self.backend!r}")
         check_probability("occupied_fraction", self.occupied_fraction)
@@ -175,7 +169,7 @@ class FleetConfig:
                 f"unknown class_mix classes {sorted(unknown)}; "
                 f"known classes: {list(RATE_CLASSES)}"
             )
-        weights = {k: _finite_real(f"class_mix[{k!r}]", v) for k, v in self.class_mix.items()}
+        weights = {k: check_finite_real(f"class_mix[{k!r}]", v) for k, v in self.class_mix.items()}
         if any(value < 0 for value in weights.values()) or sum(weights.values()) <= 0:
             raise ValueError(
                 f"class_mix weights must be non-negative with a positive sum, "
@@ -186,7 +180,7 @@ class FleetConfig:
                 f"class_rates_hz must be a mapping, got {self.class_rates_hz!r}"
             )
         for name, rate in self.class_rates_hz.items():
-            _finite_real(f"class_rates_hz[{name!r}]", rate)
+            check_finite_real(f"class_rates_hz[{name!r}]", rate)
         for name, weight in weights.items():
             if weight <= 0:
                 continue

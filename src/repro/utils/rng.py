@@ -72,18 +72,3 @@ def child_rng(base: int, *keys: Union[int, str]) -> np.random.Generator:
 def _string_word(key: str) -> int:
     """A string key's seed word (memoised: stream names are constants)."""
     return sum(ord(c) * (i + 1) for i, c in enumerate(key)) % (2**31 - 1)
-
-
-def spawn_children(seed: SeedLike, count: int) -> list[np.random.Generator]:
-    """Create *count* independent generators from a single seed.
-
-    Useful for embarrassingly parallel sweeps (one generator per human
-    location, per link case, …) where the iteration order must not influence
-    the drawn values.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if isinstance(seed, np.random.Generator):
-        seed = int(seed.integers(0, 2**31 - 1))
-    seq = np.random.SeedSequence(seed)  # repro: allow-det002 -- canonical fan-out of independent generators (the seam the contract routes through)
-    return [np.random.default_rng(child) for child in seq.spawn(count)]  # repro: allow-det002 -- canonical fan-out of independent generators (the seam the contract routes through)

@@ -7,6 +7,7 @@ single readable line.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -36,6 +37,25 @@ def check_known_keys(
         raise ValueError(
             f"missing {name} keys: {sorted(missing)}; required keys: {sorted(required)}"
         )
+
+
+def check_integer(name: str, value: Any) -> int:
+    """*value*, if it is an integer and not a boolean.
+
+    A quoted number in a JSON config (``"2015"``), a fraction or ``true``
+    must fail at configuration time with a config error, not as a
+    ``TypeError`` mid-run or as a silently truncated size.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def check_finite_real(name: str, value: Any) -> float:
+    """*value* as a float, if it is a finite, non-boolean number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def check_positive(name: str, value: float, *, strict: bool = True) -> float:

@@ -15,7 +15,7 @@ from repro.aoa import (
     angle_error_distribution,
     spatial_covariance,
 )
-from repro.aoa.covariance import condition_number
+from repro.aoa.covariance import spatial_covariances
 from repro.aoa.errors import median_angle_error_deg, paired_error_gain
 from repro.aoa.smoothed import forward_smoothed_covariance
 from repro.channel.antenna import UniformLinearArray
@@ -70,9 +70,6 @@ class TestCovariance:
         with pytest.raises(ValueError):
             spatial_covariance(np.zeros((3, 0), dtype=complex))
 
-    def test_condition_number_identity(self):
-        assert condition_number(np.eye(3)) == pytest.approx(1.0)
-
 
 class TestPseudoSpectrum:
     def test_validation(self):
@@ -97,20 +94,13 @@ class TestPseudoSpectrum:
         assert peaks[0] == pytest.approx(20.0, abs=1.5)
         assert peaks[1] == pytest.approx(-40.0, abs=1.5)
 
-    def test_value_at_interpolates(self):
-        spectrum = PseudoSpectrum(np.array([-90.0, 90.0]), np.array([0.0, 1.0]))
-        assert spectrum.value_at(0.0) == pytest.approx(0.5)
-
-    def test_in_db_max_is_zero(self):
-        spectrum = PseudoSpectrum(np.linspace(-90, 90, 5), np.array([1.0, 4.0, 2.0, 1.0, 1.0]))
-        assert spectrum.in_db().max() == pytest.approx(0.0)
-
 
 class TestMusic:
     def test_single_source_recovered(self, array):
         snaps = synthetic_snapshots([25.0], array=array)
         estimator = MusicEstimator(array=array, num_sources=1)
-        assert estimator.estimate_los_angle(snaps) == pytest.approx(25.0, abs=2.0)
+        angle = estimator.estimate_angles(snaps, max_paths=1)[0]
+        assert angle == pytest.approx(25.0, abs=2.0)
 
     def test_two_sources_recovered(self, array):
         snaps = synthetic_snapshots([-30.0, 40.0], array=array)
@@ -128,17 +118,18 @@ class TestMusic:
     def test_covariance_shape_checked(self, array):
         estimator = MusicEstimator(array=array, num_sources=1)
         with pytest.raises(ValueError):
-            estimator.pseudospectrum_from_covariance(np.eye(4))
+            estimator.spectrum_values(np.eye(4)[None])
 
     def test_noise_subspace_dimension(self, array):
         estimator = MusicEstimator(array=array, num_sources=1)
-        noise = estimator.noise_subspace(np.eye(3))
-        assert noise.shape == (3, 2)
+        noise = estimator.noise_subspaces(np.eye(3)[None])
+        assert noise.shape == (1, 3, 2)
 
     def test_pseudospectrum_peak_higher_at_source(self, array):
         snaps = synthetic_snapshots([0.0], array=array)
         spectrum = MusicEstimator(array=array, num_sources=1).pseudospectrum(snaps)
-        assert spectrum.value_at(0.0) > 10 * spectrum.value_at(60.0)
+        value = dict(zip(spectrum.angles_deg, spectrum.values))
+        assert value[0.0] > 10 * value[60.0]
 
 
 class TestSmoothedMusic:
@@ -175,11 +166,11 @@ class TestSmoothedMusic:
             synthetic_snapshots([angle], array=array, coherent=True)
             for angle in (-30.0, 5.0, 40.0)
         ]
-        batch = smoothed.pseudospectra_from_covariances(
+        batch = smoothed.spectrum_values(
             np.stack([spatial_covariance(csi) for csi in captures])
         )
-        for spectrum, csi in zip(batch, captures):
-            assert np.array_equal(spectrum.values, smoothed.pseudospectrum(csi).values)
+        for values, csi in zip(batch, captures):
+            assert np.array_equal(values, smoothed.pseudospectrum(csi).values)
         stacked = forward_smoothed_covariance(np.stack([np.eye(3)] * 2), 2)
         assert stacked.shape == (2, 2, 2)
 
@@ -203,14 +194,12 @@ class TestSmoothedMusic:
             rebound.pseudospectrum(captures[0])  # builds the inner estimator
             setattr(rebound, name, value)
             fresh = SmoothedMusicEstimator(**{**base, name: value})
-            for got, want in zip(
-                rebound.pseudospectra_from_covariances(covariances),
-                fresh.pseudospectra_from_covariances(covariances),
-            ):
-                assert np.array_equal(got.angles_deg, want.angles_deg), name
-                assert np.array_equal(got.values, want.values), name
+            assert np.array_equal(
+                rebound.spectrum_values(covariances), fresh.spectrum_values(covariances)
+            ), name
             got = rebound.pseudospectrum(captures[1])
             want = fresh.pseudospectrum(captures[1])
+            assert np.array_equal(got.angles_deg, want.angles_deg), name
             assert np.array_equal(got.values, want.values), name
         # An in-place edit of the grid counts as a rebinding too.
         mutated = SmoothedMusicEstimator(**base)
@@ -245,11 +234,45 @@ class TestBartlett:
 
     def test_covariance_shape_checked(self, array):
         with pytest.raises(ValueError):
-            BartlettEstimator(array=array).pseudospectrum_from_covariance(np.eye(2))
+            BartlettEstimator(array=array).spectrum_values(np.eye(2)[None])
 
     def test_angle_grid_validation(self, array):
         with pytest.raises(ValueError):
             BartlettEstimator(array=array, angle_grid_deg=np.array([0.0]))
+
+
+class TestAngleGrid:
+    """Every estimator checks its grid once, at construction: a grid it
+    could not score would otherwise fail later with an unrelated shape
+    message, a spectrum with no power or a silently NaN score."""
+
+    @pytest.mark.parametrize(
+        "estimator", [BartlettEstimator, MusicEstimator, SmoothedMusicEstimator]
+    )
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            np.float64(0.0),
+            np.zeros((2, 181)),
+            np.array([]),
+            np.array([10.0]),
+            np.array([-30.0, np.nan, 30.0]),
+            np.array([-np.inf, 0.0]),
+        ],
+        ids=["scalar", "2-D", "empty", "one-angle", "nan", "inf"],
+    )
+    def test_malformed_grid_rejected(self, array, estimator, grid):
+        with pytest.raises(ValueError, match="angle_grid_deg") as excinfo:
+            estimator(array=array, angle_grid_deg=grid)
+        assert "\n" not in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "estimator", [BartlettEstimator, MusicEstimator, SmoothedMusicEstimator]
+    )
+    def test_two_angle_grid_accepted(self, array, estimator):
+        est = estimator(array=array, angle_grid_deg=[-10, 10])
+        assert est.angle_grid_deg.dtype == float
+        assert est.pseudospectrum(synthetic_snapshots([0.0], array=array)).values.shape == (2,)
 
 
 class TestAngleErrors:
@@ -288,7 +311,7 @@ class TestBatchedSpectraBitIdentity:
     def test_bartlett_matches_per_angle_loop(self, array):
         est = BartlettEstimator(array=array)
         cov = self._covariances(array, n=1)[0]
-        vectorised = est.pseudospectrum_from_covariance(cov)
+        vectorised = est.spectrum_values(cov[None])[0]
         steering = est.steering()
         per_angle = np.empty(est.angle_grid_deg.size)
         for k in range(est.angle_grid_deg.size):
@@ -296,7 +319,7 @@ class TestBatchedSpectraBitIdentity:
                 "i,ij,j->", steering[:, k].conj(), cov, steering[:, k]
             )
             per_angle[k] = max(np.real(quad) / array.num_elements**2, 0.0)
-        assert np.array_equal(vectorised.values, per_angle)
+        assert np.array_equal(vectorised, per_angle)
         # And against a fully naive triple loop, up to float associativity.
         naive = np.zeros(est.angle_grid_deg.size, dtype=complex)
         for k in range(est.angle_grid_deg.size):
@@ -304,44 +327,39 @@ class TestBatchedSpectraBitIdentity:
                 for j in range(array.num_elements):
                     naive[k] += steering[i, k].conj() * cov[i, j] * steering[j, k]
         naive_values = np.maximum(np.real(naive) / array.num_elements**2, 0.0)
-        np.testing.assert_allclose(vectorised.values, naive_values, rtol=1e-12)
+        np.testing.assert_allclose(vectorised, naive_values, rtol=1e-12)
 
     def test_bartlett_batch_matches_individual(self, array):
         est = BartlettEstimator(array=array)
         covs = self._covariances(array)
-        batched = est.pseudospectra_from_covariances(covs)
-        for cov, spectrum in zip(covs, batched):
-            single = est.pseudospectrum_from_covariance(cov)
-            assert np.array_equal(spectrum.values, single.values)
-            assert np.array_equal(spectrum.angles_deg, single.angles_deg)
+        batched = est.spectrum_values(covs)
+        for n, cov in enumerate(covs):
+            assert np.array_equal(batched[n], est.spectrum_values(cov[None])[0])
 
     def test_music_matches_per_angle_loop(self, array):
         est = MusicEstimator(array=array)
         cov = self._covariances(array, n=1)[0]
-        vectorised = est.pseudospectrum_from_covariance(cov)
-        noise = est.noise_subspace(cov)
+        vectorised = est.spectrum_values(cov[None])[0]
+        noise = est.noise_subspaces(cov[None])[0]
         steering = est.steering()
         per_angle = np.empty(est.angle_grid_deg.size)
         for k in range(est.angle_grid_deg.size):
             projected = noise.conj().T @ steering[:, k]
             per_angle[k] = 1.0 / max(np.sum(np.abs(projected) ** 2), 1e-12)
-        np.testing.assert_allclose(vectorised.values, per_angle, rtol=1e-12)
+        np.testing.assert_allclose(vectorised, per_angle, rtol=1e-12)
 
     def test_music_batch_matches_individual(self, array):
         est = MusicEstimator(array=array)
         covs = self._covariances(array)
-        batched = est.pseudospectra_from_covariances(covs)
-        for cov, spectrum in zip(covs, batched):
-            single = est.pseudospectrum_from_covariance(cov)
-            assert np.array_equal(spectrum.values, single.values)
+        batched = est.spectrum_values(covs)
+        for n, cov in enumerate(covs):
+            assert np.array_equal(batched[n], est.spectrum_values(cov[None])[0])
 
     def test_batch_shape_validation(self, array):
         with pytest.raises(ValueError):
-            BartlettEstimator(array=array).pseudospectra_from_covariances(np.eye(3))
+            BartlettEstimator(array=array).spectrum_values(np.eye(3))
         with pytest.raises(ValueError):
-            MusicEstimator(array=array).pseudospectra_from_covariances(
-                np.zeros((2, 2, 2), dtype=complex)
-            )
+            MusicEstimator(array=array).spectrum_values(np.zeros((2, 2, 2), dtype=complex))
 
     def test_steering_matrix_cached_until_grid_rebound(self, array):
         est = BartlettEstimator(array=array)
@@ -375,19 +393,27 @@ class TestBatchedSpectraBitIdentity:
         assert np.array_equal(second, reference)
 
     def test_pseudospectra_protocol_matches_per_capture_calls(self, array):
-        for est in (BartlettEstimator(array=array), MusicEstimator(array=array)):
-            captures = [
-                synthetic_snapshots([-10.0], array=array, seed=1),
-                synthetic_snapshots([25.0], array=array, seed=2, num_snapshots=120),
-            ]
-            batched = est.pseudospectra(captures)
-            for csi, spectrum in zip(captures, batched):
-                assert np.array_equal(spectrum.values, est.pseudospectrum(csi).values)
+        """Captures of different lengths stack as covariances; each row is
+        the per-capture ``pseudospectrum``."""
+        captures = [
+            synthetic_snapshots([-10.0], array=array, seed=1),
+            synthetic_snapshots([25.0], array=array, seed=2, num_snapshots=120),
+        ]
+        covariances = np.stack([spatial_covariance(csi) for csi in captures])
+        for est in (
+            BartlettEstimator(array=array),
+            MusicEstimator(array=array),
+            SmoothedMusicEstimator(array=array),
+        ):
+            batched = est.spectrum_values(covariances)
+            for csi, values in zip(captures, batched):
+                assert np.array_equal(values, est.pseudospectrum(csi).values)
 
 
 class TestSpectrumValuesContract:
     """``spectrum_values(covariances, columns)``: a column's value does not
-    depend on which other columns were requested, or on the stack size."""
+    depend on which other columns were requested, or on the stack size, and
+    a capture's ``pseudospectrum`` is its batch of one."""
 
     @settings(
         max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -397,34 +423,33 @@ class TestSpectrumValuesContract:
             (BartlettEstimator, MusicEstimator, SmoothedMusicEstimator)
         ),
         stack=st.integers(min_value=1, max_value=300),
+        packets=st.integers(min_value=1, max_value=3),
+        row=st.integers(min_value=0, max_value=299),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         columns=st.lists(
             st.integers(min_value=0, max_value=180), min_size=1, max_size=181, unique=True
         ),
         ordered=st.booleans(),
     )
-    def test_columns_are_separable(self, estimator, stack, seed, columns, ordered):
+    def test_columns_are_separable(
+        self, estimator, stack, packets, row, seed, columns, ordered
+    ):
         est = estimator(array=UniformLinearArray(num_elements=3))
         rng = np.random.default_rng(seed)
-        csi = rng.normal(size=(stack, 3, 12)) + 1j * rng.normal(size=(stack, 3, 12))
-        covariances = np.einsum("nas,nbs->nab", csi, csi.conj()) / 12
+        shape = (stack, packets, 3, 12)
+        scale = 10.0 ** rng.uniform(-8.0, 8.0)
+        csi = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        covariances = spatial_covariances(csi)
         columns = np.sort(columns) if ordered else np.asarray(columns)
         full = est.spectrum_values(covariances)
         assert full.shape == (stack, est.angle_grid_deg.size)
         assert np.array_equal(est.spectrum_values(covariances, columns), full[:, columns])
         head = est.spectrum_values(covariances[:1], columns)
         assert np.array_equal(head, full[:1, columns])
-
-    def test_list_wrapper_is_the_full_grid(self, array):
-        covariances = np.stack(
-            [spatial_covariance(synthetic_snapshots([a], array=array)) for a in (-20.0, 35.0)]
-        )
-        for est in (
-            BartlettEstimator(array=array),
-            MusicEstimator(array=array),
-            SmoothedMusicEstimator(array=array),
-        ):
-            values = est.spectrum_values(covariances)
-            spectra = est.pseudospectra_from_covariances(covariances)
-            assert np.array_equal(np.stack([s.values for s in spectra]), values)
-            assert all(np.array_equal(s.angles_deg, est.angle_grid_deg) for s in spectra)
+        # Any row of the stack is its own batch of one, and the spectrum of
+        # its capture.
+        row %= stack
+        assert np.array_equal(est.spectrum_values(covariances[row : row + 1]), full[row : row + 1])
+        spectrum = est.pseudospectrum(csi[row])
+        assert np.array_equal(spectrum.values, full[row])
+        assert np.array_equal(spectrum.angles_deg, est.angle_grid_deg)

@@ -173,6 +173,36 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig(**changes)
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"window_packets": 2.5},
+            {"window_packets": True},
+            {"window_stride": 2.5},
+            {"calibration_packets": 30.5},
+            {"seed": 2.5},
+            {"seed": False},
+            {"threshold": True},
+            {"threshold_policy": "fixed", "threshold": float("nan")},
+            {"threshold_margin": float("nan")},
+            {"packet_rate_hz": float("nan")},
+            {"packet_rate_hz": float("inf")},
+            {"theta_min_deg": "-60"},
+            {"theta_max_deg": float("inf")},
+            {"sanitize": "no"},
+            {"use_stability_ratio": 1},
+        ],
+    )
+    def test_mistyped_and_non_finite_values_rejected(self, changes):
+        """Sizes are integers, real knobs finite numbers and flags bools: a
+        fraction, a boolean size, a NaN or a "no" flag fails here, in one
+        line, instead of crashing mid-run or silently running another
+        pipeline."""
+        (name,) = changes.keys() - {"threshold_policy"}
+        with pytest.raises(ValueError, match=name) as excinfo:
+            PipelineConfig(**changes)
+        assert "\n" not in str(excinfo.value)
+
     def test_replace_validates(self):
         config = PipelineConfig()
         assert config.replace(window_packets=5).window_packets == 5
@@ -693,6 +723,31 @@ class TestCliPipeline:
 
         assert main(["pipeline", "--case", "case-99"]) == 2
         assert "unknown case" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"window_packets": 2.5},
+            {"seed": 2.5},
+            {"window_stride": 2.5},
+            {"window_packets": True},
+            {"packet_rate_hz": float("nan")},
+            {"threshold_margin": float("nan")},
+            {"sanitize": "no"},
+            # Gates that hold no angle of the estimator's grid.
+            {"theta_min_deg": 10.2, "theta_max_deg": 10.8},
+            {"theta_min_deg": -100, "theta_max_deg": -95},
+        ],
+    )
+    def test_pipeline_config_mistakes_exit_2(self, capsys, tmp_path, config):
+        from repro.cli import main
+
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "pipeline", "--windows", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_pipeline_unknown_detector_clean_error(self, capsys):
         from repro.cli import main

@@ -198,14 +198,11 @@ def _state(session: StreamingSession) -> tuple:
     detector = session.detector
     state = [detector._profile_amplitude.tobytes(), session.threshold]
     if isinstance(detector, SubcarrierPathWeightingDetector):
-        weighting = detector.path_weighting
         state += [
             detector._calibration_gram.tobytes(),
             detector._calibration_packets,
             detector._path_weights.tobytes(),
-            weighting.static_spectrum.values.tobytes(),
-            weighting.static_spectrum.angles_deg.tobytes(),
-            (weighting.theta_min_deg, weighting.theta_max_deg),
+            (detector.theta_min_deg, detector.theta_max_deg),
         ]
     return tuple(state)
 

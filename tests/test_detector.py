@@ -45,16 +45,13 @@ def _zeroed(trace: CSITrace) -> CSITrace:
 
 def _calibration_state(detector: SubcarrierPathWeightingDetector) -> tuple:
     """Every piece of a combined detector's calibration state, by value."""
-    weighting = detector.path_weighting
     return (
         detector._profile_amplitude.tobytes(),
         detector._calibration_gram.tobytes(),
         detector._calibration_packets,
         detector._path_weights.tobytes(),
-        weighting.static_spectrum.values.tobytes(),
-        weighting.static_spectrum.angles_deg.tobytes(),
-        weighting.theta_min_deg,
-        weighting.theta_max_deg,
+        detector.theta_min_deg,
+        detector.theta_max_deg,
     )
 
 
@@ -166,13 +163,16 @@ class TestScores:
 
     def test_subcarrier_weights_exposed(self, detectors, occupied_trace):
         weights = detectors["subcarrier"].last_weights(occupied_trace)
-        assert weights.weights.shape == (3, 30)
+        assert weights.shape == (3, 30)
 
     def test_combined_exposes_path_weighting_and_spectrum(self, detectors, occupied_trace):
         combined = detectors["combined"]
-        assert combined.path_weighting.theta_max_deg == 60.0
+        grid = combined.spectrum_estimator.angle_grid_deg
+        assert combined.theta_max_deg == 60.0
+        assert np.all(combined._path_weights[np.abs(grid) >= 60.0] == 0.0)
         spectrum = combined.monitored_spectrum(occupied_trace)
-        assert spectrum.values.shape == spectrum.angles_deg.shape
+        assert np.array_equal(spectrum.angles_deg, grid)
+        assert spectrum.values.shape == grid.shape
 
 
 class TestSchemeOrdering:
@@ -260,9 +260,6 @@ class TestBatchedSpectraDispatch:
             def pseudospectrum(self, csi):  # pragma: no cover - never called
                 raise NotImplementedError
 
-            def pseudospectra_from_covariances(self, covariances):  # pragma: no cover
-                raise NotImplementedError
-
         with pytest.raises(TypeError, match="spectrum_values") as excinfo:
             SubcarrierPathWeightingDetector(PerCaptureOnly())
         assert "\n" not in str(excinfo.value)
@@ -274,10 +271,6 @@ class TestBatchedSpectraDispatch:
         calls = []
 
         class TracingMusic(MusicEstimator):
-            def noise_subspace(self, covariance):
-                calls.append(covariance.shape)
-                return super().noise_subspace(covariance)
-
             def noise_subspaces(self, covariances):
                 calls.append(covariances.shape)
                 return super().noise_subspaces(covariances)
@@ -285,7 +278,7 @@ class TestBatchedSpectraDispatch:
         est = TracingMusic(array=UniformLinearArray(num_elements=3))
         csi = rng.normal(size=(3, 30)) + 1j * rng.normal(size=(3, 30))
         est.pseudospectrum(csi)
-        assert calls == [(3, 3)]  # the documented hook is dispatched through
+        assert calls == [(1, 3, 3)]  # one capture is a batch of one
         calls.clear()
         est.spectrum_values(np.stack([np.eye(3)] * 2), np.array([0, 90]))
         assert calls == [(2, 3, 3)]  # and the array method's batched hook

@@ -40,34 +40,28 @@ def reference_dominant_tap_power(cfr_row: np.ndarray) -> float:
     return float(np.max(early) ** 2)
 
 
-def reference_los_power(cfr_row: np.ndarray, frequencies: np.ndarray | None) -> np.ndarray:
-    freqs = (
-        np.asarray(frequencies, dtype=float)
-        if frequencies is not None
-        else subcarrier_frequencies()
-    )
+def reference_los_power(cfr_row: np.ndarray) -> np.ndarray:
+    freqs = subcarrier_frequencies()
     total_los_power = reference_dominant_tap_power(cfr_row)
     inverse_f2 = freqs**-2.0
     weights = inverse_f2 / inverse_f2.sum()
     return weights * total_los_power
 
 
-def reference_multipath_factor(matrix: np.ndarray, frequencies: np.ndarray | None) -> np.ndarray:
+def reference_multipath_factor(matrix: np.ndarray) -> np.ndarray:
     factors = np.empty(matrix.shape, dtype=float)
     for antenna in range(matrix.shape[0]):
         row = matrix[antenna]
-        los_power = reference_los_power(row, frequencies)
+        los_power = reference_los_power(row)
         total_power = np.abs(row) ** 2
         factors[antenna] = los_power / np.maximum(total_power, 1e-30)
     return factors
 
 
-def reference_multipath_factor_trace(
-    csi: np.ndarray, frequencies: np.ndarray | None = None
-) -> np.ndarray:
+def reference_multipath_factor_trace(csi: np.ndarray) -> np.ndarray:
     factors = np.empty(csi.shape, dtype=float)
     for p in range(csi.shape[0]):
-        factors[p] = reference_multipath_factor(csi[p], frequencies)
+        factors[p] = reference_multipath_factor(csi[p])
     return factors
 
 
@@ -97,33 +91,12 @@ class TestLosPowerBatch:
     def test_matches_scalar_default_grid(self, rng):
         stack = random_csi(rng, 40, 30)
         got = los_power_per_subcarrier_batch(stack)
-        expected = np.stack([reference_los_power(row, None) for row in stack])
+        expected = np.stack([reference_los_power(row) for row in stack])
         assert np.array_equal(got, expected)
-
-    def test_custom_frequencies_take_uncached_path(self, rng):
-        """A custom grid is recomputed per call — and computed correctly."""
-        stack = random_csi(rng, 12, 16)
-        grid_a = np.linspace(5.0e9, 5.02e9, 16)
-        grid_b = np.linspace(2.4e9, 2.42e9, 16)
-        got_a = los_power_per_subcarrier_batch(stack, grid_a)
-        got_b = los_power_per_subcarrier_batch(stack, grid_b)
-        assert np.array_equal(
-            got_a, np.stack([reference_los_power(row, grid_a) for row in stack])
-        )
-        assert np.array_equal(
-            got_b, np.stack([reference_los_power(row, grid_b) for row in stack])
-        )
-        # Interleaving custom grids with the default grid must not poison the
-        # default-grid cache (the cache is keyed on the default grid only).
-        row30 = random_csi(rng, 30)
-        assert np.array_equal(
-            los_power_per_subcarrier_batch(row30[None])[0],
-            reference_los_power(row30, None),
-        )
 
     def test_frequency_shape_mismatch_raises(self, rng):
         with pytest.raises(ValueError):
-            los_power_per_subcarrier_batch(random_csi(rng, 4, 30), np.linspace(1, 2, 29))
+            los_power_per_subcarrier_batch(random_csi(rng, 4, 29))
 
     def test_default_grid_rejects_wrong_subcarrier_count(self, rng):
         """Rows not matching the default 30-subcarrier grid fail loudly.
@@ -145,16 +118,10 @@ class TestMultipathFactorBatch:
         got = multipath_factor_trace(trace)
         assert np.array_equal(got, reference_multipath_factor_trace(csi))
 
-    def test_trace_matches_scalar_loop_custom_grid(self, rng):
-        csi = random_csi(rng, 10, 3, 30)
-        grid = np.linspace(5.0e9, 5.02e9, 30)
-        got = multipath_factor_trace(CSITrace(csi=csi), grid)
-        assert np.array_equal(got, reference_multipath_factor_trace(csi, grid))
-
     def test_single_packet_matches_scalar(self, rng):
         matrix = random_csi(rng, 3, 30)
         assert np.array_equal(
-            multipath_factor_batch(matrix), reference_multipath_factor(matrix, None)
+            multipath_factor_batch(matrix), reference_multipath_factor(matrix)
         )
 
     def test_batch_accepts_any_leading_shape(self, rng):

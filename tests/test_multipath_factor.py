@@ -10,12 +10,12 @@ from repro.channel.constants import subcarrier_frequencies
 from repro.channel.ofdm import dominant_tap_power_batch, synthesize_cfr
 from repro.channel.rays import Path
 from repro.core.multipath_factor import (
+    exceeds_row_median,
     los_power_per_subcarrier_batch,
     multipath_factor_batch,
     multipath_factor_trace,
-    stability_ratio,
-    temporal_mean_factor,
 )
+from repro.core.subcarrier_weighting import SubcarrierWeighting
 
 
 def _los_only_cfr() -> np.ndarray:
@@ -52,9 +52,7 @@ class TestLosPowerApportionment:
         with pytest.raises(ValueError):
             los_power_per_subcarrier_batch(np.zeros((2, 3, 30), dtype=complex))
         with pytest.raises(ValueError):
-            los_power_per_subcarrier_batch(
-                np.zeros((1, 30), dtype=complex), frequencies=np.zeros(29)
-            )
+            los_power_per_subcarrier_batch(np.zeros((1, 29), dtype=complex))
 
 
 class TestMultipathFactor:
@@ -95,6 +93,12 @@ class TestMultipathFactor:
         assert np.allclose(multipath_factor_batch(cfr), multipath_factor_batch(3.0 * cfr))
 
 
+def stability_ratio(factors: np.ndarray) -> np.ndarray:
+    """``r_k`` of Eq. 13–14 as the stacked weights take it: the fraction of
+    packets whose factor exceeds that packet's median."""
+    return exceeds_row_median(factors).mean(axis=0)
+
+
 class TestTemporalStatistics:
     def _factors(self, num_packets: int = 40) -> np.ndarray:
         rng = np.random.default_rng(3)
@@ -103,8 +107,15 @@ class TestTemporalStatistics:
         return base[None, :, :] * noise
 
     def test_temporal_mean_shape(self):
-        factors = self._factors()
-        assert temporal_mean_factor(factors).shape == (1, 30)
+        """Without the stability ratio the weights are the temporal mean
+        factor ``mu_bar_k`` of the window, normalised per antenna."""
+        rng = np.random.default_rng(4)
+        csi = rng.normal(size=(1, 12, 2, 30)) + 1j * rng.normal(size=(1, 12, 2, 30))
+        weights = SubcarrierWeighting(use_stability_ratio=False).stacked_weights(csi)
+        assert weights.shape == (1, 2, 30)
+        mean_factor = multipath_factor_batch(csi).mean(axis=1)
+        expected = mean_factor / mean_factor.sum(axis=2, keepdims=True)
+        assert np.allclose(weights, expected, rtol=1e-12)
 
     def test_stability_ratio_bounds(self):
         ratios = stability_ratio(self._factors())
@@ -124,10 +135,10 @@ class TestTemporalStatistics:
         assert 0.3 < ratios[0, 7] < 0.7
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            temporal_mean_factor(np.ones((5, 30)))
-        with pytest.raises(ValueError):
-            stability_ratio(np.ones((5, 30)))
+        """The Eq. 13–15 statistics reduce a (windows, packets, antennas,
+        subcarriers) stack; anything else is rejected."""
+        with pytest.raises(ValueError, match="csi_stack must have shape"):
+            SubcarrierWeighting().stacked_weights(np.ones((5, 3, 30), dtype=complex))
 
 
 class TestPhysicalBehaviour:

@@ -173,6 +173,22 @@ class TestEvaluationConfigDict:
         assert main(["--config", str(path), "headline"]) == 2
         assert "unknown EvaluationConfig keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"packet_rate_hz": float("nan")},
+            {"use_stability_ratio": "no"},
+            {"theta_max_deg": float("inf")},
+            {"theta_min_deg": 60.0, "theta_max_deg": -60.0},
+        ],
+    )
+    def test_forwarded_pipeline_knobs_checked_at_construction(self, changes):
+        """The knobs every scheme's pipeline is built from fail when the
+        campaign config is built, not when the first case runs."""
+        with pytest.raises(ValueError) as excinfo:
+            EvaluationConfig(**changes)
+        assert "\n" not in str(excinfo.value)
+
 
 def figure_helper_outputs() -> dict:
     """Outputs of the two figure-only helpers that load SciPy on first use.

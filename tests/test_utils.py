@@ -22,7 +22,7 @@ from repro.utils import (
     running_mean,
     sliding_windows,
 )
-from repro.utils.rng import child_rng, draw_word, spawn_children
+from repro.utils.rng import child_rng, draw_word
 from repro.utils.stats import median_absolute_deviation
 
 
@@ -85,16 +85,6 @@ class TestRng:
         assert 0 <= base < 2**31 - 1
         assert derived.bit_generator.state == self.list_seeded(base, keys).bit_generator.state
         assert parent.bit_generator.state == twin.bit_generator.state
-
-    def test_spawn_children_count_and_independence(self):
-        children = spawn_children(3, 4)
-        assert len(children) == 4
-        draws = {int(c.integers(0, 10**9)) for c in children}
-        assert len(draws) == 4
-
-    def test_spawn_children_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_children(1, -1)
 
 
 class TestConversions:
