@@ -65,26 +65,26 @@ def main() -> None:
     #    appends one event per line to a JSONL file and `fleet report`
     #    recomputes the digest from that file alone — the persisted stream
     #    is the canonical artifact, not the in-memory one.
-    workdir = Path(tempfile.mkdtemp(prefix="repro-fleet-"))
-    config_path = workdir / "fleet.json"
-    events_path = workdir / "events.jsonl"
-    config_path.write_text(config.to_json())
-    for argv, label in (
-        (
-            ["--config", str(config_path), "fleet", "run", "--events", str(events_path)],
-            "fleet run",
-        ),
-        (["fleet", "report", "--events", str(events_path)], "fleet report"),
-    ):
-        out = subprocess.run(
-            [sys.executable, "-m", "repro.cli", *argv],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        payload = json.loads(out.stdout)
-        print(f"repro {label} -> {payload['events']} events")
-        assert payload["event_digest"] == digest  # CLI == library, bit for bit
+    with tempfile.TemporaryDirectory(prefix="repro-fleet-") as workdir:
+        config_path = Path(workdir) / "fleet.json"
+        events_path = Path(workdir) / "events.jsonl"
+        config_path.write_text(config.to_json())
+        for argv, label in (
+            (
+                ["--config", str(config_path), "fleet", "run", "--events", str(events_path)],
+                "fleet run",
+            ),
+            (["fleet", "report", "--events", str(events_path)], "fleet report"),
+        ):
+            out = subprocess.run(
+                [sys.executable, "-m", "repro.cli", *argv],
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            payload = json.loads(out.stdout)
+            print(f"repro {label} -> {payload['events']} events")
+            assert payload["event_digest"] == digest  # CLI == library, bit for bit
 
     # 3. Sharded mode.  Four workers rebuild disjoint link shards and the
     #    merged stream sorts into the same canonical order — the digest is
@@ -92,8 +92,6 @@ def main() -> None:
     sharded = run_fleet(config, max_workers=4)
     assert sharded.event_digest() == digest
     print(f"\nworkers=4 digest matches sequential run ({sharded.workers} shards)")
-    print(f"config JSON: {config_path}")
-    print(f"event stream: {events_path}")
 
 
 if __name__ == "__main__":

@@ -60,36 +60,37 @@ def main() -> None:
     #    narrow two-case campaign keeps four workers busy.  The JSONL store
     #    persists every completed point; a second run with resume=True would
     #    skip all of them.
-    store_path = Path(tempfile.mkdtemp(prefix="repro-sweep-")) / "sweep.jsonl"
-    outcome = run_sweep(spec, store_path, max_workers=4)
-    print(f"\nexecuted {len(outcome.executed)} points -> {store_path}")
+    with tempfile.TemporaryDirectory(prefix="repro-sweep-") as workdir:
+        store_path = Path(workdir) / "sweep.jsonl"
+        outcome = run_sweep(spec, store_path, max_workers=4)
+        print(f"\nexecuted {len(outcome.executed)} points -> {store_path}")
 
-    # 3. Aggregate across axes straight from the records (or reload the store
-    #    later: SweepStore(store_path).records()).
-    for metric in ("true_positive_rate", "auc"):
-        table = pivot(
-            outcome.records, "window_packets", metric=metric, scheme="subcarrier"
+        # 3. Aggregate across axes straight from the records (or reload the store
+        #    later: SweepStore(store_path).records()).
+        for metric in ("true_positive_rate", "auc"):
+            table = pivot(
+                outcome.records, "window_packets", metric=metric, scheme="subcarrier"
+            )
+            cells = ", ".join(
+                f"{key} packets: {entry['mean']:.3f} (n={entry['n']})"
+                for key, entry in table.items()
+            )
+            print(f"subcarrier {metric} by window size -> {cells}")
+
+        policy = pivot(
+            outcome.records, "use_stability_ratio", metric="auc", scheme="subcarrier"
         )
-        cells = ", ".join(
-            f"{key} packets: {entry['mean']:.3f} (n={entry['n']})"
-            for key, entry in table.items()
-        )
-        print(f"subcarrier {metric} by window size -> {cells}")
+        for key, entry in policy.items():
+            label = "stability ratio (Eq. 15)" if entry["value"] else "per-packet (Eq. 12)"
+            print(f"weighting policy {label}: mean AUC {entry['mean']:.3f}")
 
-    policy = pivot(
-        outcome.records, "use_stability_ratio", metric="auc", scheme="subcarrier"
-    )
-    for key, entry in policy.items():
-        label = "stability ratio (Eq. 15)" if entry["value"] else "per-packet (Eq. 12)"
-        print(f"weighting policy {label}: mean AUC {entry['mean']:.3f}")
+        best = best_point(outcome.records, metric="auc", scheme="subcarrier")
+        print(f"\nbest point {best['point_id']}: {best['overrides']} (AUC {best['value']:.3f})")
 
-    best = best_point(outcome.records, metric="auc", scheme="subcarrier")
-    print(f"\nbest point {best['point_id']}: {best['overrides']} (AUC {best['value']:.3f})")
-
-    # The store survives the process: this is what `repro sweep report` reads.
-    reloaded = SweepStore(store_path).records()
-    assert [r.point_id for r in reloaded] == [r.point_id for r in outcome.records]
-    print(f"store reloads {len(reloaded)} records bit-exactly")
+        # The store survives the process: this is what `repro sweep report` reads.
+        reloaded = SweepStore(store_path).records()
+        assert [r.point_id for r in reloaded] == [r.point_id for r in outcome.records]
+        print(f"store reloads {len(reloaded)} records bit-exactly")
 
 
 if __name__ == "__main__":

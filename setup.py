@@ -37,7 +37,7 @@ setup(
     package_data={"repro": ["py.typed"]},
     include_package_data=True,
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "scipy"],
+    install_requires=["numpy>=1.24", "scipy", 'tomli; python_version<"3.11"'],
     extras_require={
         "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },

@@ -10,8 +10,9 @@ derive all randomness via
 validate every ``from_dict`` with
 :func:`repro.utils.validation.check_known_keys`.  This package enforces those
 conventions *statically* — before the runtime parity suites ever run — via an
-AST linter with a pluggable rule registry, per-line justified pragma
-suppressions, and ``pyproject.toml`` path scoping::
+AST linter with a pluggable rule registry (:data:`DEFAULT_REGISTRY`, filled by
+:func:`register_rule`), per-line justified pragma suppressions, and
+``pyproject.toml`` path scoping::
 
     python -m repro lint src/repro            # text report, exit 1 on findings
     python -m repro lint src/repro --format json
@@ -26,12 +27,7 @@ from repro.analysis.config import LintConfig, RuleScope
 from repro.analysis.engine import SYNTAX_RULE_ID, LintResult, lint_file, lint_paths
 from repro.analysis.findings import PRAGMA_RULE_ID, Finding
 from repro.analysis.pragmas import Pragma, PragmaSet, parse_pragmas
-from repro.analysis.registry import (
-    DEFAULT_REGISTRY,
-    RuleRegistry,
-    available_rules,
-    register_rule,
-)
+from repro.analysis.registry import DEFAULT_REGISTRY, available_rules, register_rule
 from repro.analysis.reporters import (
     JSON_REPORT_VERSION,
     REPORTERS,
@@ -55,7 +51,6 @@ __all__ = [
     "PragmaSet",
     "REPORTERS",
     "Rule",
-    "RuleRegistry",
     "RuleScope",
     "SYNTAX_RULE_ID",
     "available_rules",

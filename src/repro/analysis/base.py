@@ -95,8 +95,9 @@ class Rule(ast.NodeVisitor):
 
     Subclasses set :attr:`summary` (one line for ``repro lint --help`` style
     listings and the README rule table) and implement ``visit_*`` methods that
-    call :meth:`report`.  The registry stamps :attr:`rule_id` at registration
-    time so the id lives in exactly one place.
+    call :meth:`report`.  :func:`~repro.analysis.registry.register_rule`
+    stamps :attr:`rule_id` at registration time so the id lives in exactly
+    one place.
     """
 
     rule_id: str = ""

@@ -20,95 +20,24 @@ a file when they equal it, are an ancestor directory of it, or glob-match it
 path to the nearest ``pyproject.toml`` (the CLI's ``--pyproject`` overrides
 discovery).
 
-TOML parsing prefers :mod:`tomllib` (Python ≥ 3.11) and degrades to a
-minimal built-in parser covering exactly this table's shapes on 3.10, so the
-linter adds no dependency the container lacks.
+TOML is parsed by :mod:`tomllib` on Python ≥ 3.11 and by its backport
+``tomli`` on 3.10, which ``setup.py`` declares for that version only.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
 from fnmatch import fnmatch
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
 from repro.utils.validation import check_known_keys
 
-try:  # pragma: no cover - stdlib on >=3.11
+if sys.version_info >= (3, 11):
     import tomllib as _toml
-except ImportError:  # pragma: no cover - Python 3.10
-    try:
-        import tomli as _toml  # type: ignore[no-redef]
-    except ImportError:
-        _toml = None  # type: ignore[assignment]
-
-
-def _parse_minimal_toml(text: str) -> dict[str, Any]:
-    """A tiny TOML-subset parser for ``[tool.repro.lint]`` on Python 3.10.
-
-    Supports dotted table headers, string / bool / int values, and (possibly
-    multi-line) arrays of strings — the only shapes this config uses.  It is
-    *not* a general TOML parser and is only reached when neither ``tomllib``
-    nor ``tomli`` is importable.
-    """
-    root: dict[str, Any] = {}
-    table = root
-    pending_key: Optional[str] = None
-    pending_chunks: list[str] = []
-
-    def parse_scalar(chunk: str) -> Any:
-        chunk = chunk.strip()
-        if chunk.startswith("[") and chunk.endswith("]"):
-            inner = chunk[1:-1]
-            items = [item.strip() for item in inner.split(",")]
-            return [parse_scalar(item) for item in items if item]
-        if (chunk.startswith('"') and chunk.endswith('"')) or (
-            chunk.startswith("'") and chunk.endswith("'")
-        ):
-            return chunk[1:-1]
-        if chunk in ("true", "false"):
-            return chunk == "true"
-        try:
-            return int(chunk)
-        except ValueError:
-            return chunk
-
-    for raw_line in text.splitlines():
-        line = raw_line.strip()
-        if pending_key is not None:
-            pending_chunks.append(line)
-            joined = " ".join(pending_chunks)
-            if joined.count("[") == joined.count("]"):
-                table[pending_key] = parse_scalar(joined)
-                pending_key, pending_chunks = None, []
-            continue
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            table = root
-            for part in line[1:-1].strip().split("."):
-                table = table.setdefault(part.strip().strip('"'), {})
-            continue
-        if "=" not in line:
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip().strip('"')
-        value = value.strip()
-        if not value.startswith(("'", '"', "[")):
-            value = value.split("#", 1)[0].strip()
-        if value.startswith("[") and value.count("[") != value.count("]"):
-            pending_key, pending_chunks = key, [value]
-            continue
-        table[key] = parse_scalar(value)
-    return root
-
-
-def _load_toml(path: Path) -> dict[str, Any]:
-    """Parse *path* with the best available TOML parser."""
-    text = path.read_text()
-    if _toml is not None:
-        return _toml.loads(text)
-    return _parse_minimal_toml(text)
+else:  # pragma: no cover - Python 3.10 (setup.py declares the dependency)
+    import tomli as _toml
 
 
 @dataclasses.dataclass(frozen=True)
@@ -182,7 +111,7 @@ class LintConfig:
     @classmethod
     def from_pyproject(cls, path: Path) -> "LintConfig":
         """Load the config from one explicit ``pyproject.toml``."""
-        payload = _load_toml(path)
+        payload = _toml.loads(path.read_text())
         section = payload.get("tool", {}).get("repro", {}).get("lint", {})
         if not isinstance(section, Mapping):
             raise ValueError(f"[tool.repro.lint] in {path} must be a table")

@@ -2,10 +2,11 @@
 
 ``lint_paths`` is the single entry point the CLI and the tests share: it
 expands files/directories, discovers (or accepts) a
-:class:`~repro.analysis.config.LintConfig`, runs each registered rule where
-the config scopes it, applies pragma suppressions, and returns a
-:class:`LintResult` whose findings are deterministically ordered — the lint
-of a tree is itself a pure function of the tree.
+:class:`~repro.analysis.config.LintConfig`, runs each rule registered in
+:data:`~repro.analysis.registry.DEFAULT_REGISTRY` where the config scopes
+it, applies pragma suppressions, and returns a :class:`LintResult` whose
+findings are deterministically ordered — the lint of a tree is itself a
+pure function of the tree.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.analysis.base import FileContext
 from repro.analysis.config import LintConfig
 from repro.analysis.findings import Finding
 from repro.analysis.pragmas import parse_pragmas
-from repro.analysis.registry import DEFAULT_REGISTRY, RuleRegistry
+from repro.analysis.registry import DEFAULT_REGISTRY
 
 #: Rule id reported for files that do not parse.  Like ``PRAGMA`` it is not a
 #: registered rule and can never be suppressed.
@@ -75,7 +76,6 @@ def lint_file(
     path: Path,
     *,
     config: LintConfig,
-    registry: RuleRegistry = DEFAULT_REGISTRY,
     rule_ids: Optional[Iterable[str]] = None,
 ) -> tuple[list[Finding], int]:
     """Lint one file; returns ``(unsuppressed findings, suppressed count)``."""
@@ -93,13 +93,13 @@ def lint_file(
         )
         return [finding], 0
 
-    pragma_set = parse_pragmas(display, source, known_rules=registry.ids())
-    selected = tuple(rule_ids) if rule_ids is not None else registry.ids()
+    pragma_set = parse_pragmas(display, source, known_rules=DEFAULT_REGISTRY.names())
+    selected = tuple(rule_ids) if rule_ids is not None else DEFAULT_REGISTRY.names()
     raw: list[Finding] = []
     for rule_id in selected:
         if not config.rule_applies(rule_id, path):
             continue
-        rule_cls = registry.get(rule_id)
+        rule_cls = DEFAULT_REGISTRY.get(rule_id)
         raw.extend(rule_cls(context).run())
 
     kept: list[Finding] = list(pragma_set.errors)
@@ -116,7 +116,6 @@ def lint_paths(
     paths: Sequence[os.PathLike[str] | str],
     *,
     config: Optional[LintConfig] = None,
-    registry: RuleRegistry = DEFAULT_REGISTRY,
     rule_ids: Optional[Iterable[str]] = None,
 ) -> LintResult:
     """Lint *paths* (files and/or directory trees).
@@ -129,19 +128,20 @@ def lint_paths(
     config:
         Explicit :class:`LintConfig`; when omitted, discovered by walking up
         from the first path to the nearest ``pyproject.toml``.
-    registry:
-        Rule registry (the default holds DET001–DET006 plus any plugins).
     rule_ids:
-        Restrict the run to these rule ids (unknown ids raise ``ValueError``).
+        Restrict the run to these rule ids (unknown ids raise ``ValueError``);
+        by default every rule registered in
+        :data:`~repro.analysis.registry.DEFAULT_REGISTRY` runs (DET001–DET006
+        plus any plugins).
     """
     resolved_paths = [Path(path) for path in paths]
     if not resolved_paths:
         raise ValueError("lint_paths needs at least one file or directory")
     if rule_ids is not None:
-        unknown = sorted(set(rule_ids) - set(registry.ids()))
+        unknown = sorted(set(rule_ids) - set(DEFAULT_REGISTRY))
         if unknown:
             raise ValueError(
-                f"unknown rules: {unknown}; registered rules: {list(registry.ids())}"
+                f"unknown rules: {unknown}; registered rules: {list(DEFAULT_REGISTRY)}"
             )
     if config is None:
         config = LintConfig.discover(resolved_paths[0])
@@ -153,9 +153,7 @@ def lint_paths(
         if config.file_excluded(path):
             continue
         files += 1
-        file_findings, file_suppressed = lint_file(
-            path, config=config, registry=registry, rule_ids=rule_ids
-        )
+        file_findings, file_suppressed = lint_file(path, config=config, rule_ids=rule_ids)
         findings.extend(file_findings)
         suppressed += file_suppressed
     return LintResult(findings=tuple(sorted(findings)), files=files, suppressed=suppressed)

@@ -1,9 +1,8 @@
-"""String-keyed lint-rule registry.
+"""The lint-rule registry: rule ids to :class:`Rule` subclasses.
 
-Mirrors :class:`repro.api.registry.DetectorRegistry`: rules are registered
-under a stable id with a decorator, the engine instantiates whatever the
-registry holds, and project-specific rules can be added without touching the
-engine or the CLI::
+Rules are registered under a stable id with a decorator, the engine
+instantiates whatever the registry holds, and project-specific rules can be
+added without touching the engine or the CLI::
 
     from repro.analysis import register_rule, Rule
 
@@ -20,118 +19,39 @@ A rule is an :class:`ast.NodeVisitor` subclass (see
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Callable, Iterator, Type, Union
+from typing import Callable
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.base import Rule
+from repro.analysis.base import Rule
+from repro.utils.registry import Registry
 
 #: Rule ids are short upper-case alphanumerics, e.g. ``DET001``.
 _RULE_ID = re.compile(r"^[A-Z][A-Z0-9]{2,15}$")
 
-
-class RuleRegistry:
-    """A mutable mapping from rule ids to :class:`Rule` subclasses."""
-
-    def __init__(self) -> None:
-        self._rules: dict[str, Type["Rule"]] = {}
-
-    # ------------------------------------------------------------------ #
-    # registration
-    # ------------------------------------------------------------------ #
-    def register(
-        self,
-        rule_id: str,
-        rule: Union[Type["Rule"], None] = None,
-        *,
-        overwrite: bool = False,
-    ) -> Union[Type["Rule"], Callable[[Type["Rule"]], Type["Rule"]]]:
-        """Register *rule* under *rule_id*; usable directly or as a decorator.
-
-        Parameters
-        ----------
-        rule_id:
-            Stable identifier, e.g. ``"DET001"``.  Must match
-            ``[A-Z][A-Z0-9]{2,15}`` so pragmas and config sections can name it
-            unambiguously.
-        rule:
-            The rule class.  When omitted, ``register`` returns a decorator.
-        overwrite:
-            Allow replacing an existing registration (otherwise an error, so a
-            typo cannot silently shadow a built-in rule).
-        """
-        if not isinstance(rule_id, str) or not _RULE_ID.match(rule_id):
-            raise ValueError(
-                f"rule id must match {_RULE_ID.pattern!r}, got {rule_id!r}"
-            )
-
-        def _register(cls: Type["Rule"]) -> Type["Rule"]:
-            if not isinstance(cls, type):
-                raise TypeError(f"rule must be a Rule subclass, got {cls!r}")
-            if rule_id in self._rules and not overwrite:
-                raise ValueError(
-                    f"rule {rule_id!r} is already registered; "
-                    "pass overwrite=True to replace it"
-                )
-            cls.rule_id = rule_id
-            self._rules[rule_id] = cls
-            return cls
-
-        if rule is None:
-            return _register
-        return _register(rule)
-
-    def unregister(self, rule_id: str) -> None:
-        """Remove a registration (raises ``KeyError`` if absent)."""
-        del self._rules[rule_id]
-
-    # ------------------------------------------------------------------ #
-    # lookup
-    # ------------------------------------------------------------------ #
-    def get(self, rule_id: str) -> Type["Rule"]:
-        """The rule class registered under *rule_id*."""
-        rule = self._rules.get(rule_id)
-        if rule is None:
-            raise ValueError(
-                f"unknown rule {rule_id!r}; registered rules: {list(self.ids())}"
-            )
-        return rule
-
-    def ids(self) -> tuple[str, ...]:
-        """Registered rule ids, in registration order."""
-        return tuple(self._rules)
-
-    def __contains__(self, rule_id: object) -> bool:
-        return rule_id in self._rules
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._rules)
-
-    def __len__(self) -> int:
-        return len(self._rules)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self.ids())})"
+#: The process-wide rule registry (DET001–DET006 plus plugins).
+DEFAULT_REGISTRY: Registry[type[Rule]] = Registry("rule", type)
 
 
-#: The process-wide registry used when no explicit registry is passed.
-DEFAULT_REGISTRY = RuleRegistry()
-
-
-def register_rule(
-    rule_id: str, *, registry: Union[RuleRegistry, None] = None
-) -> Callable[[Type["Rule"]], Type["Rule"]]:
-    """Decorator registering a rule class in the (default) registry::
+def register_rule(rule_id: str) -> Callable[[type[Rule]], type[Rule]]:
+    """Decorator registering a rule class and stamping its :attr:`Rule.rule_id`::
 
         @register_rule("DET001")
         class BareTranscendentalRule(Rule):
             ...
+
+    *rule_id* must match ``[A-Z][A-Z0-9]{2,15}`` so pragmas and config
+    sections can name it unambiguously.
     """
-    target = registry if registry is not None else DEFAULT_REGISTRY
-    decorator = target.register(rule_id)
-    assert callable(decorator)
-    return decorator
+    if not isinstance(rule_id, str) or not _RULE_ID.match(rule_id):
+        raise ValueError(f"rule id must match {_RULE_ID.pattern!r}, got {rule_id!r}")
+
+    def _register(cls: type[Rule]) -> type[Rule]:
+        DEFAULT_REGISTRY.register(rule_id, cls)
+        cls.rule_id = rule_id
+        return cls
+
+    return _register
 
 
 def available_rules() -> tuple[str, ...]:
-    """Rule ids registered in the default registry (built-ins plus plugins)."""
-    return DEFAULT_REGISTRY.ids()
+    """Registered rule ids (built-ins plus plugins)."""
+    return DEFAULT_REGISTRY.names()

@@ -3,7 +3,8 @@
 This subsystem is the single way consumers (the experiment runner, the CLI,
 the examples and future services) construct and drive detection:
 
-* :mod:`repro.api.registry` — a string-keyed :class:`DetectorRegistry` with a
+* :mod:`repro.api.registry` — the detector registry
+  (:data:`DEFAULT_REGISTRY`, a :class:`repro.utils.registry.Registry`) with a
   :func:`register_detector` decorator, so detection schemes are pluggable
   instead of a hard-coded triple.
 * :mod:`repro.api.config` — a declarative :class:`PipelineConfig` dataclass
@@ -38,12 +39,7 @@ Quickstart::
 
 from repro.api.config import PipelineConfig
 from repro.api.monitor import MultiLinkMonitor
-from repro.api.registry import (
-    DEFAULT_REGISTRY,
-    DetectorRegistry,
-    available_detectors,
-    register_detector,
-)
+from repro.api.registry import DEFAULT_REGISTRY, available_detectors, register_detector
 from repro.api.session import DetectionEvent, StreamingSession
 
 #: Sweep names re-exported lazily: repro.sweep sits above the experiment
@@ -86,7 +82,6 @@ def __getattr__(name: str):
 __all__ = [
     "DEFAULT_REGISTRY",
     "DetectionEvent",
-    "DetectorRegistry",
     "FleetConfig",
     "FleetReport",
     "FleetScheduler",

@@ -37,7 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.channel.channel import ChannelSimulator, Link
     from repro.csi.collector import PacketCollector
 
-    from repro.api.registry import DetectorRegistry
     from repro.api.session import StreamingSession
 
 #: Spectrum estimators selectable for the combined scheme.
@@ -57,7 +56,7 @@ class PipelineConfig:
     Parameters
     ----------
     detector:
-        Name of a detector registered in the :class:`~repro.api.registry.DetectorRegistry`
+        Name of a detector registered in :mod:`repro.api.registry`
         (``"baseline"``, ``"subcarrier"``, ``"combined"`` are built in).
     sanitize:
         Whether traces are phase-sanitised before processing.
@@ -225,41 +224,26 @@ class PipelineConfig:
     # ------------------------------------------------------------------ #
     # pipeline construction
     # ------------------------------------------------------------------ #
-    def build_detector(
-        self,
-        link: "Link | None" = None,
-        *,
-        registry: "DetectorRegistry | None" = None,
-    ):
-        """Instantiate the configured detector via the registry.
+    def build_detector(self, link: "Link | None" = None):
+        """Build the configured detector from its registered factory.
 
         Parameters
         ----------
         link:
             The monitored link; required by detectors that need the receive
             array geometry (the combined scheme).
-        registry:
-            Registry to resolve :attr:`detector` in; defaults to the global
-            :data:`~repro.api.registry.DEFAULT_REGISTRY`.
         """
         from repro.api.registry import DEFAULT_REGISTRY
 
-        registry = registry if registry is not None else DEFAULT_REGISTRY
-        return registry.create(self.detector, config=self, link=link)
+        return DEFAULT_REGISTRY.get(self.detector)(self, link)
 
     def session(
-        self,
-        link: "Link | None" = None,
-        *,
-        link_name: str = "",
-        registry: "DetectorRegistry | None" = None,
+        self, link: "Link | None" = None, *, link_name: str = ""
     ) -> "StreamingSession":
         """Build a :class:`~repro.api.session.StreamingSession` for one link."""
         from repro.api.session import StreamingSession
 
-        return StreamingSession.from_config(
-            self, link, link_name=link_name, registry=registry
-        )
+        return StreamingSession.from_config(self, link, link_name=link_name)
 
     def collector(
         self,

@@ -49,7 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.channel.channel import Link
 
     from repro.api.config import PipelineConfig
-    from repro.api.registry import DetectorRegistry
 
 
 class MultiLinkMonitor:
@@ -79,11 +78,7 @@ class MultiLinkMonitor:
 
     @classmethod
     def from_config(
-        cls,
-        config: "PipelineConfig",
-        links: Sequence["Link"],
-        *,
-        registry: "DetectorRegistry | None" = None,
+        cls, config: "PipelineConfig", links: Sequence["Link"]
     ) -> "MultiLinkMonitor":
         """One monitor with an identically-configured session per link."""
         if not links:
@@ -93,9 +88,7 @@ class MultiLinkMonitor:
             raise ValueError(f"link names must be unique, got {names}")
         return cls(
             {
-                name: StreamingSession.from_config(
-                    config, link, link_name=name, registry=registry
-                )
+                name: StreamingSession.from_config(config, link, link_name=name)
                 for name, link in zip(names, links)
             }
         )

@@ -1,11 +1,11 @@
-"""String-keyed detector registry.
+"""The detector registry: scheme names to detector factories.
 
 The paper compares three fixed schemes, and the seed codebase hard-coded that
 triple everywhere a detector was constructed.  The registry makes schemes
-pluggable: a factory registered under a name can be instantiated from any
-:class:`~repro.api.config.PipelineConfig` that names it, so the runner, the
-CLI and user code all construct detectors the same way — and new schemes drop
-in without touching any of them::
+pluggable: a factory registered under a name is built by
+:meth:`~repro.api.config.PipelineConfig.build_detector` for any config that
+names it, so the runner, the CLI and user code all construct detectors the
+same way — and new schemes drop in without touching any of them::
 
     from repro.api import register_detector
 
@@ -21,7 +21,8 @@ detector — any object with ``calibrate(trace)`` and ``score(window)``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from collections.abc import Callable
+from typing import TYPE_CHECKING, Optional
 
 from repro.aoa.bartlett import BartlettEstimator
 from repro.aoa.music import MusicEstimator
@@ -30,6 +31,7 @@ from repro.core.detector import (
     SubcarrierPathWeightingDetector,
     SubcarrierWeightingDetector,
 )
+from repro.utils.registry import Registry
 
 from repro.api.config import PipelineConfig
 
@@ -39,123 +41,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: A detector factory: (config, link) -> detector instance.
 DetectorFactory = Callable[[PipelineConfig, Optional["Link"]], object]
 
-
-class DetectorRegistry:
-    """A mutable mapping from scheme names to detector factories."""
-
-    def __init__(self) -> None:
-        self._factories: dict[str, DetectorFactory] = {}
-
-    # ------------------------------------------------------------------ #
-    # registration
-    # ------------------------------------------------------------------ #
-    def register(
-        self,
-        name: str,
-        factory: DetectorFactory | None = None,
-        *,
-        overwrite: bool = False,
-    ):
-        """Register *factory* under *name*; usable directly or as a decorator.
-
-        Parameters
-        ----------
-        name:
-            Scheme name, e.g. ``"baseline"``.  Must be a non-empty string.
-        factory:
-            The factory callable.  When omitted, ``register`` returns a
-            decorator that registers the decorated callable.
-        overwrite:
-            Allow replacing an existing registration (otherwise an error, so
-            typos do not silently shadow built-in schemes).
-        """
-        if not name or not isinstance(name, str):
-            raise ValueError(f"detector name must be a non-empty string, got {name!r}")
-
-        def _register(func: DetectorFactory) -> DetectorFactory:
-            if not callable(func):
-                raise TypeError(f"detector factory must be callable, got {func!r}")
-            if name in self._factories and not overwrite:
-                raise ValueError(
-                    f"detector {name!r} is already registered; "
-                    "pass overwrite=True to replace it"
-                )
-            self._factories[name] = func
-            return func
-
-        if factory is None:
-            return _register
-        return _register(factory)
-
-    def unregister(self, name: str) -> None:
-        """Remove a registration (raises ``KeyError`` if absent)."""
-        del self._factories[name]
-
-    # ------------------------------------------------------------------ #
-    # lookup / construction
-    # ------------------------------------------------------------------ #
-    def create(
-        self,
-        name: str,
-        *,
-        config: PipelineConfig | None = None,
-        link: "Link | None" = None,
-    ):
-        """Instantiate the detector registered under *name*.
-
-        Parameters
-        ----------
-        name:
-            Registered scheme name.
-        config:
-            Pipeline configuration handed to the factory; defaults to
-            ``PipelineConfig(detector=name)``.
-        link:
-            The monitored link, for factories that need array geometry.
-        """
-        factory = self._factories.get(name)
-        if factory is None:
-            raise ValueError(
-                f"unknown detector {name!r}; registered detectors: {list(self.names())}"
-            )
-        if config is None:
-            config = PipelineConfig(detector=name)
-        return factory(config, link)
-
-    def names(self) -> tuple[str, ...]:
-        """Registered scheme names, in registration order."""
-        return tuple(self._factories)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._factories
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._factories)
-
-    def __len__(self) -> int:
-        return len(self._factories)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self.names())})"
+#: The process-wide detector registry (built-ins plus plugins).
+DEFAULT_REGISTRY: Registry[DetectorFactory] = Registry("detector", Callable)
 
 
-#: The process-wide registry used when no explicit registry is passed.
-DEFAULT_REGISTRY = DetectorRegistry()
-
-
-def register_detector(name: str, *, registry: DetectorRegistry | None = None):
-    """Decorator registering a detector factory in the (default) registry::
+def register_detector(name: str):
+    """Decorator registering a detector factory::
 
         @register_detector("my-scheme")
         def build_my_scheme(config, link):
             return MyDetector()
     """
-    target = registry if registry is not None else DEFAULT_REGISTRY
-    return target.register(name)
+    return DEFAULT_REGISTRY.register(name)
 
 
 def available_detectors() -> tuple[str, ...]:
-    """Names registered in the default registry (built-ins plus plugins)."""
+    """Registered scheme names (built-ins plus plugins)."""
     return DEFAULT_REGISTRY.names()
 
 

@@ -41,7 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.channel.channel import Link
 
     from repro.api.config import PipelineConfig
-    from repro.api.registry import DetectorRegistry
 
 
 def window_starts(num_packets: int, window_packets: int, window_stride: int | None) -> np.ndarray:
@@ -175,10 +174,9 @@ class StreamingSession:
         link: "Link | None" = None,
         *,
         link_name: str = "",
-        registry: "DetectorRegistry | None" = None,
     ) -> "StreamingSession":
         """Build a session whose detector and window policy come from *config*."""
-        detector = config.build_detector(link, registry=registry)
+        detector = config.build_detector(link)
         if not link_name and link is not None:
             link_name = getattr(link, "name", "") or ""
         return cls(

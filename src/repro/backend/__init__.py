@@ -20,7 +20,8 @@ computation based on the ``backend`` config field::
 
 ``use_backend`` also tags the observability recorder with the backend name,
 so spans and metric snapshots recorded inside attribute stage timings per
-backend.  New backends register through :func:`register_backend` — see
+backend.  New backends register through :func:`register_backend`, which
+registers one shared instance of the decorated class — see
 :class:`repro.backend.base.NumericBackend` for the protocol.
 """
 
@@ -30,12 +31,7 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from repro.backend.base import NumericBackend
-from repro.backend.registry import (
-    BackendRegistry,
-    DEFAULT_REGISTRY,
-    available_backends,
-    register_backend,
-)
+from repro.backend.registry import DEFAULT_REGISTRY, available_backends, register_backend
 
 # Importing the built-in implementations registers them.
 from repro.backend import exact as _exact_module  # noqa: F401
@@ -43,7 +39,6 @@ from repro.backend import fast as _fast_module  # noqa: F401
 
 __all__ = [
     "NumericBackend",
-    "BackendRegistry",
     "DEFAULT_REGISTRY",
     "available_backends",
     "register_backend",
@@ -62,24 +57,17 @@ def active_backend() -> NumericBackend:
     return _ACTIVE
 
 
-def resolve_backend(
-    name: str | NumericBackend, *, registry: BackendRegistry | None = None
-) -> NumericBackend:
-    """Resolve *name* to a backend instance via the (default) registry.
+def resolve_backend(name: str | NumericBackend) -> NumericBackend:
+    """Resolve *name* to its registered backend instance.
 
     Raises ``ValueError`` naming the registered backends when *name* is
     unknown; passes backend instances through unchanged.
     """
-    if isinstance(name, str):
-        target = registry if registry is not None else DEFAULT_REGISTRY
-        return target.get(name)
-    return name
+    return DEFAULT_REGISTRY.get(name) if isinstance(name, str) else name
 
 
 @contextmanager
-def use_backend(
-    name: str | NumericBackend, *, registry: BackendRegistry | None = None
-) -> Iterator[NumericBackend]:
+def use_backend(name: str | NumericBackend) -> Iterator[NumericBackend]:
     """Activate a backend for the duration of a ``with`` block.
 
     Resolves *name* through the registry (``ValueError`` on unknown names),
@@ -90,7 +78,7 @@ def use_backend(
     their spans and metrics to the backend that produced them.
     """
     global _ACTIVE
-    backend = resolve_backend(name, registry=registry)
+    backend = resolve_backend(name)
     previous = _ACTIVE
     _ACTIVE = backend
     from repro import obs

@@ -66,6 +66,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.api import PipelineConfig, available_detectors
+from repro.api.registry import DEFAULT_REGISTRY as DETECTORS
 from repro.backend import available_backends, resolve_backend, use_backend
 from repro.experiments import figures
 from repro.experiments.runner import EvaluationConfig, run_evaluation
@@ -142,9 +143,12 @@ def _build_config(args: argparse.Namespace) -> EvaluationConfig:
     if getattr(args, "backend", None) is not None:
         overrides["backend"] = args.backend
     config = dataclasses.replace(config, **overrides) if overrides else config
-    # Resolve the backend name now so a typo is a one-line exit-2 config
-    # error instead of a traceback from deep inside the campaign.
+    # Resolve the backend and scheme names now so a typo is a one-line
+    # exit-2 config error instead of a traceback from deep inside the
+    # campaign.
     resolve_backend(config.backend)
+    for scheme in config.schemes:
+        DETECTORS.get(scheme)
     return config
 
 
@@ -379,7 +383,6 @@ def _fleet_config(args: argparse.Namespace):
         ("backend", "backend"),
         ("batch_windows", "batch_windows"),
         ("workers", "max_workers"),
-        ("setup_workers", "setup_workers"),
     ):
         value = getattr(args, attr, None)
         if value is not None:
@@ -758,13 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="ready windows batched across links per scoring flush "
         "(default 32; events are bit-identical for any value)",
-    )
-    fleet_run.add_argument(
-        "--setup-workers",
-        type=int,
-        default=None,
-        help="process-pool width for the traffic-building phase when "
-        "scheduling is single-shard (events are bit-identical for any value)",
     )
     fleet_run.add_argument(
         "--events",

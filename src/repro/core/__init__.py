@@ -17,8 +17,6 @@
 * :mod:`repro.core.thresholds` — ROC sweeps and threshold selection.
 * :mod:`repro.core.fade_level` — the related-work fade-level metric
   (Wilson & Patwari) used as a comparison point.
-* :mod:`repro.core.hmm` — two-state HMM smoothing of the decision stream, the
-  extension the paper suggests for magnified background dynamics.
 """
 
 from repro.core.detector import (
@@ -29,7 +27,6 @@ from repro.core.detector import (
 )
 from repro.core.fade_level import fade_level_db
 from repro.core.fitting import LogFit, fit_log_curve, fit_per_subcarrier
-from repro.core.hmm import TwoStateHMM
 from repro.core.link_model import OneBounceLinkModel
 from repro.core.multipath_factor import multipath_factor_trace
 from repro.core.path_weighting import path_weights
@@ -45,7 +42,6 @@ __all__ = [
     "LogFit",
     "fit_log_curve",
     "fit_per_subcarrier",
-    "TwoStateHMM",
     "OneBounceLinkModel",
     "multipath_factor_trace",
     "path_weights",

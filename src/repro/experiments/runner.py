@@ -18,7 +18,6 @@ from typing import Any, Mapping, Sequence
 
 from repro import obs
 from repro.api.config import PipelineConfig
-from repro.api.registry import DEFAULT_REGISTRY, DetectorRegistry
 from repro.backend import use_backend
 from repro.channel.channel import ChannelSimulator, Link
 from repro.channel.human import HumanBody
@@ -37,7 +36,12 @@ from repro.experiments.scenarios import (
 )
 from repro.experiments.workloads import BackgroundDynamics, EnvironmentDrift
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_integer, check_known_keys
+from repro.utils.validation import (
+    check_finite_real,
+    check_integer,
+    check_known_keys,
+    check_probability,
+)
 
 #: Names of the three evaluation schemes, in the paper's order.
 SCHEMES: tuple[str, ...] = ("baseline", "subcarrier", "combined")
@@ -97,25 +101,48 @@ class EvaluationConfig:
             raise ValueError(
                 f"backend must be a non-empty string, got {self.backend!r}"
             )
-        if self.max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
         # A degenerate campaign (no windows, no grid, an uncalibratable
-        # profile) must fail at configuration time — especially now that
-        # JSON-driven sweeps construct configs far from the code that runs
-        # them — not deep inside scoring with an unrelated error.
+        # profile) or a mistyped knob must fail at configuration time —
+        # especially now that JSON-driven sweeps construct configs far from
+        # the code that runs them — not deep inside scoring with an unrelated
+        # error, and never as a silent run of a campaign other than the one
+        # written down (a NaN threshold, ``true`` read as 1 dB, ``"no"`` read
+        # as true).
         for name, minimum in (
             ("window_packets", 1),
             ("windows_per_location", 1),
             ("grid_rows", 1),
             ("grid_cols", 1),
             ("calibration_packets", 2),
+            ("max_workers", 1),
+            ("max_bounces", 0),
+            ("background_max_people", 0),
             ("seed", None),
         ):
             value = check_integer(name, getattr(self, name))
             if minimum is not None and value < minimum:
                 raise ValueError(f"{name} must be >= {minimum}, got {value}")
-        if not isinstance(self.packet_rate_hz, (int, float)) or self.packet_rate_hz <= 0:
+        # Every float knob must be a finite number; field types are the
+        # annotation strings, this module postponing annotations.
+        for field in dataclasses.fields(self):
+            if field.type == "float":
+                check_finite_real(field.name, getattr(self, field.name))
+        if not isinstance(self.use_music_spectrum, bool):
+            raise ValueError(
+                f"use_music_spectrum must be true or false, got {self.use_music_spectrum!r}"
+            )
+        # The ranges the campaign's components enforce when a case builds
+        # them, checked here so a bad value fails before the first case.
+        if self.packet_rate_hz <= 0:
             raise ValueError(f"packet_rate_hz must be > 0, got {self.packet_rate_hz!r}")
+        if self.gain_drift_std_db < 0:
+            raise ValueError(f"gain_drift_std_db must be >= 0, got {self.gain_drift_std_db}")
+        check_probability("clutter_reflection", self.clutter_reflection)
+        check_probability("human_reflection", self.human_reflection)
+        if not 0.0 < self.human_min_attenuation < 1.0:
+            raise ValueError(
+                f"human_min_attenuation must be in (0, 1), got {self.human_min_attenuation}"
+            )
         if isinstance(self.schemes, str):
             raise ValueError(
                 f"schemes must be a sequence of scheme names, "
@@ -362,33 +389,18 @@ class EvaluationResult:
 # --------------------------------------------------------------------------- #
 # detector construction
 # --------------------------------------------------------------------------- #
-def build_detectors(
-    link: Link,
-    config: EvaluationConfig,
-    *,
-    registry: DetectorRegistry | None = None,
-) -> dict[str, object]:
+def build_detectors(link: Link, config: EvaluationConfig) -> dict[str, object]:
     """Instantiate the requested detection schemes for one link.
 
-    .. deprecated:: 1.1.0
-        This is a thin shim over :mod:`repro.api`: every scheme is resolved
-        through the :class:`~repro.api.registry.DetectorRegistry` from the
-        :meth:`EvaluationConfig.pipeline_config` of that scheme.  New code
-        should build detectors from a :class:`~repro.api.config.PipelineConfig`
-        directly; this entry point remains for the campaign driver and
-        existing callers.
-
-    Custom schemes registered via :func:`repro.api.register_detector` are
-    picked up automatically when named in ``config.schemes``.
+    Each scheme is built by
+    ``config.pipeline_config(scheme).build_detector(link)``, the one
+    construction path of :mod:`repro.api`, so custom schemes registered via
+    :func:`repro.api.register_detector` are picked up when named in
+    ``config.schemes`` and an unknown name raises the registry's
+    ``unknown detector`` error.
     """
-    registry = registry if registry is not None else DEFAULT_REGISTRY
-    unknown = [scheme for scheme in config.schemes if scheme not in registry]
-    if unknown:
-        raise ValueError(f"unknown schemes requested: {sorted(unknown)}")
     return {
-        scheme: registry.create(
-            scheme, config=config.pipeline_config(scheme), link=link
-        )
+        scheme: config.pipeline_config(scheme).build_detector(link)
         for scheme in config.schemes
     }
 
@@ -690,7 +702,7 @@ def run_evaluation(
     if not case_list:
         raise ValueError("run_evaluation requires at least one case")
     workers = config.max_workers if max_workers is None else max_workers
-    if workers < 1:
+    if check_integer("max_workers", workers) < 1:
         raise ValueError(f"max_workers must be >= 1, got {workers}")
     workers = min(workers, len(case_list))
     if parallel is None:

@@ -98,14 +98,6 @@ class FleetConfig:
     max_workers:
         Process-pool width the population is sharded over; the merged event
         stream is byte-identical for any value.
-    setup_workers:
-        Process-pool width for the traffic-building phase when scheduling
-        runs in a single shard (``max_workers == 1``).  Traffic dominates a
-        large fleet's startup cost; per-link streams are pure functions of
-        ``(seed, link_index)``, so fanning the build out changes no byte of
-        the traffic or the event stream.  ``None`` (default) builds inline;
-        ignored when scheduling itself is sharded (each scheduling shard
-        already builds its own links).
     class_mix:
         Relative population weight per rate class (``normal`` / ``busy`` /
         ``abusive``); weights are normalised, zero-weight classes never
@@ -127,7 +119,6 @@ class FleetConfig:
     pool_packets: int = 50
     occupied_fraction: float = 0.5
     max_workers: int = 1
-    setup_workers: int | None = None
     class_mix: dict[str, float] = field(default_factory=_default_class_mix)
     class_rates_hz: dict[str, float] = field(default_factory=_default_class_rates)
     pipeline: PipelineConfig = field(default_factory=_default_pipeline)
@@ -142,15 +133,6 @@ class FleetConfig:
             value = check_integer(name, getattr(self, name))
             if value < minimum:
                 raise ValueError(f"{name} must be >= {minimum}, got {value}")
-        if self.setup_workers is not None and (
-            isinstance(self.setup_workers, bool)
-            or not isinstance(self.setup_workers, int)
-            or self.setup_workers < 1
-        ):
-            raise ValueError(
-                f"setup_workers must be None or an integer >= 1, "
-                f"got {self.setup_workers!r}"
-            )
         if check_finite_real("duration_s", self.duration_s) <= 0:
             raise ValueError(f"duration_s must be > 0, got {self.duration_s!r}")
         check_integer("seed", self.seed)
@@ -343,44 +325,22 @@ def _build_shard_traffic(config: FleetConfig, indices: Sequence[int]) -> list[Li
     )
 
 
-def _build_traffic_shard(
-    config: FleetConfig, indices: Sequence[int], obs_enabled: bool = False
-) -> tuple[list[LinkTraffic], "ObsSnapshot | None"]:
-    """Setup-pool work unit: one index-shard's traffic plus its obs snapshot.
-
-    Traffic is a pure function of ``(config.seed, link_index)``, so shards
-    built in any process merge (in index order) into the byte-identical
-    population a single process would have built.  The fleet backend is
-    activated here because setup-pool workers never inherit the parent's
-    active backend.
-    """
-    with obs.shard_recording(obs_enabled) as recorder:
-        with use_backend(config.backend), obs.span("fleet.shard_setup"):
-            traffics = _build_shard_traffic(config, indices)
-        snapshot = recorder.snapshot() if recorder is not None else None
-    return traffics, snapshot
-
-
 def _setup_streams(
-    config: FleetConfig,
-    indices: Sequence[int],
-    traffics: Sequence[LinkTraffic] | None = None,
+    config: FleetConfig, indices: Sequence[int]
 ) -> tuple[list[tuple[StreamingSession, LinkTraffic]], dict[str, int]]:
     """Build the (calibrated session, traffic) streams of one shard.
 
     Traffic comes from :func:`~repro.fleet.traffic.build_fleet_traffic`
     (geometry-shared clean CFRs, one acquisition call per link of the frames
-    it reads) unless prebuilt *traffics* are handed in by the setup pool.
-    Every session is
-    calibrated in one shard-wide :func:`~repro.api.monitor.calibrate_sessions`
-    pass: one sanitisation of all calibration traces, one stacked
-    calibration call per chunk of links that share a kernel (links on
-    geometries that differ only in array placement share one), and one
-    scoring call for all threshold-replay windows.
+    it reads).  Every session is calibrated in one shard-wide
+    :func:`~repro.api.monitor.calibrate_sessions` pass: one sanitisation of
+    all calibration traces, one stacked calibration call per chunk of links
+    that share a kernel (links on geometries that differ only in array
+    placement share one), and one scoring call for all threshold-replay
+    windows.
     """
     links = _shard_links(indices)
-    if traffics is None:
-        traffics = _build_shard_traffic(config, indices)
+    traffics = _build_shard_traffic(config, indices)
     streams: list[tuple[StreamingSession, LinkTraffic]] = []
     census: dict[str, int] = {}
     for link, traffic in zip(links, traffics):
@@ -394,26 +354,22 @@ def _setup_streams(
 
 
 def _run_fleet_shard(
-    config: FleetConfig,
-    indices: Sequence[int],
-    obs_enabled: bool = False,
-    traffics: Sequence[LinkTraffic] | None = None,
+    config: FleetConfig, indices: Sequence[int], obs_enabled: bool = False
 ) -> _ShardResult:
     """Build and run one shard of the link population.
 
     Returns ``(events, latencies, arrivals, windows, schedule_elapsed_s,
     class_census, obs_snapshot)``.  Everything a shard needs is rebuilt from
-    the config and its link indices (unless prebuilt *traffics* are handed
-    in), so shards are independent of each other and of the process they run
-    in.  When *obs_enabled*, the shard records into its own :mod:`repro.obs`
-    recorder and ships the snapshot home for in-order merge (process pools
-    don't share the parent's recorder).  Each shard activates the fleet
-    backend itself for the same reason.
+    the config and its link indices, so shards are independent of each other
+    and of the process they run in.  When *obs_enabled*, the shard records
+    into its own :mod:`repro.obs` recorder and ships the snapshot home for
+    in-order merge (process pools don't share the parent's recorder).  Each
+    shard activates the fleet backend itself for the same reason.
     """
     with obs.shard_recording(obs_enabled) as recorder:
         with use_backend(config.backend):
             with obs.span("fleet.shard_setup"):
-                streams, census = _setup_streams(config, indices, traffics)
+                streams, census = _setup_streams(config, indices)
             scheduler = FleetScheduler(batch_windows=config.batch_windows)
             with obs.span("fleet.schedule"):
                 events, stats = scheduler.run(streams)
@@ -448,13 +404,6 @@ def run_fleet(config: FleetConfig, *, max_workers: int | None = None) -> FleetRe
         per shard; the merged, canonically ordered event stream is
         byte-identical for any worker count (per-link traffic and scores are
         pure functions of the config).
-
-    Notes
-    -----
-    With single-shard scheduling, ``config.setup_workers`` additionally fans
-    the traffic-building phase (the startup cost that dominates large
-    fleets) across a process pool — again without changing a byte of the
-    event stream.
     """
     workers = config.max_workers if max_workers is None else max_workers
     if workers < 1:
@@ -465,28 +414,7 @@ def run_fleet(config: FleetConfig, *, max_workers: int | None = None) -> FleetRe
 
     shard_results: list[_ShardResult]
     if len(shards) <= 1:
-        setup_workers = min(config.setup_workers or 1, config.links)
-        prebuilt: list[LinkTraffic] | None = None
-        if setup_workers > 1:
-            # Fan only the traffic build across the pool: shards come home
-            # in index order, so the merged population (and therefore the
-            # event stream) is byte-identical to the inline build.
-            from concurrent.futures import ProcessPoolExecutor
-
-            setup_shards = _shard_indices(config.links, setup_workers)
-            with ProcessPoolExecutor(max_workers=len(setup_shards)) as executor:
-                setup_futures = [
-                    executor.submit(_build_traffic_shard, config, indices, obs_enabled)
-                    for indices in setup_shards
-                ]
-                prebuilt = []
-                for future in setup_futures:
-                    shard_traffics, setup_snapshot = future.result()
-                    prebuilt.extend(shard_traffics)
-                    obs.merge(setup_snapshot)
-        shard_results = [
-            _run_fleet_shard(config, shards[0], obs_enabled, traffics=prebuilt)
-        ]
+        shard_results = [_run_fleet_shard(config, shards[0], obs_enabled)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -22,14 +22,13 @@ from repro.analysis import (
     LintConfig,
     PRAGMA_RULE_ID,
     Rule,
-    RuleRegistry,
     RuleScope,
     SYNTAX_RULE_ID,
     available_rules,
     lint_paths,
     parse_pragmas,
+    register_rule,
 )
-from repro.analysis.config import _parse_minimal_toml
 from repro.analysis.reporters import (
     JSON_REPORT_VERSION,
     markdown_report,
@@ -188,26 +187,16 @@ class TestReporters:
 # registry
 # --------------------------------------------------------------------------- #
 class TestRegistry:
-    def test_duplicate_registration_rejected(self):
-        registry = RuleRegistry()
-
-        @registry.register("DET900")
-        class First(Rule):
-            summary = "first"
-
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register("DET900", First)
-        registry.register("DET900", First, overwrite=True)
-        assert registry.ids() == ("DET900",)
+    """Rule-specific registry behaviour; the shared semantics are tested
+    once on :class:`repro.utils.registry.Registry` (test_utils)."""
 
     def test_invalid_rule_id_rejected(self):
         with pytest.raises(ValueError, match="rule id must match"):
-            RuleRegistry().register("bad id")
+            register_rule("bad id")
+        assert "bad id" not in DEFAULT_REGISTRY
 
     def test_custom_rule_runs_through_the_engine(self, tmp_path):
-        registry = RuleRegistry()
-
-        @registry.register("DET901")
+        @register_rule("DET901")
         class NoEvalRule(Rule):
             summary = "eval() in library code"
 
@@ -218,12 +207,14 @@ class TestRegistry:
                     self.report(node, "eval() is banned")
                 self.generic_visit(node)
 
-        target = tmp_path / "evil.py"
-        target.write_text("value = eval('1 + 1')\n")
-        result = lint_paths(
-            [target], config=LintConfig.empty(tmp_path), registry=registry
-        )
-        assert [finding.rule for finding in result.findings] == ["DET901"]
+        try:
+            assert NoEvalRule.rule_id == "DET901"
+            target = tmp_path / "evil.py"
+            target.write_text("value = eval('1 + 1')\n")
+            result = lint_paths([target], config=LintConfig.empty(tmp_path))
+            assert [finding.rule for finding in result.findings] == ["DET901"]
+        finally:
+            DEFAULT_REGISTRY.unregister("DET901")
 
     def test_unknown_rule_filter_raises(self):
         with pytest.raises(ValueError, match="unknown rules"):
@@ -275,13 +266,6 @@ class TestConfig:
         config = LintConfig.discover(FIXTURES / "clean.py")
         assert config.root == FIXTURES.resolve()
         assert config.rules == {}
-
-    def test_minimal_toml_parser_matches_tomllib_on_repo_config(self):
-        tomllib = pytest.importorskip("tomllib")
-        text = (REPO_ROOT / "pyproject.toml").read_text()
-        expected = tomllib.loads(text)["tool"]["repro"]["lint"]
-        parsed = _parse_minimal_toml(text)["tool"]["repro"]["lint"]
-        assert parsed == expected
 
 
 # --------------------------------------------------------------------------- #
@@ -348,7 +332,7 @@ class TestEngineAndCli:
         assert set(BUILTIN_RULES) | {PRAGMA_RULE_ID} <= rules_seen
 
     def test_default_registry_is_shared_with_cli(self):
-        assert set(BUILTIN_RULES) <= set(DEFAULT_REGISTRY.ids())
+        assert set(BUILTIN_RULES) <= set(DEFAULT_REGISTRY.names())
 
     def test_resolution_ignores_local_shadowing(self, tmp_path):
         # A local variable named `time` must not trip DET003.

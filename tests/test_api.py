@@ -14,7 +14,6 @@ import pytest
 
 from repro.api import (
     DEFAULT_REGISTRY,
-    DetectorRegistry,
     MultiLinkMonitor,
     PipelineConfig,
     StreamingSession,
@@ -55,57 +54,42 @@ def occupied_window(collector):
 # registry
 # --------------------------------------------------------------------------- #
 class TestRegistry:
+    """Detector-specific registry behaviour; the shared semantics are
+    tested once on :class:`repro.utils.registry.Registry` (test_utils)."""
+
     def test_builtins_registered(self):
         assert set(SCHEMES) <= set(available_detectors())
         for name in SCHEMES:
             assert name in DEFAULT_REGISTRY
 
     def test_decorator_registration_and_create(self, link):
-        registry = DetectorRegistry()
+        """A registered factory receives the pipeline config and the link."""
+        received = []
 
-        @register_detector("custom", registry=registry)
+        @register_detector("custom")
         def build_custom(config, link):
+            received.append((config, link))
             return BaselineDetector(sanitize=config.sanitize)
 
-        assert registry.names() == ("custom",)
-        detector = registry.create("custom", link=link)
-        assert isinstance(detector, BaselineDetector)
-
-    def test_direct_registration(self):
-        registry = DetectorRegistry()
-        registry.register("direct", lambda config, link: BaselineDetector())
-        assert "direct" in registry and len(registry) == 1
-
-    def test_duplicate_registration_rejected(self):
-        registry = DetectorRegistry()
-        registry.register("name", lambda config, link: None)
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register("name", lambda config, link: None)
-        registry.register("name", lambda config, link: "replaced", overwrite=True)
-        assert registry.create("name") == "replaced"
+        try:
+            config = PipelineConfig(detector="custom", sanitize=False)
+            detector = config.build_detector(link)
+            assert isinstance(detector, BaselineDetector)
+            assert received == [(config, link)]
+        finally:
+            DEFAULT_REGISTRY.unregister("custom")
 
     def test_unknown_name_lists_known(self):
-        registry = DetectorRegistry()
-        registry.register("only", lambda config, link: None)
-        with pytest.raises(ValueError, match="only"):
-            registry.create("nope")
-
-    def test_invalid_registrations_rejected(self):
-        registry = DetectorRegistry()
-        with pytest.raises(ValueError):
-            registry.register("", lambda config, link: None)
-        with pytest.raises(TypeError):
-            registry.register("x", "not-callable")
+        with pytest.raises(ValueError) as excinfo:
+            PipelineConfig(detector="nosuch").build_detector()
+        assert str(excinfo.value) == (
+            "unknown detector 'nosuch'; registered detectors: "
+            "['baseline', 'subcarrier', 'combined']"
+        )
 
     def test_combined_requires_link(self):
         with pytest.raises(ValueError, match="receive array"):
-            DEFAULT_REGISTRY.create("combined")
-
-    def test_unregister(self):
-        registry = DetectorRegistry()
-        registry.register("gone", lambda config, link: None)
-        registry.unregister("gone")
-        assert "gone" not in registry
+            PipelineConfig(detector="combined").build_detector()
 
     def test_plugin_usable_by_campaign_runner(self, link):
         """A registered scheme is picked up by EvaluationConfig.schemes."""

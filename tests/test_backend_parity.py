@@ -18,13 +18,13 @@ import pytest
 from repro.api import PipelineConfig
 from repro.backend import (
     DEFAULT_REGISTRY,
-    BackendRegistry,
     active_backend,
     available_backends,
     register_backend,
     resolve_backend,
     use_backend,
 )
+from repro.backend.fast import FastBackend
 from repro.cli import main
 from repro.experiments.runner import EvaluationConfig, run_evaluation
 from repro.experiments.scenarios import evaluation_cases
@@ -175,11 +175,10 @@ class TestFastToleranceParity:
 # --------------------------------------------------------------------------- #
 # registry semantics
 # --------------------------------------------------------------------------- #
-class _ToyBackend:
-    name = "toy"
-
-
 class TestBackendRegistry:
+    """Backend-specific registry behaviour; the shared semantics are tested
+    once on :class:`repro.utils.registry.Registry` (test_utils)."""
+
     def test_builtins_registered(self):
         assert set(available_backends()) >= {"exact", "fast"}
         assert "exact" in DEFAULT_REGISTRY and "fast" in DEFAULT_REGISTRY
@@ -191,35 +190,34 @@ class TestBackendRegistry:
         assert resolve_backend("fast") is resolve_backend("fast")
         assert resolve_backend("exact") is DEFAULT_REGISTRY.get("exact")
 
+    def test_plugin_backend_registers_one_shared_instance(self):
+        @register_backend("toy")
+        class ToyBackend(FastBackend):
+            name = "toy"
+
+        try:
+            backend = resolve_backend("toy")
+            assert isinstance(backend, ToyBackend)
+            assert DEFAULT_REGISTRY.get("toy") is backend
+            with use_backend("toy") as active:
+                assert active is backend and active_backend() is backend
+        finally:
+            DEFAULT_REGISTRY.unregister("toy")
+        # A class lacking the protocol's kernels is not a backend.
+        with pytest.raises(TypeError, match="backend must be an instance of NumericBackend"):
+            register_backend("half")(type("Half", (), {"name": "half"}))
+        assert "half" not in DEFAULT_REGISTRY
+
     def test_resolve_passes_instances_through(self):
         instance = resolve_backend("fast")
         assert resolve_backend(instance) is instance
 
     def test_unknown_backend_error_names_the_registry(self):
-        with pytest.raises(ValueError, match="unknown backend 'nope'"):
+        with pytest.raises(ValueError) as excinfo:
             resolve_backend("nope")
-        with pytest.raises(ValueError, match="registered backends"):
-            DEFAULT_REGISTRY.get("nope")
-
-    def test_overwrite_guard(self):
-        registry = BackendRegistry()
-        registry.register("toy", _ToyBackend)
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register("toy", _ToyBackend)
-        registry.register("toy", _ToyBackend, overwrite=True)
-        assert registry.names() == ("toy",)
-        registry.unregister("toy")
-        assert "toy" not in registry
-
-    def test_register_decorator_against_private_registry(self):
-        registry = BackendRegistry()
-
-        @register_backend("toy", registry=registry)
-        class Decorated(_ToyBackend):
-            pass
-
-        assert registry.get("toy").name == "toy"
-        assert "toy" not in DEFAULT_REGISTRY
+        assert str(excinfo.value) == (
+            "unknown backend 'nope'; registered backends: ['exact', 'fast']"
+        )
 
     def test_use_backend_activates_and_restores(self):
         before = active_backend()
@@ -237,12 +235,6 @@ class TestBackendRegistry:
             with use_backend("fast"):
                 raise RuntimeError("boom")
         assert active_backend() is before
-
-    def test_use_backend_accepts_private_registry(self):
-        registry = BackendRegistry()
-        registry.register("toy", _ToyBackend)
-        with use_backend("toy", registry=registry) as backend:
-            assert active_backend() is backend
 
 
 # --------------------------------------------------------------------------- #

@@ -35,7 +35,6 @@ from repro.experiments.runner import (
     run_case_reference,
 )
 from repro.experiments.scenarios import evaluation_cases
-from repro.fleet.engine import FleetConfig, run_fleet
 from repro.api.session import window_starts
 from repro.fleet.traffic import build_fleet_traffic
 from tests.traffic_oracle import full_pool_traffic
@@ -380,7 +379,7 @@ class TestRunCaseParity:
 
 
 # --------------------------------------------------------------------------- #
-# fleet: batched traffic builder and setup sharding
+# fleet: batched traffic builder
 # --------------------------------------------------------------------------- #
 FLEET_TRAFFIC_KW = dict(
     seed=7,
@@ -443,39 +442,6 @@ class TestFleetTrafficParity:
         pipeline = PipelineConfig(detector="baseline")
         with pytest.raises(ValueError, match="links"):
             build_fleet_traffic([0, 1], [links[0]], pipeline=pipeline, **FLEET_TRAFFIC_KW)
-
-
-class TestFleetSetupWorkers:
-    CONFIG = FleetConfig(
-        links=12,
-        duration_s=2.0,
-        seed=11,
-        batch_windows=8,
-        pool_packets=20,
-        pipeline=PipelineConfig(
-            detector="baseline", window_packets=10, calibration_packets=30
-        ),
-    )
-
-    def test_digest_identical_for_any_sharding(self):
-        """Scheduling shards and setup shards both leave the stream alone."""
-        baseline = run_fleet(self.CONFIG).event_digest()
-        assert run_fleet(self.CONFIG, max_workers=4).event_digest() == baseline
-        assert (
-            run_fleet(self.CONFIG.replace(setup_workers=3)).event_digest() == baseline
-        )
-
-    def test_setup_workers_ignored_when_scheduling_sharded(self):
-        config = self.CONFIG.replace(setup_workers=2, max_workers=2)
-        assert run_fleet(config).event_digest() == run_fleet(self.CONFIG).event_digest()
-
-    def test_validation_and_round_trip(self):
-        with pytest.raises(ValueError, match="setup_workers"):
-            FleetConfig(setup_workers=0)
-        with pytest.raises(ValueError, match="setup_workers"):
-            FleetConfig(setup_workers=True)
-        config = self.CONFIG.replace(setup_workers=4)
-        assert FleetConfig.from_dict(config.to_dict()) == config
 
 
 # --------------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Tests for the fade-level comparison metric and the HMM decision smoothing."""
+"""Tests for the fade-level comparison metric."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.channel.propagation import PropagationModel
 from repro.core.fade_level import fade_level_db, is_anti_fade, predicted_rss_db
-from repro.core.hmm import TwoStateHMM
 
 
 class TestFadeLevel:
@@ -41,59 +40,3 @@ class TestFadeLevel:
         assert is_anti_fade(1.0)
         assert not is_anti_fade(-0.5)
 
-
-class TestTwoStateHMM:
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            TwoStateHMM(stay_probability=1.5)
-        with pytest.raises(ValueError):
-            TwoStateHMM(empty_std=0.0)
-        with pytest.raises(ValueError):
-            TwoStateHMM(initial_occupied_probability=-0.1)
-
-    def test_fit_from_labelled_scores(self, rng):
-        empty = rng.normal(0.0, 1.0, size=200)
-        occupied = rng.normal(5.0, 1.0, size=200)
-        hmm = TwoStateHMM.fit(empty, occupied)
-        assert hmm.empty_mean == pytest.approx(0.0, abs=0.3)
-        assert hmm.occupied_mean == pytest.approx(5.0, abs=0.3)
-        with pytest.raises(ValueError):
-            TwoStateHMM.fit(empty[:1], occupied)
-
-    def test_transition_matrix_rows_sum_to_one(self):
-        matrix = TwoStateHMM(stay_probability=0.8).transition_matrix()
-        assert np.allclose(matrix.sum(axis=1), 1.0)
-
-    def test_viterbi_recovers_clear_sequence(self):
-        hmm = TwoStateHMM(empty_mean=0.0, occupied_mean=5.0)
-        scores = np.array([0.1, -0.2, 5.2, 4.8, 5.1, 0.0, 0.3])
-        states = hmm.viterbi(scores)
-        assert states.tolist() == [0, 0, 1, 1, 1, 0, 0]
-
-    def test_viterbi_smooths_isolated_glitch(self):
-        """A single spiky score inside a long empty stretch is smoothed away."""
-        hmm = TwoStateHMM(stay_probability=0.95, empty_mean=0.0, occupied_mean=4.0,
-                          empty_std=1.0, occupied_std=1.0)
-        scores = np.zeros(15)
-        scores[7] = 2.6  # ambiguous single spike
-        states = hmm.viterbi(scores)
-        assert states.sum() == 0
-
-    def test_thresholding_would_flag_the_glitch(self):
-        """Contrast with the HMM: a plain threshold at the midpoint flags the spike."""
-        scores = np.zeros(15)
-        scores[7] = 2.6
-        assert (scores > 2.0).sum() == 1
-
-    def test_posteriors_bounded_and_informative(self):
-        hmm = TwoStateHMM(empty_mean=0.0, occupied_mean=5.0)
-        scores = np.array([0.0, 5.0, 5.0, 0.0])
-        posterior = hmm.occupancy_probabilities(scores)
-        assert np.all((posterior >= 0.0) & (posterior <= 1.0))
-        assert posterior[1] > 0.9 and posterior[0] < 0.5
-
-    def test_smooth_decisions_boolean(self):
-        hmm = TwoStateHMM(empty_mean=0.0, occupied_mean=5.0)
-        decisions = hmm.smooth_decisions(np.array([0.0, 5.0]))
-        assert decisions.dtype == bool
-        assert decisions.tolist() == [False, True]

@@ -189,6 +189,68 @@ class TestEvaluationConfigDict:
             EvaluationConfig(**changes)
         assert "\n" not in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"max_workers": 2.5},
+            {"max_workers": True},
+            {"snr_db": "32"},
+            {"snr_db": float("nan")},
+            {"snr_db": True},
+            {"max_bounces": -1},
+            {"max_bounces": 2.5},
+            {"max_bounces": True},
+            {"background_max_people": -1},
+            {"background_max_people": 2.5},
+            {"gain_drift_std_db": -1},
+            {"gain_drift_std_db": float("nan")},
+            {"human_reflection": -1},
+            {"human_min_attenuation": 2},
+            {"clutter_reflection": float("nan")},
+            {"grid_lateral_extent_m": float("nan")},
+            {"grid_along_fraction": float("nan")},
+            {"use_music_spectrum": "no"},
+        ],
+    )
+    def test_unrunnable_values_rejected_at_construction(self, changes):
+        """Values that would crash a campaign mid-run, or run a campaign
+        other than the one written down, fail when the config is built."""
+        with pytest.raises(ValueError) as excinfo:
+            EvaluationConfig.from_dict(changes)
+        assert "\n" not in str(excinfo.value)
+
+    @pytest.mark.parametrize("workers", [2.5, True])
+    def test_worker_override_checked(self, workers):
+        with pytest.raises(ValueError, match="max_workers must be an integer"):
+            run_evaluation(
+                EvaluationConfig(), cases=evaluation_cases()[:1], max_workers=workers
+            )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                '{"schemes": ["baseline", "nope"]}',
+                "error: unknown detector 'nope'; registered detectors: "
+                "['baseline', 'subcarrier', 'combined']",
+            ),
+            ('{"max_workers": 2.5}', "error: max_workers must be an integer, got 2.5"),
+            (
+                '{"clutter_reflection": NaN}',
+                "error: clutter_reflection must be a finite number, got nan",
+            ),
+        ],
+    )
+    def test_cli_unrunnable_campaign_config_exits_2(self, tmp_path, capsys, text, message):
+        from repro.cli import main
+
+        path = tmp_path / "campaign.json"
+        path.write_text(text)
+        assert main(["--config", str(path), "headline"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+
 
 def figure_helper_outputs() -> dict:
     """Outputs of the two figure-only helpers that load SciPy on first use.

@@ -1,4 +1,4 @@
-"""Unit tests for repro.utils (rng, conversions, statistics, validation)."""
+"""Unit tests for repro.utils (rng, conversions, statistics, validation, registry)."""
 
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from repro.utils import (
     running_mean,
     sliding_windows,
 )
+from repro.utils.registry import Registry
 from repro.utils.rng import child_rng, draw_word
 from repro.utils.stats import median_absolute_deviation
 
@@ -185,3 +186,65 @@ class TestValidation:
             check_shape("a", array, (None, 29))
         with pytest.raises(ValueError):
             check_shape("a", array, (3, 30, 1))
+
+
+class TestRegistry:
+    """The one registry class behind detectors, backends and lint rules."""
+
+    def test_direct_registration(self):
+        registry: Registry[int] = Registry("widget", int)
+        assert registry.register("one", 1) == 1
+        registry.register("two", 2)
+        assert registry.get("one") == 1
+        assert "one" in registry and "three" not in registry
+        assert len(registry) == 2
+        assert registry.names() == ("one", "two") == tuple(registry)
+        assert repr(registry) == "Registry('widget', ['one', 'two'])"
+
+    def test_decorator_registration(self):
+        registry: Registry[type] = Registry("widget", type)
+
+        @registry.register("decorated")
+        class Decorated:
+            pass
+
+        assert registry.get("decorated") is Decorated
+
+    def test_duplicate_registration_rejected(self):
+        registry: Registry[int] = Registry("widget", int)
+        registry.register("name", 1)
+        with pytest.raises(ValueError, match="widget 'name' is already registered"):
+            registry.register("name", 2)
+        assert registry.get("name") == 1
+
+    def test_unknown_name_lists_registered_names(self):
+        registry: Registry[int] = Registry("widget", int)
+        registry.register("a", 1)
+        registry.register("b", 2)
+        with pytest.raises(ValueError) as excinfo:
+            registry.get("nope")
+        assert str(excinfo.value) == "unknown widget 'nope'; registered widgets: ['a', 'b']"
+
+    @pytest.mark.parametrize("name", ["", None, 3])
+    def test_invalid_names_rejected(self, name):
+        with pytest.raises(ValueError, match="widget name must be a non-empty string"):
+            Registry("widget", int).register(name, 1)
+
+    def test_invalid_entries_rejected(self):
+        registry: Registry[int] = Registry("widget", int)
+        with pytest.raises(TypeError, match="widget must be an instance of int"):
+            registry.register("x", "not-an-int")
+        with pytest.raises(TypeError):
+            registry.register("y")(2.5)
+        assert len(registry) == 0
+
+    def test_unregister(self):
+        registry: Registry[int] = Registry("widget", int)
+        registry.register("gone", 1)
+        registry.unregister("gone")
+        assert "gone" not in registry
+        with pytest.raises(KeyError):
+            registry.unregister("gone")
+        # Replacing an entry is unregister, then register.
+        registry.register("gone", 2)
+        assert registry.get("gone") == 2
