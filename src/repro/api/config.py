@@ -35,6 +35,7 @@ from repro.utils.validation import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.channel.channel import ChannelSimulator, Link
+    from repro.core.detector import Detector
     from repro.csi.collector import PacketCollector
 
     from repro.api.session import StreamingSession
@@ -224,7 +225,7 @@ class PipelineConfig:
     # ------------------------------------------------------------------ #
     # pipeline construction
     # ------------------------------------------------------------------ #
-    def build_detector(self, link: "Link | None" = None):
+    def build_detector(self, link: "Link | None" = None) -> "Detector":
         """Build the configured detector from its registered factory.
 
         Parameters
@@ -232,10 +233,24 @@ class PipelineConfig:
         link:
             The monitored link; required by detectors that need the receive
             array geometry (the combined scheme).
+
+        Raises
+        ------
+        ValueError
+            When no factory is registered under :attr:`detector`, or the
+            factory returns something other than a
+            :class:`~repro.core.detector.Detector`.
         """
         from repro.api.registry import DEFAULT_REGISTRY
+        from repro.core.detector import Detector
 
-        return DEFAULT_REGISTRY.get(self.detector)(self, link)
+        detector = DEFAULT_REGISTRY.get(self.detector)(self, link)
+        if not isinstance(detector, Detector):
+            raise ValueError(
+                f"detector {self.detector!r} factory returned "
+                f"{type(detector).__name__}, not a repro.core.Detector"
+            )
+        return detector
 
     def session(
         self, link: "Link | None" = None, *, link_name: str = ""

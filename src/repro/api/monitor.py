@@ -9,14 +9,16 @@ campaign (:func:`score_windows_shared`), the calibration-threshold replay of
 sessions' completed windows through :func:`score_windows_batch`.  It groups
 (detector, window) pairs by scheme kernel and window shape, sanitises every
 window once, and scores each group in one stacked kernel call
-(:meth:`~repro.core.detector._BaseDetector.stacked_scores`).  A window's score
+(:meth:`~repro.core.detector.Detector.stacked_scores`).  A window's score
 depends only on its detector's calibration and its packets, so it is
 bit-identical for any batch size or composition — a standalone
 ``detector.score(window)`` is the batch of one.  Calibration is grouped the
 same way, by the same key: :func:`calibrate_sessions` and
 :func:`calibrate_shared` stack each group's calibration traces into one
-:meth:`~repro.core.detector._BaseDetector.stacked_calibrate` call per chunk,
-and a standalone ``detector.calibrate(trace)`` is the batch of one.
+:meth:`~repro.core.detector.Detector.stacked_calibrate` call per chunk,
+and a standalone ``detector.calibrate(trace)`` is the batch of one.  Every
+detector is a :class:`~repro.core.detector.Detector`, so every pair takes
+this one path.
 
 A deployment rarely watches a single TX-RX pair — the paper's evaluation alone
 spans five links.  :class:`MultiLinkMonitor` owns one
@@ -29,16 +31,12 @@ completed on a push in one batch.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Hashable, Mapping, Sequence
+from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.core.detector import (
-    calibrates_by_kernel,
-    runs_scheme_kernel,
-    shares_sanitized_view,
-)
+from repro.core.detector import Detector
 from repro.csi.calibration import sanitize_traces
 from repro.csi.format import CSIFrame
 from repro.csi.trace import CSITrace
@@ -185,15 +183,12 @@ class MultiLinkMonitor:
 _MAX_STACK = 256
 
 
-def _prepared_views(
-    pairs: Sequence[tuple[Any, CSITrace]], positions: Sequence[int]
-) -> list[CSITrace]:
-    """The traces of (detector, trace) *pairs*, those at *positions* as
-    their detectors' kernels read them: cleaned for a sanitising detector —
-    every distinct trace once, all in one
-    :func:`~repro.csi.calibration.sanitize_traces` pass."""
+def _prepared_views(pairs: Sequence[tuple[Detector, CSITrace]]) -> list[CSITrace]:
+    """The traces of (detector, trace) *pairs* as their detectors' kernels
+    read them: cleaned for a sanitising detector — every distinct trace
+    once, all in one :func:`~repro.csi.calibration.sanitize_traces` pass."""
     views = [trace for _, trace in pairs]
-    cleaning = [i for i in positions if pairs[i][0].sanitize]
+    cleaning = [i for i, (detector, _) in enumerate(pairs) if detector.sanitize]
     raw = {id(views[i]): views[i] for i in cleaning}
     cleaned = dict(zip(raw, sanitize_traces(list(raw.values()))))
     for i in cleaning:
@@ -202,19 +197,18 @@ def _prepared_views(
 
 
 def _kernel_groups(
-    detectors: Sequence[Any], views: Sequence[CSITrace], positions: Sequence[int]
-) -> list[tuple[type, list[list[int]]]]:
-    """The *positions* whose (detector, prepared view) pairs one kernel call
+    detectors: Sequence[Detector], views: Sequence[CSITrace]
+) -> list[tuple[type[Detector], list[list[int]]]]:
+    """The positions whose (detector, prepared view) pairs one kernel call
     may stack: grouped by kernel (class and
-    :meth:`~repro.core.detector._BaseDetector.batch_key`) and view shape, in
+    :meth:`~repro.core.detector.Detector.batch_key`) and view shape, in
     first-seen order, each group cut into chunks of at most ``_MAX_STACK``."""
     keys: dict[int, Hashable] = {}
-    groups: dict[tuple[type, Hashable, tuple[int, ...]], list[int]] = {}
-    for position in positions:
-        detector = detectors[position]
+    groups: dict[tuple[type[Detector], Hashable, tuple[int, ...]], list[int]] = {}
+    for position, (detector, view) in enumerate(zip(detectors, views)):
         if id(detector) not in keys:
             keys[id(detector)] = detector.batch_key()
-        key = (type(detector), keys[id(detector)], views[position].csi.shape)
+        key = (type(detector), keys[id(detector)], view.csi.shape)
         groups.setdefault(key, []).append(position)
     return [
         (cls, [members[i : i + _MAX_STACK] for i in range(0, len(members), _MAX_STACK)])
@@ -222,59 +216,51 @@ def _kernel_groups(
     ]
 
 
-def score_windows(
-    pairs: Sequence[tuple[Any, CSITrace]], *, prepared: bool = False
-) -> list[float]:
+def _score_views(detectors: Sequence[Detector], views: Sequence[CSITrace]) -> list[float]:
+    """Scores of prepared windows, window *i* under ``detectors[i]``.
+
+    Each kernel group is one stacked
+    :meth:`~repro.core.detector.Detector.stacked_scores` call per chunk;
+    schemes scoring the same windows share one stack and its window-only
+    intermediates (the subcarrier weights).  The caller holds the
+    ``score.batch`` span.
+    """
+    scores = [0.0] * len(views)
+    scratches: dict[tuple[int, ...], dict] = {}
+    for cls, chunks in _kernel_groups(detectors, views):
+        with obs.span(f"score.{cls.scheme}"):
+            for chunk in chunks:
+                scratch = scratches.setdefault(tuple(id(views[i]) for i in chunk), {})
+                if "csi" not in scratch:
+                    scratch["csi"] = np.stack([views[i].csi for i in chunk])
+                values = cls.stacked_scores(
+                    [detectors[i] for i in chunk], scratch["csi"], scratch
+                )
+                for position, value in zip(chunk, values):
+                    scores[position] = float(value)
+    obs.count("score.windows", len(views))
+    return scores
+
+
+def score_windows(pairs: Sequence[tuple[Detector, CSITrace]]) -> list[float]:
     """Scores of (detector, window) pairs, in *pairs* order.
 
-    Scheme-kernel detectors (:func:`~repro.core.detector.runs_scheme_kernel`)
-    are grouped by class, :meth:`~repro.core.detector._BaseDetector.batch_key`
-    and window shape; every window a sanitising detector needs is cleaned in
-    one :func:`~repro.csi.calibration.sanitize_traces` pass (once, however
-    many detectors score it) and each group is scored by one stacked kernel
-    call per chunk.  Any other detector scores its raw window through its
-    own ``score``.  Every score is bit-identical to
-    ``detector.score(window)``.
-
-    With *prepared*, the windows are already sanitised views — slices of one
-    shared ``sanitize_trace`` pass, as in the calibration replay of
-    :func:`calibrate_sessions` — and every detector must share sanitised
-    views (:func:`~repro.core.detector.shares_sanitized_view`).
+    Every window a sanitising detector needs is cleaned in one
+    :func:`~repro.csi.calibration.sanitize_traces` pass (once, however many
+    detectors score it); the pairs are then grouped by class,
+    :meth:`~repro.core.detector.Detector.batch_key` and window shape, and
+    each group is scored by one stacked kernel call per chunk.  Every score
+    is bit-identical to ``detector.score(window)``.
     """
     pairs = list(pairs)
     if not pairs:
         return []
-    scores = [0.0] * len(pairs)
+    if any(window.num_packets < 1 for _, window in pairs):
+        raise ValueError("monitoring window must contain at least one packet")
+    # The span covers the sanitisation pass: its grouping and stacking
+    # outside ``collect.sanitize`` is scoring time.
     with obs.span("score.batch"):
-        kernel: dict[int, bool] = {}
-        stacked = []
-        for position, (detector, window) in enumerate(pairs):
-            if id(detector) not in kernel:
-                kernel[id(detector)] = runs_scheme_kernel(detector)
-            if not kernel[id(detector)]:
-                scores[position] = float(detector.score(window))
-            elif window.num_packets < 1:
-                raise ValueError("monitoring window must contain at least one packet")
-            else:
-                stacked.append(position)
-        detectors = [detector for detector, _ in pairs]
-        views = [window for _, window in pairs] if prepared else _prepared_views(pairs, stacked)
-        # Schemes scoring the same windows share one stack and its window-only
-        # intermediates (the subcarrier weights).
-        scratches: dict[tuple[int, ...], dict] = {}
-        for cls, chunks in _kernel_groups(detectors, views, stacked):
-            with obs.span(f"score.{cls.scheme}"):
-                for chunk in chunks:
-                    scratch = scratches.setdefault(tuple(id(views[i]) for i in chunk), {})
-                    if "csi" not in scratch:
-                        scratch["csi"] = np.stack([views[i].csi for i in chunk])
-                    values = cls.stacked_scores(
-                        [detectors[i] for i in chunk], scratch["csi"], scratch
-                    )
-                    for position, value in zip(chunk, values):
-                        scores[position] = float(value)
-    obs.count("score.windows", len(pairs))
-    return scores
+        return _score_views([detector for detector, _ in pairs], _prepared_views(pairs))
 
 
 def score_windows_batch(
@@ -298,27 +284,19 @@ def score_windows_batch(
     ]
 
 
-def _calibrate(pairs: Sequence[tuple[Any, CSITrace]]) -> list[CSITrace]:
+def _calibrate(pairs: Sequence[tuple[Detector, CSITrace]]) -> list[CSITrace]:
     """Calibrate each (detector, baseline) pair; return the baselines as the
     detectors' kernels read them.
 
-    Kernel-calibrated detectors (:func:`~repro.core.detector.calibrates_by_kernel`)
-    are grouped the way :func:`score_windows` groups windows — by class,
-    :meth:`~repro.core.detector._BaseDetector.batch_key` and trace shape —
-    and each chunk is one
-    :meth:`~repro.core.detector._BaseDetector.stacked_calibrate` call; every
-    baseline a sanitising one needs is cleaned once, in one pass.  Any other
-    detector calibrates from its raw baseline through its own ``calibrate``.
+    The pairs are grouped the way :func:`score_windows` groups windows — by
+    class, :meth:`~repro.core.detector.Detector.batch_key` and trace shape
+    — and each chunk is one
+    :meth:`~repro.core.detector.Detector.stacked_calibrate` call; every
+    baseline a sanitising detector needs is cleaned once, in one pass.
     """
     detectors = [detector for detector, _ in pairs]
-    stacked = []
-    for position, (detector, baseline) in enumerate(pairs):
-        if calibrates_by_kernel(detector):
-            stacked.append(position)
-        else:
-            detector.calibrate(baseline)
-    views = _prepared_views(pairs, stacked)
-    for cls, chunks in _kernel_groups(detectors, views, stacked):
+    views = _prepared_views(pairs)
+    for cls, chunks in _kernel_groups(detectors, views):
         for chunk in chunks:
             cls.stacked_calibrate(
                 [detectors[i] for i in chunk], np.stack([views[i].csi for i in chunk])
@@ -337,50 +315,50 @@ def calibrate_sessions(pairs: Sequence[tuple[StreamingSession, CSITrace]]) -> No
     :func:`~repro.csi.calibration.sanitize_traces` pass, the detectors are
     grouped like :func:`score_windows` groups windows and each group
     calibrates in one stacked kernel call per chunk, and every replay window
-    — a slice of the sanitised trace for a detector that shares sanitised
-    views — is scored in one :func:`score_windows` call.  Detectors and
+    is scored in one pass.  A replay window is a slice of the trace as its
+    detector's kernel read it: sanitisation fits every packet on its own, so
+    a slice of the sanitised trace is the sanitised slice.  Detectors and
     thresholds end up bit-identical to calibrating each session alone.
     """
     with obs.span("calibrate"):
         pairs = list(pairs)
         views = _calibrate([(session.detector, baseline) for session, baseline in pairs])
-        replays: dict[bool, list[tuple[StreamingSession, CSITrace]]] = {True: [], False: []}
-        for (session, baseline), view in zip(pairs, views):
-            if session.threshold_policy == "calibration":
-                shared = shares_sanitized_view(session.detector)
-                replays[shared].extend(
-                    (session, window)
-                    for window in session.calibration_windows(view if shared else baseline)
-                )
-        largest: dict[StreamingSession, float] = {}
-        for is_shared, replay in replays.items():
-            scores = score_windows(
-                [(session.detector, window) for session, window in replay], prepared=is_shared
+        replay = [
+            (session, window)
+            for (session, _), view in zip(pairs, views)
+            if session.threshold_policy == "calibration"
+            for window in session.calibration_windows(view)
+        ]
+        if not replay:
+            return
+        with obs.span("score.batch"):
+            scores = _score_views(
+                [session.detector for session, _ in replay],
+                [window for _, window in replay],
             )
-            for (session, _), score in zip(replay, scores):
-                largest[session] = max(largest.get(session, score), score)
+        largest: dict[StreamingSession, float] = {}
+        for (session, _), score in zip(replay, scores):
+            largest[session] = max(largest.get(session, score), score)
         for session, score in largest.items():
             session.threshold = score * session.threshold_margin
 
 
-def calibrate_shared(detectors: Mapping[str, Any], baseline: CSITrace) -> None:
+def calibrate_shared(detectors: Mapping[str, Detector], baseline: CSITrace) -> None:
     """Calibrate several detectors from one baseline, sanitising it once.
 
-    The campaign's calibration step: kernel-calibrated detectors (see
-    :func:`~repro.core.detector.calibrates_by_kernel`) share one
+    The campaign's calibration step: the detectors share one
     ``sanitize_trace(baseline)`` and are grouped like :func:`score_windows`
     groups windows, each group calibrating in one stacked kernel call (one
-    detector per scheme, so every group is a batch of one); everything else
-    gets the raw trace through its own ``calibrate``.  Either way each
-    detector ends up in the state its standalone ``calibrate`` would have
-    produced, bit for bit.
+    detector per scheme, so every group is a batch of one).  Each detector
+    ends up in the state its standalone ``calibrate`` would have produced,
+    bit for bit.
     """
     with obs.span("calibrate"):
         _calibrate([(detector, baseline) for detector in detectors.values()])
 
 
 def score_windows_shared(
-    detectors: Mapping[str, Any], windows: Sequence[CSITrace]
+    detectors: Mapping[str, Detector], windows: Sequence[CSITrace]
 ) -> dict[str, list[float]]:
     """Score every window under every detector in one :func:`score_windows`
     call, each window sanitised once for all schemes.

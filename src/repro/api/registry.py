@@ -15,8 +15,10 @@ same way — and new schemes drop in without touching any of them::
 
 A factory receives the :class:`~repro.api.config.PipelineConfig` and the
 monitored :class:`~repro.channel.channel.Link` (which may be ``None`` for
-detectors that do not need array geometry) and returns a calibratable
-detector — any object with ``calibrate(trace)`` and ``score(window)``.
+detectors that do not need array geometry) and returns a
+:class:`~repro.core.detector.Detector`: an instance of a subclass that
+defines the scheme's stacked calibration and scoring programs (README.md
+has a complete plugin).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.aoa.bartlett import BartlettEstimator
 from repro.aoa.music import MusicEstimator
 from repro.core.detector import (
     BaselineDetector,
+    Detector,
     SubcarrierPathWeightingDetector,
     SubcarrierWeightingDetector,
 )
@@ -39,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.channel.channel import Link
 
 #: A detector factory: (config, link) -> detector instance.
-DetectorFactory = Callable[[PipelineConfig, Optional["Link"]], object]
+DetectorFactory = Callable[[PipelineConfig, Optional["Link"]], Detector]
 
 #: The process-wide detector registry (built-ins plus plugins).
 DEFAULT_REGISTRY: Registry[DetectorFactory] = Registry("detector", Callable)

@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 
 import numpy as np
 
+from repro.core.detector import Detector
 from repro.csi.format import CSIFrame
 from repro.csi.trace import CSITrace
 
@@ -105,7 +106,7 @@ class StreamingSession:
     Parameters
     ----------
     detector:
-        Any calibratable detector (``calibrate(trace)`` + ``score(window)``),
+        The :class:`~repro.core.detector.Detector` scoring the windows,
         typically built via the registry.
     window_packets:
         Packets per scored window.
@@ -130,7 +131,7 @@ class StreamingSession:
 
     def __init__(
         self,
-        detector,
+        detector: Detector,
         *,
         window_packets: int = 25,
         window_stride: int | None = None,
@@ -202,11 +203,10 @@ class StreamingSession:
         calibration data plus a safety margin.
 
         The batch of one of :func:`repro.api.monitor.calibrate_sessions`:
-        a detector that shares sanitised views (see
-        :func:`~repro.core.detector.shares_sanitized_view`) is calibrated
-        from one ``sanitize_trace(baseline)``, whose window slices are also
-        the replay windows, scored in one
-        :func:`~repro.api.monitor.score_windows` call.
+        the detector is calibrated from the trace as its kernel reads it
+        (``sanitize_trace(baseline)`` for a sanitising detector), whose
+        window slices are also the replay windows, scored in one stacked
+        pass.
         """
         from repro.api.monitor import calibrate_sessions
 
@@ -228,7 +228,7 @@ class StreamingSession:
     @property
     def is_calibrated(self) -> bool:
         """Whether the underlying detector has been calibrated."""
-        return bool(getattr(self.detector, "is_calibrated", True))
+        return self.detector.is_calibrated
 
     # ------------------------------------------------------------------ #
     # streaming

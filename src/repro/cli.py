@@ -102,9 +102,9 @@ _DEFAULTS = {
 def _to_serializable(value: Any) -> Any:
     """Convert NumPy containers and dataclass-like values to JSON-friendly data.
 
-    Objects exposing ``to_dict()`` (``DetectionResult``, ``DetectionEvent``,
-    the config dataclasses) serialise through it; the generic walker only
-    handles what has no such contract.
+    Objects exposing ``to_dict()`` (``DetectionEvent``, the config
+    dataclasses) serialise through it; the generic walker only handles what
+    has no such contract.
     """
     if hasattr(value, "to_dict") and not isinstance(value, type):
         return _to_serializable(value.to_dict())

@@ -13,6 +13,7 @@
   angular pseudospectrum (Section IV-B2, Eq. 17), one array function over
   static spectra.
 * :mod:`repro.core.detector` — the calibration/monitoring detection pipeline
+  (:class:`Detector`, the one contract every scheme and plugin implements)
   and the baseline it is compared against (Section IV-C, Section V).
 * :mod:`repro.core.thresholds` — ROC sweeps and threshold selection.
 * :mod:`repro.core.fade_level` — the related-work fade-level metric
@@ -21,7 +22,7 @@
 
 from repro.core.detector import (
     BaselineDetector,
-    DetectionResult,
+    Detector,
     SubcarrierPathWeightingDetector,
     SubcarrierWeightingDetector,
 )
@@ -35,7 +36,7 @@ from repro.core.thresholds import RocCurve, balanced_threshold, roc_curve
 
 __all__ = [
     "BaselineDetector",
-    "DetectionResult",
+    "Detector",
     "SubcarrierPathWeightingDetector",
     "SubcarrierWeightingDetector",
     "fade_level_db",

@@ -21,18 +21,19 @@ The single-antenna schemes report their score averaged across the available
 antennas, exactly as the paper does "for fair comparison".
 
 Each scheme calibrates and scores through two stacked array programs, one
-per stage.  :meth:`_BaseDetector.stacked_calibrate` turns a ``(detectors,
+per stage.  :meth:`Detector.stacked_calibrate` turns a ``(detectors,
 packets, antennas, subcarriers)`` stack of prepared calibration traces into
-every detector's state at once, and :meth:`_BaseDetector.stacked_scores`
-scores window *i* of a ``(windows, packets, antennas, subcarriers)`` stack
-with detector *i*'s calibration state.  :mod:`repro.api.monitor` groups the
-detectors of every caller by kernel (:meth:`~_BaseDetector.batch_key`) and
-shape and calls them once per chunk; a standalone
-:meth:`~_BaseDetector.calibrate` or :meth:`~_BaseDetector.score` is the
-batch of one.  A detector's state depends only on its own trace and
-settings, and a window's score only on its detector's calibration and its
-packets, so both are bit-identical for any batch size or composition, under
-every numeric backend.
+every detector's state at once, and :meth:`Detector.stacked_scores` scores
+window *i* of a ``(windows, packets, antennas, subcarriers)`` stack with
+detector *i*'s calibration state.  :mod:`repro.api.monitor` groups the
+detectors of every caller by kernel (:meth:`~Detector.batch_key`) and shape
+and calls them once per chunk; a standalone :meth:`~Detector.calibrate` or
+:meth:`~Detector.score` is the batch of one.  Every detector is a
+:class:`Detector` subclass, built-in or plugin, so every detector runs
+through these two programs.  A detector's state depends only on its own
+trace and settings, and a window's score only on its detector's calibration
+and its packets, so both are bit-identical for any batch size or
+composition, under every numeric backend.
 
 The combined scheme keeps its calibration as arrays: the static spectra
 of a stack become path weights in one
@@ -47,46 +48,17 @@ score stays NaN.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
 
 from repro.aoa.covariance import spatial_covariances
-from repro.aoa.music import PseudoSpectrum
 from repro.channel.antenna import UniformLinearArray
 from repro.core.path_weighting import path_weights
 from repro.core.subcarrier_weighting import SubcarrierWeighting
 from repro.csi.calibration import sanitize_trace
 from repro.csi.trace import CSITrace
 from repro.utils.convert import power_to_db
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    """Outcome of one monitoring window.
-
-    Attributes
-    ----------
-    score:
-        The detection statistic (larger = stronger evidence of a person).
-    threshold:
-        The threshold the score was compared against.
-    detected:
-        True when ``score > threshold``.
-    """
-
-    score: float
-    threshold: float
-    detected: bool
-
-    def to_dict(self) -> dict[str, float | bool]:
-        """The result as a plain JSON-serialisable dict."""
-        return {
-            "score": float(self.score),
-            "threshold": float(self.threshold),
-            "detected": bool(self.detected),
-        }
 
 
 def _value_key(value: object) -> Hashable:
@@ -109,16 +81,17 @@ def _value_key(value: object) -> Hashable:
     return id(value)
 
 
-class _BaseDetector:
-    """Common calibration plumbing and the two stacked programs.
+class Detector:
+    """A detection scheme: calibration state and the two stacked programs.
 
-    Calibration is the scheme's :meth:`stacked_calibrate` kernel over
-    *prepared* traces: :meth:`calibrate` prepares a raw trace (optional
-    phase sanitisation) and :meth:`calibrate_prepared` takes one that a
-    caller already cleaned — one batched pass shared across detectors — and
-    both are its batch of one.  Scoring is the scheme's
-    :meth:`stacked_scores` kernel.  :meth:`batch_key` says which detectors
-    may share a call of either kernel.
+    Every detector is an instance of a subclass.  A scheme defines
+    :meth:`_calibration_state`, which turns a stack of prepared calibration
+    traces into every detector's state, and :meth:`stacked_scores`, which
+    scores a stack of prepared windows; it overrides :meth:`batch_key` when
+    its kernels read settings of the batch's first detector on behalf of
+    all.  A trace is prepared by phase sanitisation when :attr:`sanitize`
+    is set.  :meth:`calibrate` and :meth:`score` are the batch of one of
+    the grouped programs in :mod:`repro.api.monitor`.
     """
 
     #: Scheme name: the ``score.<scheme>`` span of the kernel.
@@ -133,23 +106,12 @@ class _BaseDetector:
     # ------------------------------------------------------------------ #
     def calibrate(self, baseline: CSITrace) -> None:
         """Store the static (no human) profile from a calibration trace."""
-        self.calibrate_prepared(sanitize_trace(baseline) if self.sanitize else baseline)
-
-    def calibrate_prepared(self, baseline: CSITrace) -> None:
-        """Calibrate from an already-prepared (sanitised) baseline.
-
-        *baseline* must be exactly what :meth:`calibrate` would have
-        produced internally — i.e. ``sanitize_trace(raw)`` for a sanitising
-        detector.  Callers batching the sanitisation across several
-        consumers (see :func:`repro.api.monitor.calibrate_shared`) use this
-        to skip the redundant per-detector pass; the stored state is
-        bit-identical to :meth:`calibrate` on the raw trace.
-        """
-        type(self).stacked_calibrate([self], baseline.csi[None])
+        prepared = sanitize_trace(baseline) if self.sanitize else baseline
+        type(self).stacked_calibrate([self], prepared.csi[None])
 
     @classmethod
     def stacked_calibrate(
-        cls, detectors: Sequence["_BaseDetector"], csi: np.ndarray
+        cls, detectors: Sequence["Detector"], csi: np.ndarray
     ) -> None:
         """Calibrate detector *i* from prepared calibration trace *i*.
 
@@ -171,7 +133,7 @@ class _BaseDetector:
 
     @classmethod
     def _calibration_state(
-        cls, detectors: Sequence["_BaseDetector"], csi: np.ndarray
+        cls, detectors: Sequence["Detector"], csi: np.ndarray
     ) -> dict[str, Sequence]:
         """Per state attribute, its value for every detector of the stack
         (schemes extend this)."""
@@ -188,11 +150,6 @@ class _BaseDetector:
                 f"{type(self).__name__} must be calibrated before monitoring"
             )
 
-    def _prepare(self, window: CSITrace) -> CSITrace:
-        if window.num_packets < 1:
-            raise ValueError("monitoring window must contain at least one packet")
-        return sanitize_trace(window) if self.sanitize else window
-
     # ------------------------------------------------------------------ #
     # monitoring
     # ------------------------------------------------------------------ #
@@ -204,7 +161,10 @@ class _BaseDetector:
         scores it in.
         """
         self._require_calibration()
-        return float(self.stacked_scores([self], self._prepare(window).csi[None])[0])
+        if window.num_packets < 1:
+            raise ValueError("monitoring window must contain at least one packet")
+        prepared = sanitize_trace(window) if self.sanitize else window
+        return float(self.stacked_scores([self], prepared.csi[None])[0])
 
     def batch_key(self) -> Hashable:
         """Detectors of one class with equal keys may share a kernel call.
@@ -219,7 +179,7 @@ class _BaseDetector:
     @classmethod
     def stacked_scores(
         cls,
-        detectors: Sequence["_BaseDetector"],
+        detectors: Sequence["Detector"],
         csi: np.ndarray,
         scratch: dict | None = None,
     ) -> np.ndarray:
@@ -235,65 +195,8 @@ class _BaseDetector:
         """
         raise NotImplementedError
 
-    def detect(self, window: CSITrace, threshold: float) -> DetectionResult:
-        """Score a window and compare it against *threshold*."""
-        value = self.score(window)
-        return DetectionResult(score=value, threshold=threshold, detected=value > threshold)
 
-
-def _keeps_base_hooks(detector: object, hooks: Sequence[str]) -> bool:
-    """Whether *detector* is a :class:`_BaseDetector` that overrides none of
-    *hooks*, on its class or per instance."""
-    if not isinstance(detector, _BaseDetector):
-        return False
-    instance_attrs = getattr(detector, "__dict__", {})
-    cls = type(detector)
-    return not any(hook in instance_attrs for hook in hooks) and all(
-        getattr(cls, hook) is getattr(_BaseDetector, hook) for hook in hooks
-    )
-
-
-def runs_scheme_kernel(detector: object) -> bool:
-    """Whether ``detector.score`` is its scheme kernel's batch of one.
-
-    True for :class:`_BaseDetector` instances that keep the base ``score``
-    and ``_prepare`` plumbing; :func:`repro.api.monitor.score_windows`
-    stacks their windows.  Any other detector is scored through its own
-    ``score``.
-    """
-    return _keeps_base_hooks(detector, ("score", "_prepare"))
-
-
-def calibrates_by_kernel(detector: object) -> bool:
-    """Whether ``detector.calibrate`` is its scheme kernel's batch of one.
-
-    True for :class:`_BaseDetector` instances that keep the base
-    ``calibrate`` and ``calibrate_prepared`` plumbing;
-    :func:`repro.api.monitor.calibrate_sessions` and
-    :func:`~repro.api.monitor.calibrate_shared` stack their traces.  Any
-    other detector calibrates through its own ``calibrate``.
-    """
-    return _keeps_base_hooks(detector, ("calibrate", "calibrate_prepared"))
-
-
-def shares_sanitized_view(detector: object) -> bool:
-    """Whether *detector* may be handed one shared sanitised view.
-
-    True only for sanitising detectors that both calibrate and score
-    through their scheme kernels (:func:`calibrates_by_kernel`,
-    :func:`runs_scheme_kernel`).  For such detectors one batched
-    sanitisation pass can serve every scheme, at calibration and at
-    scoring; detectors that override the plumbing — or patch it per
-    instance — get the raw traces.
-    """
-    return (
-        bool(getattr(detector, "sanitize", False))
-        and runs_scheme_kernel(detector)
-        and calibrates_by_kernel(detector)
-    )
-
-
-def _stacked_profiles(detectors: Sequence[_BaseDetector]) -> np.ndarray:
+def _stacked_profiles(detectors: Sequence[Detector]) -> np.ndarray:
     """The detectors' calibration profiles as ``(windows, antennas, subcarriers)``."""
     for detector in detectors:
         detector._require_calibration()
@@ -318,7 +221,7 @@ def _stacked_weights(
     return scratch[key]
 
 
-class BaselineDetector(_BaseDetector):
+class BaselineDetector(Detector):
     """Euclidean distance of CSI amplitudes (the paper's baseline scheme).
 
     The score is the Euclidean distance between the mean CSI amplitude of the
@@ -334,7 +237,7 @@ class BaselineDetector(_BaseDetector):
         return distances.mean(axis=1)
 
 
-class SubcarrierWeightingDetector(_BaseDetector):
+class SubcarrierWeightingDetector(Detector):
     """Euclidean distance of subcarrier-weighted RSS changes (Eq. 15).
 
     Parameters
@@ -373,13 +276,8 @@ class SubcarrierWeightingDetector(_BaseDetector):
         )
         return distances.mean(axis=1)
 
-    def last_weights(self, window: CSITrace) -> np.ndarray:
-        """The ``(antennas, subcarriers)`` weights of a window (diagnostics,
-        figures)."""
-        return self.weighting.weights_from_trace(self._prepare(window))
 
-
-class SubcarrierPathWeightingDetector(_BaseDetector):
+class SubcarrierPathWeightingDetector(Detector):
     """The full scheme: subcarrier weighting + path-weighted angular spectra.
 
     During calibration the static angular spectrum is computed and inverted
@@ -491,12 +389,12 @@ class SubcarrierPathWeightingDetector(_BaseDetector):
         cls,
         detectors: Sequence["SubcarrierPathWeightingDetector"],
         csi: np.ndarray,
-        scratch: dict | None = None,
-        columns: np.ndarray | None = None,
+        scratch: dict | None,
+        columns: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(monitored, static) spectrum values of calibrated detectors, each
-        ``(windows, angles)``, under every window's own subcarrier weights;
-        with *columns*, only those grid angles."""
+        """(monitored, static) spectrum values of calibrated detectors on
+        the grid angles *columns*, each ``(windows, len(columns))``, under
+        every window's own subcarrier weights."""
         # Weights act on signal power, so amplitudes are scaled by the square
         # root of the normalised weights before the spatial processing.
         sqrt_weights = np.sqrt(_stacked_weights(detectors[0].weighting, csi, scratch))
@@ -543,12 +441,3 @@ class SubcarrierPathWeightingDetector(_BaseDetector):
         difference = np.zeros(path_weights.shape)
         difference[:, columns] = scaled
         return np.linalg.norm(difference, axis=1)
-
-    def monitored_spectrum(self, window: CSITrace) -> PseudoSpectrum:
-        """Angular spectrum of a monitoring window after subcarrier
-        weighting, over the estimator's grid (diagnostics)."""
-        window = self._prepare(window)
-        self._require_calibration()
-        monitored, _ = self._stacked_spectra([self], window.csi[None])
-        angles = np.array(self.spectrum_estimator.angle_grid_deg, dtype=float)
-        return PseudoSpectrum(angles, monitored[0])

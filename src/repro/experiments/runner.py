@@ -23,6 +23,7 @@ from repro.channel.channel import ChannelSimulator, Link
 from repro.channel.human import HumanBody
 from repro.channel.noise import ImpairmentModel
 from repro.channel.propagation import PropagationModel
+from repro.core.detector import Detector
 from repro.core.thresholds import RocCurve, detection_rates_at_threshold, roc_curve
 from repro.csi.collector import PacketCollector
 from repro.csi.trace import CSITrace
@@ -389,7 +390,7 @@ class EvaluationResult:
 # --------------------------------------------------------------------------- #
 # detector construction
 # --------------------------------------------------------------------------- #
-def build_detectors(link: Link, config: EvaluationConfig) -> dict[str, object]:
+def build_detectors(link: Link, config: EvaluationConfig) -> dict[str, Detector]:
     """Instantiate the requested detection schemes for one link.
 
     Each scheme is built by

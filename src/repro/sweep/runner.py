@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro import obs
+from repro.api.registry import DEFAULT_REGISTRY as DETECTORS
 from repro.channel.channel import Link
 from repro.experiments.runner import (
     EvaluationConfig,
@@ -131,7 +132,8 @@ class SweepRunner:
     ]:
         """Configuration-level checks, separated from execution.
 
-        Expands the spec, resolves the case subset and reconciles the store
+        Expands the spec, looks up every point's schemes in the detector
+        registry, resolves the case subset and reconciles the store
         (recovering a torn trailing line when *resume* is set).  Every error
         raised here is a configuration mistake — the CLI maps them to its
         one-line exit-2 contract, while errors raised during :meth:`run`'s
@@ -140,6 +142,9 @@ class SweepRunner:
         Returns ``(points, existing_records, cases)``.
         """
         points = self.spec.expand()
+        for point in points:
+            for scheme in point.config.schemes:
+                DETECTORS.get(scheme)
         known_ids = {point.point_id for point in points}
 
         existing: list[SweepRecord] = []

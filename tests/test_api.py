@@ -8,6 +8,8 @@ the multi-link monitor (vectorized scoring equivalence).
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from repro.api import (
     register_detector,
 )
 from repro.channel import ChannelSimulator, HumanBody, Link, Point, Room
-from repro.core.detector import BaselineDetector, DetectionResult
+from repro.core.detector import BaselineDetector
 from repro.csi import CSIFrame, CSITrace, PacketCollector
 from repro.experiments.scenarios import evaluation_cases
 from repro.utils.rng import ensure_rng
@@ -105,6 +107,103 @@ class TestRegistry:
             assert set(detectors) == {"baseline", "test-plugin"}
         finally:
             DEFAULT_REGISTRY.unregister("test-plugin")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_plugin() -> str:
+    """The README's plugin snippet: its python block defining a Detector."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    (snippet,) = [block for block in blocks if "(Detector):" in block]
+    return snippet
+
+
+class TestPluginDetector:
+    """A plugin is a :class:`repro.core.Detector` subclass, and it runs on
+    every stacked path exactly as its batch of one."""
+
+    @pytest.fixture()
+    def plugin(self):
+        """The scheme name the README snippet registers, unregistered after."""
+        before = set(available_detectors())
+        try:
+            exec(compile(readme_plugin(), str(README), "exec"), {})
+            (name,) = set(available_detectors()) - before
+            yield name
+        finally:
+            for name in set(available_detectors()) - before:
+                DEFAULT_REGISTRY.unregister(name)
+
+    def test_readme_plugin_matches_its_batch_of_one(self, plugin, link):
+        from repro.api.monitor import calibrate_sessions, score_windows
+        from repro.core import Detector
+        from repro.experiments.runner import (
+            EvaluationConfig,
+            run_case,
+            run_case_reference,
+        )
+
+        collector = PacketCollector(ChannelSimulator(link, seed=31), seed=32)
+        config = PipelineConfig(detector=plugin, window_packets=6)
+        names = (plugin, *SCHEMES)
+        detectors = [config.replace(detector=name).build_detector(link) for name in names]
+        assert isinstance(detectors[0], Detector)
+        calibration = collector.collect_empty(num_packets=30)
+        for detector in detectors:
+            detector.calibrate(calibration)
+        human = HumanBody(position=Point(4.0, 3.0))
+        windows = [
+            collector.collect(human if n % 2 else None, num_packets=6) for n in range(4)
+        ]
+        # One batch mixing the plugin with the built-ins, bit for bit.
+        pairs = [(detector, window) for window in windows for detector in detectors]
+        assert score_windows(pairs) == [detector.score(window) for detector, window in pairs]
+
+        # One calibration pass: every threshold as if calibrated alone.
+        names = (plugin, "baseline", plugin, "combined")
+        traces = [collector.collect_empty(num_packets=30) for _ in names]
+        sessions = [config.replace(detector=name).session(link) for name in names]
+        calibrate_sessions(list(zip(sessions, traces)))
+        for name, session, trace in zip(names, sessions, traces):
+            alone = config.replace(detector=name).session(link)
+            alone.calibrate(trace)
+            assert session.threshold == alone.threshold
+            assert np.isfinite(session.threshold) and session.threshold > 0
+
+        # The campaign: the whole-case program equals the window-by-window one.
+        evaluation = EvaluationConfig(
+            schemes=("baseline", plugin),
+            calibration_packets=20,
+            window_packets=6,
+            windows_per_location=1,
+            grid_rows=1,
+            grid_cols=2,
+            max_bounces=1,
+        )
+        case_link = evaluation_cases()[0][1]
+        scored = run_case(case_link, evaluation, case_seed=5)
+        assert {window.scheme for window in scored} == {"baseline", plugin}
+        assert scored == run_case_reference(case_link, evaluation, case_seed=5)
+
+    def test_factory_must_return_a_detector(self, link, capsys):
+        from repro.cli import main
+
+        message = (
+            "detector 'not-a-detector' factory returned object, "
+            "not a repro.core.Detector"
+        )
+        register_detector("not-a-detector")(lambda config, link: object())
+        try:
+            with pytest.raises(ValueError) as excinfo:
+                PipelineConfig(detector="not-a-detector").build_detector(link)
+            assert str(excinfo.value) == message
+            assert main(["pipeline", "--detector", "not-a-detector", "--windows", "1"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+        finally:
+            DEFAULT_REGISTRY.unregister("not-a-detector")
 
 
 # --------------------------------------------------------------------------- #
@@ -436,10 +535,12 @@ class TestStreamingSession:
         """The array form of the window rule completes the windows advance
         does, for every window size, stride and packet count."""
         frame = CSIFrame(csi=np.ones((1, 30), dtype=complex))
+        detector = BaselineDetector(sanitize=False)
+        detector.calibrate(CSITrace(csi=np.ones((2, 1, 30), dtype=complex)))
         for size in range(1, 13):
             for stride in range(1, 16):
                 session = StreamingSession(
-                    object(), window_packets=size, window_stride=stride
+                    detector, window_packets=size, window_stride=stride
                 )
                 completions = [
                     count for count in range(1, 41) if session.advance(frame) is not None
@@ -607,7 +708,7 @@ class TestMultiLinkMonitor:
 
 
 # --------------------------------------------------------------------------- #
-# satellites: collector rng, DetectionResult.to_dict
+# satellites: collector rng
 # --------------------------------------------------------------------------- #
 class TestCollectorRng:
     def test_explicit_rng_matches_equivalent_seed(self, link):
@@ -633,20 +734,6 @@ class TestCollectorRng:
     def test_rng_must_be_generator(self, link):
         with pytest.raises(TypeError, match="numpy.random.Generator"):
             PacketCollector(ChannelSimulator(link, seed=9), rng=5)
-
-
-class TestDetectionResultToDict:
-    def test_round_trip_through_json(self, link, calibration, occupied_window):
-        detector = PipelineConfig(detector="baseline").build_detector(link)
-        detector.calibrate(calibration)
-        result = detector.detect(occupied_window, threshold=0.001)
-        payload = json.loads(json.dumps(result.to_dict()))
-        assert payload == {
-            "score": result.score,
-            "threshold": 0.001,
-            "detected": result.detected,
-        }
-        assert isinstance(payload["detected"], bool)
 
 
 # --------------------------------------------------------------------------- #

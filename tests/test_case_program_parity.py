@@ -20,11 +20,7 @@ from repro.api.config import PipelineConfig
 from repro.api.monitor import MultiLinkMonitor, calibrate_shared, score_windows_shared
 from repro.channel.channel import ChannelSimulator
 from repro.channel.human import HumanBody
-from repro.core.detector import (
-    BaselineDetector,
-    SubcarrierWeightingDetector,
-    shares_sanitized_view,
-)
+from repro.core.detector import BaselineDetector, SubcarrierWeightingDetector
 from repro.csi.calibration import sanitize_trace, sanitize_traces
 from repro.csi.collector import PacketCollector
 from repro.csi.trace import CSITrace
@@ -167,44 +163,6 @@ class TestSanitizeTraces:
 
 
 # --------------------------------------------------------------------------- #
-# shared-sanitised-view eligibility
-# --------------------------------------------------------------------------- #
-class TestSharesSanitizedView:
-    def test_builtin_schemes_share(self, links):
-        config = EvaluationConfig()
-        for detector in build_detectors(links[0], config).values():
-            assert shares_sanitized_view(detector)
-
-    def test_non_sanitizing_detector_does_not_share(self):
-        assert not shares_sanitized_view(BaselineDetector(sanitize=False))
-
-    def test_class_override_opts_out(self):
-        class CustomScore(BaselineDetector):
-            def score(self, window):
-                return 0.0
-
-        assert not shares_sanitized_view(CustomScore())
-
-    def test_instance_patch_opts_out(self):
-        detector = BaselineDetector()
-        assert shares_sanitized_view(detector)
-        detector._prepare = lambda window: window
-        assert not shares_sanitized_view(detector)
-
-    def test_foreign_object_does_not_share(self):
-        class DuckDetector:
-            sanitize = True
-
-            def calibrate(self, trace):
-                pass
-
-            def score(self, window):
-                return 0.0
-
-        assert not shares_sanitized_view(DuckDetector())
-
-
-# --------------------------------------------------------------------------- #
 # shared calibration + scoring vs standalone detectors
 # --------------------------------------------------------------------------- #
 class TestSharedScoring:
@@ -248,26 +206,6 @@ class TestSharedScoring:
             detector = cls()
             detector.calibrate(calibration)
             assert scores[name] == [float(detector.score(w)) for w in windows]
-
-    def test_non_shareable_detector_uses_raw_path(self, links):
-        link = links[2]
-        calibration, windows = self._data(link, seed=80)
-
-        class RawMean(BaselineDetector):
-            """Opts out by overriding score: must see the *raw* windows."""
-
-            def score(self, window):
-                self.saw = window
-                return float(np.abs(window.csi).mean())
-
-        detectors = {"shared": BaselineDetector(), "raw": RawMean(sanitize=False)}
-        calibrate_shared(detectors, calibration)
-        scores = score_windows_shared(detectors, windows)
-        assert detectors["raw"].saw is windows[-1]
-        assert scores["raw"] == [float(np.abs(w.csi).mean()) for w in windows]
-        reference = BaselineDetector()
-        reference.calibrate(calibration)
-        assert scores["shared"] == [float(reference.score(w)) for w in windows]
 
 
 # --------------------------------------------------------------------------- #

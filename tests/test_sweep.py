@@ -428,6 +428,27 @@ class TestSweepRunner:
         with pytest.raises(ValueError, match="different\\s+sweep"):
             run_sweep(acceptance_spec, path, max_workers=1, resume=True)
 
+    def test_unknown_scheme_raises_before_any_point_runs(self, tmp_path, monkeypatch):
+        calls = []
+        real = sweep_runner._run_point_case
+
+        def counting(link, config, case_seed):
+            calls.append(config.schemes)
+            return real(link, config, case_seed)
+
+        monkeypatch.setattr(sweep_runner, "_run_point_case", counting)
+        spec = SweepSpec(
+            name="probe",
+            base=tiny_base(),
+            axes=(SweepAxis("schemes", (("baseline",), ("nope",))),),
+            cases=("case-1",),
+        )
+        store = tmp_path / "store.jsonl"
+        with pytest.raises(ValueError, match="unknown detector 'nope'"):
+            run_sweep(spec, store)
+        assert calls == []
+        assert SweepStore(store).records() == []
+
     def test_invalid_worker_count_rejected(self, acceptance_spec, tmp_path):
         with pytest.raises(ValueError, match="max_workers"):
             SweepRunner(
@@ -568,6 +589,58 @@ class TestSweepCli:
 
         assert main(["sweep", "report", "--store", str(tmp_path / "no.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_status_and_report_read_a_store_without_its_plugin(self, tmp_path, capsys):
+        """Only ``sweep run`` looks scheme names up: a stored sweep of a
+        plugin scheme still loads after the plugin is gone."""
+        from repro.api import DEFAULT_REGISTRY, register_detector
+        from repro.cli import main
+        from repro.core.detector import BaselineDetector
+
+        spec = SweepSpec(
+            name="plugin", base=tiny_base(schemes=("stored-plugin",)),
+            axes=(SweepAxis("seed", (1,)),), cases=("case-1",),
+        )
+        spec_path = self._spec_file(tmp_path, spec)
+        store_path = str(tmp_path / "store.jsonl")
+        register_detector("stored-plugin")(
+            lambda config, link: BaselineDetector(sanitize=config.sanitize)
+        )
+        try:
+            assert main(["sweep", "run", "--spec", spec_path, "--store", store_path]) == 0
+        finally:
+            DEFAULT_REGISTRY.unregister("stored-plugin")
+        capsys.readouterr()
+        assert main(["sweep", "status", "--spec", spec_path, "--store", store_path]) == 0
+        assert json.loads(capsys.readouterr().out)["completed"] == 1
+        assert main(["sweep", "report", "--store", store_path,
+                     "--scheme", "stored-plugin"]) == 0
+        assert "headline" in json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize(
+        "base, axes",
+        [
+            ({"schemes": ["baseline", "nope"]}, [{"field": "seed", "values": [1]}]),
+            ({}, [{"field": "schemes", "values": [["baseline"], ["nope"]]}]),
+        ],
+        ids=["base-config", "schemes-axis"],
+    )
+    def test_unknown_scheme_exits_2_before_any_point(self, tmp_path, capsys, base, axes):
+        from repro.cli import main
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps({"name": "probe", "base": base, "axes": axes, "cases": ["case-1"]})
+        )
+        store = tmp_path / "store.jsonl"
+        assert main(["sweep", "run", "--spec", str(spec), "--store", str(store)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: unknown detector 'nope'; registered detectors: "
+            "['baseline', 'subcarrier', 'combined']\n"
+        )
+        assert captured.out == ""
+        assert SweepStore(store).records() == []
 
 
 class TestApiSurface:
