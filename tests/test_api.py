@@ -89,6 +89,19 @@ class TestRegistry:
             "['baseline', 'subcarrier', 'combined']"
         )
 
+    @pytest.mark.parametrize("name", SCHEMES)
+    def test_builtin_factory_builds_a_detector(self, name, link):
+        """Every built-in factory returns a :class:`repro.core.Detector` of
+        its scheme that honours the config's ``sanitize``."""
+        from repro.core import Detector
+
+        for sanitize in (True, False):
+            config = PipelineConfig(detector=name, sanitize=sanitize)
+            detector = config.build_detector(link)
+            assert isinstance(detector, Detector)
+            assert detector.scheme == name
+            assert detector.sanitize is sanitize
+
     def test_combined_requires_link(self):
         with pytest.raises(ValueError, match="receive array"):
             PipelineConfig(detector="combined").build_detector()
@@ -431,6 +444,19 @@ class TestStreamingSession:
         )
         (event,) = session.push_trace(occupied_window)
         assert event.threshold == 1e9 and event.detected is False
+
+    def test_fixed_threshold_decides_detection(self, link, calibration, occupied_window):
+        """An event is detected exactly when its score exceeds the threshold."""
+        detector = PipelineConfig(detector="baseline").build_detector(link)
+        detector.calibrate(calibration)
+        score = detector.score(occupied_window)
+        for threshold, detected in ((score / 2.0, True), (score, False), (score * 2.0, False)):
+            session = self._session(
+                link, calibration, threshold=threshold, threshold_policy="fixed"
+            )
+            (event,) = session.push_trace(occupied_window)
+            assert event.score == score
+            assert event.threshold == threshold and event.detected is detected
 
     def test_push_requires_calibration(self, link, collector):
         config = PipelineConfig(detector="baseline", window_packets=6)

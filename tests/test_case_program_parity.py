@@ -20,7 +20,11 @@ from repro.api.config import PipelineConfig
 from repro.api.monitor import MultiLinkMonitor, calibrate_shared, score_windows_shared
 from repro.channel.channel import ChannelSimulator
 from repro.channel.human import HumanBody
-from repro.core.detector import BaselineDetector, SubcarrierWeightingDetector
+from repro.core.detector import (
+    BaselineDetector,
+    Detector,
+    SubcarrierWeightingDetector,
+)
 from repro.csi.calibration import sanitize_trace, sanitize_traces
 from repro.csi.collector import PacketCollector
 from repro.csi.trace import CSITrace
@@ -206,6 +210,51 @@ class TestSharedScoring:
             detector = cls()
             detector.calibrate(calibration)
             assert scores[name] == [float(detector.score(w)) for w in windows]
+
+    def test_non_sanitizing_detector_sees_raw_windows(self, links):
+        """In one kernel call, each detector is handed the trace as its own
+        ``sanitize`` setting prepares it: raw or sanitised."""
+        link = links[2]
+        calibration, windows = self._data(link, seed=80)
+
+        class Recorder(Detector):
+            """Records every trace its kernels are handed, per detector."""
+
+            scheme = "recorder"
+
+            def __init__(self, *, sanitize=True):
+                super().__init__(sanitize=sanitize)
+                self.seen = []
+
+            @classmethod
+            def _calibration_state(cls, detectors, csi):
+                for detector, trace in zip(detectors, csi):
+                    detector.seen.append(trace)
+                return super()._calibration_state(detectors, csi)
+
+            @classmethod
+            def stacked_scores(cls, detectors, csi, scratch=None):
+                for detector, window in zip(detectors, csi):
+                    detector.seen.append(window)
+                return np.zeros(len(detectors))
+
+        detectors = {
+            "raw": Recorder(sanitize=False),
+            "clean": Recorder(),
+            "baseline": BaselineDetector(),
+        }
+        calibrate_shared(detectors, calibration)
+        scores = score_windows_shared(detectors, windows)
+        traces = [calibration, *windows]
+        for name, prepare in (("raw", lambda trace: trace), ("clean", sanitize_trace)):
+            seen = detectors[name].seen
+            assert len(seen) == len(traces)
+            for got, trace in zip(seen, traces):
+                assert got.tobytes() == prepare(trace).csi.tobytes()
+        assert scores["raw"] == scores["clean"] == [0.0] * len(windows)
+        reference = BaselineDetector()
+        reference.calibrate(calibration)
+        assert scores["baseline"] == [float(reference.score(w)) for w in windows]
 
 
 # --------------------------------------------------------------------------- #
