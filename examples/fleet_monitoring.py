@@ -89,7 +89,7 @@ def main() -> None:
     # 3. Sharded mode.  Four workers rebuild disjoint link shards and the
     #    merged stream sorts into the same canonical order — the digest is
     #    the proof that parallelism changed nothing.
-    sharded = run_fleet(config, max_workers=4)
+    sharded = run_fleet(config.replace(max_workers=4))
     assert sharded.event_digest() == digest
     print(f"\nworkers=4 digest matches sequential run ({sharded.workers} shards)")
 

@@ -141,6 +141,10 @@ class StreamingSession:
         link_name: str = "",
         event_history: int | None = 4096,
     ) -> None:
+        if not isinstance(detector, Detector):
+            raise TypeError(
+                f"detector must be a repro.core.Detector, got {type(detector).__name__}"
+            )
         if window_packets < 1:
             raise ValueError(f"window_packets must be >= 1, got {window_packets}")
         if window_stride is not None and window_stride < 1:

@@ -6,13 +6,7 @@ pre-processing every CSI-based system performs before using the data:
 phase sanitisation, subcarrier RSS extraction and trace management.
 """
 
-from repro.csi.calibration import (
-    remove_common_phase,
-    remove_linear_phase,
-    sanitize_csi_array,
-    sanitize_frame,
-    sanitize_trace,
-)
+from repro.csi.calibration import sanitize_csi_array, sanitize_trace
 from repro.csi.collector import PacketCollector
 from repro.csi.format import CSIFrame
 from repro.csi.rssi import rss_change_db, subcarrier_rss_db
@@ -22,10 +16,7 @@ __all__ = [
     "CSIFrame",
     "CSITrace",
     "PacketCollector",
-    "remove_common_phase",
-    "remove_linear_phase",
     "sanitize_csi_array",
-    "sanitize_frame",
     "sanitize_trace",
     "rss_change_db",
     "subcarrier_rss_db",

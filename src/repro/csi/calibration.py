@@ -31,7 +31,6 @@ import numpy as np
 
 from repro import obs
 from repro.backend import active_backend
-from repro.csi.format import CSIFrame
 from repro.csi.trace import CSITrace
 
 
@@ -100,13 +99,12 @@ def _unwrap(phases: np.ndarray) -> np.ndarray:
     return unwrapped
 
 
-def sanitize_csi_array(
-    csi: np.ndarray,
-    subcarrier_indices: np.ndarray,
-    *,
-    keep_inter_antenna_phase: bool = True,
-) -> np.ndarray:
+def sanitize_csi_array(csi: np.ndarray, subcarrier_indices: np.ndarray) -> np.ndarray:
     """Sanitise a stack of CSI packets in one vectorised pass.
+
+    Each packet's linear phase fit is computed on antenna 0 and the same
+    correction applied to all its antennas, preserving the inter-antenna
+    phase needed for angle estimation.
 
     Parameters
     ----------
@@ -114,132 +112,43 @@ def sanitize_csi_array(
         Complex CSI of shape ``(packets, antennas, subcarriers)``.
     subcarrier_indices:
         Abscissa of the linear phase fit, shape ``(subcarriers,)``.
-    keep_inter_antenna_phase:
-        When True (default) each packet's fit is computed on antenna 0 and
-        the same correction applied to all its antennas (preserving the
-        inter-antenna phase needed for angle estimation); when False every
-        antenna is fitted independently.
 
     Returns
     -------
     numpy.ndarray
         Sanitised CSI with the same shape; every packet is bit-identical to
-        :func:`sanitize_frame` on that packet alone.
+        the same packet sanitised alone.
     """
     csi = np.asarray(csi, dtype=complex)
     if csi.ndim != 3:
         raise ValueError(
             f"csi must have shape (packets, antennas, subcarriers), got {csi.shape}"
         )
-    packets, antennas, subcarriers = csi.shape
+    subcarriers = csi.shape[2]
     indices = np.asarray(subcarrier_indices, dtype=float)
     if indices.shape != (subcarriers,):
         raise ValueError(
             f"subcarrier_indices has shape {indices.shape}, expected ({subcarriers},)"
         )
-    if keep_inter_antenna_phase:
-        with obs.span("collect.sanitize"):
-            phases = _unwrap(np.angle(csi[:, 0, :]))
-            coefficients = _linear_phase_fits(indices, phases)
-            corrections = (
-                coefficients[:, :1] * indices[None, :] + coefficients[:, 1:]
-            )
-            return csi * active_backend().cis(-corrections)[:, None, :]
     with obs.span("collect.sanitize"):
-        phases = _unwrap(np.angle(csi))
-        coefficients = _linear_phase_fits(
-            indices, phases.reshape(packets * antennas, subcarriers)
-        )
+        phases = _unwrap(np.angle(csi[:, 0, :]))
+        coefficients = _linear_phase_fits(indices, phases)
         corrections = (
             coefficients[:, :1] * indices[None, :] + coefficients[:, 1:]
-        ).reshape(packets, antennas, subcarriers)
-        return csi * active_backend().cis(-corrections)
-
-
-def remove_linear_phase(csi: np.ndarray, subcarrier_indices: np.ndarray) -> np.ndarray:
-    """Remove a per-antenna linear phase (slope + offset) across subcarriers.
-
-    Parameters
-    ----------
-    csi:
-        Complex CSI of shape ``(antennas, subcarriers)``.
-    subcarrier_indices:
-        Subcarrier indices used as the abscissa of the linear fit; using the
-        true indices (not array positions) keeps the fit linear in frequency.
-
-    Returns
-    -------
-    numpy.ndarray
-        CSI with the fitted linear phase removed, same shape as the input.
-        All antennas are fitted in one batched pass (see
-        :func:`sanitize_csi_array`); each fit agrees with a per-antenna
-        ``np.polyfit`` to rounding.
-    """
-    csi = np.asarray(csi, dtype=complex)
-    if csi.ndim != 2:
-        raise ValueError(f"csi must be 2-D (antennas x subcarriers), got {csi.shape}")
-    return sanitize_csi_array(
-        csi[None, :, :], subcarrier_indices, keep_inter_antenna_phase=False
-    )[0]
-
-
-def remove_common_phase(csi: np.ndarray, reference_antenna: int = 0) -> np.ndarray:
-    """Rotate all antennas by the conjugate phase of a reference antenna.
-
-    This preserves the inter-antenna phase differences (what MUSIC needs)
-    while removing the packet-to-packet common phase, so that CSI from
-    different packets can be averaged coherently.
-    """
-    csi = np.asarray(csi, dtype=complex)
-    if csi.ndim != 2:
-        raise ValueError(f"csi must be 2-D (antennas x subcarriers), got {csi.shape}")
-    if not 0 <= reference_antenna < csi.shape[0]:
-        raise IndexError(
-            f"reference_antenna {reference_antenna} out of range for {csi.shape[0]} antennas"
         )
-    reference = csi[reference_antenna]
-    magnitude = np.abs(reference)
-    safe = np.where(magnitude > 1e-15, reference / np.maximum(magnitude, 1e-15), 1.0)
-    return csi * np.conj(safe)[None, :]
+        return csi * active_backend().cis(-corrections)[:, None, :]
 
 
-def sanitize_frame(frame: CSIFrame, *, keep_inter_antenna_phase: bool = True) -> CSIFrame:
-    """Sanitise a single CSI frame.
-
-    Thin wrapper over :func:`sanitize_csi_array` with a one-packet batch.
-
-    Parameters
-    ----------
-    frame:
-        Raw frame from the collector.
-    keep_inter_antenna_phase:
-        When True (default), the linear-phase fit is computed on the first
-        antenna and the same correction applied to all antennas, preserving
-        the inter-antenna phase differences required for angle-of-arrival
-        estimation.  When False each antenna is fitted independently (the
-        amplitude-only pipeline does not care).
-    """
-    sanitized = sanitize_csi_array(
-        frame.csi[None, :, :],
-        np.asarray(frame.subcarrier_indices, dtype=float),
-        keep_inter_antenna_phase=keep_inter_antenna_phase,
-    )[0]
-    return frame.with_csi(sanitized)
-
-
-def sanitize_trace(trace: CSITrace, *, keep_inter_antenna_phase: bool = True) -> CSITrace:
+def sanitize_trace(trace: CSITrace) -> CSITrace:
     """Sanitise every frame of a trace in one batched pass.
 
-    Equivalent to (and bit-identical with) sanitising each frame through
-    :func:`sanitize_frame`, but the unwrap, the least-squares fits and the
-    correction run over the whole ``(packets, subcarriers)`` stack at once.
-    The returned trace shares the input's timestamps (copied), subcarrier
-    grid and label.
+    Bit-identical with sanitising each frame alone, but the unwrap, the
+    least-squares fits and the correction run over the whole
+    ``(packets, subcarriers)`` stack at once.  The returned trace shares the
+    input's timestamps (copied), subcarrier grid and label.
     """
     sanitized = sanitize_csi_array(
-        trace.csi,
-        np.asarray(trace.subcarrier_indices, dtype=float),
-        keep_inter_antenna_phase=keep_inter_antenna_phase,
+        trace.csi, np.asarray(trace.subcarrier_indices, dtype=float)
     )
     return CSITrace(
         csi=sanitized,
@@ -249,9 +158,7 @@ def sanitize_trace(trace: CSITrace, *, keep_inter_antenna_phase: bool = True) ->
     )
 
 
-def sanitize_traces(
-    traces: Sequence[CSITrace], *, keep_inter_antenna_phase: bool = True
-) -> list[CSITrace]:
+def sanitize_traces(traces: Sequence[CSITrace]) -> list[CSITrace]:
     """Sanitise several traces at once, batching across compatible traces.
 
     Traces are grouped by ``(subcarrier grid, antenna count)``; each group's
@@ -273,17 +180,10 @@ def sanitize_traces(
     for (grid, _), positions in groups.items():
         if len(positions) == 1:
             position = positions[0]
-            sanitized[position] = sanitize_trace(
-                traces[position],
-                keep_inter_antenna_phase=keep_inter_antenna_phase,
-            )
+            sanitized[position] = sanitize_trace(traces[position])
             continue
         stacked = np.concatenate([traces[i].csi for i in positions], axis=0)
-        cleaned = sanitize_csi_array(
-            stacked,
-            np.asarray(grid, dtype=float),
-            keep_inter_antenna_phase=keep_inter_antenna_phase,
-        )
+        cleaned = sanitize_csi_array(stacked, np.asarray(grid, dtype=float))
         offset = 0
         for position in positions:
             trace = traces[position]

@@ -36,6 +36,7 @@ from repro.experiments.scenarios import (
     human_grid,
 )
 from repro.experiments.workloads import BackgroundDynamics, EnvironmentDrift
+from repro.utils.parallel import ordered_map
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import (
     check_finite_real,
@@ -57,10 +58,10 @@ class EvaluationConfig:
     monitoring windows at 50 packets per second, background students and
     slow environmental drift between windows.
 
-    ``max_workers`` controls how many link cases :func:`run_evaluation` runs
-    concurrently (in separate processes).  Each case already derives its own
-    seed from ``seed + 1000 * case_index``, so the campaign result is
-    bit-identical for every worker count.
+    ``max_workers`` is the number of processes :func:`run_evaluation` runs
+    link cases on (1 runs them in this process).  Each case already derives
+    its own seed from ``seed + 1000 * case_index``, so the campaign result
+    is bit-identical for every worker count.
 
     ``backend`` names the numeric backend (:mod:`repro.backend`) every case
     of the campaign computes through: ``"exact"`` (default) keeps the
@@ -638,39 +639,27 @@ def derive_case_seed(config: EvaluationConfig, case_index: int) -> int:
     return config.seed + 1000 * case_index
 
 
-def _run_case_shard(
-    link: Link,
-    config: EvaluationConfig,
-    case_seed: int,
-    obs_enabled: bool = False,
-) -> tuple[list[ScoredWindow], "obs.ObsSnapshot | None"]:
-    """One process-pool work unit of :func:`run_evaluation`.
-
-    Wraps :func:`run_case` in its own :mod:`repro.obs` recorder when
-    observability is on (workers don't share the parent's recorder) and
-    ships the snapshot home with the windows for in-order merge.
-    """
-    with obs.shard_recording(obs_enabled) as recorder:
-        with obs.span("eval.case"):
-            windows = run_case(link, config, case_seed=case_seed)
-        snapshot = recorder.snapshot() if recorder is not None else None
-    return windows, snapshot
+def _run_campaign_case(
+    link: Link, config: EvaluationConfig, case_seed: int
+) -> list[ScoredWindow]:
+    """One campaign work unit: :func:`run_case` under an ``eval.case`` span."""
+    with obs.span("eval.case"):
+        return run_case(link, config, case_seed=case_seed)
 
 
 def run_evaluation(
     config: EvaluationConfig | None = None,
     *,
     cases: Sequence[tuple[Scenario, Link]] | None = None,
-    parallel: bool | None = None,
-    max_workers: int | None = None,
 ) -> EvaluationResult:
     """Run the campaign over all evaluation cases (the 5 office links).
 
     Cases are embarrassingly parallel: every case derives its own seed
-    (``config.seed + 1000 * case_index``) and shares no mutable state, so the
-    campaign can be sharded over a :class:`~concurrent.futures.ProcessPoolExecutor`
-    with bit-identical results for any worker count.  Per-case window lists
-    are merged back in case order, so the result's window ordering is also
+    (``config.seed + 1000 * case_index``) and shares no mutable state, so
+    :func:`~repro.utils.parallel.ordered_map` runs them over
+    ``config.max_workers`` processes (in this process when that is 1) with
+    bit-identical results for any worker count.  Per-case window lists are
+    merged back in case order, so the result's window ordering is also
     deterministic.
 
     Parameters
@@ -680,13 +669,6 @@ def run_evaluation(
     cases:
         Optional subset of (scenario, link) pairs; defaults to the paper's
         five cases from :func:`repro.experiments.scenarios.evaluation_cases`.
-    parallel:
-        Force sequential (``False``) or process-parallel (``True``) execution;
-        ``None`` (default) parallelises exactly when the effective worker
-        count exceeds one.  ``True`` always goes through the process pool,
-        even with a single worker.
-    max_workers:
-        Worker-count override; ``None`` uses ``config.max_workers``.
 
     Notes
     -----
@@ -702,43 +684,14 @@ def run_evaluation(
     case_list = list(cases) if cases is not None else evaluation_cases()
     if not case_list:
         raise ValueError("run_evaluation requires at least one case")
-    workers = config.max_workers if max_workers is None else max_workers
-    if check_integer("max_workers", workers) < 1:
-        raise ValueError(f"max_workers must be >= 1, got {workers}")
-    workers = min(workers, len(case_list))
-    if parallel is None:
-        parallel = workers > 1
-    seeds = [derive_case_seed(config, index) for index in range(len(case_list))]
-
-    per_case: list[list[ScoredWindow]]
-    with obs.span("eval.campaign"):
-        if not parallel:
-            per_case = []
-            for (_, link), seed in zip(case_list, seeds):
-                with obs.span("eval.case"):
-                    per_case.append(run_case(link, config, case_seed=seed))
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-
-            obs_enabled = obs.enabled()
-            with ProcessPoolExecutor(max_workers=workers) as executor:
-                futures = [
-                    executor.submit(
-                        _run_case_shard, link, config, seed, obs_enabled
-                    )
-                    for (_, link), seed in zip(case_list, seeds)
-                ]
-                # Collect in submission order: the merged window list (and the
-                # merged metrics) are identical to the sequential campaign
-                # regardless of completion order.
-                per_case = []
-                for future in futures:
-                    case_windows, snapshot = future.result()
-                    per_case.append(case_windows)
-                    obs.merge(snapshot)
+    tasks = [
+        (link, config, derive_case_seed(config, index))
+        for index, (_, link) in enumerate(case_list)
+    ]
 
     windows: list[ScoredWindow] = []
-    for case_windows in per_case:
-        windows.extend(case_windows)
+    with obs.span("eval.campaign"):
+        for case_windows in ordered_map(_run_campaign_case, tasks, config.max_workers):
+            windows.extend(case_windows)
     obs.count("eval.windows", len(windows))
     return EvaluationResult(windows=windows, config=config)

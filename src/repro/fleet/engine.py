@@ -7,11 +7,13 @@ the scheduler's batch-flush policy — as a JSON-round-trippable dataclass.
 
 * **library** — ``run_fleet(FleetConfig(...))`` in-process;
 * **CLI** — ``repro --config fleet.json fleet run`` (see :mod:`repro.cli`);
-* **sharded** — ``max_workers > 1`` partitions the link population over a
-  process pool; every worker rebuilds its links' traffic from the fleet seed
-  (per-link streams are pure functions of ``(seed, link_index)``) and runs
-  its own scheduler, and the merged event stream is byte-identical to the
-  single-process run for any worker count.
+* **sharded** — ``FleetConfig(max_workers=N)`` with ``N > 1`` partitions
+  the link population into shards that
+  :func:`~repro.utils.parallel.ordered_map` runs over a process pool; every
+  worker rebuilds its links' traffic from the fleet seed (per-link streams
+  are pure functions of ``(seed, link_index)``) and runs its own scheduler,
+  and the merged event stream is byte-identical to the single-process run
+  for any worker count.
 
 The merge works because event *content* is session-local (scores are
 bit-identical however windows are batched — see
@@ -36,7 +38,7 @@ from repro.api.config import PipelineConfig
 from repro.api.monitor import calibrate_sessions
 from repro.backend import use_backend
 from repro.api.session import DetectionEvent, StreamingSession
-from repro.obs.trace import ObsSnapshot
+from repro.utils.parallel import ordered_map
 from repro.utils.validation import (
     check_finite_real,
     check_integer,
@@ -96,8 +98,9 @@ class FleetConfig:
     occupied_fraction:
         Fraction of each link's pool collected with a person present.
     max_workers:
-        Process-pool width the population is sharded over; the merged event
-        stream is byte-identical for any value.
+        Number of processes the population is sharded over (1 runs it in
+        this process); the merged event stream is byte-identical for any
+        value.
     class_mix:
         Relative population weight per rate class (``normal`` / ``busy`` /
         ``abusive``); weights are normalised, zero-weight classes never
@@ -298,7 +301,6 @@ _ShardResult = tuple[
     int,
     float,
     dict[str, int],
-    "ObsSnapshot | None",
 ]
 
 
@@ -353,27 +355,21 @@ def _setup_streams(
     return streams, census
 
 
-def _run_fleet_shard(
-    config: FleetConfig, indices: Sequence[int], obs_enabled: bool = False
-) -> _ShardResult:
+def _run_fleet_shard(config: FleetConfig, indices: Sequence[int]) -> _ShardResult:
     """Build and run one shard of the link population.
 
     Returns ``(events, latencies, arrivals, windows, schedule_elapsed_s,
-    class_census, obs_snapshot)``.  Everything a shard needs is rebuilt from
-    the config and its link indices, so shards are independent of each other
-    and of the process they run in.  When *obs_enabled*, the shard records
-    into its own :mod:`repro.obs` recorder and ships the snapshot home for
-    in-order merge (process pools don't share the parent's recorder).  Each
-    shard activates the fleet backend itself for the same reason.
+    class_census)``.  Everything a shard needs is rebuilt from the config
+    and its link indices, so shards are independent of each other and of
+    the process they run in.  Each shard activates the fleet backend itself
+    for the same reason.
     """
-    with obs.shard_recording(obs_enabled) as recorder:
-        with use_backend(config.backend):
-            with obs.span("fleet.shard_setup"):
-                streams, census = _setup_streams(config, indices)
-            scheduler = FleetScheduler(batch_windows=config.batch_windows)
-            with obs.span("fleet.schedule"):
-                events, stats = scheduler.run(streams)
-        snapshot = recorder.snapshot() if recorder is not None else None
+    with use_backend(config.backend):
+        with obs.span("fleet.shard_setup"):
+            streams, census = _setup_streams(config, indices)
+        scheduler = FleetScheduler(batch_windows=config.batch_windows)
+        with obs.span("fleet.schedule"):
+            events, stats = scheduler.run(streams)
     return (
         events,
         stats.latencies_s,
@@ -381,7 +377,6 @@ def _run_fleet_shard(
         stats.windows,
         stats.elapsed_s,
         census,
-        snapshot,
     )
 
 
@@ -391,39 +386,21 @@ def _percentile(latencies: Sequence[float], q: float) -> float:
     return float(np.percentile(np.asarray(latencies, dtype=float), q))
 
 
-def run_fleet(config: FleetConfig, *, max_workers: int | None = None) -> FleetReport:
+def run_fleet(config: FleetConfig) -> FleetReport:
     """Execute a fleet run: build the population, schedule it, report.
 
-    Parameters
-    ----------
-    config:
-        The fleet to run.
-    max_workers:
-        Worker-count override; ``None`` uses ``config.max_workers``.  The
-        link population is partitioned into contiguous shards, one scheduler
-        per shard; the merged, canonically ordered event stream is
-        byte-identical for any worker count (per-link traffic and scores are
-        pure functions of the config).
+    The link population is partitioned into contiguous shards, at most
+    ``config.max_workers``, one scheduler per shard, which
+    :func:`~repro.utils.parallel.ordered_map` runs over that many processes
+    (in this process for one shard).  The merged, canonically ordered event
+    stream is byte-identical for any worker count (per-link traffic and
+    scores are pure functions of the config).
     """
-    workers = config.max_workers if max_workers is None else max_workers
-    if workers < 1:
-        raise ValueError(f"max_workers must be >= 1, got {workers}")
-    obs_enabled = obs.enabled()
     started_at = obs.active_clock().now()
-    shards = _shard_indices(config.links, workers)
-
-    shard_results: list[_ShardResult]
-    if len(shards) <= 1:
-        shard_results = [_run_fleet_shard(config, shards[0], obs_enabled)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(shards)) as executor:
-            futures = [
-                executor.submit(_run_fleet_shard, config, indices, obs_enabled)
-                for indices in shards
-            ]
-            shard_results = [future.result() for future in futures]
+    shards = _shard_indices(config.links, config.max_workers)
+    shard_results = list(
+        ordered_map(_run_fleet_shard, [(config, indices) for indices in shards], len(shards))
+    )
     wall_s = obs.active_clock().now() - started_at
 
     events: list[DetectionEvent] = []
@@ -432,8 +409,6 @@ def run_fleet(config: FleetConfig, *, max_workers: int | None = None) -> FleetRe
     windows = 0
     elapsed_s = 0.0
     per_class: dict[str, int] = {name: 0 for name in RATE_CLASSES}
-    # Merge shard snapshots in shard order so the combined metrics are
-    # structurally identical for any worker count.
     for shard in shard_results:
         (
             shard_events,
@@ -442,7 +417,6 @@ def run_fleet(config: FleetConfig, *, max_workers: int | None = None) -> FleetRe
             shard_windows,
             shard_elapsed,
             census,
-            shard_snapshot,
         ) = shard
         events.extend(shard_events)
         latencies.extend(shard_latencies)
@@ -453,7 +427,6 @@ def run_fleet(config: FleetConfig, *, max_workers: int | None = None) -> FleetRe
         elapsed_s = max(elapsed_s, shard_elapsed)
         for name, count in census.items():
             per_class[name] = per_class.get(name, 0) + count
-        obs.merge(shard_snapshot)
     events.sort(key=lambda event: (event.timestamp, event.link, event.index))
     setup_s = max(wall_s - elapsed_s, 0.0)
     obs.gauge("fleet.setup_s", setup_s)

@@ -425,15 +425,14 @@ def recording(recorder: Recorder | None = None) -> Iterator[Recorder]:
 def shard_recording(shard_enabled: bool) -> Iterator[Recorder | None]:
     """Recording context for one process-pool work unit.
 
+    :func:`repro.utils.parallel.ordered_map` runs each pooled unit under it.
     When *shard_enabled* is false, yields ``None`` and records nothing —
     the disabled path of sharded drivers stays free.  When true, installs a
     fresh :class:`Recorder` (inheriting the clock and span capacity of an
-    already-enabled recorder, so in-process shards keep a test's
-    :class:`~repro.obs.clock.ManualClock` and an unbounded recorder keeps
-    every shard span) and yields it; the caller returns
-    ``recorder.snapshot()`` with its results for in-order merge in the
-    parent.  Works identically whether the unit runs in-process or in a
-    forked/spawned worker.
+    already-enabled recorder, which a forked worker inherits from its
+    parent, so an unbounded recorder keeps every shard span) and yields it;
+    the caller returns ``recorder.snapshot()`` with its results for in-order
+    merge in the parent.
     """
     if not shard_enabled:
         yield None

@@ -588,6 +588,13 @@ class TestStreamingSession:
         with pytest.raises(ValueError):
             StreamingSession(detector, threshold_policy="fixed")
 
+    def test_non_detector_rejected_at_construction(self):
+        """A stand-in detector fails with one line when the session is built,
+        not with an ``AttributeError`` at its first ``advance``."""
+        with pytest.raises(TypeError) as excinfo:
+            StreamingSession(object(), window_packets=2)
+        assert str(excinfo.value) == "detector must be a repro.core.Detector, got object"
+
 
 # --------------------------------------------------------------------------- #
 # multi-link monitor

@@ -166,7 +166,7 @@ class TestFastToleranceParity:
     def test_fleet_fast_digest_deterministic_and_workers_invariant(self):
         config = small_fleet(backend="fast")
         first = run_fleet(config)
-        second = run_fleet(config, max_workers=2)
+        second = run_fleet(config.replace(max_workers=2))
         assert second.workers == 2
         assert first.event_digest() == second.event_digest()
         assert first.event_digest() == run_fleet(config).event_digest()

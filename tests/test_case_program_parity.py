@@ -154,14 +154,6 @@ class TestSanitizeTraces:
         for got, trace in zip(sanitized, traces):
             assert_traces_equal(got, sanitize_trace(trace))
 
-    def test_per_antenna_variant_matches_scalar(self, links):
-        traces = self._traces(links[:2])
-        got = sanitize_traces(traces, keep_inter_antenna_phase=False)
-        for clean, trace in zip(got, traces):
-            assert_traces_equal(
-                clean, sanitize_trace(trace, keep_inter_antenna_phase=False)
-            )
-
     def test_empty_input(self):
         assert sanitize_traces([]) == []
 

@@ -8,15 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.channel import Point
 from repro.channel.noise import ImpairmentStreams
-from repro.channel.constants import INTEL5300_SUBCARRIER_INDICES
 from repro.csi import (
     CSIFrame,
     CSITrace,
     PacketCollector,
-    remove_common_phase,
-    remove_linear_phase,
     rss_change_db,
-    sanitize_frame,
     sanitize_trace,
     subcarrier_rss_db,
 )
@@ -257,46 +253,6 @@ class TestPacketCollector:
 
 
 class TestCalibration:
-    def _frame_with_linear_phase(self, rng, slope=0.2, offset=1.0) -> CSIFrame:
-        indices = np.asarray(INTEL5300_SUBCARRIER_INDICES, dtype=float)
-        base = rng.normal(size=(3, 30)) + 1j * rng.normal(size=(3, 30))
-        distorted = base * np.exp(1j * (slope * indices + offset))[None, :]
-        return CSIFrame(csi=distorted), CSIFrame(csi=base)
-
-    def test_remove_linear_phase_restores_flat_phase(self, rng):
-        indices = np.asarray(INTEL5300_SUBCARRIER_INDICES, dtype=float)
-        clean = np.ones((1, 30), dtype=complex)
-        distorted = clean * np.exp(1j * (0.3 * indices - 0.7))[None, :]
-        restored = remove_linear_phase(distorted, indices)
-        assert np.allclose(np.angle(restored), 0.0, atol=1e-9)
-
-    def test_remove_linear_phase_preserves_amplitude(self, rng):
-        indices = np.asarray(INTEL5300_SUBCARRIER_INDICES, dtype=float)
-        csi = rng.normal(size=(2, 30)) + 1j * rng.normal(size=(2, 30))
-        restored = remove_linear_phase(csi, indices)
-        assert np.allclose(np.abs(restored), np.abs(csi))
-
-    def test_remove_common_phase_preserves_inter_antenna_differences(self, rng):
-        csi = rng.normal(size=(3, 30)) + 1j * rng.normal(size=(3, 30))
-        rotated = csi * np.exp(1j * 1.3)
-        fixed = remove_common_phase(rotated)
-        original = remove_common_phase(csi)
-        # The relative phase between antennas is invariant to the common phase.
-        assert np.allclose(
-            np.angle(fixed[1] * np.conj(fixed[0])),
-            np.angle(original[1] * np.conj(original[0])),
-        )
-
-    def test_remove_common_phase_bad_reference(self, rng):
-        csi = rng.normal(size=(2, 30)) + 1j * rng.normal(size=(2, 30))
-        with pytest.raises(IndexError):
-            remove_common_phase(csi, reference_antenna=5)
-
-    def test_sanitize_frame_preserves_amplitude(self, rng):
-        distorted, _ = self._frame_with_linear_phase(rng)
-        sanitized = sanitize_frame(distorted)
-        assert np.allclose(sanitized.amplitude(), distorted.amplitude())
-
     def test_sanitize_trace_shape_and_label(self, empty_trace):
         sanitized = sanitize_trace(empty_trace)
         assert sanitized.num_packets == empty_trace.num_packets

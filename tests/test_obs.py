@@ -435,7 +435,7 @@ class TestFleetUnderManualClock:
 
 
 class TestSweepSeamUnderObs:
-    def test_timed_point_case_preserves_the_monkeypatch_seam(self, monkeypatch):
+    def test_point_case_unit_runs_under_a_sweep_case_span(self, monkeypatch):
         from repro.sweep import runner as sweep_runner
 
         calls = []
@@ -444,26 +444,12 @@ class TestSweepSeamUnderObs:
             calls.append(case_seed)
             return []
 
-        monkeypatch.setattr(sweep_runner, "_run_point_case", fake)
-        clock = ManualClock()
-        with obs.recording(Recorder(clock=clock)):
-            windows, snapshot = sweep_runner._timed_point_case(
-                None, None, 42, True
-            )
+        monkeypatch.setattr(sweep_runner, "run_case", fake)
+        with obs.recording(Recorder(clock=ManualClock())) as recorder:
+            windows = sweep_runner._run_point_case(None, None, 42)
         assert calls == [42]
         assert windows == []
-        assert snapshot is not None
-        assert snapshot.metrics.histograms["sweep.case"].count == 1
-
-    def test_disabled_unit_ships_no_snapshot(self, monkeypatch):
-        from repro.sweep import runner as sweep_runner
-
-        monkeypatch.setattr(
-            sweep_runner, "_run_point_case", lambda *args: ["w"]
-        )
-        windows, snapshot = sweep_runner._timed_point_case(None, None, 7)
-        assert windows == ["w"]
-        assert snapshot is None
+        assert recorder.snapshot().metrics.histograms["sweep.case"].count == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -523,7 +509,7 @@ class TestOnOffParity:
         with obs.recording():
             enabled_1 = run_fleet(config).event_digest()
         with obs.recording() as recorder:
-            enabled_2 = run_fleet(config, max_workers=2).event_digest()
+            enabled_2 = run_fleet(config.replace(max_workers=2)).event_digest()
         assert enabled_1 == baseline
         # Sharded workers return snapshots; the merged metrics cover both
         # shards and the event stream still matches byte for byte.

@@ -42,19 +42,9 @@ class TestParallelCampaignParity:
             assert seq_window == par_window  # dataclass equality: exact floats
         assert sequential.headline() == parallel.headline()
 
-    def test_explicit_parallel_flag_and_override(self):
-        cases = evaluation_cases()[:1]
-        sequential = run_evaluation(_tiny_config(), cases=cases, parallel=False)
-        forced = run_evaluation(
-            _tiny_config(), cases=cases, parallel=True, max_workers=2
-        )
-        assert sequential.windows == forced.windows
-
     def test_invalid_worker_counts_rejected(self):
         with pytest.raises(ValueError):
             EvaluationConfig(max_workers=0)
-        with pytest.raises(ValueError):
-            run_evaluation(_tiny_config(), cases=evaluation_cases()[:1], max_workers=0)
 
     def test_max_workers_round_trips_through_dict(self):
         config = _tiny_config(max_workers=3)

@@ -219,13 +219,6 @@ class TestEvaluationConfigDict:
             EvaluationConfig.from_dict(changes)
         assert "\n" not in str(excinfo.value)
 
-    @pytest.mark.parametrize("workers", [2.5, True])
-    def test_worker_override_checked(self, workers):
-        with pytest.raises(ValueError, match="max_workers must be an integer"):
-            run_evaluation(
-                EvaluationConfig(), cases=evaluation_cases()[:1], max_workers=workers
-            )
-
     @pytest.mark.parametrize(
         "text, message",
         [

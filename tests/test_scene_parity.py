@@ -33,12 +33,7 @@ from repro.channel.human import HumanBody
 from repro.channel.ofdm import synthesize_cfr
 from repro.channel.propagation import PropagationModel
 from repro.channel.scene import PathBundle
-from repro.csi.calibration import (
-    remove_linear_phase,
-    sanitize_csi_array,
-    sanitize_frame,
-    sanitize_trace,
-)
+from repro.csi.calibration import sanitize_csi_array, sanitize_trace
 from repro.csi.collector import PacketCollector
 from repro.csi.trace import CSITrace
 from repro.experiments.runner import EvaluationConfig, run_evaluation
@@ -293,32 +288,19 @@ class TestCleanCfrBatchParity:
 # --------------------------------------------------------------------------- #
 # batched sanitisation
 # --------------------------------------------------------------------------- #
-def reference_sanitize_frame(frame, *, keep_inter_antenna_phase=True):
+def reference_sanitize_frame(frame):
     """The historical per-frame sanitiser (pre-vectorisation), verbatim."""
     indices = np.asarray(frame.subcarrier_indices, dtype=float)
     csi = frame.csi
-    if keep_inter_antenna_phase:
-        phase = np.unwrap(np.angle(csi[0]))
-        slope, offset = np.polyfit(indices, phase, 1)
-        correction = slope * indices + offset
-        sanitized = csi * np.exp(-1j * correction)[None, :]
-    else:
-        sanitized = np.empty_like(csi)
-        for antenna in range(csi.shape[0]):
-            phase = np.unwrap(np.angle(csi[antenna]))
-            slope, offset = np.polyfit(indices, phase, 1)
-            correction = slope * indices + offset
-            sanitized[antenna] = csi[antenna] * np.exp(-1j * correction)
+    phase = np.unwrap(np.angle(csi[0]))
+    slope, offset = np.polyfit(indices, phase, 1)
+    correction = slope * indices + offset
+    sanitized = csi * np.exp(-1j * correction)[None, :]
     return frame.with_csi(sanitized)
 
 
-def reference_sanitize_trace(trace, *, keep_inter_antenna_phase=True):
-    frames = [
-        reference_sanitize_frame(
-            trace.frame(i), keep_inter_antenna_phase=keep_inter_antenna_phase
-        )
-        for i in range(trace.num_packets)
-    ]
+def reference_sanitize_trace(trace):
+    frames = [reference_sanitize_frame(trace.frame(i)) for i in range(trace.num_packets)]
     sanitized = CSITrace.from_frames(frames, label=trace.label)
     sanitized.timestamps = trace.timestamps.copy()
     return sanitized
@@ -339,38 +321,13 @@ def noisy_trace() -> CSITrace:
 
 
 class TestSanitizeParity:
-    @pytest.mark.parametrize("keep", [True, False])
-    def test_sanitize_trace_matches_per_frame_reference(self, noisy_trace, keep):
-        got = sanitize_trace(noisy_trace, keep_inter_antenna_phase=keep)
-        reference = reference_sanitize_trace(
-            noisy_trace, keep_inter_antenna_phase=keep
-        )
+    def test_sanitize_trace_matches_per_frame_reference(self, noisy_trace):
+        got = sanitize_trace(noisy_trace)
+        reference = reference_sanitize_trace(noisy_trace)
         assert_sanitized_close(got.csi, reference.csi)
         assert np.array_equal(got.timestamps, reference.timestamps)
         assert got.label == reference.label
         assert got.subcarrier_indices == reference.subcarrier_indices
-
-    @pytest.mark.parametrize("keep", [True, False])
-    def test_sanitize_frame_matches_reference(self, noisy_trace, keep):
-        for i in (0, 13, 39):
-            frame = noisy_trace.frame(i)
-            got = sanitize_frame(frame, keep_inter_antenna_phase=keep)
-            reference = reference_sanitize_frame(
-                frame, keep_inter_antenna_phase=keep
-            )
-            assert_sanitized_close(got.csi, reference.csi)
-
-    def test_remove_linear_phase_matches_per_antenna_polyfit(self):
-        rng = np.random.default_rng(71)
-        csi = rng.normal(size=(3, 30)) + 1j * rng.normal(size=(3, 30))
-        indices = np.asarray(CSITrace(csi=csi[None]).subcarrier_indices, dtype=float)
-        got = remove_linear_phase(csi, indices)
-        reference = np.empty_like(csi)
-        for antenna in range(csi.shape[0]):
-            phase = np.unwrap(np.angle(csi[antenna]))
-            slope, offset = np.polyfit(indices, phase, 1)
-            reference[antenna] = csi[antenna] * np.exp(-1j * (slope * indices + offset))
-        assert_sanitized_close(got, reference)
 
     def test_sanitize_does_not_mutate_the_input_trace(self, noisy_trace):
         before = noisy_trace.csi.copy()

@@ -4,6 +4,7 @@ execution (workers-invariant bytes, resume-after-interrupt) and analysis."""
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -17,7 +18,6 @@ from repro.experiments.runner import (
 from repro.sweep import (
     SweepAxis,
     SweepRecord,
-    SweepRunner,
     SweepSpec,
     SweepStore,
     run_sweep,
@@ -37,9 +37,9 @@ def _failing_point_case(link, config, case_seed):
 def _long_tailed_point_case(link, config, case_seed):
     """Module-level (picklable) unit where the grid's first point is slowest.
 
-    With the as-completed collector every other point finishes (and is
-    buffered) while the first is still running, exercising the out-of-order
-    buffering plus in-order flush path end to end.
+    In the pool every other point finishes while the first is still
+    running, so results complete out of order and must still be stored in
+    point order.
     """
     import time
 
@@ -338,10 +338,50 @@ class TestSweepRunner:
         expected_order = [p.point_id for p in spec.expand()]
         assert point_ids == expected_order[: len(point_ids)]
 
+    @staticmethod
+    def _sweep_with_failing_callback(tmp_path):
+        """A 6-point pooled sweep whose progress callback raises on its first
+        point; returns the callback's calls and the store's point ids."""
+        spec = SweepSpec(
+            name="cb-stop",
+            base=tiny_base(),
+            axes=(SweepAxis("seed", (21, 22, 23, 24, 25, 26)),),
+            cases=("case-1",),
+        )
+        calls = []
+
+        def progress(record):
+            calls.append(record.point_id)
+            if len(calls) == 1:
+                raise RuntimeError("callback boom")
+
+        path = tmp_path / "cb.jsonl"
+        with pytest.raises(RuntimeError, match="callback boom") as excinfo:
+            run_sweep(spec, path, max_workers=2, progress=progress)
+        # excinfo keeps the traceback, and so the run's frame, alive: its
+        # workers must be gone already, not reaped when the frame is freed.
+        alive = multiprocessing.active_children()
+        del excinfo
+        stored = [record.point_id for record in SweepStore(path).records()]
+        return spec, calls, stored, alive
+
+    def test_failing_progress_callback_appends_nothing_after_its_error(self, tmp_path):
+        # Regression: the as-completed collector's failure drain appended the
+        # next finished point and called the callback again.
+        spec, calls, stored, _ = self._sweep_with_failing_callback(tmp_path)
+        first = spec.expand()[0].point_id
+        assert calls == [first]
+        assert stored == [first]
+
+    def test_no_worker_alive_when_a_progress_error_propagates(self, tmp_path):
+        # Regression: the drain's shutdown(wait=False) dropped the pool's
+        # manager thread, so both workers outlived run_sweep's raise.
+        _, _, _, alive = self._sweep_with_failing_callback(tmp_path)
+        assert alive == []
+
     def test_long_tailed_grid_store_bytes_identical(self, tmp_path, monkeypatch):
-        # The slowest point leads the grid, so under the as-completed
-        # collector every later point completes out of order and must be
-        # buffered; the flushed store bytes still match the sequential run.
+        # The slowest point leads the grid, so every later point completes
+        # out of order; the store bytes still match the sequential run.
         spec = SweepSpec(
             name="long-tail",
             base=tiny_base(),
@@ -449,13 +489,27 @@ class TestSweepRunner:
         assert calls == []
         assert SweepStore(store).records() == []
 
-    def test_invalid_worker_count_rejected(self, acceptance_spec, tmp_path):
-        with pytest.raises(ValueError, match="max_workers"):
-            SweepRunner(
-                spec=acceptance_spec,
-                store=SweepStore(tmp_path / "x.jsonl"),
-                max_workers=0,
-            )
+    @pytest.mark.parametrize(
+        "workers, message",
+        [
+            (0, "max_workers must be >= 1, got 0"),
+            (2.5, "max_workers must be an integer, got 2.5"),
+            (True, "max_workers must be an integer, got True"),
+        ],
+        ids=["zero", "fraction", "bool"],
+    )
+    def test_invalid_worker_count_rejected(
+        self, acceptance_spec, tmp_path, monkeypatch, workers, message
+    ):
+        # A fraction used to pass and die mid-run in the pool; True ran
+        # in-process as 1.
+        monkeypatch.setattr(
+            sweep_runner, "_run_point_case",
+            lambda *a, **k: pytest.fail("a unit ran before validation"),
+        )
+        with pytest.raises(ValueError) as excinfo:
+            run_sweep(acceptance_spec, tmp_path / "x.jsonl", max_workers=workers)
+        assert str(excinfo.value) == message
 
     def test_progress_callback_sees_every_point(self, tmp_path):
         spec = SweepSpec(
