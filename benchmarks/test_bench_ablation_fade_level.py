@@ -34,13 +34,12 @@ COLLECTOR_SEEDS = range(2016, 2036)
 def test_ablation_multipath_factor_vs_fade_level(benchmark):
     scenario = classroom_scenario()
     link = scenario.link()
-    simulator = ChannelSimulator(
-        link, impairments=ImpairmentModel(snr_db=30.0), max_bounces=2, seed=2015
-    )
+    simulator = ChannelSimulator(link, max_bounces=2)
+    impairments = ImpairmentModel(snr_db=30.0)
     locations = static_location_set(link, count=60, seed=7)
 
     def run(collector_seed):
-        collector = PacketCollector(simulator, seed=collector_seed)
+        collector = PacketCollector(simulator, impairments=impairments, seed=collector_seed)
         baseline = collector.collect_empty(num_packets=80)
         fade = fade_level_db(baseline, link.distance())
         change_rows = []

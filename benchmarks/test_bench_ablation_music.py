@@ -20,10 +20,10 @@ from repro.experiments.scenarios import corner_link_scenario
 def test_ablation_plain_vs_smoothed_music(benchmark):
     scenario = corner_link_scenario()
     link = scenario.link()
-    simulator = ChannelSimulator(
-        link, impairments=ImpairmentModel(snr_db=30.0), max_bounces=1, seed=2015
+    simulator = ChannelSimulator(link, max_bounces=1)
+    collector = PacketCollector(
+        simulator, impairments=ImpairmentModel(snr_db=30.0), seed=2016
     )
-    collector = PacketCollector(simulator, seed=2016)
     trace = collector.collect_empty(num_packets=300)
     assert link.array is not None
 

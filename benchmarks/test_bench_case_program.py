@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.channel.channel import ChannelSimulator
-from repro.channel.propagation import PropagationModel
 from repro.csi.collector import PacketCollector
 from repro.experiments.runner import EvaluationConfig, run_case
 from repro.experiments.scenarios import evaluation_cases
@@ -38,13 +37,8 @@ def test_case_program_single_case(benchmark):
 def test_collect_batch_55_windows(benchmark):
     """Batched collector throughput: a case-shaped 55-window capture."""
     _, link = evaluation_cases()[0]
-    simulator = ChannelSimulator(
-        link,
-        propagation=PropagationModel(tx_power=link.tx_power),
-        max_bounces=2,
-        seed=7,
-    )
-    collector = PacketCollector(simulator, rng=np.random.default_rng(7))
+    simulator = ChannelSimulator(link, max_bounces=2)
+    collector = PacketCollector(simulator, seed=7)
     cleans = np.repeat(simulator.clean_cfr_batch([None]), 55, axis=0)
     counts = [150] + [25] * 54  # calibration + 54 monitoring windows
 

@@ -19,26 +19,18 @@ bit-identical to the scalar layer; sanitisation matches per-frame
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.channel.channel import ChannelSimulator
 from repro.channel.geometry import Point
 from repro.channel.human import HumanBody
-from repro.channel.propagation import PropagationModel
 from repro.csi.calibration import sanitize_trace
 from repro.csi.collector import PacketCollector
 from repro.experiments.scenarios import evaluation_cases
 from repro.experiments.workloads import walking_trajectory
 
 
-def _simulator(seed: int = 7) -> ChannelSimulator:
+def _simulator() -> ChannelSimulator:
     _, link = evaluation_cases()[0]
-    return ChannelSimulator(
-        link,
-        propagation=PropagationModel(tx_power=link.tx_power),
-        max_bounces=2,
-        seed=seed,
-    )
+    return ChannelSimulator(link, max_bounces=2)
 
 
 def _bodies(count: int) -> list[HumanBody] | None:
@@ -81,7 +73,7 @@ def test_collect_walk_500_positions(benchmark):
     positions = walking_trajectory(simulator.link, num_packets=500, seed=3)
 
     def run():
-        collector = PacketCollector(simulator, rng=np.random.default_rng(5))
+        collector = PacketCollector(simulator, seed=5)
         return collector.collect_walk(positions)
 
     trace = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
@@ -91,7 +83,7 @@ def test_collect_walk_500_positions(benchmark):
 def test_sanitize_trace_100_packets(benchmark):
     """Batched phase sanitisation of a 100-packet monitoring window."""
     simulator = _simulator()
-    collector = PacketCollector(simulator, rng=np.random.default_rng(6))
+    collector = PacketCollector(simulator, seed=6)
     window = collector.collect(None, num_packets=100)
     sanitized = benchmark(sanitize_trace, window)
     assert sanitized.num_packets == 100

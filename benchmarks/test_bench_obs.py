@@ -16,11 +16,8 @@ The deal ``repro.obs`` makes with the hot paths is:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import obs
 from repro.channel.channel import ChannelSimulator
-from repro.channel.propagation import PropagationModel
 from repro.csi.collector import PacketCollector
 from repro.experiments.scenarios import evaluation_cases
 from repro.experiments.workloads import walking_trajectory
@@ -28,12 +25,7 @@ from repro.experiments.workloads import walking_trajectory
 
 def _walk_workload():
     _, link = evaluation_cases()[0]
-    simulator = ChannelSimulator(
-        link,
-        propagation=PropagationModel(tx_power=link.tx_power),
-        max_bounces=2,
-        seed=7,
-    )
+    simulator = ChannelSimulator(link, max_bounces=2)
     positions = walking_trajectory(simulator.link, num_packets=500, seed=3)
     return simulator, positions
 
@@ -48,7 +40,7 @@ def test_collect_walk_obs_disabled(benchmark):
     assert not obs.enabled()
 
     def run():
-        collector = PacketCollector(simulator, rng=np.random.default_rng(5))
+        collector = PacketCollector(simulator, seed=5)
         return collector.collect_walk(positions)
 
     trace = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
@@ -66,7 +58,7 @@ def test_collect_walk_obs_enabled(benchmark):
 
     def run():
         with obs.recording() as recorder:
-            collector = PacketCollector(simulator, rng=np.random.default_rng(5))
+            collector = PacketCollector(simulator, seed=5)
             trace = collector.collect_walk(positions)
         return trace, recorder.snapshot()
 

@@ -13,11 +13,9 @@ on multi-core hosts with bit-identical results.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.channel.channel import ChannelSimulator
-from repro.channel.propagation import PropagationModel
 from repro.csi.collector import PacketCollector
 from repro.experiments.runner import EvaluationConfig, run_evaluation
 from repro.experiments.scenarios import evaluation_cases
@@ -53,13 +51,8 @@ def test_campaign_five_cases_single_process(benchmark, backend):
 def test_window_cached_collect_throughput(benchmark):
     """Raw collector throughput: one 150-packet static window on case-1."""
     _, link = evaluation_cases()[0]
-    simulator = ChannelSimulator(
-        link,
-        propagation=PropagationModel(tx_power=link.tx_power),
-        max_bounces=2,
-        seed=7,
-    )
-    collector = PacketCollector(simulator, rng=np.random.default_rng(7))
+    simulator = ChannelSimulator(link, max_bounces=2)
+    collector = PacketCollector(simulator, seed=7)
     trace = benchmark.pedantic(
         lambda: collector.collect(None, num_packets=150),
         rounds=3,

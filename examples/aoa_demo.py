@@ -42,10 +42,10 @@ def ascii_spectrum(angles: np.ndarray, values: np.ndarray, width: int = 50) -> l
 def main() -> None:
     scenario = corner_link_scenario()
     link = scenario.link()
-    simulator = ChannelSimulator(
-        link, impairments=ImpairmentModel(snr_db=30.0), max_bounces=1, seed=5
+    simulator = ChannelSimulator(link, max_bounces=1)
+    collector = PacketCollector(
+        simulator, impairments=ImpairmentModel(snr_db=30.0), seed=6
     )
-    collector = PacketCollector(simulator, seed=6)
     assert link.array is not None
 
     print("True propagation paths (angle of arrival at the receive array):")

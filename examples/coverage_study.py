@@ -19,6 +19,7 @@ import numpy as np
 from repro.api import PipelineConfig
 from repro.channel import ChannelSimulator, HumanBody, ImpairmentModel, Link, Point, Room
 from repro.core import balanced_threshold
+from repro.csi import PacketCollector
 from repro.experiments.metrics import detection_rate, range_gain
 from repro.experiments.workloads import BackgroundDynamics, EnvironmentDrift
 
@@ -26,15 +27,16 @@ from repro.experiments.workloads import BackgroundDynamics, EnvironmentDrift
 def main() -> None:
     room = Room.rectangular(13.0, 8.0, name="open-plan-office")
     link = Link(room=room, tx=Point(2.0, 3.0), rx=Point(7.0, 3.0), name="coverage-link")
-    simulator = ChannelSimulator(
-        link, impairments=ImpairmentModel(snr_db=28.0), max_bounces=2, seed=11
-    )
-    # The pipeline (detector, window policy, collector settings) is described
-    # declaratively; the same config dict could come straight from a JSON file.
+    simulator = ChannelSimulator(link, max_bounces=2)
+    # The pipeline (detector, window policy, seed) is described declaratively;
+    # the same config dict could come straight from a JSON file.
     base = PipelineConfig.from_dict(
         {"detector": "combined", "window_packets": 25, "calibration_packets": 150, "seed": 12}
     )
-    collector = base.collector(simulator)
+    # The office's noise floor is a property of the receiver's measurements.
+    collector = PacketCollector(
+        simulator, impairments=ImpairmentModel(snr_db=28.0), seed=base.seed
+    )
     # Realistic nuisances between monitoring windows: colleagues working at
     # least 5 m away and slow gain drift between sessions.
     background = BackgroundDynamics(link, max_people=3, seed=14)

@@ -29,10 +29,10 @@ from repro.experiments.scenarios import evaluation_cases, human_grid
 
 def describe_link_multipath(link, seed: int) -> str:
     """Summarise how multipath-rich a link's static channel is."""
-    simulator = ChannelSimulator(
-        link, impairments=ImpairmentModel(snr_db=35.0), max_bounces=2, seed=seed
+    simulator = ChannelSimulator(link, max_bounces=2)
+    collector = PacketCollector(
+        simulator, impairments=ImpairmentModel(snr_db=35.0), seed=seed + 1
     )
-    collector = PacketCollector(simulator, seed=seed + 1)
     trace = collector.collect_empty(num_packets=60)
     factors = multipath_factor_trace(trace).mean(axis=0)[0]
     spread = factors.std() / factors.mean()
@@ -102,10 +102,11 @@ def stream_recommended_link(link) -> None:
         threshold_policy="calibration",
         seed=99,
     )
-    simulator = ChannelSimulator(
-        link, impairments=ImpairmentModel(snr_db=32.0), max_bounces=2, seed=98
+    collector = PacketCollector(
+        ChannelSimulator(link, max_bounces=2),
+        impairments=ImpairmentModel(snr_db=32.0),
+        seed=pipeline.seed,
     )
-    collector = pipeline.collector(simulator)
     session = pipeline.session(link)
     session.calibrate(collector.collect_empty(num_packets=pipeline.calibration_packets))
 

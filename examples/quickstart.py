@@ -36,8 +36,7 @@ def main() -> None:
     # 1. A 8 m x 6 m room with a 4 m link across its middle.
     room = Room.rectangular(8.0, 6.0, name="demo-room")
     link = Link(room=room, tx=Point(2.0, 3.0), rx=Point(6.0, 3.0), name="demo-link")
-    simulator = ChannelSimulator(link, max_bounces=2, seed=1)
-    collector = PacketCollector(simulator, seed=2)
+    collector = PacketCollector(ChannelSimulator(link, max_bounces=2), seed=2)
 
     # 2. One declarative config per registered scheme.  The base config also
     #    fixes the window policy (25 packets = 0.5 s) and the threshold

@@ -29,7 +29,7 @@ Quickstart (config -> session -> events)::
     link = Link(room=room, tx=Point(2.0, 3.0), rx=Point(6.0, 3.0))
 
     config = PipelineConfig(detector="subcarrier", window_packets=25)
-    collector = config.collector(ChannelSimulator(link, seed=1))
+    collector = config.collector(ChannelSimulator(link))
     session = config.session(link)
     session.calibrate(collector.collect_empty(num_packets=config.calibration_packets))
 

@@ -283,6 +283,5 @@ class PipelineConfig:
             simulator,
             packet_rate_hz=self.packet_rate_hz,
             loss_probability=self.loss_probability,
-            seed=self.seed,
-            rng=rng,
+            seed=rng if rng is not None else self.seed,
         )

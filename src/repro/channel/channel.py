@@ -2,9 +2,12 @@
 
 :class:`Link` bundles a transmitter position, a receiver position and the
 receive array inside a room; :class:`ChannelSimulator` turns that static
-description plus a (possibly empty) set of people into per-packet CSI of shape
-``(num_antennas, num_subcarriers)`` on the Intel 5300 subcarrier grid,
-including measurement impairments.
+description plus a (possibly empty) set of people into the clean channel
+frequency response of shape ``(num_antennas, num_subcarriers)`` on the Intel
+5300 subcarrier grid.  The simulator is deterministic: every random artefact
+of a CSI report (CFO/SFO phase, AGC gain, thermal noise, lost pings) comes
+from measuring that channel, which :class:`~repro.csi.collector.PacketCollector`
+does.
 
 This is the substrate replacing the paper's Tenda AP + Intel 5300 testbed; the
 downstream library (multipath factor, subcarrier/path weighting, detection)
@@ -32,12 +35,11 @@ from repro.channel.geometry import (
 )
 from repro.channel.human import HumanBody, attenuation_profile
 from repro.channel.materials import DEFAULT_MATERIALS, MaterialLibrary
-from repro.channel.noise import ImpairmentModel, ImpairmentStreams
 from repro.channel.propagation import PropagationModel
 from repro.channel.rays import Path, RayTracer, assign_angles_of_arrival
 from repro.channel.scene import PathBundle
 from repro.backend import active_backend
-from repro.utils.rng import SeedLike, derive_rng, ensure_rng
+from repro.utils.validation import check_finite_real, check_positive
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,9 @@ class Link:
         Effective transmit power (linear) of this deployment.  The paper's
         five cases use APs at different heights and positions, which shows up
         as different received-power scales per link; exposing the knob here
-        lets the evaluation reproduce that heterogeneity.
+        lets the evaluation reproduce that heterogeneity.  A
+        :class:`ChannelSimulator` transmits at this power unless it is given
+        an explicit propagation model.
     """
 
     room: Room
@@ -73,8 +77,7 @@ class Link:
     def __post_init__(self) -> None:
         if self.tx.distance_to(self.rx) < 1e-6:
             raise ValueError("transmitter and receiver cannot coincide")
-        if self.tx_power <= 0:
-            raise ValueError(f"tx_power must be > 0, got {self.tx_power}")
+        check_positive("tx_power", check_finite_real("tx_power", self.tx_power))
         if self.array is None:
             default_array = UniformLinearArray(reference=self.rx).oriented_towards(self.tx)
             object.__setattr__(self, "array", default_array)
@@ -89,27 +92,23 @@ class Link:
 
 
 class ChannelSimulator:
-    """Simulate CSI packets observed over a :class:`Link`.
+    """Synthesise the clean CFR of a :class:`Link` for any set of people.
+
+    A pure function of its link and the scenes it is given: it holds no
+    random state, so one simulator can serve any number of collectors.
 
     Parameters
     ----------
     link:
         The deployed link.
     propagation:
-        Free-space propagation model (path-loss exponent etc.).
-    impairments:
-        Per-packet measurement impairments; pass
-        ``ImpairmentModel().noiseless()`` for analytically clean CSI.
+        Free-space propagation model (path-loss exponent etc.); defaults to
+        ``PropagationModel(tx_power=link.tx_power)``.
     materials:
         Material library resolving wall reflection coefficients.
     max_bounces:
         Reflection order for environment paths (1 reproduces the paper's
         one-bounce analysis; 2 adds denser multipath).
-    seed:
-        Seed of the simulator's per-quantity impairment streams
-        (:class:`~repro.channel.noise.ImpairmentStreams`), derived once at
-        construction.  A ``seed=`` passed to a sampling method draws from
-        streams derived from that seed instead.
     """
 
     def __init__(
@@ -117,20 +116,19 @@ class ChannelSimulator:
         link: Link,
         *,
         propagation: PropagationModel | None = None,
-        impairments: ImpairmentModel | None = None,
         materials: MaterialLibrary | None = None,
         max_bounces: int = 1,
-        seed: SeedLike = None,
     ) -> None:
         self.link = link
-        self.propagation = propagation if propagation is not None else PropagationModel()
-        self.impairments = impairments if impairments is not None else ImpairmentModel()
+        self.propagation = (
+            propagation
+            if propagation is not None
+            else PropagationModel(tx_power=link.tx_power)
+        )
         self.materials = materials if materials is not None else DEFAULT_MATERIALS
         self.tracer = RayTracer(link.room, materials=self.materials, max_bounces=max_bounces)
         self.frequencies = subcarrier_frequencies()
         self.subcarrier_indices = np.asarray(INTEL5300_SUBCARRIER_INDICES, dtype=float)
-        self._rng = ensure_rng(seed)
-        self._streams = ImpairmentStreams.derive(self._rng)
         self._static_paths: list[Path] | None = None
         self._bundle: PathBundle | None = None
         self._static_synthesis: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -420,73 +418,6 @@ class ChannelSimulator:
             att[indices] = template.shadow_attenuation_batch(bundle, positions)
         return att
 
-    def _impaired(
-        self, cleans: np.ndarray, candidates: np.ndarray, seed: SeedLike
-    ) -> np.ndarray:
-        """Impair one packet per candidate index, from *seed*'s streams.
-
-        ``seed=None`` draws from the simulator's own streams (derived at
-        construction); anything else derives fresh streams from it.
-        """
-        streams = self._streams if seed is None else ImpairmentStreams.derive(seed)
-        return self.impairments.apply(
-            cleans, candidates, self.subcarrier_indices, streams
-        )
-
-    def sample_packet(
-        self,
-        humans: Sequence[HumanBody] | HumanBody | None = None,
-        *,
-        seed: SeedLike = None,
-    ) -> np.ndarray:
-        """One CSI packet including measurement impairments (a burst of one)."""
-        return self.sample_burst(humans, num_packets=1, seed=seed)[0]
-
-    def sample_burst(
-        self,
-        humans: Sequence[HumanBody] | HumanBody | None = None,
-        *,
-        num_packets: int,
-        seed: SeedLike = None,
-    ) -> np.ndarray:
-        """A burst of packets for a static scene.
-
-        Returns an array of shape ``(num_packets, num_antennas,
-        num_subcarriers)``.  The clean CFR is computed once (the scene is
-        static) and every packet is impaired in one
-        :meth:`~repro.channel.noise.ImpairmentModel.apply` call.
-        """
-        if num_packets < 1:
-            raise ValueError(f"num_packets must be >= 1, got {num_packets}")
-        cleans = self.clean_cfr_batch([humans])
-        return self._impaired(cleans, np.zeros(num_packets, dtype=np.intp), seed)
-
-    def sample_trajectory(
-        self,
-        positions: Sequence[Point],
-        *,
-        body: HumanBody | None = None,
-        background: Sequence[HumanBody] = (),
-        seed: SeedLike = None,
-    ) -> np.ndarray:
-        """CSI for a person visiting *positions*, one packet per position.
-
-        Used for the walking-across-the-link measurements of Fig. 2b.
-        Returns shape ``(len(positions), num_antennas, num_subcarriers)``.
-
-        The clean CFRs of all positions are synthesised in one
-        :meth:`clean_cfr_batch` pass (sharing the background bodies across
-        scenes) and impaired in one
-        :meth:`~repro.channel.noise.ImpairmentModel.apply` call.
-        """
-        template = body if body is not None else HumanBody(position=self.link.midpoint())
-        background = list(background)
-        scenes = [
-            [template.moved_to(position), *background] for position in positions
-        ]
-        cleans = self.clean_cfr_batch(scenes)
-        return self._impaired(cleans, np.arange(len(scenes)), seed)
-
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
@@ -499,20 +430,3 @@ class ChannelSimulator:
         if isinstance(humans, HumanBody):
             return [humans]
         return list(humans)
-
-    def with_impairments(self, impairments: ImpairmentModel) -> "ChannelSimulator":
-        """A new simulator on the same link with different impairments.
-
-        The clone gets an independent child generator derived from this
-        simulator's stream (advancing the parent by exactly one draw), so
-        sampling from the clone never mutates the parent's RNG state.
-        """
-        clone = ChannelSimulator(
-            self.link,
-            propagation=self.propagation,
-            impairments=impairments,
-            materials=self.materials,
-            max_bounces=self.tracer.max_bounces,
-            seed=derive_rng(self._rng, "with_impairments"),
-        )
-        return clone

@@ -23,16 +23,16 @@ import numpy as np
 
 from repro.backend import active_backend
 from repro.utils.rng import SeedLike, derive_rng, ensure_rng
+from repro.utils.validation import check_finite_real, check_positive
 
 
 @dataclass(frozen=True)
 class ImpairmentStreams:
     """One independent random stream per impairment quantity.
 
-    Built once per owner (a simulator, a packet collector) with
-    :meth:`derive`; each quantity consumes only its own generator, so
-    switching one impairment off or drawing more packets of one kind never
-    shifts the values of another.
+    Built once per packet collector with :meth:`derive`; each quantity
+    consumes only its own generator, so switching one impairment off or
+    drawing more packets of one kind never shifts the values of another.
     """
 
     phase: np.random.Generator
@@ -57,17 +57,19 @@ class ImpairmentModel:
     snr_db:
         Average signal-to-noise ratio of the received CSI.  Thermal noise is
         complex Gaussian with power set relative to the mean subcarrier power
-        of the clean CFR.
+        of the clean CFR.  ``inf`` switches the noise off; any other value
+        must be finite.
     cfo_phase:
         When True, a common random phase (uniform over ``[0, 2pi)``) is
         applied to the whole packet, identical across antennas driven by the
         same oscillator.
     sfo_slope_std:
         Standard deviation (radians per subcarrier index) of the random
-        linear phase slope from SFO / packet detection delay.
+        linear phase slope from SFO / packet detection delay; finite and
+        >= 0, where 0 switches it off.
     agc_std_db:
         Standard deviation of the per-packet log-normal amplitude jitter from
-        automatic gain control.
+        automatic gain control; finite and >= 0, where 0 switches it off.
     antenna_phase_offsets:
         When True, each antenna receives an additional small fixed-per-packet
         phase offset, modelling imperfect RF-chain phase alignment.
@@ -78,6 +80,12 @@ class ImpairmentModel:
     sfo_slope_std: float = 0.05
     agc_std_db: float = 0.5
     antenna_phase_offsets: bool = True
+
+    def __post_init__(self) -> None:
+        if self.snr_db != np.inf:
+            check_finite_real("snr_db", self.snr_db)
+        for name in ("sfo_slope_std", "agc_std_db"):
+            check_positive(name, check_finite_real(name, getattr(self, name)), strict=False)
 
     def apply(
         self,

@@ -229,7 +229,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     augmented with the ground-truth occupancy of the window that produced it.
     """
     from repro.channel.channel import ChannelSimulator
-    from repro.channel.propagation import PropagationModel
     from repro.utils.rng import ensure_rng
 
     try:
@@ -250,14 +249,11 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
     with use_backend(config.backend):
         rng = ensure_rng(config.seed)
-        simulator = ChannelSimulator(
-            link,
-            propagation=PropagationModel(tx_power=link.tx_power),
-            seed=int(rng.integers(0, 2**31 - 1)),
-        )
+        # Unread, but its position fixes the collector's streams.
+        rng.integers(0, 2**31 - 1)
         # One generator stream shared with the collector so the whole pipeline
         # is reproducible from the single config seed.
-        collector = config.collector(simulator, rng=rng)
+        collector = config.collector(ChannelSimulator(link), rng=rng)
         try:
             session = config.session(link)
         except ValueError as error:  # e.g. a detector name not in the registry
@@ -485,9 +481,9 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
     try:
         spec = _load_sweep_spec(args.spec)
         if getattr(args, "backend", None) is not None:
-            spec = dataclasses.replace(spec, backend=args.backend)
-        if spec.backend is not None:
-            resolve_backend(spec.backend)
+            spec = dataclasses.replace(
+                spec, base=dataclasses.replace(spec.base, backend=args.backend)
+            )
         workers = getattr(args, "workers", None)
         runner = SweepRunner(
             spec=spec,

@@ -4,8 +4,9 @@ In the paper's testbed the receiver pings the AP at 50 packets per second and
 the CSI tool reports one CSI group per received packet.  The
 :class:`PacketCollector` reproduces that acquisition loop on top of a
 :class:`~repro.channel.channel.ChannelSimulator`, producing
-:class:`~repro.csi.trace.CSITrace` objects with realistic timestamps and
-optional packet loss.
+:class:`~repro.csi.trace.CSITrace` objects with realistic timestamps,
+measurement impairments and optional packet loss.  The simulator is
+deterministic; the collector owns every random artefact of a capture.
 
 Acquisition is array at a time: a call draws the lost-ping gaps of all its
 packets in one vectorised draw from the collector's loss stream, and impairs
@@ -29,10 +30,15 @@ from repro.channel.channel import ChannelSimulator
 from repro.channel.constants import DEFAULT_PACKET_RATE_HZ
 from repro.channel.geometry import Point
 from repro.channel.human import HumanBody
-from repro.channel.noise import ImpairmentStreams
+from repro.channel.noise import ImpairmentModel, ImpairmentStreams
 from repro.csi.trace import CSITrace
 from repro.utils.rng import SeedLike, child_rng, draw_word, ensure_rng
-from repro.utils.validation import check_probability
+from repro.utils.validation import (
+    check_finite_real,
+    check_integer,
+    check_positive,
+    check_probability,
+)
 
 #: Consecutive lost pings after which collection aborts.  With the validated
 #: ``loss_probability < 1`` this is astronomically unlikely to trigger for any
@@ -56,12 +62,13 @@ class PacketCollector:
         Independent probability that a ping is lost (no CSI reported).  Losses
         shift subsequent timestamps exactly as they would on hardware.  Must
         be strictly below 1: with certain loss no capture can ever complete.
+    impairments:
+        Per-packet measurement impairments; pass
+        ``ImpairmentModel().noiseless()`` for analytically clean CSI.
     seed:
-        Seed for the loss process and per-packet impairments.
-    rng:
-        Explicit generator for the loss process and impairments; takes
-        precedence over *seed*.  The collector derives its loss stream and
-        its :class:`~repro.channel.noise.ImpairmentStreams` from it once, at
+        Seed or generator of the loss process and per-packet impairments.
+        The collector derives its loss stream and its
+        :class:`~repro.channel.noise.ImpairmentStreams` from it once, at
         construction, so collectors built from one shared generator get
         distinct streams in construction order.
     """
@@ -69,25 +76,22 @@ class PacketCollector:
     simulator: ChannelSimulator
     packet_rate_hz: float = DEFAULT_PACKET_RATE_HZ
     loss_probability: float = 0.0
+    impairments: ImpairmentModel = ImpairmentModel()
     seed: SeedLike = None
-    rng: np.random.Generator | None = None
 
     def __post_init__(self) -> None:
-        if self.packet_rate_hz <= 0:
-            raise ValueError(f"packet_rate_hz must be > 0, got {self.packet_rate_hz}")
+        check_positive(
+            "packet_rate_hz", check_finite_real("packet_rate_hz", self.packet_rate_hz)
+        )
         check_probability(
             "loss_probability",
             self.loss_probability,
             exclusive_upper=True,
             reason="with certain loss a fixed-size capture never completes",
         )
-        if self.rng is not None and not isinstance(self.rng, np.random.Generator):
-            raise TypeError(
-                f"rng must be a numpy.random.Generator, got {type(self.rng).__name__}"
-            )
-        rng = self.rng if self.rng is not None else ensure_rng(self.seed)
-        # Impairment streams first: a collector and ``sample_trajectory``
-        # given the same seed then impair identically.
+        rng = ensure_rng(self.seed)
+        # Impairment streams before the loss word: this order fixes the bytes
+        # of every pinned capture.
         self._streams = ImpairmentStreams.derive(rng)
         self._loss_word = draw_word(rng)
         self._loss_rng: np.random.Generator | None = None
@@ -101,9 +105,8 @@ class PacketCollector:
 
     def _impair(self, cleans: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         """Impair one packet per candidate index on this collector's streams."""
-        simulator = self.simulator
-        csi = simulator.impairments.apply(
-            cleans, candidates, simulator.subcarrier_indices, self._streams
+        csi = self.impairments.apply(
+            cleans, candidates, self.simulator.subcarrier_indices, self._streams
         )
         obs.count("collect.packets", candidates.size)
         return csi
@@ -169,7 +172,7 @@ class PacketCollector:
                 f"cleans must have shape (windows, antennas, subcarriers), "
                 f"got {cleans.shape}"
             )
-        counts = [int(count) for count in counts]
+        counts = [check_integer("packet count", count) for count in np.asarray(counts).tolist()]
         if len(counts) != cleans.shape[0]:
             raise ValueError(
                 f"got {len(counts)} packet counts for {cleans.shape[0]} windows"
@@ -240,9 +243,8 @@ class PacketCollector:
         produces no CSI.  With loss enabled the returned trace therefore
         holds *fewer* packets than positions — the walk is bounded in time,
         unlike a fixed-size static capture.  With ``loss_probability=0``
-        there is exactly one packet per position, identical to
-        :meth:`~repro.channel.channel.ChannelSimulator.sample_trajectory` on
-        the same seed.
+        there is exactly one packet per position, impaired from the
+        collector's streams in position order.
 
         All per-position clean CFRs are synthesised in one
         :meth:`~repro.channel.channel.ChannelSimulator.clean_cfr_batch` pass

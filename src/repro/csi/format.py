@@ -108,12 +108,3 @@ class CSIFrame:
             sequence_number=self.sequence_number,
             subcarrier_indices=self.subcarrier_indices,
         )
-
-    def with_csi(self, csi: np.ndarray) -> "CSIFrame":
-        """A copy of this frame carrying different CSI values."""
-        return CSIFrame(
-            csi=csi,
-            timestamp=self.timestamp,
-            sequence_number=self.sequence_number,
-            subcarrier_indices=self.subcarrier_indices,
-        )

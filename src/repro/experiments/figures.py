@@ -44,13 +44,11 @@ from repro.utils.stats import ecdf
 def _classroom_collector(seed: int, snr_db: float = 32.0) -> tuple[PacketCollector, object]:
     scenario = classroom_scenario()
     link = scenario.link()
-    simulator = ChannelSimulator(
-        link,
-        impairments=ImpairmentModel(snr_db=snr_db),
-        max_bounces=2,
-        seed=seed,
+    simulator = ChannelSimulator(link, max_bounces=2)
+    collector = PacketCollector(
+        simulator, impairments=ImpairmentModel(snr_db=snr_db), seed=seed + 1
     )
-    return PacketCollector(simulator, seed=seed + 1), link
+    return collector, link
 
 
 def _location_measurements(
@@ -213,10 +211,10 @@ def fig5_aoa(
     """MUSIC pseudospectrum of the corner link (5b) and RSS change vs angle (5c)."""
     scenario = corner_link_scenario()
     link = scenario.link()
-    simulator = ChannelSimulator(
-        link, impairments=ImpairmentModel(snr_db=32.0), max_bounces=1, seed=seed
+    simulator = ChannelSimulator(link, max_bounces=1)
+    collector = PacketCollector(
+        simulator, impairments=ImpairmentModel(snr_db=32.0), seed=seed + 1
     )
-    collector = PacketCollector(simulator, seed=seed + 1)
     baseline = collector.collect_empty(num_packets=num_packets)
     assert link.array is not None
     music = MusicEstimator(array=link.array, num_sources=2)
@@ -303,10 +301,11 @@ def fig10_angle_errors(
     """CDF of the LOS angle-estimation error, single packet vs packet-averaged."""
     scenario = corner_link_scenario()
     link = scenario.link()
-    simulator = ChannelSimulator(
-        link, impairments=ImpairmentModel(snr_db=25.0), max_bounces=1, seed=seed
+    collector = PacketCollector(
+        ChannelSimulator(link, max_bounces=1),
+        impairments=ImpairmentModel(snr_db=25.0),
+        seed=seed + 1,
     )
-    collector = PacketCollector(simulator, seed=seed + 1)
     assert link.array is not None
     music = MusicEstimator(array=link.array, num_sources=2)
     true_angle = 0.0  # broadside faces the transmitter

@@ -22,7 +22,6 @@ from repro.backend import use_backend
 from repro.channel.channel import ChannelSimulator, Link
 from repro.channel.human import HumanBody
 from repro.channel.noise import ImpairmentModel
-from repro.channel.propagation import PropagationModel
 from repro.core.detector import Detector
 from repro.core.thresholds import RocCurve, detection_rates_at_threshold, roc_curve
 from repro.csi.collector import PacketCollector
@@ -415,24 +414,22 @@ def _case_components(
 ) -> tuple[ChannelSimulator, PacketCollector, BackgroundDynamics, EnvironmentDrift]:
     """The four per-case components, seeded off the case seed.
 
-    Four sequential integer draws off the case RNG seed the simulator, the
+    Four sequential integer draws off the case RNG: nothing reads the
+    first (the simulator is deterministic), and the next three seed the
     collector, the background and the drift, in that order.  This is the
     seeding contract both campaign paths share: changing the order (or
     count) would silently re-randomise every published number.  The
-    collector derives its loss stream and its per-quantity impairment
-    streams from its seed.
+    collector derives its per-quantity impairment streams and its loss
+    stream from its seed.
     """
     rng = ensure_rng(seed)
-    simulator = ChannelSimulator(
-        link,
-        propagation=PropagationModel(tx_power=link.tx_power),
-        impairments=config.impairments(),
-        max_bounces=config.max_bounces,
-        seed=int(rng.integers(0, 2**31 - 1)),
-    )
+    simulator = ChannelSimulator(link, max_bounces=config.max_bounces)
+    # Unread, but its position fixes the seeds behind every campaign pin.
+    rng.integers(0, 2**31 - 1)
     collector = PacketCollector(
         simulator,
         packet_rate_hz=config.packet_rate_hz,
+        impairments=config.impairments(),
         seed=int(rng.integers(0, 2**31 - 1)),
     )
     background = BackgroundDynamics(

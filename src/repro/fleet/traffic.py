@@ -34,7 +34,6 @@ from repro import obs
 from repro.api.session import window_starts
 from repro.channel.channel import ChannelSimulator
 from repro.channel.human import HumanBody
-from repro.channel.propagation import PropagationModel
 from repro.csi.trace import CSITrace
 from repro.experiments.scenarios import human_grid
 from repro.utils.rng import child_rng, draw_word, ensure_rng
@@ -240,8 +239,8 @@ def build_fleet_traffic(
     * Clean CFRs (one empty, one occupied scene) are synthesised once per
       *geometry*, in one
       :meth:`~repro.channel.channel.ChannelSimulator.clean_cfr_batch` call.
-      Sharing a simulator across links is byte-safe: the collect path draws
-      only from each link's collector streams.
+      The simulator holds no random state, so links of one geometry share
+      it; every draw is from a link's own collector streams.
     * A link's arrivals are drawn before its CSI, so its complete windows
       are planned first, by the session's rule
       (:func:`~repro.api.session.window_starts`).  Arrival ``i`` reports
@@ -269,11 +268,7 @@ def build_fleet_traffic(
         for link in links:
             if id(link) in cache:
                 continue
-            simulator = ChannelSimulator(
-                link,
-                propagation=PropagationModel(tx_power=link.tx_power),
-                seed=0,
-            )
+            simulator = ChannelSimulator(link)
             grid = human_grid(link)
             human = HumanBody(position=grid[len(grid) // 2])
             cache[id(link)] = (simulator, simulator.clean_cfr_batch([None, [human]]))

@@ -163,19 +163,16 @@ class SweepSpec:
     cases:
         Optional subset of evaluation case names (``"case-1"`` … ``"case-5"``)
         every point runs over; ``None`` runs the paper's five cases.
-    backend:
-        Optional numeric backend (:mod:`repro.backend`) forced onto every
-        point; ``None`` (default) keeps the base config's backend.  A
-        ``backend`` sweep axis still wins over this field, so "same grid
-        under both backends" is just another axis.  This is what the CLI's
-        ``sweep run --backend`` flag sets.
+
+    The numeric backend is the base config's ``backend`` (what the CLI's
+    ``sweep run --backend`` sets); a ``backend`` axis varies it per point,
+    so "same grid under both backends" is just another axis.
     """
 
     axes: tuple[SweepAxis, ...]
     base: EvaluationConfig = field(default_factory=EvaluationConfig)
     name: str = "sweep"
     cases: tuple[str, ...] | None = None
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if isinstance(self.axes, (str, bytes)):
@@ -221,12 +218,6 @@ class SweepSpec:
             if not cases:
                 raise ValueError("cases must be None or a non-empty sequence of names")
             object.__setattr__(self, "cases", cases)
-        if self.backend is not None and (
-            not self.backend or not isinstance(self.backend, str)
-        ):
-            raise ValueError(
-                f"backend must be None or a non-empty string, got {self.backend!r}"
-            )
 
     # ------------------------------------------------------------------ #
     # serialisation
@@ -234,7 +225,7 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
         """Build a spec from a plain mapping, rejecting unknown keys."""
-        check_known_keys("SweepSpec", data, ("axes", "base", "name", "cases", "backend"))
+        check_known_keys("SweepSpec", data, ("axes", "base", "name", "cases"))
         if "axes" not in data:
             raise ValueError("a SweepSpec requires at least one axis")
         # Raw payloads go straight through: __post_init__ owns coercion and
@@ -244,7 +235,6 @@ class SweepSpec:
             base=data.get("base", {}),
             name=data.get("name", "sweep"),
             cases=data.get("cases"),
-            backend=data.get("backend"),
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -254,7 +244,6 @@ class SweepSpec:
             "base": self.base.to_dict(),
             "axes": [axis.to_dict() for axis in self.axes],
             "cases": list(self.cases) if self.cases is not None else None,
-            "backend": self.backend,
         }
 
     @classmethod
@@ -308,10 +297,6 @@ class SweepSpec:
             # pure worker-count edits of the base config.
             merged = {**base, **overrides}
             merged.pop("max_workers", None)
-            # A spec-level backend (e.g. from sweep run --backend) applies to
-            # every point; an explicit backend axis still varies per point.
-            if self.backend is not None and "backend" not in overrides:
-                merged["backend"] = self.backend
             config = EvaluationConfig.from_dict(merged)
             # The digest covers everything that shapes the point's result:
             # its config and the case subset it runs over.

@@ -10,14 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.channel import (
-    ChannelSimulator,
-    HumanBody,
-    ImpairmentModel,
-    Link,
-    Point,
-    Room,
-)
+from repro.channel import ChannelSimulator, HumanBody, Link, Point, Room
 from repro.csi import CSITrace, PacketCollector
 
 
@@ -35,19 +28,13 @@ def link(room: Room) -> Link:
 
 @pytest.fixture(scope="session")
 def simulator(link: Link) -> ChannelSimulator:
-    """A channel simulator with default impairments."""
-    return ChannelSimulator(link, seed=1234)
-
-
-@pytest.fixture(scope="session")
-def clean_simulator(link: Link) -> ChannelSimulator:
-    """A noise-free simulator for analytic checks."""
-    return ChannelSimulator(link, impairments=ImpairmentModel().noiseless(), seed=99)
+    """The channel simulator of the test link (deterministic clean CFRs)."""
+    return ChannelSimulator(link)
 
 
 @pytest.fixture(scope="session")
 def collector(simulator: ChannelSimulator) -> PacketCollector:
-    """A packet collector bound to the default simulator."""
+    """A packet collector with default impairments on the test link."""
     return PacketCollector(simulator, seed=4321)
 
 

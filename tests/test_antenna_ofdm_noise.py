@@ -195,6 +195,23 @@ class TestImpairmentModel:
         with pytest.raises(ValueError, match="subcarrier_indices"):
             model.apply(np.zeros((1, 3, 30), dtype=complex), [0], np.zeros(29), streams)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("snr_db", np.nan, "snr_db must be a finite number"),
+            ("snr_db", -np.inf, "snr_db must be a finite number"),
+            ("agc_std_db", -1.0, "agc_std_db must be >= 0"),
+            ("agc_std_db", np.nan, "agc_std_db must be a finite number"),
+            ("sfo_slope_std", -0.05, "sfo_slope_std must be >= 0"),
+            ("sfo_slope_std", np.inf, "sfo_slope_std must be a finite number"),
+        ],
+    )
+    def test_misread_values_rejected(self, field, value, message):
+        # Each used to switch its impairment off silently; an infinite slope
+        # spread yielded NaN CSI.  snr_db=inf stays the noiseless switch.
+        with pytest.raises(ValueError, match=message):
+            ImpairmentModel(**{field: value})
+
     def test_deterministic_given_seed(self):
         clean = _clean()
         model = ImpairmentModel()

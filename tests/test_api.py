@@ -39,7 +39,7 @@ def link() -> Link:
 
 @pytest.fixture(scope="module")
 def collector(link) -> PacketCollector:
-    return PacketCollector(ChannelSimulator(link, seed=1), seed=2)
+    return PacketCollector(ChannelSimulator(link), seed=2)
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +157,7 @@ class TestPluginDetector:
             run_case_reference,
         )
 
-        collector = PacketCollector(ChannelSimulator(link, seed=31), seed=32)
+        collector = PacketCollector(ChannelSimulator(link), seed=32)
         config = PipelineConfig(detector=plugin, window_packets=6)
         names = (plugin, *SCHEMES)
         detectors = [config.replace(detector=name).build_detector(link) for name in names]
@@ -332,7 +332,7 @@ class TestPipelineConfig:
 
     def test_collector_settings_applied(self, link):
         config = PipelineConfig(packet_rate_hz=100.0, loss_probability=0.1, seed=3)
-        built = config.collector(ChannelSimulator(link, seed=1))
+        built = config.collector(ChannelSimulator(link))
         assert built.packet_rate_hz == 100.0
         assert built.loss_probability == 0.1
 
@@ -609,7 +609,7 @@ def _per_link_data(links, *, num_packets=12, seed=100):
     windows = {}
     for i, link in enumerate(links):
         collector = PacketCollector(
-            ChannelSimulator(link, seed=seed + i), seed=seed + 50 + i
+            ChannelSimulator(link), seed=seed + 50 + i
         )
         calibrations[link.name] = collector.collect_empty(num_packets=24)
         windows[link.name] = collector.collect(
@@ -745,28 +745,20 @@ class TestMultiLinkMonitor:
 # --------------------------------------------------------------------------- #
 class TestCollectorRng:
     def test_explicit_rng_matches_equivalent_seed(self, link):
-        trace_a = PacketCollector(ChannelSimulator(link, seed=9), seed=5).collect_empty(
-            num_packets=4
-        )
-        trace_b = PacketCollector(
-            ChannelSimulator(link, seed=9), rng=ensure_rng(5)
-        ).collect_empty(num_packets=4)
+        """A generator passed as ``seed`` is used as is: ``ensure_rng(5)``
+        draws what ``seed=5`` draws."""
+        simulator = ChannelSimulator(link)
+        trace_a = PacketCollector(simulator, seed=5).collect_empty(num_packets=4)
+        trace_b = PacketCollector(simulator, seed=ensure_rng(5)).collect_empty(num_packets=4)
         np.testing.assert_array_equal(trace_a.csi, trace_b.csi)
 
     def test_shared_rng_is_one_stream(self, link):
         """Two collectors on one generator continue the same stream."""
+        simulator = ChannelSimulator(link)
         rng = ensure_rng(5)
-        first = PacketCollector(ChannelSimulator(link, seed=9), rng=rng).collect_empty(
-            num_packets=4
-        )
-        second = PacketCollector(ChannelSimulator(link, seed=9), rng=rng).collect_empty(
-            num_packets=4
-        )
+        first = PacketCollector(simulator, seed=rng).collect_empty(num_packets=4)
+        second = PacketCollector(simulator, seed=rng).collect_empty(num_packets=4)
         assert not np.array_equal(first.csi, second.csi)
-
-    def test_rng_must_be_generator(self, link):
-        with pytest.raises(TypeError, match="numpy.random.Generator"):
-            PacketCollector(ChannelSimulator(link, seed=9), rng=5)
 
 
 # --------------------------------------------------------------------------- #

@@ -256,25 +256,25 @@ class TestBackendConfigField:
 
     def test_sweep_spec_round_trip_and_expansion(self):
         spec = SweepSpec(
-            axes=[{"field": "seed", "values": [1, 2]}], backend="fast"
+            axes=[{"field": "seed", "values": [1, 2]}],
+            base=EvaluationConfig(backend="fast"),
         )
         reloaded = SweepSpec.from_json(spec.to_json())
-        assert reloaded.backend == "fast"
+        assert reloaded.base.backend == "fast"
         assert all(point.config.backend == "fast" for point in reloaded.expand())
 
-    def test_sweep_backend_axis_wins_over_spec_backend(self):
+    def test_sweep_backend_axis_wins_over_base_backend(self):
         spec = SweepSpec(
             axes=[{"field": "backend", "values": ["exact", "fast"]}],
-            backend="fast",
+            base=EvaluationConfig(backend="fast"),
         )
         assert [p.config.backend for p in spec.expand()] == ["exact", "fast"]
 
-    def test_sweep_spec_none_backend_keeps_base(self):
-        spec = SweepSpec(
-            axes=[{"field": "seed", "values": [1]}],
-            base=EvaluationConfig(backend="fast"),
-        )
-        assert spec.expand()[0].config.backend == "fast"
+    def test_sweep_spec_has_no_second_backend_knob(self):
+        with pytest.raises(ValueError, match="unknown SweepSpec keys: \\['backend'\\]"):
+            SweepSpec.from_dict(
+                {"axes": [{"field": "seed", "values": [1]}], "backend": "fast"}
+            )
 
     @pytest.mark.parametrize("bad", ["", 3])
     def test_configs_reject_bad_backend(self, bad):
@@ -282,9 +282,6 @@ class TestBackendConfigField:
             lambda: EvaluationConfig(backend=bad),
             lambda: PipelineConfig(backend=bad),
             lambda: FleetConfig(backend=bad),
-            lambda: SweepSpec(
-                axes=[{"field": "seed", "values": [1]}], backend=bad
-            ),
         ):
             with pytest.raises(ValueError, match="backend"):
                 build()

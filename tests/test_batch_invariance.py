@@ -67,7 +67,7 @@ NUM_WINDOWS = LINKS * len(WINDOW_PACKETS) * 2
 def candidates():
     """A simulator and its candidate scenes: empty, occupied, zero power."""
     link = evaluation_cases()[0][1]
-    simulator = ChannelSimulator(link, seed=3)
+    simulator = ChannelSimulator(link)
     cleans = simulator.clean_cfr_batch([None, [HumanBody(position=link.midpoint())]])
     return simulator, np.concatenate([cleans, np.zeros_like(cleans[:1])])
 
@@ -121,7 +121,7 @@ def population():
     windows = []
     calibrations = []
     for n, link in enumerate(links):
-        collector = PacketCollector(ChannelSimulator(link, seed=30 + n), seed=50 + n)
+        collector = PacketCollector(ChannelSimulator(link), seed=50 + n)
         calibrations.append(collector.collect_empty(num_packets=24))
         human = HumanBody(position=link.midpoint())
         for count in WINDOW_PACKETS:
@@ -214,7 +214,7 @@ def calibration_population():
     links = [link for _, link in evaluation_cases()[:LINKS]]
     candidates = []
     for n, link in enumerate(links):
-        collector = PacketCollector(ChannelSimulator(link, seed=70 + n), seed=90 + n)
+        collector = PacketCollector(ChannelSimulator(link), seed=90 + n)
         traces = [collector.collect_empty(num_packets=c) for c in CALIBRATION_PACKETS]
         candidates += [(link, build, trace) for build in CALIBRATED for trace in traces]
     alone = {}

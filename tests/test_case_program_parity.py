@@ -65,7 +65,7 @@ class TestCollectBatchParity:
         resets of separate ``collect`` calls exactly.
         """
         link = links[0]
-        simulator = ChannelSimulator(link, seed=3)
+        simulator = ChannelSimulator(link)
         human = HumanBody(position=link.midpoint())
         scenes = [None, [human], None, [human]]
         counts = [30, 7, 12, 7]
@@ -74,7 +74,7 @@ class TestCollectBatchParity:
         batched = PacketCollector(
             simulator,
             loss_probability=loss_probability,
-            rng=np.random.default_rng(55),
+            seed=55,
         )
         cleans = simulator.clean_cfr_batch(scenes)
         got = batched.collect_batch(cleans, counts, labels=labels)
@@ -82,7 +82,7 @@ class TestCollectBatchParity:
         reference = PacketCollector(
             simulator,
             loss_probability=loss_probability,
-            rng=np.random.default_rng(55),
+            seed=55,
         )
         for trace, scene, count, label in zip(got, scenes, counts, labels):
             expected = reference.collect(scene, num_packets=count, label=label)
@@ -91,20 +91,20 @@ class TestCollectBatchParity:
     def test_repeated_scenes_share_candidates(self, links):
         """More packets than candidate scenes is the whole point of the plan."""
         link = links[1]
-        simulator = ChannelSimulator(link, seed=5)
-        collector = PacketCollector(simulator, rng=np.random.default_rng(8))
+        simulator = ChannelSimulator(link)
+        collector = PacketCollector(simulator, seed=8)
         cleans = simulator.clean_cfr_batch([None])
         traces = collector.collect_batch(
             np.concatenate([cleans, cleans], axis=0), [40, 40]
         )
-        reference = PacketCollector(simulator, rng=np.random.default_rng(8))
+        reference = PacketCollector(simulator, seed=8)
         for trace in traces:
             assert_traces_equal(
                 trace, reference.collect(None, num_packets=40, label="")
             )
 
     def test_validation(self, links):
-        simulator = ChannelSimulator(links[0], seed=1)
+        simulator = ChannelSimulator(links[0])
         collector = PacketCollector(simulator, seed=2)
         cleans = simulator.clean_cfr_batch([None, None])
         with pytest.raises(ValueError, match="windows, antennas"):
@@ -135,7 +135,7 @@ class TestSanitizeTraces:
         out = []
         for n, (count, link) in enumerate(zip(packets, links)):
             collector = PacketCollector(
-                ChannelSimulator(link, seed=20 + n), seed=40 + n
+                ChannelSimulator(link), seed=40 + n
             )
             out.append(collector.collect_empty(num_packets=count, label=f"t{n}"))
         return out
@@ -163,7 +163,7 @@ class TestSanitizeTraces:
 # --------------------------------------------------------------------------- #
 class TestSharedScoring:
     def _data(self, link, *, windows=4, seed=60):
-        collector = PacketCollector(ChannelSimulator(link, seed=seed), seed=seed + 1)
+        collector = PacketCollector(ChannelSimulator(link), seed=seed + 1)
         calibration = collector.collect_empty(num_packets=40)
         human = HumanBody(position=link.midpoint())
         traces = [
@@ -270,7 +270,7 @@ class TestMixedGridBatchScoring:
         windows = {}
         for n, link in enumerate(pair):
             collector = PacketCollector(
-                ChannelSimulator(link, seed=90 + n), seed=95 + n
+                ChannelSimulator(link), seed=95 + n
             )
             calibration = collector.collect_empty(num_packets=24)
             window = collector.collect(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.channel import Point
+from repro.channel import HumanBody, ImpairmentModel, Point
 from repro.channel.noise import ImpairmentStreams
 from repro.csi import (
     CSIFrame,
@@ -190,6 +190,19 @@ class TestPacketCollector:
         with pytest.raises(ValueError):
             PacketCollector(simulator).collect_empty(num_packets=0)
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, True])
+    def test_non_finite_packet_rate_rejected(self, simulator, rate):
+        # NaN used to stamp NaN timestamps and inf all zeros.
+        with pytest.raises(ValueError, match="packet_rate_hz must be a finite number"):
+            PacketCollector(simulator, packet_rate_hz=rate)
+
+    @pytest.mark.parametrize("count", [2.7, 3.0, True, "3"])
+    def test_non_integer_packet_count_rejected(self, simulator, count):
+        # 2.7 used to be truncated into a 2-packet window.
+        cleans = simulator.clean_cfr_batch([None])
+        with pytest.raises(ValueError, match="packet count must be an integer"):
+            PacketCollector(simulator, seed=1).collect_batch(cleans, [count])
+
     def test_certain_loss_rejected_at_construction(self, simulator):
         # Regression: loss_probability=1.0 used to spin forever inside
         # collect(); it is now rejected before any capture can start.
@@ -233,16 +246,18 @@ class TestPacketCollector:
         assert np.allclose(trace.timestamps, ping_slots * interval)
         assert len(np.unique(ping_slots)) == trace.num_packets
 
-    def test_collect_walk_without_loss_matches_trajectory_sampling(self, link):
-        # With loss disabled the walk is bit-identical to sampling the
-        # trajectory directly with the same stream (the historical behaviour).
-        from repro.channel import ChannelSimulator
-
+    def test_collect_walk_without_loss_matches_trajectory_sampling(self, simulator):
+        # With loss disabled the walk impairs one packet per position, in
+        # position order, on the streams the collector derives from its seed.
         positions = [Point(3.0, 1.0 + 0.5 * i) for i in range(6)]
-        sim = ChannelSimulator(link, seed=77)
-        walker = PacketCollector(sim, seed=5)
-        trace = walker.collect_walk(positions)
-        reference = sim.sample_trajectory(positions, seed=np.random.default_rng(5))
+        trace = PacketCollector(simulator, seed=5).collect_walk(positions)
+        scenes = [HumanBody(position=position) for position in positions]
+        reference = ImpairmentModel().apply(
+            simulator.clean_cfr_batch(scenes),
+            np.arange(len(positions)),
+            simulator.subcarrier_indices,
+            ImpairmentStreams.derive(5),
+        )
         assert np.array_equal(trace.csi, reference)
         assert trace.num_packets == len(positions)
 

@@ -137,7 +137,7 @@ class TestMultipathFactorBatch:
         )
 
     def test_collected_trace_parity(self, simulator):
-        collector = PacketCollector(simulator, rng=np.random.default_rng(123))
+        collector = PacketCollector(simulator, seed=123)
         trace = collector.collect(
             HumanBody(position=Point(4.0, 3.2)), num_packets=20
         )

@@ -16,6 +16,7 @@ from repro.core.multipath_factor import (
     multipath_factor_trace,
 )
 from repro.core.subcarrier_weighting import SubcarrierWeighting
+from repro.csi import PacketCollector
 
 
 def _los_only_cfr() -> np.ndarray:
@@ -142,12 +143,12 @@ class TestTemporalStatistics:
 
 
 class TestPhysicalBehaviour:
-    def test_human_presence_changes_factors(self, clean_simulator, human):
-        empty = multipath_factor_batch(clean_simulator.clean_cfr(None))
-        occupied = multipath_factor_batch(clean_simulator.clean_cfr(human))
+    def test_human_presence_changes_factors(self, simulator, human):
+        empty = multipath_factor_batch(simulator.clean_cfr(None))
+        occupied = multipath_factor_batch(simulator.clean_cfr(human))
         assert not np.allclose(empty, occupied)
 
     def test_measurable_from_single_noisy_packet(self, simulator):
-        packet = simulator.sample_packet(None, seed=11)
+        packet = PacketCollector(simulator, seed=11).collect(None, num_packets=1).csi[0]
         factors = multipath_factor_batch(packet)
         assert np.all(np.isfinite(factors)) and np.all(factors > 0)

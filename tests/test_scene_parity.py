@@ -15,6 +15,8 @@ numbers.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -80,7 +82,6 @@ def random_scene(seed: int) -> tuple[ChannelSimulator, list[list[HumanBody]]]:
         link,
         propagation=PropagationModel(path_loss_exponent=float(rng.uniform(1.8, 3.0))),
         max_bounces=int(rng.integers(0, 3)),
-        seed=seed,
     )
 
     def random_body() -> HumanBody:
@@ -296,7 +297,7 @@ def reference_sanitize_frame(frame):
     slope, offset = np.polyfit(indices, phase, 1)
     correction = slope * indices + offset
     sanitized = csi * np.exp(-1j * correction)[None, :]
-    return frame.with_csi(sanitized)
+    return dataclasses.replace(frame, csi=sanitized)
 
 
 def reference_sanitize_trace(trace):
@@ -316,7 +317,7 @@ def assert_sanitized_close(got: np.ndarray, reference: np.ndarray) -> None:
 @pytest.fixture(scope="module")
 def noisy_trace() -> CSITrace:
     simulator, scenes = random_scene(7)
-    collector = PacketCollector(simulator, rng=np.random.default_rng(70))
+    collector = PacketCollector(simulator, seed=70)
     return collector.collect(scenes[0], num_packets=40, label="parity")
 
 

@@ -696,6 +696,56 @@ class TestSweepCli:
         assert captured.out == ""
         assert SweepStore(store).records() == []
 
+    @pytest.mark.parametrize(
+        "base, axes",
+        [
+            ({"backend": "nope"}, [{"field": "seed", "values": [1]}]),
+            ({}, [{"field": "backend", "values": ["exact", "nope"]}]),
+        ],
+        ids=["base-config", "backend-axis"],
+    )
+    def test_unknown_backend_exits_2_before_any_point(self, tmp_path, capsys, base, axes):
+        # Both used to start the sweep and die with a traceback; the axis
+        # spec stored its "exact" point first.
+        from repro.cli import main
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps({"name": "probe", "base": {**tiny_base().to_dict(), **base},
+                        "axes": axes, "cases": ["case-1"]})
+        )
+        store = tmp_path / "store.jsonl"
+        assert main(["sweep", "run", "--spec", str(spec), "--store", str(store)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: unknown backend 'nope'; registered backends: ['exact', 'fast']\n"
+        )
+        assert captured.out == ""
+        assert not store.exists()
+
+    def test_backend_flag_sets_the_base_config_backend(self, tmp_path, capsys):
+        from repro.cli import main
+
+        def spec_file(name: str, base: EvaluationConfig) -> str:
+            path = tmp_path / f"{name}.json"
+            path.write_text(
+                SweepSpec(
+                    name="flag", base=base, axes=(SweepAxis("seed", (1,)),),
+                    cases=("case-1",),
+                ).to_json()
+            )
+            return str(path)
+
+        flagged = tmp_path / "flag.jsonl"
+        in_base = tmp_path / "base.jsonl"
+        assert main(["sweep", "run", "--spec", spec_file("exact", tiny_base()),
+                     "--store", str(flagged), "--backend", "fast"]) == 0
+        assert main(["sweep", "run", "--spec", spec_file("fast", tiny_base(backend="fast")),
+                     "--store", str(in_base)]) == 0
+        capsys.readouterr()
+        assert flagged.read_bytes() == in_base.read_bytes()
+        assert json.loads(flagged.read_bytes())["result"]["config"]["backend"] == "fast"
+
 
 class TestApiSurface:
     def test_sweep_names_reachable_through_repro_api(self):

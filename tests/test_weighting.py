@@ -8,12 +8,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.aoa.bartlett import BartlettEstimator
 from repro.backend import use_backend
+from repro.channel import ImpairmentModel
 from repro.channel.antenna import UniformLinearArray
 from repro.core.detector import SubcarrierPathWeightingDetector
 from repro.core.multipath_factor import multipath_factor_trace
 from repro.core.path_weighting import PATH_WEIGHT_FLOOR, path_weights
 from repro.core.subcarrier_weighting import SubcarrierWeighting
-from repro.csi import CSITrace
+from repro.csi import CSITrace, PacketCollector
 
 
 class TestSubcarrierWeighting:
@@ -59,10 +60,15 @@ class TestSubcarrierWeighting:
         weights = SubcarrierWeighting().stacked_weights(np.zeros((2, 4, 1, 30), dtype=complex))
         assert np.array_equal(weights, np.full((2, 1, 30), 1.0 / 30))
 
-    def test_sensitive_subcarriers_weighted_up(self, clean_simulator, human):
+    def test_sensitive_subcarriers_weighted_up(self, simulator, human):
         """Weights concentrate on the subcarriers whose dB change is largest."""
-        burst_empty = clean_simulator.sample_burst(None, num_packets=10, seed=1)
-        burst_human = clean_simulator.sample_burst(human, num_packets=10, seed=2)
+        noiseless = ImpairmentModel().noiseless()
+        burst_empty = PacketCollector(simulator, impairments=noiseless, seed=1).collect(
+            None, num_packets=10
+        ).csi
+        burst_human = PacketCollector(simulator, impairments=noiseless, seed=2).collect(
+            human, num_packets=10
+        ).csi
         trace = CSITrace(csi=burst_human)
         weights = SubcarrierWeighting(use_stability_ratio=False).weights_from_trace(trace)
         delta = 10 * np.log10(

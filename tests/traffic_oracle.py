@@ -4,8 +4,7 @@
 a link's windows read, shares clean CFRs across links of one geometry and
 draws each link's seed word once.  This oracle does none of that: it derives
 every stream from a fresh generator of the link seed, gives the link its own
-simulator (seeded from the link's independent ``"channel"`` stream), and
-acquires the calibration capture and the *whole* pool through three plain
+simulator, and acquires the calibration capture and the *whole* pool through three plain
 :meth:`~repro.csi.collector.PacketCollector.collect` calls.  Its
 ``pool_csi`` is the full cycle, so the fleet's acquired frames must be its
 prefix, and sequential ``push`` over it is the reference event stream.
@@ -20,7 +19,6 @@ import numpy as np
 from repro.api.config import PipelineConfig
 from repro.channel.channel import ChannelSimulator, Link
 from repro.channel.human import HumanBody
-from repro.channel.propagation import PropagationModel
 from repro.csi.trace import CSITrace
 from repro.experiments.scenarios import human_grid
 from repro.fleet.traffic import (
@@ -61,11 +59,7 @@ def full_pool_traffic(
         case_name=getattr(link, "name", "") or "",
     )
     arrivals = poisson_arrival_times(stream("arrivals"), profile.packet_rate_hz, duration_s)
-    simulator = ChannelSimulator(
-        link,
-        propagation=PropagationModel(tx_power=link.tx_power),
-        seed=int(stream("channel").integers(0, 2**31 - 1)),
-    )
+    simulator = ChannelSimulator(link)
     collector = pipeline.collector(simulator, rng=stream("collector"))
     calibration = collector.collect(
         None, num_packets=pipeline.calibration_packets, label=f"{profile.name}/calibration"
