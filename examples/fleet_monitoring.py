@@ -49,9 +49,11 @@ def main() -> None:
     )
     report = run_fleet(config)
     print(f"fleet of {report.links} links, class census {report.per_class}")
+    # A link whose arrivals fill no window never scores, so set-up gives it
+    # no capture, session or calibration; its arrivals still count.
     print(
         f"arrivals={report.arrivals} windows={report.windows_scored} "
-        f"detected={report.detected}"
+        f"detected={report.detected} idle_links={report.idle_links}"
     )
     print(
         f"throughput {report.windows_per_sec:.0f} windows/s, "

@@ -35,6 +35,7 @@ import numpy as np
 from repro.core.detector import Detector
 from repro.csi.format import CSIFrame
 from repro.csi.trace import CSITrace
+from repro.utils.validation import check_finite_real, check_integer
 
 from repro.api.config import THRESHOLD_POLICIES
 
@@ -145,10 +146,12 @@ class StreamingSession:
             raise TypeError(
                 f"detector must be a repro.core.Detector, got {type(detector).__name__}"
             )
-        if window_packets < 1:
+        if check_integer("window_packets", window_packets) < 1:
             raise ValueError(f"window_packets must be >= 1, got {window_packets}")
-        if window_stride is not None and window_stride < 1:
+        if window_stride is not None and check_integer("window_stride", window_stride) < 1:
             raise ValueError(f"window_stride must be >= 1, got {window_stride}")
+        if threshold is not None:
+            check_finite_real("threshold", threshold)
         if threshold_policy not in THRESHOLD_POLICIES:
             raise ValueError(
                 f"threshold_policy must be one of {THRESHOLD_POLICIES}, "
@@ -156,9 +159,9 @@ class StreamingSession:
             )
         if threshold_policy == "fixed" and threshold is None:
             raise ValueError('threshold_policy "fixed" requires an explicit threshold')
-        if threshold_margin <= 0:
+        if check_finite_real("threshold_margin", threshold_margin) <= 0:
             raise ValueError(f"threshold_margin must be > 0, got {threshold_margin}")
-        if event_history is not None and event_history < 1:
+        if event_history is not None and check_integer("event_history", event_history) < 1:
             raise ValueError(f"event_history must be >= 1 or None, got {event_history}")
         self.detector = detector
         self.window_packets = window_packets

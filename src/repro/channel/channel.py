@@ -39,7 +39,7 @@ from repro.channel.propagation import PropagationModel
 from repro.channel.rays import Path, RayTracer, assign_angles_of_arrival
 from repro.channel.scene import PathBundle
 from repro.backend import active_backend
-from repro.utils.validation import check_finite_real, check_positive
+from repro.utils.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class Link:
     def __post_init__(self) -> None:
         if self.tx.distance_to(self.rx) < 1e-6:
             raise ValueError("transmitter and receiver cannot coincide")
-        check_positive("tx_power", check_finite_real("tx_power", self.tx_power))
+        check_positive("tx_power", self.tx_power)
         if self.array is None:
             default_array = UniformLinearArray(reference=self.rx).oriented_towards(self.tx)
             object.__setattr__(self, "array", default_array)

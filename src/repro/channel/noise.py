@@ -62,7 +62,7 @@ class ImpairmentModel:
     cfo_phase:
         When True, a common random phase (uniform over ``[0, 2pi)``) is
         applied to the whole packet, identical across antennas driven by the
-        same oscillator.
+        same oscillator.  A boolean; any other value is rejected.
     sfo_slope_std:
         Standard deviation (radians per subcarrier index) of the random
         linear phase slope from SFO / packet detection delay; finite and
@@ -72,7 +72,8 @@ class ImpairmentModel:
         automatic gain control; finite and >= 0, where 0 switches it off.
     antenna_phase_offsets:
         When True, each antenna receives an additional small fixed-per-packet
-        phase offset, modelling imperfect RF-chain phase alignment.
+        phase offset, modelling imperfect RF-chain phase alignment.  A
+        boolean, like :attr:`cfo_phase`.
     """
 
     snr_db: float = 30.0
@@ -85,7 +86,10 @@ class ImpairmentModel:
         if self.snr_db != np.inf:
             check_finite_real("snr_db", self.snr_db)
         for name in ("sfo_slope_std", "agc_std_db"):
-            check_positive(name, check_finite_real(name, getattr(self, name)), strict=False)
+            check_positive(name, getattr(self, name), strict=False)
+        for name in ("cfo_phase", "antenna_phase_offsets"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
 
     def apply(
         self,

@@ -33,12 +33,7 @@ from repro.channel.human import HumanBody
 from repro.channel.noise import ImpairmentModel, ImpairmentStreams
 from repro.csi.trace import CSITrace
 from repro.utils.rng import SeedLike, child_rng, draw_word, ensure_rng
-from repro.utils.validation import (
-    check_finite_real,
-    check_integer,
-    check_positive,
-    check_probability,
-)
+from repro.utils.validation import check_integer, check_positive, check_probability
 
 #: Consecutive lost pings after which collection aborts.  With the validated
 #: ``loss_probability < 1`` this is astronomically unlikely to trigger for any
@@ -80,9 +75,7 @@ class PacketCollector:
     seed: SeedLike = None
 
     def __post_init__(self) -> None:
-        check_positive(
-            "packet_rate_hz", check_finite_real("packet_rate_hz", self.packet_rate_hz)
-        )
+        check_positive("packet_rate_hz", self.packet_rate_hz)
         check_probability(
             "loss_probability",
             self.loss_probability,

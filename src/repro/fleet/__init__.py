@@ -8,7 +8,8 @@ supplies that layer on top of :mod:`repro.api`:
   heterogeneous (``normal`` / ``busy`` / ``abusive``) link population; every
   link's streams derive from the fleet seed and its index alone, so any
   subset rebuilds byte-identically on any worker, and set-up acquires only
-  the pool frames a link's windows read.
+  the pool frames a link's windows read (nothing, and no calibration, for a
+  link that completes no window).
 * :mod:`repro.fleet.scheduler` — a window scheduler that plans every
   link's windows from its arrival times (each link's
   :class:`~repro.api.session.StreamingSession` supplies the window rule),

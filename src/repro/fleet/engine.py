@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -229,13 +230,16 @@ class FleetReport:
     is deterministic — byte-identical for any worker count and batch size.
     The throughput/latency numbers are wall-clock measurements of this run;
     an event's latency is the wall time of its scheduler flush, from
-    gathering the flush's windows to emitting its events.
+    gathering the flush's windows to emitting its events.  ``arrivals`` and
+    ``per_class`` count every link; ``idle_links`` is how many of them
+    completed no window, and so were neither acquired nor calibrated.
     """
 
     links: int
     workers: int
     arrivals: int
     windows_scored: int
+    idle_links: int
     detected: int
     per_class: dict[str, int]
     events: tuple[DetectionEvent, ...]
@@ -259,6 +263,7 @@ class FleetReport:
             "workers": self.workers,
             "arrivals": self.arrivals,
             "windows_scored": self.windows_scored,
+            "idle_links": self.idle_links,
             "events": len(self.events),
             "detected": self.detected,
             "per_class": dict(self.per_class),
@@ -301,6 +306,7 @@ _ShardResult = tuple[
     int,
     float,
     dict[str, int],
+    int,
 ]
 
 
@@ -329,12 +335,16 @@ def _build_shard_traffic(config: FleetConfig, indices: Sequence[int]) -> list[Li
 
 def _setup_streams(
     config: FleetConfig, indices: Sequence[int]
-) -> tuple[list[tuple[StreamingSession, LinkTraffic]], dict[str, int]]:
-    """Build the (calibrated session, traffic) streams of one shard.
+) -> tuple[list[tuple[StreamingSession, LinkTraffic]], list[LinkTraffic]]:
+    """Build one shard's traffic and the (calibrated session, traffic)
+    streams of the links that score.
 
     Traffic comes from :func:`~repro.fleet.traffic.build_fleet_traffic`
-    (geometry-shared clean CFRs, one acquisition call per link of the frames
-    it reads).  Every session is calibrated in one shard-wide
+    (geometry-shared clean CFRs, one acquisition call per scoring link of
+    the frames it reads).  A link whose arrivals complete no window is idle:
+    its traffic holds no calibration capture and it gets no session, since
+    nothing it could compute reaches an event.  Every other session is
+    calibrated in one shard-wide
     :func:`~repro.api.monitor.calibrate_sessions` pass: one sanitisation of
     all calibration traces, one stacked calibration call per chunk of links
     that share a kernel (links on geometries that differ only in array
@@ -343,40 +353,43 @@ def _setup_streams(
     """
     links = _shard_links(indices)
     traffics = _build_shard_traffic(config, indices)
-    streams: list[tuple[StreamingSession, LinkTraffic]] = []
-    census: dict[str, int] = {}
-    for link, traffic in zip(links, traffics):
-        session = config.pipeline.session(link, link_name=traffic.profile.name)
-        census[traffic.profile.rate_class] = (
-            census.get(traffic.profile.rate_class, 0) + 1
-        )
-        streams.append((session, traffic))
+    streams = [
+        (config.pipeline.session(link, link_name=traffic.profile.name), traffic)
+        for link, traffic in zip(links, traffics)
+        if traffic.calibration is not None
+    ]
     calibrate_sessions([(session, traffic.calibration) for session, traffic in streams])
-    return streams, census
+    return streams, traffics
 
 
 def _run_fleet_shard(config: FleetConfig, indices: Sequence[int]) -> _ShardResult:
     """Build and run one shard of the link population.
 
     Returns ``(events, latencies, arrivals, windows, schedule_elapsed_s,
-    class_census)``.  Everything a shard needs is rebuilt from the config
+    class_census, idle_links)``; the arrivals and the census count every
+    link, idle or not.  Everything a shard needs is rebuilt from the config
     and its link indices, so shards are independent of each other and of
     the process they run in.  Each shard activates the fleet backend itself
     for the same reason.
     """
     with use_backend(config.backend):
         with obs.span("fleet.shard_setup"):
-            streams, census = _setup_streams(config, indices)
+            streams, traffics = _setup_streams(config, indices)
         scheduler = FleetScheduler(batch_windows=config.batch_windows)
         with obs.span("fleet.schedule"):
             events, stats = scheduler.run(streams)
+    arrivals = sum(traffic.num_arrivals for traffic in traffics)
+    idle_links = len(traffics) - len(streams)
+    obs.count("fleet.arrivals", arrivals)
+    obs.count("fleet.idle_links", idle_links)
     return (
         events,
         stats.latencies_s,
-        stats.arrivals,
+        arrivals,
         stats.windows,
         stats.elapsed_s,
-        census,
+        dict(Counter(traffic.profile.rate_class for traffic in traffics)),
+        idle_links,
     )
 
 
@@ -407,6 +420,7 @@ def run_fleet(config: FleetConfig) -> FleetReport:
     latencies: list[float] = []
     arrivals = 0
     windows = 0
+    idle_links = 0
     elapsed_s = 0.0
     per_class: dict[str, int] = {name: 0 for name in RATE_CLASSES}
     for shard in shard_results:
@@ -417,11 +431,13 @@ def run_fleet(config: FleetConfig) -> FleetReport:
             shard_windows,
             shard_elapsed,
             census,
+            shard_idle,
         ) = shard
         events.extend(shard_events)
         latencies.extend(shard_latencies)
         arrivals += shard_arrivals
         windows += shard_windows
+        idle_links += shard_idle
         # Shards run concurrently; the slowest scheduling loop bounds the
         # fleet's streaming throughput.
         elapsed_s = max(elapsed_s, shard_elapsed)
@@ -437,6 +453,7 @@ def run_fleet(config: FleetConfig) -> FleetReport:
         workers=len(shards),
         arrivals=arrivals,
         windows_scored=windows,
+        idle_links=idle_links,
         detected=sum(1 for event in events if event.detected),
         per_class=per_class,
         events=tuple(events),

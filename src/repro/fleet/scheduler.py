@@ -9,7 +9,9 @@ time, link position) and scores them in flushes of ``batch_windows`` through
 the shared batch scorer (:func:`repro.api.monitor.score_windows_batch`).
 Set-up acquires only the pool frames these windows read, and a window
 gathers them through :meth:`~repro.fleet.traffic.LinkTraffic.arrival_csi`
-(:class:`IndexError` for a frame its traffic did not acquire).
+(:class:`IndexError` for a frame its traffic did not acquire).  The fleet
+engine hands it only the links that complete a window: set-up gives an idle
+link no session, so its checks never see one.
 
 A window's score depends only on its detector's calibration and its packets
 (:func:`repro.api.monitor.score_windows`), and every event field is
@@ -31,6 +33,7 @@ from repro import obs
 from repro.api.monitor import score_windows_batch
 from repro.api.session import DetectionEvent, StreamingSession
 from repro.csi.trace import CSITrace
+from repro.utils.validation import check_integer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fleet.traffic import LinkTraffic
@@ -43,7 +46,7 @@ class ScheduleStats:
     Attributes
     ----------
     arrivals:
-        Packets consumed across all links.
+        Packets consumed across the scheduled links.
     windows:
         Monitoring windows completed and scored.
     elapsed_s:
@@ -91,7 +94,7 @@ class FleetScheduler:
     """
 
     def __init__(self, *, batch_windows: int = 32) -> None:
-        if batch_windows < 1:
+        if check_integer("batch_windows", batch_windows) < 1:
             raise ValueError(f"batch_windows must be >= 1, got {batch_windows}")
         self.batch_windows = batch_windows
 
@@ -154,11 +157,9 @@ class FleetScheduler:
             latencies.extend([latency] * len(flushed))
             events.extend(flushed)
         elapsed = clock.now() - started_at
-        arrivals = sum(traffic.num_arrivals for _, traffic in streams)
-        obs.count("fleet.arrivals", arrivals)
         obs.count("fleet.windows", len(events))
         return events, ScheduleStats(
-            arrivals=arrivals,
+            arrivals=sum(traffic.num_arrivals for _, traffic in streams),
             windows=len(events),
             elapsed_s=elapsed,
             latencies_s=tuple(latencies),

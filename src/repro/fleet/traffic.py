@@ -19,7 +19,9 @@ link alternates idle and occupied bursts.
 
 Set-up does only the work the run reads: a link's arrivals are drawn before
 its CSI, so only the pool frames its complete windows read are acquired
-(:class:`LinkTraffic` holds that prefix of the cycle).
+(:class:`LinkTraffic` holds that prefix of the cycle), and a link whose
+arrivals complete no window is idle: it gets no collector, calibration
+capture or pool frames.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 from repro import obs
 from repro.api.session import window_starts
 from repro.channel.channel import ChannelSimulator
+from repro.channel.constants import INTEL5300_SUBCARRIER_INDICES
 from repro.channel.human import HumanBody
 from repro.csi.trace import CSITrace
 from repro.experiments.scenarios import human_grid
@@ -139,6 +142,9 @@ class LinkTraffic:
     Arrival ``i`` reports pool frame ``i % pool_cycle`` (an idle burst, then
     an occupied one); the traffic holds the prefix of that cycle its windows
     read, and :meth:`arrival_csi` is the one lookup from arrivals to frames.
+    A link whose arrivals complete no window reads no frame and never
+    scores, so it holds neither frames nor a calibration capture: its
+    :attr:`calibration` is ``None`` exactly when it holds no frames.
 
     Parameters
     ----------
@@ -148,7 +154,8 @@ class LinkTraffic:
         Non-decreasing packet arrival times in seconds (so a link's windows
         complete in order).
     calibration:
-        Empty-environment capture used to calibrate the link's session.
+        Empty-environment capture used to calibrate the link's session;
+        ``None`` for a link that completes no window (and holds no frames).
     pool_csi:
         Finite complex ``(frames, antennas, subcarriers)`` array of the
         acquired pool frames ``0 … frames - 1`` (none for a link that
@@ -165,7 +172,7 @@ class LinkTraffic:
         self,
         profile: LinkProfile,
         arrivals: np.ndarray,
-        calibration: CSITrace,
+        calibration: CSITrace | None,
         pool_csi: np.ndarray,
         pool_occupied: np.ndarray,
         subcarrier_indices: tuple[int, ...],
@@ -186,6 +193,11 @@ class LinkTraffic:
         if pool_occupied.shape != (frames,):
             raise ValueError(
                 f"pool_occupied has shape {pool_occupied.shape}, expected ({frames},)"
+            )
+        if (calibration is None) != (frames == 0):
+            raise ValueError(
+                "calibration must be None exactly when no pool frames are held "
+                f"(a link that completes no window), got {frames} frames"
             )
         self.profile = profile
         self.arrivals = np.asarray(arrivals, dtype=float)
@@ -233,24 +245,27 @@ def build_fleet_traffic(
 
     Each stream of a link (class, arrivals, collector) is
     ``derive_rng(ensure_rng(derive_link_seed(seed, link_index)), key)``, so
-    a link is byte-identical whichever worker builds it; the streams share
-    one parent state, so its word is drawn once per link.
+    a link is byte-identical whichever worker builds it and whichever other
+    links are built; the streams share one parent state, so its word is
+    drawn once per link.  Three phases:
 
-    * Clean CFRs (one empty, one occupied scene) are synthesised once per
-      *geometry*, in one
-      :meth:`~repro.channel.channel.ChannelSimulator.clean_cfr_batch` call.
-      The simulator holds no random state, so links of one geometry share
-      it; every draw is from a link's own collector streams.
-    * A link's arrivals are drawn before its CSI, so its complete windows
-      are planned first, by the session's rule
+    * Plan: a link's arrivals are drawn before its CSI, so its complete
+      windows are planned first, by the session's rule
       (:func:`~repro.api.session.window_starts`).  Arrival ``i`` reports
-      pool frame ``i % pool_packets``, so only frames ``0 …
-      min(pool_packets, last window end) - 1`` are acquired, after the
-      calibration capture, in one
-      :meth:`~repro.csi.collector.PacketCollector.collect_batch` call.
-      Every impairment quantity and loss gap is drawn per packet, in packet
-      order, on its own stream, so they are the bytes a full-pool
-      acquisition gives those frames.
+      pool frame ``i % pool_packets``, so the link reads frames ``0 …
+      min(pool_packets, last window end) - 1``.  A link that plans no window
+      is idle: it reads nothing and never scores, so it keeps its profile
+      and arrivals and gets no collector, capture or frames.
+    * Synthesise: clean CFRs (one empty, one occupied scene) once per
+      *geometry* a scoring link uses, in one
+      :meth:`~repro.channel.channel.ChannelSimulator.clean_cfr_batch` call
+      each.  The simulator holds no random state, so links of one geometry
+      share it; every draw is from a link's own collector streams.
+    * Acquire: the calibration capture, then the frames the windows read, in
+      one :meth:`~repro.csi.collector.PacketCollector.collect_batch` call
+      per scoring link.  Every impairment quantity and loss gap is drawn per
+      packet, in packet order, on its own stream, so they are the bytes a
+      full-pool acquisition gives those frames.
 
     *links* holds the geometry of each entry of *indices*, aligned
     one-to-one (entries may repeat — they are deduplicated by identity).
@@ -262,20 +277,8 @@ def build_fleet_traffic(
     empty_packets = pool_packets - occupied_packets
     classes = rate_class_table(class_mix)
 
-    # One (simulator, [empty, occupied] cleans) per distinct geometry.
-    cache: dict[int, tuple[ChannelSimulator, np.ndarray]] = {}
-    with obs.span("collect.batch_synthesize"):
-        for link in links:
-            if id(link) in cache:
-                continue
-            simulator = ChannelSimulator(link)
-            grid = human_grid(link)
-            human = HumanBody(position=grid[len(grid) // 2])
-            cache[id(link)] = (simulator, simulator.clean_cfr_batch([None, [human]]))
-
-    traffics: list[LinkTraffic] = []
+    plans: list[tuple[LinkProfile, np.ndarray, int, int]] = []
     for link_index, link in zip(indices, links):
-        simulator, cleans = cache[id(link)]
         with obs.span("collect.plan"):
             link_word = draw_word(ensure_rng(derive_link_seed(seed, link_index)))
             rate_class = assign_rate_class(child_rng(link_word, "class"), classes)
@@ -289,30 +292,59 @@ def build_fleet_traffic(
             arrivals = poisson_arrival_times(
                 child_rng(link_word, "arrivals"), profile.packet_rate_hz, duration_s
             )
-            # Only the pool frames the link's complete windows read.
             starts = window_starts(arrivals.size, pipeline.window_packets, pipeline.window_stride)
             frames = min(pool_packets, starts[-1] + pipeline.window_packets) if starts.size else 0
-            empty = min(empty_packets, frames)
-            window_cleans = [cleans[0]]
-            counts = [pipeline.calibration_packets]
-            labels = [f"{profile.name}/calibration"]
-            for clean, count in ((cleans[0], empty), (cleans[1], frames - empty)):
-                if count:
-                    window_cleans.append(clean)
-                    counts.append(count)
-                    labels.append("")
+            plans.append((profile, arrivals, link_word, frames))
+
+    # One (simulator, [empty, occupied] cleans) per geometry a scoring link uses.
+    cache: dict[int, tuple[ChannelSimulator, np.ndarray]] = {}
+    with obs.span("collect.batch_synthesize"):
+        for link, (_, _, _, frames) in zip(links, plans):
+            if not frames or id(link) in cache:
+                continue
+            simulator = ChannelSimulator(link)
+            grid = human_grid(link)
+            human = HumanBody(position=grid[len(grid) // 2])
+            cache[id(link)] = (simulator, simulator.clean_cfr_batch([None, [human]]))
+
+    traffics: list[LinkTraffic] = []
+    for link, (profile, arrivals, link_word, frames) in zip(links, plans):
+        if not frames:
+            traffics.append(
+                LinkTraffic(
+                    profile=profile,
+                    arrivals=arrivals,
+                    calibration=None,
+                    pool_csi=np.empty(
+                        (0, link.array.num_elements, len(INTEL5300_SUBCARRIER_INDICES)),
+                        dtype=complex,
+                    ),
+                    pool_occupied=np.zeros(0, dtype=bool),
+                    subcarrier_indices=INTEL5300_SUBCARRIER_INDICES,
+                    pool_cycle=pool_packets,
+                )
+            )
+            continue
+        simulator, cleans = cache[id(link)]
+        empty = min(empty_packets, frames)
+        window_cleans = [cleans[0]]
+        counts = [pipeline.calibration_packets]
+        for clean, count in ((cleans[0], empty), (cleans[1], frames - empty)):
+            if count:
+                window_cleans.append(clean)
+                counts.append(count)
         collector = pipeline.collector(simulator, rng=child_rng(link_word, "collector"))
         calibration, *pools = collector.collect_batch(
-            np.stack(window_cleans), counts, labels=labels
+            np.stack(window_cleans),
+            counts,
+            labels=[f"{profile.name}/calibration"] + [""] * (len(counts) - 1),
         )
         traffics.append(
             LinkTraffic(
                 profile=profile,
                 arrivals=arrivals,
                 calibration=calibration,
-                pool_csi=np.concatenate(
-                    [calibration.csi[:0], *(trace.csi for trace in pools)]
-                ),
+                pool_csi=np.concatenate([trace.csi for trace in pools]),
                 pool_occupied=np.arange(frames) >= empty_packets,
                 subcarrier_indices=calibration.subcarrier_indices,
                 pool_cycle=pool_packets,

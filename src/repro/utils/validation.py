@@ -58,9 +58,14 @@ def check_finite_real(name: str, value: Any) -> float:
     return float(value)
 
 
-def check_positive(name: str, value: float, *, strict: bool = True) -> float:
-    """Ensure a scalar is positive (or non-negative when ``strict=False``)."""
-    value = float(value)
+def check_positive(name: str, value: Any, *, strict: bool = True) -> float:
+    """*value* as a float, if it is a finite, non-boolean number that is
+    positive (or non-negative when ``strict=False``).
+
+    NaN fails every comparison, so a bare ``value <= 0`` check would pass it
+    (and infinity) through to a model that then computes NaN or zeros.
+    """
+    value = check_finite_real(name, value)
     if strict and value <= 0:
         raise ValueError(f"{name} must be > 0, got {value}")
     if not strict and value < 0:

@@ -204,11 +204,16 @@ class TestImpairmentModel:
             ("agc_std_db", np.nan, "agc_std_db must be a finite number"),
             ("sfo_slope_std", -0.05, "sfo_slope_std must be >= 0"),
             ("sfo_slope_std", np.inf, "sfo_slope_std must be a finite number"),
+            ("cfo_phase", "no", "cfo_phase must be true or false"),
+            ("cfo_phase", 0, "cfo_phase must be true or false"),
+            ("antenna_phase_offsets", 0.5, "antenna_phase_offsets must be true or false"),
+            ("antenna_phase_offsets", "no", "antenna_phase_offsets must be true or false"),
         ],
     )
     def test_misread_values_rejected(self, field, value, message):
-        # Each used to switch its impairment off silently; an infinite slope
-        # spread yielded NaN CSI.  snr_db=inf stays the noiseless switch.
+        # Each used to switch its impairment off silently, or (a truthy
+        # "no" or 0.5) keep it on; an infinite slope spread yielded NaN CSI.
+        # snr_db=inf stays the noiseless switch.
         with pytest.raises(ValueError, match=message):
             ImpairmentModel(**{field: value})
 

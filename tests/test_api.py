@@ -588,6 +588,30 @@ class TestStreamingSession:
         with pytest.raises(ValueError):
             StreamingSession(detector, threshold_policy="fixed")
 
+    @pytest.mark.parametrize(
+        "name, value, extra",
+        [
+            ("threshold_margin", float("nan"), {}),
+            ("threshold_margin", float("inf"), {}),
+            ("threshold_margin", True, {}),
+            ("threshold", float("nan"), {"threshold_policy": "fixed"}),
+            ("threshold", float("-inf"), {"threshold_policy": "fixed"}),
+            ("threshold", float("nan"), {}),
+            ("window_packets", True, {}),
+            ("window_packets", 2.0, {}),
+            ("window_stride", 1.5, {}),
+            ("window_stride", False, {}),
+            ("event_history", 2.5, {}),
+        ],
+    )
+    def test_values_the_pipeline_config_rejects_are_rejected(self, name, value, extra):
+        """A session built directly checks its numbers as PipelineConfig
+        does: a NaN margin or threshold would calibrate and then never
+        detect, and a fractional or boolean size would run silently."""
+        with pytest.raises(ValueError, match=f"^{name} must be") as excinfo:
+            StreamingSession(BaselineDetector(), **{name: value}, **extra)
+        assert "\n" not in str(excinfo.value)
+
     def test_non_detector_rejected_at_construction(self):
         """A stand-in detector fails with one line when the session is built,
         not with an ``AttributeError`` at its first ``advance``."""

@@ -372,13 +372,17 @@ FLEET_TRAFFIC_KW = dict(
 
 def assert_pool_prefix_matches(traffic, expected, pipeline, pool_packets):
     """*traffic* equals the full-pool *expected* up to the pool frames its
-    windows read, which are exactly ``0 … min(pool, last window end) - 1``."""
+    windows read, which are exactly ``0 … min(pool, last window end) - 1``;
+    a link that plans no window holds no calibration capture."""
     assert traffic.profile == expected.profile
     assert np.array_equal(traffic.arrivals, expected.arrivals)
-    assert_traces_equal(traffic.calibration, expected.calibration)
     starts = window_starts(
         traffic.num_arrivals, pipeline.window_packets, pipeline.window_stride
     )
+    if starts.size:
+        assert_traces_equal(traffic.calibration, expected.calibration)
+    else:
+        assert traffic.calibration is None
     last_end = int(starts[-1]) + pipeline.window_packets if starts.size else 0
     frames = traffic.pool_csi.shape[0]
     assert frames == min(pool_packets, last_end)
@@ -398,6 +402,7 @@ class TestFleetTrafficParity:
         geometry = [links[i % len(links)] for i in indices]
         batched = build_fleet_traffic(indices, geometry, pipeline=pipeline, **kw)
         assert any(traffic.pool_csi.shape[0] for traffic in batched)
+        assert any(traffic.calibration is None for traffic in batched)
         for index, link, traffic in zip(indices, geometry, batched):
             expected = full_pool_traffic(index, link, pipeline=pipeline, **kw)
             assert_pool_prefix_matches(traffic, expected, pipeline, kw["pool_packets"])

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import obs
 from repro.api import PipelineConfig
 from repro.backend import use_backend
 from repro.csi.format import CSIFrame
@@ -34,6 +35,7 @@ from repro.fleet import (
     run_fleet,
 )
 from repro.fleet.traffic import build_fleet_traffic
+from repro.obs import ManualClock, Recorder
 from repro.utils.rng import ensure_rng
 from tests.pins import COMBINED_FLEET_EVENT_SHA256
 from tests.traffic_oracle import full_pool_traffic
@@ -297,12 +299,15 @@ class TestPoolCycle:
     """``LinkTraffic`` holds a prefix of its pool's cycle; ``arrival_csi``
     maps arrival ``i`` to frame ``i % pool_cycle``."""
 
-    def traffic(self, frames: int, cycle) -> LinkTraffic:
+    def traffic(self, frames: int, cycle, *, calibrated: bool | None = None) -> LinkTraffic:
+        """The oracle's first *frames* frames; calibrated exactly when it
+        holds frames, unless *calibrated* says otherwise."""
         oracle = oracle_traffic(small_fleet(pool_packets=6), 3)
+        calibrated = frames > 0 if calibrated is None else calibrated
         return LinkTraffic(
             oracle.profile,
             oracle.arrivals,
-            oracle.calibration,
+            oracle.calibration if calibrated else None,
             oracle.pool_csi[:frames],
             oracle.pool_occupied[:frames],
             oracle.subcarrier_indices,
@@ -327,9 +332,15 @@ class TestPoolCycle:
     def test_zero_frames_keep_their_cycle(self):
         empty = self.traffic(0, 6)
         assert empty.pool_csi.shape[0] == 0 and empty.pool_cycle == 6
+        assert empty.calibration is None
         assert "frames=0/6" in repr(empty)
         with pytest.raises(IndexError):
             empty.arrival_csi(0)
+
+    @pytest.mark.parametrize("frames, calibrated", [(0, True), (4, False)])
+    def test_calibration_held_exactly_with_frames(self, frames, calibrated):
+        with pytest.raises(ValueError, match="calibration must be None exactly"):
+            self.traffic(frames, 6, calibrated=calibrated)
 
     @pytest.mark.parametrize("frames, cycle", [(4, 3), (0, 0), (4, True), (4, 6.0), (4, None)])
     def test_bad_cycle_rejected(self, frames, cycle):
@@ -343,6 +354,7 @@ class TestPoolCycle:
         short = [t for t in traffics if t.num_arrivals < window]
         assert short and len(short) < len(traffics)
         for traffic in short:
+            assert traffic.calibration is None
             assert traffic.pool_csi.shape == (0, 3, 30)
             assert traffic.pool_occupied.shape == (0,)
             assert traffic.pool_cycle == config.pool_packets
@@ -374,10 +386,11 @@ def test_fleet_acquires_the_full_pool_prefix_its_windows_read(
     backend,
     seed,
 ):
-    """Each link holds pool frames ``0 … min(pool, last window end) - 1``,
-    byte-equal to the full-pool oracle's prefix; every frame a planned
-    window reads is there; the fleet's events are the sequential push
-    replayed on the full pool."""
+    """Each link that plans a window holds the oracle's calibration capture
+    and pool frames ``0 … min(pool, last window end) - 1``, byte-equal to
+    the full-pool oracle's; every frame a planned window reads is there; a
+    link that plans none holds no capture and no frames; the fleet's events
+    are the sequential push replayed on the full pool."""
     config = small_fleet(
         links=3,
         seed=seed,
@@ -401,14 +414,17 @@ def test_fleet_acquires_the_full_pool_prefix_its_windows_read(
     for traffic, oracle, reference in zip(traffics, oracles, references):
         assert traffic.profile == oracle.profile
         assert traffic.arrivals.tobytes() == oracle.arrivals.tobytes()
-        assert traffic.calibration.csi.tobytes() == oracle.calibration.csi.tobytes()
-        assert (
-            traffic.calibration.timestamps.tobytes()
-            == oracle.calibration.timestamps.tobytes()
-        )
-        assert traffic.calibration.label == oracle.calibration.label
         session = config.pipeline.session(cases[traffic.profile.index % len(cases)][1])
         starts = session.window_starts(traffic.num_arrivals)
+        if starts.size:
+            assert traffic.calibration.csi.tobytes() == oracle.calibration.csi.tobytes()
+            assert (
+                traffic.calibration.timestamps.tobytes()
+                == oracle.calibration.timestamps.tobytes()
+            )
+            assert traffic.calibration.label == oracle.calibration.label
+        else:
+            assert traffic.calibration is None and reference == []
         last_end = int(starts[-1]) + window_packets if starts.size else 0
         frames = traffic.pool_csi.shape[0]
         assert frames == min(pool_packets, last_end)
@@ -423,6 +439,8 @@ def test_fleet_acquires_the_full_pool_prefix_its_windows_read(
             )
         events = [event for event in report.events if event.link == traffic.profile.name]
         assert events == reference
+    assert report.idle_links == sum(traffic.calibration is None for traffic in traffics)
+    assert report.arrivals == sum(traffic.num_arrivals for traffic in traffics)
 
 
 # --------------------------------------------------------------------------- #
@@ -431,10 +449,13 @@ def test_fleet_acquires_the_full_pool_prefix_its_windows_read(
 class TestSchedulerParity:
     def fleet_streams(self, config):
         """Calibrated sessions over the fleet builder's traffic (only the
-        frames the windows read); the reference replays the oracle's."""
+        frames the windows read) of the links that complete a window, as the
+        engine builds them; the reference replays the oracle's."""
         cases = evaluation_cases()
         streams = []
         for index, traffic in enumerate(fleet_traffic(config, range(config.links))):
+            if traffic.calibration is None:
+                continue
             _, link = cases[index % len(cases)]
             session = config.pipeline.session(link, link_name=traffic.profile.name)
             session.calibrate(traffic.calibration)
@@ -533,16 +554,28 @@ class TestSchedulerParity:
         self.assert_matches_sequential_push(config, events)
 
     def test_short_links_emit_nothing_but_count_their_arrivals(self):
+        # A link too short for a window gets no stream; the fleet still
+        # counts its arrivals and its class.
         config = small_fleet(duration_s=1.5)
-        streams = self.fleet_streams(config)
+        traffics = fleet_traffic(config, range(config.links))
         window = config.pipeline.window_packets
-        counts = [traffic.num_arrivals for _, traffic in streams]
-        assert min(counts) < window <= max(counts)
+        short = {t.profile.name for t in traffics if t.num_arrivals < window}
+        assert short and len(short) < len(traffics)
+        streams = self.fleet_streams(config)
+        assert {t.profile.name for _, t in streams} == (
+            {t.profile.name for t in traffics} - short
+        )
         events, stats = FleetScheduler(batch_windows=4).run(streams)
-        assert stats.arrivals == sum(counts)
-        short = {t.profile.name for _, t in streams if t.num_arrivals < window}
+        assert stats.arrivals == sum(t.num_arrivals for _, t in streams)
         assert not short & {event.link for event in events}
         self.assert_matches_sequential_push(config, events)
+        report = run_fleet(config)
+        assert report.idle_links == len(short)
+        assert report.arrivals == sum(t.num_arrivals for t in traffics)
+        assert sum(report.per_class.values()) == config.links
+        assert list(report.events) == sorted(
+            events, key=lambda e: (e.timestamp, e.link, e.index)
+        )
 
     def test_scheduler_requires_calibrated_sessions(self):
         config = small_fleet(links=1)
@@ -555,6 +588,11 @@ class TestSchedulerParity:
         FleetScheduler().run(streams)
         with pytest.raises(ValueError, match="first packet"):
             FleetScheduler().run(streams)
+
+    @pytest.mark.parametrize("batch_windows", [2.5, True, float("nan"), "4"])
+    def test_scheduler_rejects_non_integer_batch(self, batch_windows):
+        with pytest.raises(ValueError, match="batch_windows"):
+            FleetScheduler(batch_windows=batch_windows)
 
     def test_scheduler_rejects_bad_batch_and_sessions(self):
         with pytest.raises(ValueError, match="batch_windows"):
@@ -647,6 +685,47 @@ class TestRunFleet:
         full = report.to_dict(include_events=True)
         assert len(full["event_stream"]) == len(report.events)
         json.dumps(full)
+
+
+# --------------------------------------------------------------------------- #
+# idle links: no window, so no acquisition, session or calibration
+# --------------------------------------------------------------------------- #
+class TestIdleLinks:
+    def test_fleet_too_short_for_any_window_impairs_nothing(self):
+        config = small_fleet(duration_s=0.2)
+        traffics = fleet_traffic(config, range(config.links))
+        assert all(t.num_arrivals < config.pipeline.window_packets for t in traffics)
+        with obs.recording(Recorder(clock=ManualClock())) as recorder:
+            report = run_fleet(config)
+        assert report.events == () and report.windows_scored == 0
+        assert report.idle_links == config.links
+        assert report.arrivals == sum(t.num_arrivals for t in traffics) > 0
+        # The class census does not depend on the traffic duration.
+        assert report.per_class == run_fleet(small_fleet(duration_s=20.0)).per_class
+        counters = recorder.snapshot().metrics.counters
+        assert counters.get("collect.packets", 0) == 0
+        assert counters["fleet.idle_links"] == config.links
+        assert counters["fleet.arrivals"] == report.arrivals
+        assert report.to_dict()["idle_links"] == config.links
+
+    def test_fleet_where_every_link_scores_has_no_idle_links(self):
+        config = small_fleet(duration_s=20.0)
+        report = run_fleet(config)
+        assert report.idle_links == 0
+        assert {event.link for event in report.events} == {
+            f"link-{index:05d}" for index in range(config.links)
+        }
+
+    def test_idle_links_do_not_depend_on_the_worker_count(self):
+        config = small_fleet(links=40, duration_s=2.0)
+        sequential = run_fleet(config)
+        sharded = run_fleet(config.replace(max_workers=2))
+        assert 0 < sequential.idle_links < config.links
+        assert sharded.workers == 2
+        assert sharded.idle_links == sequential.idle_links
+        assert sharded.event_digest() == sequential.event_digest()
+        assert sharded.arrivals == sequential.arrivals
+        assert sharded.per_class == sequential.per_class
 
 
 # --------------------------------------------------------------------------- #

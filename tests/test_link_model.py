@@ -46,6 +46,11 @@ class TestMultipathFactor:
         with pytest.raises(ValueError):
             OneBounceLinkModel(gamma=0.0, phi=0.0)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_gamma_must_be_finite(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be a finite number"):
+            OneBounceLinkModel(gamma=gamma, phi=0.0)
+
     @given(gammas, phases)
     def test_factor_positive(self, gamma, phi):
         assert OneBounceLinkModel(gamma=gamma, phi=phi).multipath_factor() > 0

@@ -131,6 +131,26 @@ class TestPropagationModel:
         with pytest.raises(ValueError):
             PropagationModel().amplitude(3.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tx_power", np.nan),
+            ("tx_power", np.inf),
+            ("tx_gain", np.nan),
+            ("rx_gain", -np.inf),
+            ("path_loss_exponent", np.nan),
+            ("path_loss_exponent", np.inf),
+            ("reference_distance", np.nan),
+            ("reference_distance", np.inf),
+            ("tx_power", True),
+        ],
+    )
+    def test_non_finite_and_boolean_parameters_rejected(self, field, value):
+        # NaN passes a bare ``<= 0`` check; these used to synthesise NaN
+        # (or, for an infinite exponent, all-zero) CFRs without an error.
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+            PropagationModel(**{field: value})
+
     def test_received_power_db_monotone_in_distance(self):
         model = PropagationModel()
         assert model.received_power_db(2.0, CHANNEL_11_CENTER_HZ) > model.received_power_db(

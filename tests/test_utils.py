@@ -167,6 +167,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_positive("x", -1.0, strict=False)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True, "2"])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_check_positive_rejects_non_finite_and_boolean(self, value, strict):
+        with pytest.raises(ValueError, match="x must be a finite number"):
+            check_positive("x", value, strict=strict)
+
     def test_check_probability(self):
         assert check_probability("p", 0.5) == 0.5
         for bad in (-0.1, 1.1):
