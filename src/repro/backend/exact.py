@@ -12,6 +12,12 @@ rounded per IEEE-754 and therefore identical between NumPy and Python
 scalars; only these functions need the exact route.  The cost is a
 Python-level call per element, which is fine for the small arrays these
 appear in (person-to-segment offsets, per-scene angles, per-row tap powers).
+Callers skip the elements whose result no libm error can change: the
+shadowing matrix (``HumanBody.shadow_attenuation_batch``) calls ``hypot``
+and ``gauss`` only for offsets under 6.5 sigma, because past it
+``depth * exp(-r**2) < 2**-54`` and the profile rounds to exactly 1.0 (the
+largest offset measured to give less than 1.0 is 6.1116 sigma; see
+``repro.channel.human.SHADOW_CUT_SIGMAS``).
 
 DET001 (the determinism lint's libm-routing rule) is scoped to this module:
 a bare NumPy transcendental here would silently break the sha256 pins, so

@@ -29,8 +29,8 @@ from repro.channel.constants import (
 from repro.channel.geometry import (
     Point,
     Room,
-    paired_segment_point_distances,
     points_as_array,
+    segment_point_deltas,
     signed_angles_to_reference,
 )
 from repro.channel.human import HumanBody, attenuation_profile
@@ -381,10 +381,8 @@ class ChannelSimulator:
                 )
                 p_j = positions[u_j[mask]]
                 p_k = positions[u_k]
-                tx_stack = np.broadcast_to(tx_row, p_j.shape)
-                rx_stack = np.broadcast_to(rx_row, p_j.shape)
-                off_first = paired_segment_point_distances(tx_stack, p_j, p_k)
-                off_second = paired_segment_point_distances(p_j, rx_stack, p_k)
+                off_first = active_backend().hypot(*segment_point_deltas(tx_row, p_j, p_k))
+                off_second = active_backend().hypot(*segment_point_deltas(p_j, rx_row, p_k))
                 attenuation = np.minimum(
                     attenuation_profile(off_first, sigma[u_k], depth[u_k]),
                     attenuation_profile(off_second, sigma[u_k], depth[u_k]),

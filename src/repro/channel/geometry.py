@@ -271,92 +271,50 @@ def points_as_array(points: Sequence[Point]) -> np.ndarray:
     return np.array([[p.x, p.y] for p in points], dtype=float)
 
 
-def segment_point_distances(
+def segment_point_deltas(
     starts: np.ndarray, ends: np.ndarray, points: np.ndarray
-) -> np.ndarray:
-    """Distances from every point to every segment, vectorised.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets ``(dx, dy)`` from points to their nearest points on segments.
 
-    Bit-identical batch form of :meth:`Segment.distance_to_point`: the same
-    clamp-projection arithmetic evaluated over a stack of segments, with the
-    final Euclidean norm routed through the active backend's ``hypot``
-    (``math.hypot`` per element in ``exact`` mode) so each entry matches the
-    scalar ``math.hypot`` call exactly.
+    The batch form of :meth:`Segment.distance_to_point`: the same
+    clamp-projection arithmetic, evaluated with NumPy broadcasting over
+    stacks of segments and points.  ``hypot(dx, dy)`` (through the active
+    backend's ``hypot``) is bit-identical to the scalar distance; a
+    zero-length segment clamps to its start, as the scalar method does.
 
     Parameters
     ----------
-    starts, ends:
-        Segment endpoints, shape ``(num_segments, 2)``.
-    points:
-        Query points, shape ``(num_points, 2)``.
+    starts, ends, points:
+        Arrays of shape ``(..., 2)``, broadcast against each other: rows
+        aligned for one distance per row, or ``starts[None]`` against
+        ``points[:, None]`` for every point against every segment.
 
     Returns
     -------
-    numpy.ndarray
-        Distance matrix of shape ``(num_points, num_segments)``.
+    tuple of numpy.ndarray
+        ``dx`` and ``dy``, each of the broadcast shape without the last axis.
     """
     starts = np.asarray(starts, dtype=float)
     ends = np.asarray(ends, dtype=float)
     points = np.asarray(points, dtype=float)
-    if starts.ndim != 2 or starts.shape[1] != 2 or starts.shape != ends.shape:
-        raise ValueError(
-            f"starts/ends must both have shape (num_segments, 2), "
-            f"got {starts.shape} and {ends.shape}"
-        )
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ValueError(f"points must have shape (num_points, 2), got {points.shape}")
-    direction = ends - starts  # (S, 2)
-    length_sq = direction[:, 0] * direction[:, 0] + direction[:, 1] * direction[:, 1]
+    for name, array in (("starts", starts), ("ends", ends), ("points", points)):
+        if array.ndim == 0 or array.shape[-1] != 2:
+            raise ValueError(f"{name} must have shape (..., 2), got {array.shape}")
+    direction_x = ends[..., 0] - starts[..., 0]
+    direction_y = ends[..., 1] - starts[..., 1]
+    length_sq = direction_x * direction_x + direction_y * direction_y
     degenerate = length_sq < 1e-24
     safe_length_sq = np.where(degenerate, 1.0, length_sq)
-    rel_x = points[:, None, 0] - starts[None, :, 0]  # (N, S)
-    rel_y = points[:, None, 1] - starts[None, :, 1]
-    t = (rel_x * direction[None, :, 0] + rel_y * direction[None, :, 1]) / safe_length_sq
-    t = np.clip(t, 0.0, 1.0)
-    closest_x = starts[None, :, 0] + direction[None, :, 0] * t
-    closest_y = starts[None, :, 1] + direction[None, :, 1] * t
-    distances = active_backend().hypot(closest_x - points[:, None, 0], closest_y - points[:, None, 1])
+    rel_x = points[..., 0] - starts[..., 0]
+    rel_y = points[..., 1] - starts[..., 1]
+    t = np.clip((rel_x * direction_x + rel_y * direction_y) / safe_length_sq, 0.0, 1.0)
     if np.any(degenerate):
-        start_dist = active_backend().hypot(
-            starts[None, :, 0] - points[:, None, 0], starts[None, :, 1] - points[:, None, 1]
-        )
-        distances = np.where(degenerate[None, :], start_dist, distances)
-    return distances
-
-
-def paired_segment_point_distances(
-    starts: np.ndarray, ends: np.ndarray, points: np.ndarray
-) -> np.ndarray:
-    """Row-aligned variant of :func:`segment_point_distances`.
-
-    Computes the distance from ``points[i]`` to the segment
-    ``starts[i] → ends[i]`` (one distance per row rather than the full
-    cross product), with the same bit-identical arithmetic.
-    """
-    starts = np.asarray(starts, dtype=float)
-    ends = np.asarray(ends, dtype=float)
-    points = np.asarray(points, dtype=float)
-    if not (starts.shape == ends.shape == points.shape) or starts.ndim != 2:
-        raise ValueError(
-            f"starts/ends/points must share shape (N, 2), got "
-            f"{starts.shape}, {ends.shape}, {points.shape}"
-        )
-    direction = ends - starts
-    length_sq = direction[:, 0] * direction[:, 0] + direction[:, 1] * direction[:, 1]
-    degenerate = length_sq < 1e-24
-    safe_length_sq = np.where(degenerate, 1.0, length_sq)
-    rel_x = points[:, 0] - starts[:, 0]
-    rel_y = points[:, 1] - starts[:, 1]
-    t = (rel_x * direction[:, 0] + rel_y * direction[:, 1]) / safe_length_sq
-    t = np.clip(t, 0.0, 1.0)
-    closest_x = starts[:, 0] + direction[:, 0] * t
-    closest_y = starts[:, 1] + direction[:, 1] * t
-    distances = active_backend().hypot(closest_x - points[:, 0], closest_y - points[:, 1])
-    if np.any(degenerate):
-        start_dist = active_backend().hypot(
-            starts[:, 0] - points[:, 0], starts[:, 1] - points[:, 1]
-        )
-        distances = np.where(degenerate, start_dist, distances)
-    return distances
+        # A finite direction times 0.0 is a signed zero, so the closest
+        # point is the start exactly.
+        t = np.where(degenerate, 0.0, t)
+    dx = starts[..., 0] + direction_x * t - points[..., 0]
+    dy = starts[..., 1] + direction_y * t - points[..., 1]
+    return dx, dy
 
 
 def signed_angles_to_reference(vectors: np.ndarray, reference: Point) -> np.ndarray:

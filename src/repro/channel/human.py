@@ -27,11 +27,23 @@ import numpy as np
 
 from repro.backend import active_backend
 from repro.channel.constants import center_wavelength
-from repro.channel.geometry import Point, Segment, segment_point_distances
+from repro.channel.geometry import Point, Segment, segment_point_deltas
 from repro.channel.rays import Path
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.channel.scene import PathBundle
+
+
+#: Normalised offset ``r = offset / sigma`` from which the shadowing profile
+#: is exactly 1.0.  ``HumanBody`` bounds ``depth`` to (0, 1), so for
+#: ``r >= 6.5`` the term ``depth * exp(-r**2) < exp(-42.25) ~ 4.5e-19`` is far
+#: below ``2**-54``, and ``1 - x`` for ``0 <= x <= 2**-54`` rounds to 1.0 under
+#: round-to-nearest, whatever ulp error libm's ``exp`` has.  Measured on both
+#: backends, the largest ``r`` with a profile below 1.0 is 6.1116 over 400k
+#: uniform ``(r, depth)`` samples and 6.11800 in a scan at depth ``1 - 2**-53``:
+#: the bound is ``sqrt(54 ln 2) ~ 6.1180``, where ``exp(-r**2)`` reaches
+#: ``2**-54``.
+SHADOW_CUT_SIGMAS = 6.5
 
 
 def attenuation_profile(
@@ -39,12 +51,15 @@ def attenuation_profile(
 ) -> np.ndarray:
     """Vectorised shadowing profile ``1 - depth * exp(-(offset/sigma)^2)``.
 
-    Broadcasting form of :meth:`HumanBody.attenuation_for_offset` used when
-    the bodies in a batch carry different parameters (*sigma* / *depth* may
-    be arrays broadcast against *offsets*).  The Gaussian core is the active
-    backend's fused ``gauss`` kernel (libm-exact in ``exact`` mode, so every
-    element is bit-identical to the scalar method; a SIMD ``exp`` in
-    ``fast``).
+    Broadcasting form of :meth:`HumanBody.attenuation_for_offset` (*sigma* /
+    *depth* may be arrays broadcast against *offsets*).  The Gaussian core
+    is the active backend's fused ``gauss`` kernel (libm-exact in ``exact``
+    mode, so every element is bit-identical to the scalar method; a SIMD
+    ``exp`` in ``fast``).  Every element with ``offset / sigma`` at or past
+    :data:`SHADOW_CUT_SIGMAS` is exactly 1.0, since ``depth * exp(-r**2)`` is
+    then below ``2**-54``; the largest ``r`` measured to give less than 1.0
+    is 6.1116 (6.1180 at the ``sqrt(54 ln 2)`` bound).
+    :meth:`HumanBody.shadow_attenuation_batch` skips the kernels there.
     """
     offsets = np.asarray(offsets, dtype=float)
     if np.any(offsets < 0):
@@ -123,16 +138,6 @@ class HumanBody:
         depth = 1.0 - self.min_attenuation
         return 1.0 - depth * math.exp(-((offset / sigma) ** 2))
 
-    def attenuation_for_offsets(self, offsets: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`attenuation_for_offset` over an offset array.
-
-        Returns an array of the same shape as *offsets*; every element is
-        bit-identical to the scalar method applied to that offset.
-        """
-        return attenuation_profile(
-            offsets, self.shadow_sigma(), 1.0 - self.min_attenuation
-        )
-
     def shadow_attenuation_batch(
         self, bundle: "PathBundle", positions: np.ndarray | None = None
     ) -> np.ndarray:
@@ -157,6 +162,19 @@ class HumanBody:
         numpy.ndarray
             Attenuations of shape ``(num_positions, bundle.num_paths)``,
             bit-identical to ``shadow_attenuation`` per (position, path).
+
+        Notes
+        -----
+        Most (position, segment) pairs lie past the shadowing region, where
+        the profile is exactly 1.0 (:data:`SHADOW_CUT_SIGMAS`: from ``r =
+        6.5`` the term it subtracts is below ``2**-54``; the largest ``r``
+        measured to give less than 1.0 is 6.1116, bounded by ``sqrt(54 ln 2)
+        ~ 6.1180``).  A pair is far when ``dx*dx + dy*dy >= (6.5 sigma)**2``:
+        correctly rounded products and sum put its distance within a few ulp
+        of ``6.5 sigma`` or past it, so far pairs get 1.0 with no ``hypot`` or
+        ``gauss`` call and the rest get the full profile.  The test is
+        ``~(bound >= cut)``, so NaN offsets take the full path and stay NaN;
+        an offset whose square overflows is far (1.0) on both backends.
         """
         if positions is None:
             positions = np.array([[self.position.x, self.position.y]], dtype=float)
@@ -167,10 +185,17 @@ class HumanBody:
             )
         if bundle.num_paths == 0:
             return np.ones((positions.shape[0], 0), dtype=float)
-        offsets = segment_point_distances(
-            bundle.segment_starts, bundle.segment_ends, positions
+        dx, dy = segment_point_deltas(
+            bundle.segment_starts[None], bundle.segment_ends[None], positions[:, None]
         )
-        per_segment = self.attenuation_for_offsets(offsets)
+        sigma = self.shadow_sigma()
+        cut = SHADOW_CUT_SIGMAS * sigma
+        near = ~(dx * dx + dy * dy >= cut * cut)
+        per_segment = np.ones(dx.shape, dtype=float)
+        if near.any():
+            per_segment[near] = attenuation_profile(
+                active_backend().hypot(dx[near], dy[near]), sigma, 1.0 - self.min_attenuation
+            )
         # Deepest shadow over each path's (contiguous) segment block; the
         # scalar loop's min() starts at 1.0, which every per-segment value
         # is already bounded by.

@@ -74,14 +74,17 @@ def check_positive(name: str, value: Any, *, strict: bool = True) -> float:
 
 
 def check_probability(
-    name: str, value: float, *, exclusive_upper: bool = False, reason: str = ""
+    name: str, value: Any, *, exclusive_upper: bool = False, reason: str = ""
 ) -> float:
-    """Ensure a scalar lies in ``[0, 1]`` (or ``[0, 1)`` with *exclusive_upper*).
+    """*value* as a float, if it is a non-boolean number in ``[0, 1]`` (or
+    ``[0, 1)`` with *exclusive_upper*).
 
     *reason* is appended to the error for invariants whose bound needs a
     domain explanation (e.g. why a loss probability of 1 can never work).
+    A quoted number or ``true`` fails here, not as a ``TypeError`` mid-run
+    or as a silent 1.0.
     """
-    value = float(value)
+    value = check_finite_real(name, value)
     upper_ok = value < 1.0 if exclusive_upper else value <= 1.0
     if not (0.0 <= value and upper_ok):
         bound = "[0, 1)" if exclusive_upper else "[0, 1]"

@@ -287,6 +287,8 @@ class TestPipelineConfig:
             {"theta_max_deg": float("inf")},
             {"sanitize": "no"},
             {"use_stability_ratio": 1},
+            {"loss_probability": "0.1"},
+            {"loss_probability": False},
         ],
     )
     def test_mistyped_and_non_finite_values_rejected(self, changes):
@@ -857,6 +859,7 @@ class TestCliPipeline:
             # Gates that hold no angle of the estimator's grid.
             {"theta_min_deg": 10.2, "theta_max_deg": 10.8},
             {"theta_min_deg": -100, "theta_max_deg": -95},
+            {"loss_probability": "0.1"},
         ],
     )
     def test_pipeline_config_mistakes_exit_2(self, capsys, tmp_path, config):

@@ -190,6 +190,12 @@ class TestPacketCollector:
         with pytest.raises(ValueError):
             PacketCollector(simulator).collect_empty(num_packets=0)
 
+    @pytest.mark.parametrize("loss", [False, "0.5", np.nan])
+    def test_mistyped_loss_probability_rejected(self, simulator, loss):
+        with pytest.raises(ValueError, match="loss_probability must be a finite number") as info:
+            PacketCollector(simulator, loss_probability=loss)
+        assert "\n" not in str(info.value)
+
     @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, True])
     def test_non_finite_packet_rate_rejected(self, simulator, rate):
         # NaN used to stamp NaN timestamps and inf all zeros.

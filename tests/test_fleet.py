@@ -198,6 +198,8 @@ class TestFleetConfig:
             {"class_rates_hz": {"normal": float("inf"), "busy": 20.0, "abusive": 60.0}},
             {"class_rates_hz": {"normal": float("nan"), "busy": 20.0, "abusive": 60.0}},
             {"class_rates_hz": {"normal": True, "busy": 20.0, "abusive": 60.0}},
+            {"occupied_fraction": "0.5"},
+            {"occupied_fraction": True},
         ],
     )
     def test_non_finite_and_boolean_numbers_rejected(self, changes):
@@ -796,6 +798,21 @@ class TestFleetCli:
         err = capsys.readouterr().err
         assert err.startswith("error: duration_s must be a finite number")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fraction", ['"0.5"', "true"])
+    def test_fleet_run_mistyped_occupied_fraction_is_one_line_exit_2(
+        self, capsys, tmp_path, fraction
+    ):
+        # A quoted fraction used to crash in traffic set-up; true ran as 1.0.
+        config_path = tmp_path / "fleet.json"
+        config_path.write_text(
+            f'{{"links": 8, "duration_s": 2.0, "occupied_fraction": {fraction}}}'
+        )
+        assert self.run_cli(["--config", str(config_path), "fleet", "run"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: occupied_fraction must be a finite number")
+        assert captured.err.count("\n") == 1
 
     def test_fleet_run_nan_class_weight_is_one_line_exit_2(self, capsys, tmp_path):
         config_path = tmp_path / "fleet.json"

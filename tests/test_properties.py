@@ -16,11 +16,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.backend import active_backend, use_backend
 from repro.channel.constants import subcarrier_frequencies
-from repro.channel.geometry import Point
+from repro.channel.geometry import Point, segment_point_deltas
+from repro.channel.human import SHADOW_CUT_SIGMAS, HumanBody, attenuation_profile
 from repro.channel.ofdm import synthesize_cfr
 from repro.channel.propagation import PropagationModel
 from repro.channel.rays import Path
+from repro.channel.scene import PathBundle
 from repro.core.link_model import OneBounceLinkModel
 from repro.core.multipath_factor import exceeds_row_median, multipath_factor_batch
 from repro.core.subcarrier_weighting import SubcarrierWeighting
@@ -213,3 +216,129 @@ class TestKernelByteIdentity:
             np.exp(1j * (slope * np.arange(subcarriers) + rng.normal(size=(rows, subcarriers))))
         )
         assert _unwrap(phases).tobytes() == np.unwrap(phases, axis=-1).tobytes()
+
+
+#: Normalised offsets on and around the shadowing cut and the largest offset
+#: whose profile is below 1.0 (``sqrt(54 ln 2)``).
+_CUT_OFFSETS = (
+    SHADOW_CUT_SIGMAS,
+    math.nextafter(SHADOW_CUT_SIGMAS, 0.0),
+    math.nextafter(SHADOW_CUT_SIGMAS, 40.0),
+    math.sqrt(54.0 * math.log(2.0)),
+    6.1116,
+    0.0,
+)
+
+
+def _uncut_shadow_attenuation(body, bundle, positions):
+    """``shadow_attenuation_batch`` with ``hypot`` and the profile everywhere."""
+    dx, dy = segment_point_deltas(
+        bundle.segment_starts[None], bundle.segment_ends[None], positions[:, None]
+    )
+    per_segment = attenuation_profile(
+        active_backend().hypot(dx, dy), body.shadow_sigma(), 1.0 - body.min_attenuation
+    )
+    return np.minimum.reduceat(per_segment, bundle.segment_offsets[:-1], axis=1)
+
+
+@st.composite
+def _shadow_scenes(draw):
+    """A body, a bundle of polyline paths and positions to evaluate it at.
+
+    Paths may repeat a vertex (a zero-length segment).  Positions mix free
+    points, points on a segment, points at the cut radius from a segment's
+    start and non-finite coordinates.
+    """
+    body = HumanBody(
+        position=Point(0.0, 0.0),
+        radius=draw(st.floats(min_value=0.05, max_value=0.5)),
+        min_attenuation=draw(st.floats(min_value=0.01, max_value=0.99)),
+        shadow_extent_wavelengths=draw(st.floats(min_value=0.5, max_value=10.0)),
+    )
+    coordinate = st.floats(min_value=-30.0, max_value=30.0)
+    vertex = st.builds(Point, coordinate, coordinate)
+    paths = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        vertices = draw(st.lists(vertex, min_size=2, max_size=4))
+        if draw(st.booleans()):
+            vertices.insert(1, vertices[0])
+        paths.append(Path(vertices=tuple(vertices), kind="wall"))
+    bundle = PathBundle.from_paths(paths)
+    cut = SHADOW_CUT_SIGMAS * body.shadow_sigma()
+    starts, ends = bundle.segment_starts, bundle.segment_ends
+    positions = [
+        (draw(coordinate), draw(coordinate)),
+        (0.0, cut),
+        (-cut, 0.0),
+        (math.nan, 1.0),
+        (math.inf, -math.inf),
+        (-math.inf, 2.0),
+    ]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        segment = draw(st.integers(min_value=0, max_value=starts.shape[0] - 1))
+        along = draw(st.floats(min_value=0.0, max_value=1.0))
+        start, end = starts[segment], ends[segment]
+        positions.append(tuple(start + (end - start) * along))
+        positions.append((start[0], start[1] + cut))
+        positions.append((start[0] - cut, start[1]))
+    return body, bundle, np.array(positions, dtype=float)
+
+
+class TestShadowCut:
+    """Shadowing calls ``hypot`` and ``gauss`` only where a byte can change."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.integers(min_value=1, max_value=32),
+            elements=st.one_of(
+                st.floats(min_value=0.0, max_value=40.0),
+                st.floats(min_value=6.0, max_value=7.0),
+                st.sampled_from(_CUT_OFFSETS),
+            ),
+        ),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_cut_profile_matches_full_profile_bit_for_bit(self, r, depth):
+        for name in ("exact", "fast"):
+            with use_backend(name) as backend:
+                full = 1.0 - depth * backend.gauss(r)
+                cut = np.where(r >= SHADOW_CUT_SIGMAS, 1.0, full)
+                assert cut.tobytes() == full.tobytes(), name
+
+    @settings(max_examples=150, deadline=None)
+    @given(_shadow_scenes())
+    def test_shadow_batch_matches_uncut_reference_bit_for_bit(self, scene):
+        body, bundle, positions = scene
+        for name in ("exact", "fast"):
+            with use_backend(name), np.errstate(invalid="ignore", over="ignore"):
+                expected = _uncut_shadow_attenuation(body, bundle, positions)
+                got = body.shadow_attenuation_batch(bundle, positions)
+            assert got.tobytes() == expected.tobytes(), name
+            # A NaN position stays NaN instead of reading as unshadowed (1.0).
+            assert np.isnan(got[3]).all(), name
+
+    @pytest.mark.parametrize("name", ["exact", "fast"])
+    def test_far_body_calls_no_libm_kernel(self, name, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a far body reached a libm kernel")
+
+        body = HumanBody(position=Point(0.0, 0.0))
+        far = SHADOW_CUT_SIGMAS * body.shadow_sigma() * 1.01
+        bundle = PathBundle.from_paths(
+            [
+                Path(vertices=(Point(far, -5.0), Point(far, 5.0)), kind="los"),
+                Path(
+                    vertices=(Point(-far, far), Point(far, 2 * far), Point(far, far)),
+                    kind="wall",
+                ),
+            ]
+        )
+        positions = np.array([[0.0, 0.0], [-0.5, 0.0], [1e200, -1e200]])
+        with use_backend(name) as backend:
+            monkeypatch.setattr(backend, "gauss", refuse)
+            monkeypatch.setattr(backend, "hypot", refuse)
+            with np.errstate(over="ignore"):
+                got = body.shadow_attenuation_batch(bundle, positions)
+        assert np.array_equal(got, np.ones((3, 2)))

@@ -1,6 +1,6 @@
 """Parity of the array-based scene engine against the scalar layer.
 
-The vectorised geometry (:func:`segment_point_distances`), shadowing
+The vectorised geometry (:func:`segment_point_deltas`), shadowing
 (:meth:`HumanBody.shadow_attenuation_batch`) and batched CFR synthesis
 (:meth:`ChannelSimulator.clean_cfr_batch`) are pure optimisations: for any
 scene they must reproduce the scalar reference implementations *to the
@@ -20,18 +20,18 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.backend import active_backend
 from repro.channel.channel import ChannelSimulator, Link
 from repro.channel.geometry import (
     Point,
     Room,
     Segment,
     angle_between,
-    paired_segment_point_distances,
     points_as_array,
-    segment_point_distances,
+    segment_point_deltas,
     signed_angles_to_reference,
 )
-from repro.channel.human import HumanBody
+from repro.channel.human import HumanBody, attenuation_profile
 from repro.channel.ofdm import synthesize_cfr
 from repro.channel.propagation import PropagationModel
 from repro.channel.scene import PathBundle
@@ -115,29 +115,41 @@ SEEDS = [0, 1, 2, 3, 4]
 # --------------------------------------------------------------------------- #
 class TestVectorisedGeometry:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_segment_point_distances_match_scalar(self, seed):
+    def test_segment_point_deltas_cross_product_match_scalar(self, seed):
         rng = np.random.default_rng(100 + seed)
         starts = rng.uniform(-5, 5, size=(12, 2))
         ends = rng.uniform(-5, 5, size=(12, 2))
         ends[3] = starts[3]  # degenerate zero-length segment
         points = rng.uniform(-6, 6, size=(7, 2))
-        got = segment_point_distances(starts, ends, points)
+        dx, dy = segment_point_deltas(starts[None], ends[None], points[:, None])
+        got = active_backend().hypot(dx, dy)
+        assert got.shape == (7, 12)
         for i, (px, py) in enumerate(points):
             for j in range(starts.shape[0]):
                 segment = Segment(Point(*starts[j]), Point(*ends[j]))
                 assert got[i, j] == segment.distance_to_point(Point(px, py))
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_paired_distances_match_scalar(self, seed):
+    def test_segment_point_deltas_row_aligned_match_scalar(self, seed):
         rng = np.random.default_rng(200 + seed)
         starts = rng.uniform(-5, 5, size=(9, 2))
         ends = rng.uniform(-5, 5, size=(9, 2))
         ends[0] = starts[0]
         points = rng.uniform(-6, 6, size=(9, 2))
-        got = paired_segment_point_distances(starts, ends, points)
+        got = active_backend().hypot(*segment_point_deltas(starts, ends, points))
+        # One start broadcast against every row, as the reflection loop uses it.
+        shared = active_backend().hypot(*segment_point_deltas(starts[:1], ends, points))
         for i in range(9):
             segment = Segment(Point(*starts[i]), Point(*ends[i]))
             assert got[i] == segment.distance_to_point(Point(*points[i]))
+            segment = Segment(Point(*starts[0]), Point(*ends[i]))
+            assert shared[i] == segment.distance_to_point(Point(*points[i]))
+
+    def test_segment_point_deltas_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match="points must have shape"):
+            segment_point_deltas(np.zeros((3, 2)), np.ones((3, 2)), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="starts must have shape"):
+            segment_point_deltas(np.float64(0.0), np.ones(2), np.zeros(2))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_signed_angles_match_angle_between(self, seed):
@@ -191,19 +203,20 @@ class TestPathBundle:
 
 class TestShadowingParity:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_attenuation_for_offsets_matches_scalar(self, seed):
+    def test_attenuation_profile_matches_scalar(self, seed):
         rng = np.random.default_rng(400 + seed)
         body = HumanBody(
             position=Point(1.0, 1.0),
             min_attenuation=float(rng.uniform(0.2, 0.9)),
             shadow_extent_wavelengths=float(rng.uniform(2.0, 8.0)),
         )
+        sigma, depth = body.shadow_sigma(), 1.0 - body.min_attenuation
         offsets = rng.uniform(0.0, 4.0, size=64)
-        got = body.attenuation_for_offsets(offsets)
+        got = attenuation_profile(offsets, sigma, depth)
         for offset, value in zip(offsets, got):
             assert value == body.attenuation_for_offset(float(offset))
         with pytest.raises(ValueError):
-            body.attenuation_for_offsets(np.array([-0.1]))
+            attenuation_profile(np.array([-0.1]), sigma, depth)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_shadow_attenuation_batch_matches_scalar(self, seed):

@@ -179,6 +179,12 @@ class TestValidation:
             with pytest.raises(ValueError):
                 check_probability("p", bad)
 
+    @pytest.mark.parametrize("value", ["0.5", True, False, np.nan, np.inf, None])
+    def test_check_probability_rejects_mistyped_and_non_finite(self, value):
+        # float() used to accept a quoted number and turn true into 1.0.
+        with pytest.raises(ValueError, match="p must be a finite number"):
+            check_probability("p", value)
+
     def test_check_finite(self):
         array = np.array([1.0, 2.0])
         assert check_finite("a", array) is not None
