@@ -7,8 +7,9 @@ batched kernels directly — a 1000-packet window through
 ``multipath_factor_trace`` (one stacked IFFT for all 3000 rows), the stacked
 IFFT itself and one subcarrier-weighting window — so a regression in either
 kernel shows up without re-running the whole campaign.  The impairment
-kernel (every quantity of a call drawn at once from per-quantity streams) is
-tracked by ``test_bench_perf_campaign.py``'s 150-packet collector window.
+kernel (one block of normals per packet, drawn for every packet of a call
+at once from the collector's one generator) is tracked by
+``test_bench_perf_campaign.py``'s 150-packet collector window.
 The combined scheme's scoring kernel is timed on a fleet-shaped stack: one
 window from each of 256 calibrated combined sessions, the size of the
 fleet's flushes and calibration replays.
@@ -70,7 +71,7 @@ def test_subcarrier_weighting_window(benchmark):
 #: and calibration bytes do not depend on the traffic duration, so this is
 #: the stack the 2-second fleet of the same seed gave when set-up still
 #: acquired every link's whole pool.
-COMBINED_STACK_SHA256 = "2f8a70b40cac5d287e3d54613f39a636c868b3a0b499532f097de49a1511213c"
+COMBINED_STACK_SHA256 = "9df0b3ad833be5853b348bb78d189d5e96a556c0592b19a2f5a3372d81def148"
 
 
 @pytest.fixture(scope="module")

@@ -274,8 +274,10 @@ class PipelineConfig:
         simulator:
             The channel simulator to sample from.
         rng:
-            Optional shared generator; overrides :attr:`seed` so several
-            pipeline components can draw from one stream.
+            Optional generator; overrides :attr:`seed`.  The collector
+            draws from it as handed over (its loss word first, then every
+            packet's impairments), so a caller that derives one generator
+            per collector, as the fleet does per link, builds no other.
         """
         from repro.csi.collector import PacketCollector
 

@@ -3,8 +3,10 @@
 A :class:`NumericBackend` is the set of elementwise transcendentals whose
 NumPy SIMD kernels diverge from CPython's libm route in the last ulp — the
 one place two implementations are needed.  Everything else (the IFFT, the
-linear-phase fit, the surrounding arithmetic) has one implementation that
-every mode shares.  Two backends ship:
+linear-phase fit, squares, which are multiplies, and the surrounding
+arithmetic) has one implementation that every mode shares.  Seven kernels
+make the protocol: ``exp``, ``hypot``, ``sin``, ``acos``, ``power``,
+``power_elementwise`` and ``cis``.  Two backends ship:
 
 * :class:`repro.backend.exact.ExactBackend` (``"exact"``) calls libm once per
   element, so its output is independent of NumPy's SIMD dispatch; it holds
@@ -69,21 +71,13 @@ class NumericBackend(Protocol):
         """Elementwise ``x ** p`` broadcasting over base and exponent."""
         ...
 
-    def gauss(self, x: np.ndarray) -> np.ndarray:
-        """Elementwise ``exp(-(x ** 2))`` (the shadowing-profile core).
-
-        Fused because the scalar reference squares through libm ``pow`` and
-        exponentiates through libm ``exp``; a backend that split the two
-        NumPy-side would diverge in the last ulp on both steps.
-        """
-        ...
-
     def cis(self, theta: np.ndarray) -> np.ndarray:
         """Elementwise unit phasor ``exp(1j * theta)`` for real *theta*.
 
-        The phase-rotation workhorse of sanitisation and impairment
-        synthesis; ``exact`` takes NumPy's complex ``exp`` (shared by the
-        scalar and batch paths, so there is nothing to pin around), ``fast``
-        assembles ``cos + 1j sin`` directly.
+        The phase-rotation workhorse of sanitisation and of the SFO slope
+        and antenna offsets of impairment synthesis; ``exact`` takes NumPy's
+        complex ``exp`` (shared by the scalar and batch paths, so there is
+        nothing to pin around), ``fast`` assembles ``cos + 1j sin``
+        directly.
         """
         ...

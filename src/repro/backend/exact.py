@@ -11,11 +11,13 @@ surrounding arithmetic (``+ - * /``, ``min``/``max``/``clip``) is correctly
 rounded per IEEE-754 and therefore identical between NumPy and Python
 scalars; only these functions need the exact route.  The cost is a
 Python-level call per element, which is fine for the small arrays these
-appear in (person-to-segment offsets, per-scene angles, per-row tap powers).
+appear in (person-to-segment offsets, per-scene angles, per-packet gains).
+Squares are not kernels: callers multiply, ``x * x``, which is correctly
+rounded and gives inf where libm ``pow`` would raise ``OverflowError``.
 Callers skip the elements whose result no libm error can change: the
 shadowing matrix (``HumanBody.shadow_attenuation_batch``) calls ``hypot``
-and ``gauss`` only for offsets under 6.5 sigma, because past it
-``depth * exp(-r**2) < 2**-54`` and the profile rounds to exactly 1.0 (the
+and ``exp`` only for offsets under 6.5 sigma, because past it
+``depth * exp(-r*r) < 2**-54`` and the profile rounds to exactly 1.0 (the
 largest offset measured to give less than 1.0 is 6.1116 sigma; see
 ``repro.channel.human.SHADOW_CUT_SIGMAS``).
 
@@ -40,9 +42,6 @@ _ACOS = np.frompyfunc(math.acos, 1, 1)
 # strength-reduces small integral exponents to repeated multiplication.
 _POW = np.frompyfunc(lambda x, p: float(x) ** p, 2, 1)
 _POW_ELEMENTWISE = np.frompyfunc(lambda x, p: float(x) ** float(p), 2, 1)
-#: ``math.exp(-(r ** 2))`` fused into one pass, so the batched shadowing
-#: profile reproduces the scalar expression (libm ``pow`` then libm ``exp``).
-_GAUSS = np.frompyfunc(lambda r: math.exp(-(float(r) ** 2)), 1, 1)
 
 
 @register_backend("exact")
@@ -70,9 +69,6 @@ class ExactBackend:
     def power_elementwise(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
         return _POW_ELEMENTWISE(x, p).astype(float)
-
-    def gauss(self, x: np.ndarray) -> np.ndarray:
-        return _GAUSS(np.asarray(x, dtype=float)).astype(float)
 
     def cis(self, theta: np.ndarray) -> np.ndarray:
         # Bit-identical to the historical ``np.exp(1j * theta)`` call sites:

@@ -45,10 +45,6 @@ class FastBackend:
     def power_elementwise(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         return np.power(np.asarray(x, dtype=float), np.asarray(p, dtype=float))
 
-    def gauss(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.exp(-(x * x))
-
     def cis(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         # cos/sin into the real/imag views skips the exp(0) factor (and the

@@ -36,12 +36,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Normalised offset ``r = offset / sigma`` from which the shadowing profile
 #: is exactly 1.0.  ``HumanBody`` bounds ``depth`` to (0, 1), so for
-#: ``r >= 6.5`` the term ``depth * exp(-r**2) < exp(-42.25) ~ 4.5e-19`` is far
+#: ``r >= 6.5`` the term ``depth * exp(-r*r) < exp(-42.25) ~ 4.5e-19`` is far
 #: below ``2**-54``, and ``1 - x`` for ``0 <= x <= 2**-54`` rounds to 1.0 under
 #: round-to-nearest, whatever ulp error libm's ``exp`` has.  Measured on both
 #: backends, the largest ``r`` with a profile below 1.0 is 6.1116 over 400k
 #: uniform ``(r, depth)`` samples and 6.11800 in a scan at depth ``1 - 2**-53``:
-#: the bound is ``sqrt(54 ln 2) ~ 6.1180``, where ``exp(-r**2)`` reaches
+#: the bound is ``sqrt(54 ln 2) ~ 6.1180``, where ``exp(-r*r)`` reaches
 #: ``2**-54``.
 SHADOW_CUT_SIGMAS = 6.5
 
@@ -52,21 +52,21 @@ def attenuation_profile(
     """Vectorised shadowing profile ``1 - depth * exp(-(offset/sigma)^2)``.
 
     Broadcasting form of :meth:`HumanBody.attenuation_for_offset` (*sigma* /
-    *depth* may be arrays broadcast against *offsets*).  The Gaussian core
-    is the active backend's fused ``gauss`` kernel (libm-exact in ``exact``
-    mode, so every element is bit-identical to the scalar method; a SIMD
-    ``exp`` in ``fast``).  Every element with ``offset / sigma`` at or past
-    :data:`SHADOW_CUT_SIGMAS` is exactly 1.0, since ``depth * exp(-r**2)`` is
-    then below ``2**-54``; the largest ``r`` measured to give less than 1.0
-    is 6.1116 (6.1180 at the ``sqrt(54 ln 2)`` bound).
+    *depth* may be arrays broadcast against *offsets*).  ``r = offset /
+    sigma`` is squared by a multiply, which gives inf where the square
+    overflows, and the Gaussian core is the active backend's ``exp``
+    (libm-exact in ``exact`` mode, so every element is bit-identical to the
+    scalar method; a SIMD ``exp`` in ``fast``).  Every element with ``r``
+    at or past :data:`SHADOW_CUT_SIGMAS` is exactly 1.0, since ``depth *
+    exp(-r*r)`` is then below ``2**-54``; the largest ``r`` measured to give
+    less than 1.0 is 6.1116 (6.1180 at the ``sqrt(54 ln 2)`` bound).
     :meth:`HumanBody.shadow_attenuation_batch` skips the kernels there.
     """
     offsets = np.asarray(offsets, dtype=float)
     if np.any(offsets < 0):
         raise ValueError("offsets must be >= 0")
-    return 1.0 - np.asarray(depth, dtype=float) * active_backend().gauss(
-        offsets / np.asarray(sigma, dtype=float)
-    )
+    r = offsets / np.asarray(sigma, dtype=float)
+    return 1.0 - np.asarray(depth, dtype=float) * active_backend().exp(-(r * r))
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,8 @@ class HumanBody:
     Parameters
     ----------
     position:
-        Centre of the body cross-section in metres.
+        Centre of the body cross-section in metres; a NaN or infinite
+        coordinate is rejected.
     radius:
         Effective body radius in metres (torso cross-section, ~0.25 m).
     min_attenuation:
@@ -100,6 +101,8 @@ class HumanBody:
     shadow_extent_wavelengths: float = 5.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.position.x) and math.isfinite(self.position.y)):
+            raise ValueError(f"position must be finite, got {self.position}")
         if self.radius <= 0:
             raise ValueError(f"radius must be > 0, got {self.radius}")
         if not 0.0 < self.min_attenuation < 1.0:
@@ -134,9 +137,9 @@ class HumanBody:
         """
         if offset < 0:
             raise ValueError(f"offset must be >= 0, got {offset}")
-        sigma = self.shadow_sigma()
+        r = offset / self.shadow_sigma()
         depth = 1.0 - self.min_attenuation
-        return 1.0 - depth * math.exp(-((offset / sigma) ** 2))
+        return 1.0 - depth * math.exp(-(r * r))
 
     def shadow_attenuation_batch(
         self, bundle: "PathBundle", positions: np.ndarray | None = None
@@ -172,7 +175,7 @@ class HumanBody:
         ~ 6.1180``).  A pair is far when ``dx*dx + dy*dy >= (6.5 sigma)**2``:
         correctly rounded products and sum put its distance within a few ulp
         of ``6.5 sigma`` or past it, so far pairs get 1.0 with no ``hypot`` or
-        ``gauss`` call and the rest get the full profile.  The test is
+        ``exp`` call and the rest get the full profile.  The test is
         ``~(bound >= cut)``, so NaN offsets take the full path and stay NaN;
         an offset whose square overflows is far (1.0) on both backends.
         """

@@ -8,44 +8,34 @@ control (AGC), and thermal noise.  The paper calibrates the raw CSI "as in
 [26]" (Sen et al.) to remove the phase artefacts; reproducing the impairments
 here lets the calibration stage in :mod:`repro.csi.calibration` do real work.
 
-The impairments are i.i.d. per packet, and every random quantity reads from
-its own generator (:class:`ImpairmentStreams`).  :meth:`ImpairmentModel.apply`
-draws each quantity for all packets of a call at once, in packet order, so
-impairing packets in one call or split over consecutive calls on the same
-streams gives byte-identical results.
+The impairments are i.i.d. per packet.  :meth:`ImpairmentModel.apply` draws
+one fixed block of standard normals per packet, in packet order, from the one
+generator it is handed (:func:`block_size`), and every quantity reads its own
+slots of that block whatever the switches.  A packet's values therefore
+depend only on its position in the capture: impairing packets in one call or
+split over consecutive calls on the same generator gives byte-identical
+results, and switching one impairment off never moves another's values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.backend import active_backend
-from repro.utils.rng import SeedLike, derive_rng, ensure_rng
 from repro.utils.validation import check_finite_real, check_positive
 
 
-@dataclass(frozen=True)
-class ImpairmentStreams:
-    """One independent random stream per impairment quantity.
+def block_size(antennas: int, subcarriers: int) -> int:
+    """Standard normals :meth:`ImpairmentModel.apply` draws per packet.
 
-    Built once per packet collector with :meth:`derive`; each quantity
-    consumes only its own generator, so switching one impairment off or
-    drawing more packets of one kind never shifts the values of another.
+    The block is packet-major and laid out as ``2 * antennas *
+    subcarriers`` noise values ((real, imag) pairs, antenna-major), then 2
+    for the CFO phasor, 1 SFO slope, ``antennas`` antenna offsets and 1 AGC
+    gain.
     """
-
-    phase: np.random.Generator
-    slope: np.random.Generator
-    offsets: np.random.Generator
-    gain: np.random.Generator
-    noise: np.random.Generator
-
-    @classmethod
-    def derive(cls, seed: SeedLike) -> "ImpairmentStreams":
-        """Derive every stream from *seed* (advances a generator by 5 draws)."""
-        rng = ensure_rng(seed)
-        return cls(*(derive_rng(rng, field.name) for field in fields(cls)))
+    return 2 * antennas * subcarriers + antennas + 4
 
 
 @dataclass(frozen=True)
@@ -96,7 +86,7 @@ class ImpairmentModel:
         cleans: np.ndarray,
         candidates: np.ndarray,
         subcarrier_indices: np.ndarray,
-        streams: ImpairmentStreams,
+        rng: np.random.Generator,
     ) -> np.ndarray:
         """Impair one packet per entry of *candidates*.
 
@@ -112,10 +102,11 @@ class ImpairmentModel:
         subcarrier_indices:
             Intel-5300 subcarrier indices (used for the SFO phase slope so it
             is linear in actual frequency offset, not array position).
-        streams:
-            The per-quantity generators to draw from.  Each quantity is drawn
-            for every packet at once, in packet order, so splitting the
-            packets over consecutive calls draws exactly the same values.
+        rng:
+            The generator to draw from: one :func:`block_size` block of
+            standard normals per packet, in packet order, whatever the
+            switches and the candidates' power, so splitting the packets
+            over consecutive calls draws exactly the same values.
 
         Returns
         -------
@@ -144,39 +135,40 @@ class ImpairmentModel:
             )
         backend = active_backend()
         packets = candidates.size
+        noise_end = 2 * antennas * subcarriers
+        block = rng.standard_normal((packets, block_size(antennas, subcarriers)))
         noisy = cleans[candidates]
 
         if self.cfo_phase:
-            phase = streams.phase.uniform(0.0, 2.0 * np.pi, size=packets)
-            noisy *= backend.cis(phase)[:, None, None]
+            # A complex normal over its modulus: its angle is exactly uniform,
+            # and every operation is correctly rounded on any backend.
+            re, im = block[:, noise_end], block[:, noise_end + 1]
+            modulus = np.sqrt(re * re + im * im)
+            phasor = np.empty(packets, dtype=complex)
+            phasor.real = re / modulus
+            phasor.imag = im / modulus
+            noisy *= phasor[:, None, None]
         if self.sfo_slope_std > 0:
-            slope = streams.slope.normal(0.0, self.sfo_slope_std, size=packets)
+            slope = self.sfo_slope_std * block[:, noise_end + 2]
             noisy *= backend.cis(slope[:, None] * indices[None, :])[:, None, :]
         if self.antenna_phase_offsets and antennas > 1:
-            offsets = streams.offsets.normal(0.0, 0.1, size=(packets, antennas))
+            offsets = 0.1 * block[:, noise_end + 3 : noise_end + 3 + antennas]
             noisy *= backend.cis(offsets)[:, :, None]
         if self.agc_std_db > 0:
-            gain_db = streams.gain.normal(0.0, self.agc_std_db, size=packets)
+            gain_db = self.agc_std_db * block[:, noise_end + 3 + antennas]
             noisy *= backend.power_elementwise(10.0, gain_db / 20.0)[:, None, None]
 
         if np.isfinite(self.snr_db):
             # Noise power tracks each candidate's own mean subcarrier power
             # (correctly rounded squares reduced row by row, so its bits never
-            # depend on the other candidates); packets of a zero-power
-            # candidate draw, and receive, no noise.
+            # depend on the other candidates); a zero-power candidate's sigma
+            # is 0, so its packets receive no noise.
             power = cleans.real**2 + cleans.imag**2
             mean_power = power.reshape(power.shape[0], -1).mean(axis=1)
             sigma = np.sqrt(mean_power / (10.0 ** (self.snr_db / 10.0)) / 2.0)
-            noisy_rows = mean_power[candidates] > 0
-            count = int(np.count_nonzero(noisy_rows))
-            if count:
-                # (real, imag) pairs, packet after packet, viewed as complex.
-                noise = streams.noise.standard_normal((count, antennas, subcarriers, 2))
-                noise *= sigma[candidates[noisy_rows], None, None, None]
-                if count == packets:  # a masked add gathers and scatters: ~6x slower
-                    noisy += noise.view(complex)[..., 0]
-                else:
-                    noisy[noisy_rows] += noise.view(complex)[..., 0]
+            # (real, imag) pairs, antenna-major, viewed as complex.
+            noise = block[:, :noise_end] * sigma[candidates, None]
+            noisy += noise.view(complex).reshape(packets, antennas, subcarriers)
         return noisy
 
     def noiseless(self) -> "ImpairmentModel":

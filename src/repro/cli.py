@@ -229,7 +229,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     augmented with the ground-truth occupancy of the window that produced it.
     """
     from repro.channel.channel import ChannelSimulator
-    from repro.utils.rng import ensure_rng
 
     try:
         config = _pipeline_config(args)
@@ -248,12 +247,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         return 2
 
     with use_backend(config.backend):
-        rng = ensure_rng(config.seed)
-        # Unread, but its position fixes the collector's streams.
-        rng.integers(0, 2**31 - 1)
-        # One generator stream shared with the collector so the whole pipeline
-        # is reproducible from the single config seed.
-        collector = config.collector(ChannelSimulator(link), rng=rng)
+        # The collector holds the pipeline's only randomness, seeded from
+        # config.seed, so the whole run is reproducible from that one seed.
+        collector = config.collector(ChannelSimulator(link))
         try:
             session = config.session(link)
         except ValueError as error:  # e.g. a detector name not in the registry

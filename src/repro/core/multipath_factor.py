@@ -39,7 +39,7 @@ from repro.csi.trace import CSITrace
 
 #: Cached ``f_k^{-2}`` apportionment weights of the Intel 5300 grid.  The
 #: grid is a module-level constant, so the weight vector is a pure function
-#: of it; computing it once removes a per-call ``**-2.0`` + sum + divide from
+#: of it; computing it once removes a per-call square, divide and sum from
 #: the hottest loop of the campaign profile.
 _DEFAULT_APPORTIONMENT: np.ndarray | None = None
 
@@ -49,7 +49,7 @@ def _apportionment_weights() -> np.ndarray:
     global _DEFAULT_APPORTIONMENT
     if _DEFAULT_APPORTIONMENT is None:
         freqs = subcarrier_frequencies()
-        inverse_f2 = freqs**-2.0  # repro: allow-det001 -- pinned expression: the sha256 score pins depend on this exact kernel staying as-is
+        inverse_f2 = 1.0 / (freqs * freqs)
         _DEFAULT_APPORTIONMENT = inverse_f2 / inverse_f2.sum()
     return _DEFAULT_APPORTIONMENT
 

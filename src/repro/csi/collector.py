@@ -11,11 +11,11 @@ deterministic; the collector owns every random artefact of a capture.
 Acquisition is array at a time: a call draws the lost-ping gaps of all its
 packets in one vectorised draw from the collector's loss stream, and impairs
 all its packets in one :meth:`~repro.channel.noise.ImpairmentModel.apply`
-call on the collector's per-quantity impairment streams.  Every quantity is
-drawn in packet order, so collecting windows in one call or split over
-consecutive calls gives byte-identical traces (a capture cut short holds
-the full one's leading packets).  A loss-free collector never builds its
-loss generator.
+call on the collector's one acquisition generator, which draws a fixed block
+per packet.  Every quantity is drawn in packet order, so collecting windows
+in one call or split over consecutive calls gives byte-identical traces (a
+capture cut short holds the full one's leading packets).  A loss-free
+collector never builds its loss generator.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.channel.channel import ChannelSimulator
 from repro.channel.constants import DEFAULT_PACKET_RATE_HZ
 from repro.channel.geometry import Point
 from repro.channel.human import HumanBody
-from repro.channel.noise import ImpairmentModel, ImpairmentStreams
+from repro.channel.noise import ImpairmentModel
 from repro.csi.trace import CSITrace
 from repro.utils.rng import SeedLike, child_rng, draw_word, ensure_rng
 from repro.utils.validation import check_integer, check_positive, check_probability
@@ -61,11 +61,11 @@ class PacketCollector:
         Per-packet measurement impairments; pass
         ``ImpairmentModel().noiseless()`` for analytically clean CSI.
     seed:
-        Seed or generator of the loss process and per-packet impairments.
-        The collector derives its loss stream and its
-        :class:`~repro.channel.noise.ImpairmentStreams` from it once, at
-        construction, so collectors built from one shared generator get
-        distinct streams in construction order.
+        Seed or generator of the loss process and per-packet impairments:
+        an int seed builds the collector's generator, and a generator is
+        used as handed over (the impairments draw from it directly).  At
+        construction the collector draws one word from it, the seed of its
+        loss stream, which is built on the first loss draw.
     """
 
     simulator: ChannelSimulator
@@ -82,24 +82,22 @@ class PacketCollector:
             exclusive_upper=True,
             reason="with certain loss a fixed-size capture never completes",
         )
-        rng = ensure_rng(self.seed)
-        # Impairment streams before the loss word: this order fixes the bytes
-        # of every pinned capture.
-        self._streams = ImpairmentStreams.derive(rng)
-        self._loss_word = draw_word(rng)
+        self._rng = ensure_rng(self.seed)
+        self._loss_word = draw_word(self._rng)
         self._loss_rng: np.random.Generator | None = None
 
     @property
     def _loss(self) -> np.random.Generator:
-        """``derive_rng(rng, "loss")``, built on the first loss draw."""
+        """``child_rng(word, "loss")`` of the construction-time word, built
+        on the first loss draw."""
         if self._loss_rng is None:
             self._loss_rng = child_rng(self._loss_word, "loss")
         return self._loss_rng
 
     def _impair(self, cleans: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        """Impair one packet per candidate index on this collector's streams."""
+        """Impair one packet per candidate index on this collector's generator."""
         csi = self.impairments.apply(
-            cleans, candidates, self.simulator.subcarrier_indices, self._streams
+            cleans, candidates, self.simulator.subcarrier_indices, self._rng
         )
         obs.count("collect.packets", candidates.size)
         return csi
@@ -142,7 +140,7 @@ class PacketCollector:
 
         Every window's time axis starts at *start_time*.  Lost pings draw
         geometric gaps between received packets, one per packet, and every
-        impairment quantity is drawn per packet in window order, so the
+        packet's impairments are one block drawn in window order, so the
         traces are byte-identical to collecting the same windows over any
         run of consecutive calls.
 
@@ -237,7 +235,7 @@ class PacketCollector:
         holds *fewer* packets than positions — the walk is bounded in time,
         unlike a fixed-size static capture.  With ``loss_probability=0``
         there is exactly one packet per position, impaired from the
-        collector's streams in position order.
+        collector's generator in position order.
 
         All per-position clean CFRs are synthesised in one
         :meth:`~repro.channel.channel.ChannelSimulator.clean_cfr_batch` pass

@@ -414,18 +414,15 @@ def _case_components(
 ) -> tuple[ChannelSimulator, PacketCollector, BackgroundDynamics, EnvironmentDrift]:
     """The four per-case components, seeded off the case seed.
 
-    Four sequential integer draws off the case RNG: nothing reads the
-    first (the simulator is deterministic), and the next three seed the
-    collector, the background and the drift, in that order.  This is the
-    seeding contract both campaign paths share: changing the order (or
-    count) would silently re-randomise every published number.  The
-    collector derives its per-quantity impairment streams and its loss
-    stream from its seed.
+    Three sequential integer draws off the case RNG seed the collector, the
+    background and the drift, in that order (the simulator is
+    deterministic).  This is the seeding contract both campaign paths
+    share: changing the order (or count) would silently re-randomise every
+    published number.  The collector builds its one acquisition generator
+    from its seed.
     """
     rng = ensure_rng(seed)
     simulator = ChannelSimulator(link, max_bounces=config.max_bounces)
-    # Unread, but its position fixes the seeds behind every campaign pin.
-    rng.integers(0, 2**31 - 1)
     collector = PacketCollector(
         simulator,
         packet_rate_hz=config.packet_rate_hz,
@@ -468,8 +465,8 @@ def run_case(
     :meth:`~repro.csi.collector.PacketCollector.collect_batch` call and every
     window is sanitised once and scored by all schemes from that shared view
     (:func:`~repro.api.monitor.score_windows_shared`).  Acquisition is
-    batch-invariant (each impairment quantity and the loss gaps are drawn
-    per packet, in packet order, from the collector's own streams), so
+    batch-invariant (each packet's impairment block and loss gap are drawn
+    in packet order from the collector's own streams), so
     scores are bit-identical to the retained window-by-window path,
     :func:`run_case_reference`, which the parity suite pins.
 

@@ -3,9 +3,10 @@
 A production deployment is thousands of independent links with ragged packet
 schedules, not the handful of lockstep streams the evaluation campaign
 drives.  This module synthesises that traffic: every link of the population
-draws from its own seeded streams — rate class, Poisson arrival process and
-channel/collector randomness — all derived from the fleet seed and the link
-index alone.  Any subset of the population can therefore be rebuilt on any
+draws from its own seeded planning stream — the collector's seed word, the
+rate class and the Poisson arrival process, in that order — and a scoring
+link's collector from one child of that word, all derived from the fleet
+seed and the link index alone.  Any subset of the population can therefore be rebuilt on any
 worker in any order and produce byte-identical traffic, which is what makes
 the sharded fleet engine deterministic.
 
@@ -243,11 +244,13 @@ def build_fleet_traffic(
 ) -> list[LinkTraffic]:
     """Synthesise many links' traffic, acquiring only what their windows read.
 
-    Each stream of a link (class, arrivals, collector) is
-    ``derive_rng(ensure_rng(derive_link_seed(seed, link_index)), key)``, so
-    a link is byte-identical whichever worker builds it and whichever other
-    links are built; the streams share one parent state, so its word is
-    drawn once per link.  Three phases:
+    Each link has one planning stream,
+    ``ensure_rng(derive_link_seed(seed, link_index))``: it draws the
+    collector's seed word, then the rate-class uniform, then the arrivals.
+    A scoring link's collector draws from ``child_rng(word, "collector")``,
+    so a link builds one generator, or two if it scores, and is
+    byte-identical whichever worker builds it and whichever other links are
+    built.  Three phases:
 
     * Plan: a link's arrivals are drawn before its CSI, so its complete
       windows are planned first, by the session's rule
@@ -260,12 +263,12 @@ def build_fleet_traffic(
       *geometry* a scoring link uses, in one
       :meth:`~repro.channel.channel.ChannelSimulator.clean_cfr_batch` call
       each.  The simulator holds no random state, so links of one geometry
-      share it; every draw is from a link's own collector streams.
+      share it; every draw is from a link's own collector generator.
     * Acquire: the calibration capture, then the frames the windows read, in
       one :meth:`~repro.csi.collector.PacketCollector.collect_batch` call
-      per scoring link.  Every impairment quantity and loss gap is drawn per
-      packet, in packet order, on its own stream, so they are the bytes a
-      full-pool acquisition gives those frames.
+      per scoring link.  Every packet's impairment block and loss gap are
+      drawn in packet order, so they are the bytes a full-pool acquisition
+      gives those frames.
 
     *links* holds the geometry of each entry of *indices*, aligned
     one-to-one (entries may repeat — they are deduplicated by identity).
@@ -280,8 +283,9 @@ def build_fleet_traffic(
     plans: list[tuple[LinkProfile, np.ndarray, int, int]] = []
     for link_index, link in zip(indices, links):
         with obs.span("collect.plan"):
-            link_word = draw_word(ensure_rng(derive_link_seed(seed, link_index)))
-            rate_class = assign_rate_class(child_rng(link_word, "class"), classes)
+            rng = ensure_rng(derive_link_seed(seed, link_index))
+            link_word = draw_word(rng)
+            rate_class = assign_rate_class(rng, classes)
             profile = LinkProfile(
                 index=link_index,
                 name=f"link-{link_index:05d}",
@@ -289,9 +293,7 @@ def build_fleet_traffic(
                 packet_rate_hz=float(class_rates_hz[rate_class]),
                 case_name=getattr(link, "name", "") or "",
             )
-            arrivals = poisson_arrival_times(
-                child_rng(link_word, "arrivals"), profile.packet_rate_hz, duration_s
-            )
+            arrivals = poisson_arrival_times(rng, profile.packet_rate_hz, duration_s)
             starts = window_starts(arrivals.size, pipeline.window_packets, pipeline.window_stride)
             frames = min(pool_packets, starts[-1] + pipeline.window_packets) if starts.size else 0
             plans.append((profile, arrivals, link_word, frames))

@@ -13,10 +13,11 @@ from repro.channel.constants import (
     subcarrier_frequencies,
 )
 from repro.channel.geometry import Point
-from repro.channel.noise import ImpairmentModel, ImpairmentStreams
+from repro.channel.noise import ImpairmentModel
 from repro.channel.ofdm import dominant_tap_power_batch, synthesize_cfr
 from repro.channel.propagation import PropagationModel
 from repro.channel.rays import Path
+from repro.utils.rng import ensure_rng
 
 
 class TestUniformLinearArray:
@@ -141,11 +142,11 @@ def _clean() -> np.ndarray:
 
 
 def _impair(model: ImpairmentModel, cleans, candidates, seed) -> np.ndarray:
-    """*model*'s kernel on streams freshly derived from *seed*."""
+    """*model*'s kernel on a generator freshly built from *seed*."""
     cleans = np.asarray(cleans)
     if cleans.ndim == 2:
         cleans = cleans[None]
-    return model.apply(cleans, candidates, INDICES, ImpairmentStreams.derive(seed))
+    return model.apply(cleans, candidates, INDICES, ensure_rng(seed))
 
 
 NOISE_ONLY = dict(cfo_phase=False, sfo_slope_std=0.0, agc_std_db=0.0, antenna_phase_offsets=False)
@@ -189,11 +190,11 @@ class TestImpairmentModel:
 
     def test_shape_validation(self):
         model = ImpairmentModel()
-        streams = ImpairmentStreams.derive(0)
+        rng = ensure_rng(0)
         with pytest.raises(ValueError, match="cleans"):
-            model.apply(np.zeros((3, 30), dtype=complex), [0], INDICES, streams)
+            model.apply(np.zeros((3, 30), dtype=complex), [0], INDICES, rng)
         with pytest.raises(ValueError, match="subcarrier_indices"):
-            model.apply(np.zeros((1, 3, 30), dtype=complex), [0], np.zeros(29), streams)
+            model.apply(np.zeros((1, 3, 30), dtype=complex), [0], np.zeros(29), rng)
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -246,15 +247,15 @@ class TestApplyBatch:
 
     def test_shape_validation(self):
         model = ImpairmentModel()
-        streams = ImpairmentStreams.derive(0)
+        rng = ensure_rng(0)
         stack = np.zeros((2, 3, 30), dtype=complex)
         with pytest.raises(ValueError, match="candidates"):
-            model.apply(stack, [[0]], INDICES, streams)
+            model.apply(stack, [[0]], INDICES, rng)
         with pytest.raises(IndexError):
-            model.apply(stack, [0, 2], INDICES, streams)
+            model.apply(stack, [0, 2], INDICES, rng)
         with pytest.raises(IndexError):
-            model.apply(stack, [-1], INDICES, streams)
-        assert model.apply(stack, [], INDICES, streams).shape == (0, 3, 30)
+            model.apply(stack, [-1], INDICES, rng)
+        assert model.apply(stack, [], INDICES, rng).shape == (0, 3, 30)
 
     def test_snr_tracks_each_packet_of_a_stack(self):
         # A packet with 10x the amplitude gets 10x the noise amplitude.

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.channel import HumanBody, ImpairmentModel, Point
-from repro.channel.noise import ImpairmentStreams
 from repro.csi import (
     CSIFrame,
     CSITrace,
@@ -17,7 +16,7 @@ from repro.csi import (
     subcarrier_rss_db,
 )
 from repro.csi.rssi import mean_rss_change_db, rss_variance_db, trace_rss_change_db
-from repro.utils.rng import derive_rng, ensure_rng
+from repro.utils.rng import derive_rng, draw_word, ensure_rng
 
 
 def _random_csi(rng: np.random.Generator, packets: int = 0) -> np.ndarray:
@@ -163,11 +162,9 @@ class TestPacketCollector:
     def test_lazy_loss_stream_draws_what_an_eager_one_draws(
         self, simulator, seed, loss, counts
     ):
-        # The eager stream: the loss generator derived right after the
-        # impairment streams, as the collector's construction orders them.
-        parent = ensure_rng(seed)
-        ImpairmentStreams.derive(parent)
-        eager = derive_rng(parent, "loss")
+        # The eager stream: the loss generator derived from the collector's
+        # first draw, as its construction orders them.
+        eager = derive_rng(ensure_rng(seed), "loss")
         lossy = PacketCollector(simulator, loss_probability=loss, seed=seed)
         cleans = simulator.clean_cfr_batch([None] * len(counts))
         traces = lossy.collect_batch(cleans, counts)
@@ -254,15 +251,17 @@ class TestPacketCollector:
 
     def test_collect_walk_without_loss_matches_trajectory_sampling(self, simulator):
         # With loss disabled the walk impairs one packet per position, in
-        # position order, on the streams the collector derives from its seed.
+        # position order, on the collector's generator after its loss word.
         positions = [Point(3.0, 1.0 + 0.5 * i) for i in range(6)]
         trace = PacketCollector(simulator, seed=5).collect_walk(positions)
         scenes = [HumanBody(position=position) for position in positions]
+        rng = ensure_rng(5)
+        draw_word(rng)
         reference = ImpairmentModel().apply(
             simulator.clean_cfr_batch(scenes),
             np.arange(len(positions)),
             simulator.subcarrier_indices,
-            ImpairmentStreams.derive(5),
+            rng,
         )
         assert np.array_equal(trace.csi, reference)
         assert trace.num_packets == len(positions)

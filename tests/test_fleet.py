@@ -37,7 +37,6 @@ from repro.fleet import (
 from repro.fleet.traffic import build_fleet_traffic
 from repro.obs import ManualClock, Recorder
 from repro.utils.rng import ensure_rng
-from tests.pins import COMBINED_FLEET_EVENT_SHA256
 from tests.traffic_oracle import full_pool_traffic
 
 
@@ -665,19 +664,6 @@ class TestRunFleet:
             assert report.event_digest() == reference
         sharded = run_fleet(config.replace(batch_windows=64, max_workers=2))
         assert sharded.event_digest() == reference
-
-    @pytest.mark.parametrize("backend", ["exact", "fast"])
-    def test_combined_fleet_event_digest_pinned(self, backend):
-        config = small_fleet(
-            links=40,
-            duration_s=4.0,
-            batch_windows=64,
-            pool_packets=40,
-            backend=backend,
-            pipeline=small_pipeline(detector="combined"),
-        )
-        report = run_fleet(config)
-        assert report.event_digest() == COMBINED_FLEET_EVENT_SHA256[backend]
 
     def test_report_to_dict_serialisable(self):
         report = run_fleet(small_fleet(links=3))

@@ -285,7 +285,7 @@ def _shadow_scenes(draw):
 
 
 class TestShadowCut:
-    """Shadowing calls ``hypot`` and ``gauss`` only where a byte can change."""
+    """Shadowing calls ``hypot`` and ``exp`` only where a byte can change."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -303,7 +303,7 @@ class TestShadowCut:
     def test_cut_profile_matches_full_profile_bit_for_bit(self, r, depth):
         for name in ("exact", "fast"):
             with use_backend(name) as backend:
-                full = 1.0 - depth * backend.gauss(r)
+                full = 1.0 - depth * backend.exp(-(r * r))
                 cut = np.where(r >= SHADOW_CUT_SIGMAS, 1.0, full)
                 assert cut.tobytes() == full.tobytes(), name
 
@@ -337,7 +337,7 @@ class TestShadowCut:
         )
         positions = np.array([[0.0, 0.0], [-0.5, 0.0], [1e200, -1e200]])
         with use_backend(name) as backend:
-            monkeypatch.setattr(backend, "gauss", refuse)
+            monkeypatch.setattr(backend, "exp", refuse)
             monkeypatch.setattr(backend, "hypot", refuse)
             with np.errstate(over="ignore"):
                 got = body.shadow_attenuation_batch(bundle, positions)

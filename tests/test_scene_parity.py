@@ -8,9 +8,8 @@ bit*.  Batched phase sanitisation (:func:`sanitize_trace` /
 :func:`sanitize_csi_array`) fits every frame through one cached
 pseudo-inverse, so it matches the per-frame ``np.polyfit`` reference to
 rounding.  These tests pin those contracts with randomized rooms, bounce
-orders, body counts and offsets, plus the sha256 pins of the campaign
-scores (``pins.py``) so no future perf work can silently move the headline
-numbers.
+orders, body counts and offsets; the sha256 pins of the campaign scores are
+asserted in ``test_pins.py``.
 """
 
 from __future__ import annotations
@@ -38,15 +37,6 @@ from repro.channel.scene import PathBundle
 from repro.csi.calibration import sanitize_csi_array, sanitize_trace
 from repro.csi.collector import PacketCollector
 from repro.csi.trace import CSITrace
-from repro.experiments.runner import EvaluationConfig, run_evaluation
-from repro.experiments.scenarios import evaluation_cases
-from tests.pins import (
-    FULL_CAMPAIGN_HEADLINE,
-    FULL_CAMPAIGN_SHA256,
-    TINY_CAMPAIGN_SHA256,
-    pinned_headline,
-    scores_sha256,
-)
 
 
 # --------------------------------------------------------------------------- #
@@ -365,35 +355,3 @@ class TestSanitizeParity:
         stacked = sanitize_csi_array(np.concatenate([first, second]), indices)
         assert np.array_equal(stacked[:20], sanitize_csi_array(first, indices))
         assert np.array_equal(stacked[20:], sanitize_csi_array(second, indices))
-
-
-# --------------------------------------------------------------------------- #
-# campaign sha256 pins (bit-identity of every campaign float)
-# --------------------------------------------------------------------------- #
-class TestCampaignScoreParity:
-    """sha256 over all window scores under the default configuration.
-
-    Re-captured when acquisition moved to per-quantity impairment streams
-    and when both backends came to share one phase fit.  These pins are platform-sensitive by design (libm/LAPACK bit
-    patterns): they assert that on the reference container no change moves
-    a single campaign float unannounced.
-    """
-
-    def test_tiny_campaign_scores_unchanged(self):
-        config = EvaluationConfig(
-            seed=11,
-            grid_rows=1,
-            grid_cols=2,
-            windows_per_location=1,
-            window_packets=8,
-            calibration_packets=30,
-            max_bounces=1,
-            schemes=("baseline", "subcarrier", "combined"),
-        )
-        result = run_evaluation(config, cases=evaluation_cases()[:2])
-        assert scores_sha256(result) == TINY_CAMPAIGN_SHA256
-
-    def test_full_campaign_scores_and_headline_unchanged(self):
-        result = run_evaluation(EvaluationConfig(seed=2015))
-        assert scores_sha256(result) == FULL_CAMPAIGN_SHA256
-        assert pinned_headline(result) == FULL_CAMPAIGN_HEADLINE

@@ -2,8 +2,8 @@
 
 :func:`repro.fleet.traffic.build_fleet_traffic` acquires only the pool frames
 a link's windows read, shares clean CFRs across links of one geometry and
-draws each link's seed word once.  This oracle does none of that: it derives
-every stream from a fresh generator of the link seed, gives the link its own
+builds idle links no collector.  This oracle does none of that: it draws
+the link's planning stream in the fleet's order, gives the link its own
 simulator, and acquires the calibration capture and the *whole* pool through three plain
 :meth:`~repro.csi.collector.PacketCollector.collect` calls.  Its
 ``pool_csi`` is the full cycle, so the fleet's acquired frames must be its
@@ -29,7 +29,7 @@ from repro.fleet.traffic import (
     poisson_arrival_times,
     rate_class_table,
 )
-from repro.utils.rng import derive_rng, ensure_rng
+from repro.utils.rng import child_rng, draw_word, ensure_rng
 
 
 def full_pool_traffic(
@@ -45,12 +45,9 @@ def full_pool_traffic(
     class_rates_hz: Mapping[str, float],
 ) -> LinkTraffic:
     """One link's traffic with its whole pool acquired."""
-    link_seed = derive_link_seed(seed, link_index)
-
-    def stream(key: str) -> np.random.Generator:
-        return derive_rng(ensure_rng(link_seed), key)
-
-    rate_class = assign_rate_class(stream("class"), rate_class_table(class_mix))
+    planning = ensure_rng(derive_link_seed(seed, link_index))
+    word = draw_word(planning)
+    rate_class = assign_rate_class(planning, rate_class_table(class_mix))
     profile = LinkProfile(
         index=link_index,
         name=f"link-{link_index:05d}",
@@ -58,9 +55,9 @@ def full_pool_traffic(
         packet_rate_hz=float(class_rates_hz[rate_class]),
         case_name=getattr(link, "name", "") or "",
     )
-    arrivals = poisson_arrival_times(stream("arrivals"), profile.packet_rate_hz, duration_s)
+    arrivals = poisson_arrival_times(planning, profile.packet_rate_hz, duration_s)
     simulator = ChannelSimulator(link)
-    collector = pipeline.collector(simulator, rng=stream("collector"))
+    collector = pipeline.collector(simulator, rng=child_rng(word, "collector"))
     calibration = collector.collect(
         None, num_packets=pipeline.calibration_packets, label=f"{profile.name}/calibration"
     )
