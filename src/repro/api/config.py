@@ -152,7 +152,7 @@ class PipelineConfig:
         ):
             value = getattr(self, name)
             if not (value is None and name in _OPTIONAL_FIELDS):
-                check(name, value)
+                object.__setattr__(self, name, check(name, value))
         if self.window_packets < 1:
             raise ValueError(f"window_packets must be >= 1, got {self.window_packets}")
         if self.window_stride is not None and self.window_stride < 1:
@@ -179,12 +179,13 @@ class PipelineConfig:
             raise ValueError(f"packet_rate_hz must be > 0, got {self.packet_rate_hz}")
         # The upper bound is exclusive: a collector with certain loss can
         # never complete a fixed-size capture (see PacketCollector).
-        check_probability(
+        probability = check_probability(
             "loss_probability",
             self.loss_probability,
             exclusive_upper=True,
             reason="with certain loss a fixed-size capture never completes",
         )
+        object.__setattr__(self, "loss_probability", probability)
 
     # ------------------------------------------------------------------ #
     # serialisation

@@ -123,11 +123,14 @@ class EvaluationConfig:
             value = check_integer(name, getattr(self, name))
             if minimum is not None and value < minimum:
                 raise ValueError(f"{name} must be >= {minimum}, got {value}")
+            object.__setattr__(self, name, value)
         # Every float knob must be a finite number; field types are the
-        # annotation strings, this module postponing annotations.
+        # annotation strings, this module postponing annotations.  The
+        # checked Python numbers are stored, so NumPy scalars serialise.
         for field in dataclasses.fields(self):
             if field.type == "float":
-                check_finite_real(field.name, getattr(self, field.name))
+                number = check_finite_real(field.name, getattr(self, field.name))
+                object.__setattr__(self, field.name, number)
         if not isinstance(self.use_music_spectrum, bool):
             raise ValueError(
                 f"use_music_spectrum must be true or false, got {self.use_music_spectrum!r}"

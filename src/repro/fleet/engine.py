@@ -137,12 +137,17 @@ class FleetConfig:
             value = check_integer(name, getattr(self, name))
             if value < minimum:
                 raise ValueError(f"{name} must be >= {minimum}, got {value}")
-        if check_finite_real("duration_s", self.duration_s) <= 0:
+            object.__setattr__(self, name, value)
+        # The checked Python numbers are stored, so NumPy scalars serialise.
+        duration = check_finite_real("duration_s", self.duration_s)
+        if duration <= 0:
             raise ValueError(f"duration_s must be > 0, got {self.duration_s!r}")
-        check_integer("seed", self.seed)
+        object.__setattr__(self, "duration_s", duration)
+        object.__setattr__(self, "seed", check_integer("seed", self.seed))
         if not self.backend or not isinstance(self.backend, str):
             raise ValueError(f"backend must be a non-empty string, got {self.backend!r}")
-        check_probability("occupied_fraction", self.occupied_fraction)
+        fraction = check_probability("occupied_fraction", self.occupied_fraction)
+        object.__setattr__(self, "occupied_fraction", fraction)
         if not isinstance(self.pipeline, PipelineConfig):
             raise ValueError(
                 f"pipeline must be a PipelineConfig, got {type(self.pipeline).__name__}"
@@ -165,17 +170,21 @@ class FleetConfig:
             raise ValueError(
                 f"class_rates_hz must be a mapping, got {self.class_rates_hz!r}"
             )
-        for name, rate in self.class_rates_hz.items():
-            check_finite_real(f"class_rates_hz[{name!r}]", rate)
+        rates = {
+            name: check_finite_real(f"class_rates_hz[{name!r}]", rate)
+            for name, rate in self.class_rates_hz.items()
+        }
         for name, weight in weights.items():
             if weight <= 0:
                 continue
-            rate = self.class_rates_hz.get(name)
+            rate = rates.get(name)
             if rate is None or rate <= 0:
                 raise ValueError(
                     f"class_rates_hz[{name!r}] must be a positive rate for a "
                     f"class with positive mix weight, got {rate!r}"
                 )
+        object.__setattr__(self, "class_mix", weights)
+        object.__setattr__(self, "class_rates_hz", rates)
 
     # ------------------------------------------------------------------ #
     # serialisation

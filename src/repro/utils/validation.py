@@ -40,20 +40,27 @@ def check_known_keys(
 
 
 def check_integer(name: str, value: Any) -> int:
-    """*value*, if it is an integer and not a boolean.
+    """*value* as a Python ``int``, if it is an integer (a NumPy integer
+    scalar included) and not a boolean.
 
     A quoted number in a JSON config (``"2015"``), a fraction or ``true``
     must fail at configuration time with a config error, not as a
-    ``TypeError`` mid-run or as a silently truncated size.
+    ``TypeError`` mid-run or as a silently truncated size.  A config stores
+    the returned ``int``, so it serialises to JSON.
     """
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def check_finite_real(name: str, value: Any) -> float:
-    """*value* as a float, if it is a finite, non-boolean number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    """*value* as a Python ``float``, if it is a finite, non-boolean real
+    number (a NumPy integer or floating scalar included)."""
+    if (
+        isinstance(value, (bool, np.bool_))
+        or not isinstance(value, (int, float, np.integer, np.floating))
+        or not math.isfinite(value)
+    ):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from repro.channel.constants import (
     subcarrier_frequencies,
 )
 from repro.channel.geometry import Point
-from repro.channel.noise import ImpairmentModel
+from repro.channel.noise import ImpairmentModel, block_size
 from repro.channel.ofdm import dominant_tap_power_batch, synthesize_cfr
 from repro.channel.propagation import PropagationModel
 from repro.channel.rays import Path
@@ -256,6 +258,56 @@ class TestApplyBatch:
         with pytest.raises(IndexError):
             model.apply(stack, [-1], INDICES, rng)
         assert model.apply(stack, [], INDICES, rng).shape == (0, 3, 30)
+
+    def test_zero_power_candidate_shifts_no_later_packet(self):
+        # Every packet draws one fixed block, so the last packet's bytes
+        # depend only on its position, not on an earlier packet's power.
+        stack = np.stack([_clean(), np.zeros((3, 30), dtype=complex)])
+        with_zero = _impair(ImpairmentModel(), stack, [0, 1, 0], seed=9)
+        without = _impair(ImpairmentModel(), stack, [0, 0, 0], seed=9)
+        assert with_zero[2].tobytes() == without[2].tobytes()
+        assert not with_zero[1].any()
+
+    @pytest.mark.parametrize(
+        "switch",
+        [
+            {"snr_db": np.inf},
+            {"cfo_phase": False},
+            {"sfo_slope_std": 0.0},
+            {"antenna_phase_offsets": False},
+            {"agc_std_db": 0.0},
+        ],
+    )
+    def test_switching_one_quantity_off_keeps_every_other(self, switch):
+        # The reference reads each quantity from its fixed slots of the
+        # block, whatever the switches: noise, CFO phasor, SFO slope,
+        # antenna offsets, AGC gain.
+        model = replace(ImpairmentModel(snr_db=20.0), **switch)
+        clean = _clean()
+        packets, antennas, subcarriers = 5, 3, 30
+        block = ensure_rng(21).standard_normal(
+            (packets, block_size(antennas, subcarriers))
+        )
+        noise_end = 2 * antennas * subcarriers
+        expected = np.repeat(clean[None], packets, axis=0)
+        if model.cfo_phase:
+            z = block[:, noise_end] + 1j * block[:, noise_end + 1]
+            expected *= (z / np.abs(z))[:, None, None]
+        if model.sfo_slope_std:
+            slope = model.sfo_slope_std * block[:, noise_end + 2]
+            expected *= np.exp(1j * slope[:, None] * INDICES[None, :])[:, None, :]
+        if model.antenna_phase_offsets:
+            offsets = 0.1 * block[:, noise_end + 3 : noise_end + 3 + antennas]
+            expected *= np.exp(1j * offsets)[:, :, None]
+        if model.agc_std_db:
+            gain_db = model.agc_std_db * block[:, noise_end + 3 + antennas]
+            expected *= (10.0 ** (gain_db / 20.0))[:, None, None]
+        if np.isfinite(model.snr_db):
+            sigma = np.sqrt(np.mean(np.abs(clean) ** 2) / 10.0 ** (model.snr_db / 10.0) / 2.0)
+            pairs = block[:, :noise_end].reshape(packets, antennas, subcarriers, 2)
+            expected += sigma * (pairs[..., 0] + 1j * pairs[..., 1])
+        got = _impair(model, clean, [0] * packets, seed=21)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
 
     def test_snr_tracks_each_packet_of_a_stack(self):
         # A packet with 10x the amplitude gets 10x the noise amplitude.

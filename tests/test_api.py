@@ -788,6 +788,40 @@ class TestCollectorRng:
 
 
 # --------------------------------------------------------------------------- #
+# configs take NumPy scalars
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize(
+    "config_name, field, value, expected",
+    [
+        ("PipelineConfig", "window_packets", np.int64(10), 10),
+        ("PipelineConfig", "threshold_margin", np.float32(2.0), 2.0),
+        ("FleetConfig", "links", np.int64(8), 8),
+        ("EvaluationConfig", "snr_db", np.float32(30.0), 30.0),
+    ],
+)
+def test_config_stores_a_numpy_scalar_as_a_python_number(config_name, field, value, expected):
+    # Each used to fail as "must be an integer" or "must be a finite number".
+    from repro.experiments.runner import EvaluationConfig
+    from repro.fleet import FleetConfig
+
+    cls = {
+        "PipelineConfig": PipelineConfig,
+        "FleetConfig": FleetConfig,
+        "EvaluationConfig": EvaluationConfig,
+    }[config_name]
+    config = cls(**{field: value})
+    stored = getattr(config, field)
+    assert stored == expected and type(stored) is type(expected)
+    assert cls.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+
+@pytest.mark.parametrize("field", ["window_packets", "threshold_margin"])
+def test_config_rejects_a_numpy_boolean(field):
+    with pytest.raises(ValueError, match=field):
+        PipelineConfig(**{field: np.bool_(True)})
+
+
+# --------------------------------------------------------------------------- #
 # CLI integration
 # --------------------------------------------------------------------------- #
 class TestCliPipeline:

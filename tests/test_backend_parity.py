@@ -12,11 +12,13 @@ operating points and headline numbers.  Registry semantics, the config plumbing 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from repro.api import PipelineConfig
+from repro.api.monitor import score_windows
 from repro.backend import (
     DEFAULT_REGISTRY,
     active_backend,
@@ -26,8 +28,10 @@ from repro.backend import (
     use_backend,
 )
 from repro.backend.fast import FastBackend
+from repro.channel import ChannelSimulator, HumanBody, Link, Point, Room
 from repro.cli import main
-from repro.experiments.runner import EvaluationConfig, run_evaluation
+from repro.csi import CSITrace, PacketCollector
+from repro.experiments.runner import EvaluationConfig, build_detectors, run_evaluation
 from repro.experiments.scenarios import evaluation_cases
 from repro.fleet import FleetConfig, run_fleet
 from repro.sweep import SweepRunner, SweepSpec, SweepStore
@@ -151,6 +155,46 @@ class TestFastToleranceParity:
         assert second.workers == 2
         assert first.event_digest() == second.event_digest()
         assert first.event_digest() == run_fleet(config).event_digest()
+
+
+# --------------------------------------------------------------------------- #
+# overflowing squares: inf on both backends, never an OverflowError
+# --------------------------------------------------------------------------- #
+class TestOverflowingSquares:
+    """Squares are multiplies, so an overflow is inf under both backends.
+
+    ``exact`` used to square through libm ``pow``, which raises
+    ``OverflowError`` where ``fast`` gave inf.
+    """
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_huge_window_keeps_its_neighbours_scores(self, scheme):
+        _, link = evaluation_cases()[0]
+        patterns = {}
+        for backend in ("exact", "fast"):
+            with use_backend(backend):
+                collector = PacketCollector(ChannelSimulator(link), seed=2)
+                calibration = collector.collect(None, num_packets=30)
+                good = collector.collect(None, num_packets=10)
+                detector = build_detectors(link, tiny_config(schemes=(scheme,)))[scheme]
+                detector.calibrate(calibration)
+                huge = CSITrace(csi=good.csi * 1e200, timestamps=good.timestamps)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    scores = score_windows([(detector, good), (detector, huge), (detector, good)])
+                alone = score_windows([(detector, good)])[0]
+            assert scores[0] == scores[2] == alone, backend
+            patterns[backend] = (math.isinf(scores[1]), math.isnan(scores[1]))
+        assert patterns["exact"] == patterns["fast"]
+
+    def test_far_body_scene_synthesises_on_both_backends(self):
+        room = Room.rectangular(6.0, 8.0, material="concrete")
+        link = Link(room=room, tx=Point(1.0, 2.0), rx=Point(5.0, 6.0), name="far")
+        scene = [HumanBody(position=Point(3.0, 4.0)), HumanBody(position=Point(1e160, 2.0))]
+        finite = {}
+        for backend in ("exact", "fast"):
+            with use_backend(backend), np.errstate(over="ignore", invalid="ignore"):
+                finite[backend] = np.isfinite(ChannelSimulator(link).clean_cfr_batch([scene]))
+        assert np.array_equal(finite["exact"], finite["fast"])
 
 
 # --------------------------------------------------------------------------- #

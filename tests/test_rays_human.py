@@ -122,6 +122,15 @@ class TestHumanBody:
         with pytest.raises(ValueError):
             HumanBody(position=Point(0, 0), shadow_extent_wavelengths=0.0)
 
+    @pytest.mark.parametrize(
+        "x, y", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, -np.inf)]
+    )
+    def test_non_finite_position_rejected(self, x, y):
+        # A NaN position used to synthesise an all-NaN CFR with no error.
+        with pytest.raises(ValueError, match="position must be finite") as excinfo:
+            HumanBody(position=Point(x, y))
+        assert "\n" not in str(excinfo.value)
+
     def test_attenuation_deepest_on_path(self):
         body = HumanBody(position=Point(0.0, 0.0), min_attenuation=0.4)
         assert body.attenuation_for_offset(0.0) == pytest.approx(0.4)

@@ -144,6 +144,41 @@ class TestEvaluationResult:
             run_evaluation(small_config, cases=[])
 
 
+class TestGeneratorCounts:
+    """Generators built per run, counted at the construction seam."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        counter = {"generators": 0}
+        construct = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            counter["generators"] += 1
+            return construct(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        return counter
+
+    def test_five_case_campaign_builds_four_per_case(self, built, small_config):
+        # The case stream, then the collector, the background and the drift.
+        run_evaluation(small_config)
+        assert built["generators"] == 4 * len(evaluation_cases()) == 20
+
+    def test_fleet_builds_one_per_link_and_one_per_scoring_link(self, built):
+        from repro.api import PipelineConfig
+        from repro.fleet import FleetConfig, run_fleet
+
+        config = FleetConfig(
+            links=24,
+            duration_s=2.0,
+            seed=5,
+            pipeline=PipelineConfig(detector="baseline", window_packets=10, calibration_packets=30),
+        )
+        report = run_fleet(config)
+        assert 0 < report.idle_links < config.links
+        assert built["generators"] == config.links + (config.links - report.idle_links)
+
+
 class TestEvaluationConfigDict:
     """EvaluationConfig.from_dict rejects typos in the PipelineConfig style."""
 

@@ -25,6 +25,7 @@ from repro.utils import (
 from repro.utils.registry import Registry
 from repro.utils.rng import child_rng, draw_word
 from repro.utils.stats import median_absolute_deviation
+from repro.utils.validation import check_finite_real, check_integer
 
 
 class TestRng:
@@ -172,6 +173,28 @@ class TestValidation:
     def test_check_positive_rejects_non_finite_and_boolean(self, value, strict):
         with pytest.raises(ValueError, match="x must be a finite number"):
             check_positive("x", value, strict=strict)
+
+    @pytest.mark.parametrize(
+        "value, expected", [(np.int64(7), 7), (np.uint8(7), 7), (7, 7)]
+    )
+    def test_check_integer_returns_a_python_int(self, value, expected):
+        checked = check_integer("n", value)
+        assert checked == expected and type(checked) is int
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(np.float32(2.5), 2.5), (np.float64(2.5), 2.5), (np.int64(2), 2.0), (2, 2.0)],
+    )
+    def test_check_finite_real_returns_a_python_float(self, value, expected):
+        checked = check_finite_real("x", value)
+        assert checked == expected and type(checked) is float
+
+    @pytest.mark.parametrize("value", [np.bool_(True), np.float32("nan"), np.float64("inf")])
+    def test_numpy_booleans_and_non_finite_scalars_rejected(self, value):
+        with pytest.raises(ValueError, match="x must be a finite number"):
+            check_finite_real("x", value)
+        with pytest.raises(ValueError, match="x must be an integer"):
+            check_integer("x", value)
 
     def test_check_probability(self):
         assert check_probability("p", 0.5) == 0.5
