@@ -276,9 +276,8 @@ class PipelineConfig:
             The channel simulator to sample from.
         rng:
             Optional generator; overrides :attr:`seed`.  The collector
-            draws from it as handed over (its loss word first, then every
-            packet's impairments), so a caller that derives one generator
-            per collector, as the fleet does per link, builds no other.
+            draws from it as handed over: its loss word first, then every
+            packet's impairments.
         """
         from repro.csi.collector import PacketCollector
 

@@ -10,8 +10,8 @@ here lets the calibration stage in :mod:`repro.csi.calibration` do real work.
 
 The impairments are i.i.d. per packet.  :meth:`ImpairmentModel.apply` draws
 one fixed block of standard normals per packet, in packet order, from the one
-generator it is handed (:func:`block_size`), and every quantity reads its own
-slots of that block whatever the switches.  A packet's values therefore
+generator it is handed, and every quantity reads its own slots of that block
+whatever the switches.  A packet's values therefore
 depend only on its position in the capture: impairing packets in one call or
 split over consecutive calls on the same generator gives byte-identical
 results, and switching one impairment off never moves another's values.
@@ -25,17 +25,6 @@ import numpy as np
 
 from repro.backend import active_backend
 from repro.utils.validation import check_finite_real, check_positive
-
-
-def block_size(antennas: int, subcarriers: int) -> int:
-    """Standard normals :meth:`ImpairmentModel.apply` draws per packet.
-
-    The block is packet-major and laid out as ``2 * antennas *
-    subcarriers`` noise values ((real, imag) pairs, antenna-major), then 2
-    for the CFO phasor, 1 SFO slope, ``antennas`` antenna offsets and 1 AGC
-    gain.
-    """
-    return 2 * antennas * subcarriers + antennas + 4
 
 
 @dataclass(frozen=True)
@@ -103,10 +92,13 @@ class ImpairmentModel:
             Intel-5300 subcarrier indices (used for the SFO phase slope so it
             is linear in actual frequency offset, not array position).
         rng:
-            The generator to draw from: one :func:`block_size` block of
-            standard normals per packet, in packet order, whatever the
-            switches and the candidates' power, so splitting the packets
-            over consecutive calls draws exactly the same values.
+            The generator to draw from: one block of standard normals per
+            packet, in packet order, whatever the switches and the
+            candidates' power, so splitting the packets over consecutive
+            calls draws exactly the same values.  With ``A`` antennas and
+            ``K`` subcarriers a block holds ``2 * A * K`` noise values
+            ((real, imag) pairs, antenna-major), then 2 for the CFO phasor,
+            1 SFO slope, ``A`` antenna offsets and 1 AGC gain.
 
         Returns
         -------
@@ -136,7 +128,7 @@ class ImpairmentModel:
         backend = active_backend()
         packets = candidates.size
         noise_end = 2 * antennas * subcarriers
-        block = rng.standard_normal((packets, block_size(antennas, subcarriers)))
+        block = rng.standard_normal((packets, noise_end + antennas + 4))
         noisy = cleans[candidates]
 
         if self.cfo_phase:
@@ -166,8 +158,10 @@ class ImpairmentModel:
             power = cleans.real**2 + cleans.imag**2
             mean_power = power.reshape(power.shape[0], -1).mean(axis=1)
             sigma = np.sqrt(mean_power / (10.0 ** (self.snr_db / 10.0)) / 2.0)
-            # (real, imag) pairs, antenna-major, viewed as complex.
-            noise = block[:, :noise_end] * sigma[candidates, None]
+            # (real, imag) pairs, antenna-major, scaled in place and viewed
+            # as complex.
+            noise = block[:, :noise_end]
+            noise *= sigma[candidates, None]
             noisy += noise.view(complex).reshape(packets, antennas, subcarriers)
         return noisy
 

@@ -33,7 +33,10 @@ FULL_CAMPAIGN_SHA256 = "9894564b10f938db645e5d556a6a902136023531f03dcf6109766ee2
 
 #: The full seed-2015 campaign's headline detection numbers.
 FULL_CAMPAIGN_HEADLINE = {
-    "combined": {"true_positive_rate": 0.9777777777777777, "false_positive_rate": 0.05185185185185185},
+    "combined": {
+        "true_positive_rate": 0.9777777777777777,
+        "false_positive_rate": 0.05185185185185185,
+    },
     "baseline": {"true_positive_rate": 0.9629629629629629},
     "subcarrier": {"true_positive_rate": 0.9777777777777777},
 }

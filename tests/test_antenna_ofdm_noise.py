@@ -15,7 +15,7 @@ from repro.channel.constants import (
     subcarrier_frequencies,
 )
 from repro.channel.geometry import Point
-from repro.channel.noise import ImpairmentModel, block_size
+from repro.channel.noise import ImpairmentModel
 from repro.channel.ofdm import dominant_tap_power_batch, synthesize_cfr
 from repro.channel.propagation import PropagationModel
 from repro.channel.rays import Path
@@ -285,10 +285,8 @@ class TestApplyBatch:
         model = replace(ImpairmentModel(snr_db=20.0), **switch)
         clean = _clean()
         packets, antennas, subcarriers = 5, 3, 30
-        block = ensure_rng(21).standard_normal(
-            (packets, block_size(antennas, subcarriers))
-        )
         noise_end = 2 * antennas * subcarriers
+        block = ensure_rng(21).standard_normal((packets, noise_end + antennas + 4))
         expected = np.repeat(clean[None], packets, axis=0)
         if model.cfo_phase:
             z = block[:, noise_end] + 1j * block[:, noise_end + 1]
