@@ -6,9 +6,9 @@ drives.  This module synthesises that traffic: every link of the population
 draws from its own seeded planning stream — the collector's seed word, the
 rate class and the Poisson arrival process, in that order — and a scoring
 link's collector from one child of that word, all derived from the fleet
-seed and the link index alone.  Any subset of the population can therefore be rebuilt on any
-worker in any order and produce byte-identical traffic, which is what makes
-the sharded fleet engine deterministic.
+seed and the link index alone.  Any subset of the population can therefore
+be rebuilt on any worker in any order and produce byte-identical traffic,
+which is what makes the sharded fleet engine deterministic.
 
 The population is heterogeneous in the FAIRSERVE workload-generator style:
 links belong to rate classes (``normal`` / ``busy`` / ``abusive``) drawn from

@@ -48,7 +48,7 @@ def check_integer(name: str, value: Any) -> int:
     ``TypeError`` mid-run or as a silently truncated size.  A config stores
     the returned ``int``, so it serialises to JSON.
     """
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -57,7 +57,7 @@ def check_finite_real(name: str, value: Any) -> float:
     """*value* as a Python ``float``, if it is a finite, non-boolean real
     number (a NumPy integer or floating scalar included)."""
     if (
-        isinstance(value, (bool, np.bool_))
+        isinstance(value, bool)
         or not isinstance(value, (int, float, np.integer, np.floating))
         or not math.isfinite(value)
     ):

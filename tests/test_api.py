@@ -815,12 +815,6 @@ def test_config_stores_a_numpy_scalar_as_a_python_number(config_name, field, val
     assert cls.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
 
-@pytest.mark.parametrize("field", ["window_packets", "threshold_margin"])
-def test_config_rejects_a_numpy_boolean(field):
-    with pytest.raises(ValueError, match=field):
-        PipelineConfig(**{field: np.bool_(True)})
-
-
 # --------------------------------------------------------------------------- #
 # CLI integration
 # --------------------------------------------------------------------------- #
