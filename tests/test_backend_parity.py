@@ -5,8 +5,9 @@
 seam (config field, activation wrapper, kernel indirection) moves nothing;
 the pins themselves are asserted in ``test_pins.py``.  ``fast`` promises
 tolerance parity only: bounded per-window score deltas with *identical* ROC
-operating points and headline numbers.  Registry semantics, the config plumbing of the
-``backend`` field and the CLI ``--backend`` flag are covered here too.
+operating points and headline numbers.  Registry semantics, the config
+plumbing of the ``backend`` field and the CLI ``--backend`` flag are covered
+here too.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ class TestOverflowingSquares:
                 collector = PacketCollector(ChannelSimulator(link), seed=2)
                 calibration = collector.collect(None, num_packets=30)
                 good = collector.collect(None, num_packets=10)
-                detector = build_detectors(link, tiny_config(schemes=(scheme,)))[scheme]
+                detector = build_detectors(link, EvaluationConfig(schemes=(scheme,)))[scheme]
                 detector.calibrate(calibration)
                 huge = CSITrace(csi=good.csi * 1e200, timestamps=good.timestamps)
                 with np.errstate(over="ignore", invalid="ignore"):
