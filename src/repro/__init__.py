@@ -16,9 +16,9 @@ The package is organised in layers:
 * :mod:`repro.experiments` — scenarios, workloads, metrics and figure
   generators reproducing every figure of the paper's evaluation.
 * :mod:`repro.api` — the pipeline API every consumer builds on: a pluggable
-  detector registry, a declarative :class:`~repro.api.config.PipelineConfig`,
-  push-based :class:`~repro.api.session.StreamingSession` monitoring and a
-  :class:`~repro.api.monitor.MultiLinkMonitor` for many links at once.
+  detector registry, a declarative :class:`~repro.api.config.PipelineConfig`
+  and push-based :class:`~repro.api.session.StreamingSession` monitoring;
+  :mod:`repro.fleet` runs many links at once.
 
 Quickstart (config -> session -> events)::
 

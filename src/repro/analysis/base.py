@@ -93,11 +93,11 @@ class FileContext:
 class Rule(ast.NodeVisitor):
     """Base class for lint rules: visit one file, emit findings.
 
-    Subclasses set :attr:`summary` (one line for ``repro lint --help`` style
-    listings and the README rule table) and implement ``visit_*`` methods that
-    call :meth:`report`.  :func:`~repro.analysis.registry.register_rule`
-    stamps :attr:`rule_id` at registration time so the id lives in exactly
-    one place.
+    Subclasses set :attr:`rule_id` (the id findings, pragmas and config
+    sections name; :data:`~repro.analysis.rules.RULES` is keyed by it) and
+    :attr:`summary` (one line for ``repro lint --help`` style listings and
+    the README rule table), and implement ``visit_*`` methods that call
+    :meth:`report`.
     """
 
     rule_id: str = ""

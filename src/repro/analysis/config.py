@@ -87,7 +87,7 @@ class LintConfig:
 
     @classmethod
     def empty(cls, root: Optional[Path] = None) -> "LintConfig":
-        """No scoping: every registered rule applies to every file."""
+        """No scoping: every rule applies to every file."""
         return cls(root=(root or Path.cwd()).resolve())
 
     @classmethod

@@ -2,9 +2,9 @@
 
 ``lint_paths`` is the single entry point the CLI and the tests share: it
 expands files/directories, discovers (or accepts) a
-:class:`~repro.analysis.config.LintConfig`, runs each rule registered in
-:data:`~repro.analysis.registry.DEFAULT_REGISTRY` where the config scopes
-it, applies pragma suppressions, and returns a :class:`LintResult` whose
+:class:`~repro.analysis.config.LintConfig`, runs each rule of
+:data:`~repro.analysis.rules.RULES` where the config scopes it, applies
+pragma suppressions, and returns a :class:`LintResult` whose
 findings are deterministically ordered — the lint of a tree is itself a
 pure function of the tree.
 """
@@ -20,10 +20,10 @@ from repro.analysis.base import FileContext
 from repro.analysis.config import LintConfig
 from repro.analysis.findings import Finding
 from repro.analysis.pragmas import parse_pragmas
-from repro.analysis.registry import DEFAULT_REGISTRY
+from repro.analysis.rules import RULES
 
 #: Rule id reported for files that do not parse.  Like ``PRAGMA`` it is not a
-#: registered rule and can never be suppressed.
+#: rule of :data:`~repro.analysis.rules.RULES` and can never be suppressed.
 SYNTAX_RULE_ID = "SYNTAX"
 
 
@@ -93,14 +93,13 @@ def lint_file(
         )
         return [finding], 0
 
-    pragma_set = parse_pragmas(display, source, known_rules=DEFAULT_REGISTRY.names())
-    selected = tuple(rule_ids) if rule_ids is not None else DEFAULT_REGISTRY.names()
+    pragma_set = parse_pragmas(display, source, known_rules=RULES)
+    selected = tuple(rule_ids) if rule_ids is not None else tuple(RULES)
     raw: list[Finding] = []
     for rule_id in selected:
         if not config.rule_applies(rule_id, path):
             continue
-        rule_cls = DEFAULT_REGISTRY.get(rule_id)
-        raw.extend(rule_cls(context).run())
+        raw.extend(RULES[rule_id](context).run())
 
     kept: list[Finding] = list(pragma_set.errors)
     suppressed = 0
@@ -130,19 +129,16 @@ def lint_paths(
         from the first path to the nearest ``pyproject.toml``.
     rule_ids:
         Restrict the run to these rule ids (unknown ids raise ``ValueError``);
-        by default every rule registered in
-        :data:`~repro.analysis.registry.DEFAULT_REGISTRY` runs (DET001–DET006
-        plus any plugins).
+        by default every rule of :data:`~repro.analysis.rules.RULES`
+        (DET001–DET006) runs.
     """
     resolved_paths = [Path(path) for path in paths]
     if not resolved_paths:
         raise ValueError("lint_paths needs at least one file or directory")
     if rule_ids is not None:
-        unknown = sorted(set(rule_ids) - set(DEFAULT_REGISTRY))
+        unknown = sorted(set(rule_ids) - set(RULES))
         if unknown:
-            raise ValueError(
-                f"unknown rules: {unknown}; registered rules: {list(DEFAULT_REGISTRY)}"
-            )
+            raise ValueError(f"unknown rules: {unknown}; registered rules: {list(RULES)}")
     if config is None:
         config = LintConfig.discover(resolved_paths[0])
 

@@ -6,8 +6,9 @@ guarantee rests on (see README, "Determinism contract"):
 * libm routing — last-ulp-divergent transcendentals go through the active
   numeric backend, whose ``exact`` mode calls libm per element (DET001);
 * RNG discipline — all randomness derives from
-  :func:`repro.utils.rng.ensure_rng` / :func:`~repro.utils.rng.derive_rng`
-  / :func:`~repro.utils.rng.child_rng` (DET002), and library code never reads wall clocks or OS entropy (DET003);
+  :func:`repro.utils.rng.ensure_rng` / :func:`~repro.utils.rng.child_rng` /
+  :func:`~repro.utils.rng.draw_word` (DET002), and library code never reads
+  wall clocks or OS entropy (DET003);
 * canonical serialisation — no unordered set iteration that could reach
   event streams or digests (DET004), every ``from_dict`` validates its keys
   (DET005), and private NumPy APIs are only touched with a documented
@@ -26,7 +27,6 @@ import ast
 from typing import Optional
 
 from repro.analysis.base import FileContext, Rule
-from repro.analysis.registry import register_rule
 
 # --------------------------------------------------------------------------- #
 # DET001 — libm routing
@@ -54,7 +54,6 @@ def _contains_complex_literal(node: ast.AST) -> bool:
     return False
 
 
-@register_rule("DET001")
 class BareTranscendentalRule(Rule):
     """Bare NumPy transcendental / float-exponent ``**`` in libm-routed scope.
 
@@ -66,6 +65,7 @@ class BareTranscendentalRule(Rule):
     from libm in the last ulp and silently break the sha256 score pins.
     """
 
+    rule_id = "DET001"
     summary = (
         "bare NumPy transcendental (np.exp/np.power/np.hypot/np.arccos/"
         "np.arctan2) or non-integral-literal ** in a libm-routed module"
@@ -121,10 +121,9 @@ def _literal_number(node: ast.AST) -> Optional[float]:
 # --------------------------------------------------------------------------- #
 # DET002 — RNG discipline
 # --------------------------------------------------------------------------- #
-@register_rule("DET002")
 class RngDisciplineRule(Rule):
-    """Randomness not flowing through ``ensure_rng`` / ``derive_rng`` /
-    ``child_rng``.
+    """Randomness not flowing through ``ensure_rng`` / ``child_rng`` /
+    ``draw_word``.
 
     Any call into ``numpy.random`` (``default_rng``, ``Generator``,
     ``SeedSequence``, ``RandomState``, the legacy global distributions) or
@@ -133,9 +132,10 @@ class RngDisciplineRule(Rule):
     sites carry the pragmas.
     """
 
+    rule_id = "DET002"
     summary = (
         "np.random.* / random.* call outside utils/rng.py — randomness must "
-        "flow through ensure_rng/derive_rng/child_rng"
+        "flow through ensure_rng/child_rng/draw_word"
     )
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -145,7 +145,7 @@ class RngDisciplineRule(Rule):
                 self.report(
                     node,
                     f"{resolved} constructs or draws randomness directly; "
-                    "derive it via repro.utils.rng.ensure_rng/derive_rng/child_rng so "
+                    "derive it via repro.utils.rng.ensure_rng/child_rng/draw_word so "
                     "streams stay order-independent and reproducible",
                 )
             elif resolved.startswith("random.") or resolved == "random":
@@ -183,7 +183,6 @@ _IMPURE_CALLS = frozenset(
 )
 
 
-@register_rule("DET003")
 class WallClockRule(Rule):
     """Wall-clock / entropy reads in library code.
 
@@ -194,6 +193,7 @@ class WallClockRule(Rule):
     pragmas.
     """
 
+    rule_id = "DET003"
     summary = (
         "wall-clock or entropy source (time.time, datetime.now, os.urandom, "
         "uuid) outside the CLI/benchmark allowlist"
@@ -265,7 +265,6 @@ class _SetExprClassifier:
         return False
 
 
-@register_rule("DET004")
 class UnorderedSetIterationRule(Rule):
     """Iteration over a set without an explicit ``sorted(...)``.
 
@@ -277,6 +276,7 @@ class UnorderedSetIterationRule(Rule):
     ordered and therefore not flagged.
     """
 
+    rule_id = "DET004"
     summary = (
         "iteration over a set feeding ordered output without an explicit "
         "sorted(...)"
@@ -313,7 +313,6 @@ class UnorderedSetIterationRule(Rule):
 # --------------------------------------------------------------------------- #
 # DET005 — from_dict validation
 # --------------------------------------------------------------------------- #
-@register_rule("DET005")
 class FromDictValidationRule(Rule):
     """``from_dict`` classmethods that never validate their payload keys.
 
@@ -324,6 +323,7 @@ class FromDictValidationRule(Rule):
     the inner call owns the validation.
     """
 
+    rule_id = "DET005"
     summary = "from_dict classmethod that never calls check_known_keys"
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
@@ -360,7 +360,6 @@ class FromDictValidationRule(Rule):
 # --------------------------------------------------------------------------- #
 # DET006 — private NumPy API access
 # --------------------------------------------------------------------------- #
-@register_rule("DET006")
 class PrivateNumpyApiRule(Rule):
     """Private NumPy API access without a documented fallback.
 
@@ -370,6 +369,7 @@ class PrivateNumpyApiRule(Rule):
     when the private attribute disappears.
     """
 
+    rule_id = "DET006"
     summary = (
         "private NumPy API access (numpy.*._name) without a pragma "
         "documenting the fallback"
@@ -418,3 +418,17 @@ class PrivateNumpyApiRule(Rule):
             # component — one finding per access site is enough.
             return
         self.generic_visit(node)
+
+
+#: The rules the engine runs, by id.
+RULES: dict[str, type[Rule]] = {
+    rule.rule_id: rule
+    for rule in (
+        BareTranscendentalRule,
+        RngDisciplineRule,
+        WallClockRule,
+        UnorderedSetIterationRule,
+        FromDictValidationRule,
+        PrivateNumpyApiRule,
+    )
+}

@@ -1,4 +1,4 @@
-"""repro.api — the config-driven, streaming, multi-link detection pipeline API.
+"""repro.api — the config-driven, streaming detection pipeline API.
 
 This subsystem is the single way consumers (the experiment runner, the CLI,
 the examples and future services) construct and drive detection:
@@ -13,8 +13,8 @@ the examples and future services) construct and drive detection:
 * :mod:`repro.api.session` — a push-based :class:`StreamingSession` that
   accepts CSI frames one at a time and emits incremental
   :class:`DetectionEvent` objects — the paper's online monitoring loop.
-* :mod:`repro.api.monitor` — a :class:`MultiLinkMonitor` fanning a shared
-  packet stream across N links with batched, vectorized window scoring.
+* :mod:`repro.api.monitor` — the cross-link scoring and calibration
+  program that sessions' windows, the campaign and the fleet share.
 * :mod:`repro.sweep` (re-exported here) — declarative :class:`SweepSpec`
   parameter sweeps over evaluation campaigns, executed deterministically by
   :class:`SweepRunner` into a resumable :class:`SweepStore`.
@@ -38,7 +38,6 @@ Quickstart::
 """
 
 from repro.api.config import PipelineConfig
-from repro.api.monitor import MultiLinkMonitor
 from repro.api.registry import DEFAULT_REGISTRY, available_detectors, register_detector
 from repro.api.session import DetectionEvent, StreamingSession
 
@@ -85,7 +84,6 @@ __all__ = [
     "FleetConfig",
     "FleetReport",
     "FleetScheduler",
-    "MultiLinkMonitor",
     "PipelineConfig",
     "StreamingSession",
     "SweepAxis",

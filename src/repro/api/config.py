@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
+from repro.backend import check_backend
 from repro.utils.validation import (
     check_finite_real,
     check_integer,
@@ -97,10 +98,10 @@ class PipelineConfig:
     backend:
         Numeric backend (:mod:`repro.backend`) the pipeline's computation
         runs under: ``"exact"`` (default, byte-identical libm-routed
-        kernels) or ``"fast"`` (SIMD kernels, tolerance parity).  The name
-        is resolved against the backend registry by the entry point that
-        runs the pipeline — the campaign bridge, the ``pipeline`` CLI
-        command — via :func:`repro.backend.use_backend`; library callers
+        kernels) or ``"fast"`` (SIMD kernels, tolerance parity).  Any other
+        name fails here, when the config is built.  The entry point that runs
+        the pipeline — the campaign bridge, the ``pipeline`` CLI command —
+        activates it with :func:`repro.backend.use_backend`; library callers
         driving a :class:`~repro.api.session.StreamingSession` directly wrap
         their own computation the same way.  Fleet runs ignore this field:
         the fleet backend comes from :class:`~repro.fleet.FleetConfig`, like
@@ -127,8 +128,7 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not self.detector or not isinstance(self.detector, str):
             raise ValueError(f"detector must be a non-empty string, got {self.detector!r}")
-        if not self.backend or not isinstance(self.backend, str):
-            raise ValueError(f"backend must be a non-empty string, got {self.backend!r}")
+        check_backend(self.backend)
         if self.spectrum not in SPECTRA:
             raise ValueError(
                 f"spectrum must be one of {SPECTRA}, got {self.spectrum!r}"

@@ -1,12 +1,11 @@
-"""Cross-link scoring and multi-link monitoring.
+"""Cross-link scoring and calibration.
 
 :func:`score_windows` is the one scoring program of every caller: the
 campaign (:func:`score_windows_shared`), the calibration-threshold replay of
 :func:`calibrate_sessions` (behind
-:meth:`~repro.api.session.StreamingSession.calibrate`,
-:meth:`MultiLinkMonitor.calibrate` and the fleet's shard set-up), and
-:class:`MultiLinkMonitor` and the fleet scheduler, which both score and emit
-sessions' completed windows through :func:`score_windows_batch`.  It groups
+:meth:`~repro.api.session.StreamingSession.calibrate` and the fleet's shard
+set-up), and the fleet scheduler, which scores and emits sessions' completed
+windows through :func:`score_windows_batch`.  It groups
 (detector, window) pairs by scheme kernel and window shape, sanitises every
 window once, and scores each group in one stacked kernel call
 (:meth:`~repro.core.detector.Detector.stacked_scores`).  A window's score
@@ -19,163 +18,20 @@ same way, by the same key: :func:`calibrate_sessions` and
 and a standalone ``detector.calibrate(trace)`` is the batch of one.  Every
 detector is a :class:`~repro.core.detector.Detector`, so every pair takes
 this one path.
-
-A deployment rarely watches a single TX-RX pair — the paper's evaluation alone
-spans five links.  :class:`MultiLinkMonitor` owns one
-:class:`~repro.api.session.StreamingSession` per link, accepts per-link frames
-in lockstep (the links all hear the same ping schedule, so their windows
-complete on the same pushes), advances each session with
-:meth:`~repro.api.session.StreamingSession.advance` and scores every window
-completed on a push in one batch.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.core.detector import Detector
 from repro.csi.calibration import sanitize_traces
-from repro.csi.format import CSIFrame
 from repro.csi.trace import CSITrace
 
 from repro.api.session import DetectionEvent, StreamingSession
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.channel.channel import Link
-
-    from repro.api.config import PipelineConfig
-
-
-class MultiLinkMonitor:
-    """Fan a shared packet stream across N links and score them together.
-
-    Parameters
-    ----------
-    sessions:
-        Mapping from link name to the session monitoring that link.  Sessions
-        without a ``link_name`` inherit the mapping key so their events are
-        attributable.
-    """
-
-    def __init__(self, sessions: Mapping[str, StreamingSession]) -> None:
-        if not sessions:
-            raise ValueError("MultiLinkMonitor needs at least one session")
-        self._sessions: dict[str, StreamingSession] = {}
-        for name, session in sessions.items():
-            if not isinstance(session, StreamingSession):
-                raise TypeError(
-                    f"session for {name!r} must be a StreamingSession, "
-                    f"got {type(session).__name__}"
-                )
-            if not session.link_name:
-                session.link_name = name
-            self._sessions[name] = session
-
-    @classmethod
-    def from_config(
-        cls, config: "PipelineConfig", links: Sequence["Link"]
-    ) -> "MultiLinkMonitor":
-        """One monitor with an identically-configured session per link."""
-        if not links:
-            raise ValueError("from_config needs at least one link")
-        names = [getattr(link, "name", "") or f"link-{i}" for i, link in enumerate(links)]
-        if len(set(names)) != len(names):
-            raise ValueError(f"link names must be unique, got {names}")
-        return cls(
-            {
-                name: StreamingSession.from_config(config, link, link_name=name)
-                for name, link in zip(names, links)
-            }
-        )
-
-    # ------------------------------------------------------------------ #
-    # calibration
-    # ------------------------------------------------------------------ #
-    def calibrate(self, baselines: Mapping[str, CSITrace]) -> None:
-        """Calibrate every session from its link's empty-environment trace,
-        all links in one :func:`calibrate_sessions` pass."""
-        missing = set(self._sessions) - set(baselines)
-        if missing:
-            raise ValueError(f"missing calibration traces for links: {sorted(missing)}")
-        calibrate_sessions(
-            [(session, baselines[name]) for name, session in self._sessions.items()]
-        )
-
-    # ------------------------------------------------------------------ #
-    # streaming
-    # ------------------------------------------------------------------ #
-    def push(self, frames: Mapping[str, CSIFrame]) -> list[DetectionEvent]:
-        """Consume one frame per link; return the events of this step.
-
-        Frames are keyed by link name; links absent from *frames* simply do
-        not advance this step (e.g. a lost ping on one link).  All windows
-        completing on this push are scored in one batch.
-        """
-        unknown = set(frames) - set(self._sessions)
-        if unknown:
-            raise ValueError(
-                f"frames for unknown links {sorted(unknown)}; "
-                f"known links: {sorted(self._sessions)}"
-            )
-        ready: list[tuple[StreamingSession, CSITrace, int]] = []
-        for name, session in self._sessions.items():
-            if name not in frames:
-                continue
-            window = session.advance(frames[name])
-            if window is not None:
-                ready.append((session, window, session.packets_seen))
-        return score_windows_batch(ready)
-
-    def push_traces(self, traces: Mapping[str, CSITrace]) -> list[DetectionEvent]:
-        """Stream per-link traces of equal length frame by frame, in lockstep."""
-        unknown = set(traces) - set(self._sessions)
-        if unknown:
-            raise ValueError(
-                f"traces for unknown links {sorted(unknown)}; "
-                f"known links: {sorted(self._sessions)}"
-            )
-        lengths = {name: trace.num_packets for name, trace in traces.items()}
-        if len(set(lengths.values())) > 1:
-            raise ValueError(
-                f"traces must share one packet count for lockstep streaming, got {lengths}"
-            )
-        events: list[DetectionEvent] = []
-        num_packets = next(iter(lengths.values())) if lengths else 0
-        for i in range(num_packets):
-            events.extend(self.push({name: trace.frame(i) for name, trace in traces.items()}))
-        return events
-
-    # ------------------------------------------------------------------ #
-    # inspection
-    # ------------------------------------------------------------------ #
-    @property
-    def sessions(self) -> dict[str, StreamingSession]:
-        """The per-link sessions (mapping key = link name)."""
-        return dict(self._sessions)
-
-    @property
-    def links(self) -> tuple[str, ...]:
-        """Monitored link names."""
-        return tuple(self._sessions)
-
-    def events(self) -> list[DetectionEvent]:
-        """The retained events across links, in timestamp order.
-
-        Each session keeps its last ``event_history`` events (see
-        :class:`~repro.api.session.StreamingSession`).
-        """
-        merged: list[DetectionEvent] = []
-        for session in self._sessions.values():
-            merged.extend(session.events)
-        merged.sort(key=lambda e: (e.timestamp, e.link))
-        return merged
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(links={list(self._sessions)})"
-
 
 #: Most detectors one kernel call stacks: bounds the temporaries of a large
 #: calibration or replay and keeps each stack in cache (results do not
@@ -270,9 +126,9 @@ def score_windows_batch(
 
     *ready* holds ``(session, window, packets_seen)`` triples, where
     *packets_seen* is the session's packet count when the window completed.
-    The cross-link scoring step of :meth:`MultiLinkMonitor.push` and the
-    fleet scheduler (:mod:`repro.fleet.scheduler`): one
-    :func:`score_windows` call, then events through
+    The cross-link scoring step of the fleet scheduler
+    (:mod:`repro.fleet.scheduler`): one :func:`score_windows` call, then
+    events through
     :meth:`~repro.api.session.StreamingSession.emit` in *ready* order —
     bit-identical to the ones inline
     :meth:`~repro.api.session.StreamingSession.push` would emit.

@@ -269,9 +269,10 @@ class StreamingSession:
     def advance(self, frame: CSIFrame) -> CSITrace | None:
         """Buffer one frame *without* scoring; return the window it completes.
 
-        :class:`~repro.api.monitor.MultiLinkMonitor` collects the windows
-        its sessions complete on one push, scores them together and hands
-        each score back through :meth:`emit`.
+        :meth:`push` is this, a score and :meth:`emit`.  A caller watching
+        several links collects the windows its sessions complete, scores
+        them together with :func:`repro.api.monitor.score_windows_batch` and
+        gets each link's events through :meth:`emit`.
         """
         if not self.is_calibrated:
             raise RuntimeError("StreamingSession must be calibrated before pushing frames")

@@ -1,4 +1,4 @@
-"""Pluggable numeric backends (`exact` bit-parity vs `fast` SIMD).
+"""The two numeric backends (`exact` bit-parity vs `fast` SIMD).
 
 The batch-path modules take the elementwise transcendentals whose NumPy SIMD
 kernels diverge from libm in the last ulp from the *active backend*; every
@@ -20,9 +20,9 @@ computation based on the ``backend`` config field::
 
 ``use_backend`` also tags the observability recorder with the backend name,
 so spans and metric snapshots recorded inside attribute stage timings per
-backend.  New backends register through :func:`register_backend`, which
-registers one shared instance of the decorated class — see
-:class:`repro.backend.base.NumericBackend` for the protocol.
+backend.  :data:`BACKENDS` is the closed table of the two; every config with
+a ``backend`` field checks the name against it with :func:`check_backend`
+when it is built, so a mistyped name never reaches a run.
 """
 
 from __future__ import annotations
@@ -31,25 +31,32 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from repro.backend.base import NumericBackend
-from repro.backend.registry import DEFAULT_REGISTRY, available_backends, register_backend
-
-# Importing the built-in implementations registers them.
-from repro.backend import exact as _exact_module  # noqa: F401
-from repro.backend import fast as _fast_module  # noqa: F401
+from repro.backend.exact import ExactBackend
+from repro.backend.fast import FastBackend
 
 __all__ = [
+    "BACKENDS",
     "NumericBackend",
-    "DEFAULT_REGISTRY",
-    "available_backends",
-    "register_backend",
     "active_backend",
-    "resolve_backend",
+    "check_backend",
     "use_backend",
 ]
 
+#: The backends by name.  A backend is stateless, so every caller in the
+#: process shares one instance.
+BACKENDS: dict[str, NumericBackend] = {"exact": ExactBackend(), "fast": FastBackend()}
+
 #: The process-wide active backend; module-global so the per-call-site cost
 #: of `active_backend()` is one dict-free attribute read.
-_ACTIVE: NumericBackend = DEFAULT_REGISTRY.get("exact")
+_ACTIVE: NumericBackend = BACKENDS["exact"]
+
+
+def check_backend(name: str) -> str:
+    """*name* if it names a backend; otherwise a one-line ``ValueError``
+    listing the backends."""
+    if not isinstance(name, str) or name not in BACKENDS:
+        raise ValueError(f"unknown backend {name!r}; registered backends: {list(BACKENDS)}")
+    return name
 
 
 def active_backend() -> NumericBackend:
@@ -57,28 +64,19 @@ def active_backend() -> NumericBackend:
     return _ACTIVE
 
 
-def resolve_backend(name: str | NumericBackend) -> NumericBackend:
-    """Resolve *name* to its registered backend instance.
-
-    Raises ``ValueError`` naming the registered backends when *name* is
-    unknown; passes backend instances through unchanged.
-    """
-    return DEFAULT_REGISTRY.get(name) if isinstance(name, str) else name
-
-
 @contextmanager
-def use_backend(name: str | NumericBackend) -> Iterator[NumericBackend]:
-    """Activate a backend for the duration of a ``with`` block.
+def use_backend(name: str) -> Iterator[NumericBackend]:
+    """Activate the backend *name* for the duration of a ``with`` block.
 
-    Resolves *name* through the registry (``ValueError`` on unknown names),
-    installs the instance as the process-wide active backend, tags the obs
-    recorder with the backend name (a no-op when observability is off) and
-    restores the previous backend on exit.  The obs tag is deliberately
-    sticky: shard snapshots taken after the block closes still attribute
-    their spans and metrics to the backend that produced them.
+    Installs it as the process-wide active backend (``ValueError`` from
+    :func:`check_backend` on an unknown name), tags the obs recorder with
+    the backend name (a no-op when observability is off) and restores the
+    previous backend on exit.  The obs tag is deliberately sticky: shard
+    snapshots taken after the block closes still attribute their spans and
+    metrics to the backend that produced them.
     """
     global _ACTIVE
-    backend = resolve_backend(name)
+    backend = BACKENDS[check_backend(name)]
     previous = _ACTIVE
     _ACTIVE = backend
     from repro import obs

@@ -22,7 +22,7 @@ window's packets and score are bit-identical for any batch size or
 composition).  Every layer takes the same operation order under every
 backend; backends differ only inside these kernels.
 
-Backends are looked up by name in :data:`repro.backend.registry.DEFAULT_REGISTRY`
+Backends are looked up by name in the closed table :data:`repro.backend.BACKENDS`
 and activated with :func:`repro.backend.use_backend`; kernels are taken from
 :func:`repro.backend.active_backend` at call time, so a whole campaign, fleet
 shard or CLI command switches modes with one ``with`` block.
@@ -39,12 +39,12 @@ import numpy as np
 class NumericBackend(Protocol):
     """The elementwise transcendentals the batch-path modules draw from.
 
-    Implementations are stateless and take no constructor arguments, so the
-    registry holds one instance per backend, shared by every caller in the
-    process.
+    Implementations are stateless and take no constructor arguments, so
+    :data:`repro.backend.BACKENDS` holds one instance per backend, shared by
+    every caller in the process.
     """
 
-    #: Registry name, e.g. ``"exact"``; also the obs span/snapshot tag value.
+    #: Table name, e.g. ``"exact"``; also the obs span/snapshot tag value.
     name: str
 
     def exp(self, x: np.ndarray) -> np.ndarray:

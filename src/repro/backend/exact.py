@@ -32,8 +32,6 @@ import math
 
 import numpy as np
 
-from repro.backend.registry import register_backend
-
 _EXP = np.frompyfunc(math.exp, 1, 1)
 _HYPOT = np.frompyfunc(math.hypot, 2, 1)
 _SIN = np.frompyfunc(math.sin, 1, 1)
@@ -44,7 +42,6 @@ _POW = np.frompyfunc(lambda x, p: float(x) ** p, 2, 1)
 _POW_ELEMENTWISE = np.frompyfunc(lambda x, p: float(x) ** float(p), 2, 1)
 
 
-@register_backend("exact")
 class ExactBackend:
     """Libm-routed kernels, bit-identical to the scalar reference path."""
 

@@ -18,10 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend.registry import register_backend
 
-
-@register_backend("fast")
 class FastBackend:
     """Bare NumPy SIMD kernels with tolerance (not byte) parity."""
 

@@ -67,7 +67,7 @@ import numpy as np
 
 from repro.api import PipelineConfig, available_detectors
 from repro.api.registry import DEFAULT_REGISTRY as DETECTORS
-from repro.backend import available_backends, resolve_backend, use_backend
+from repro.backend import use_backend
 from repro.experiments import figures
 from repro.experiments.runner import EvaluationConfig, run_evaluation
 from repro.experiments.scenarios import evaluation_cases, human_grid
@@ -143,10 +143,9 @@ def _build_config(args: argparse.Namespace) -> EvaluationConfig:
     if getattr(args, "backend", None) is not None:
         overrides["backend"] = args.backend
     config = dataclasses.replace(config, **overrides) if overrides else config
-    # Resolve the backend and scheme names now so a typo is a one-line
-    # exit-2 config error instead of a traceback from deep inside the
-    # campaign.
-    resolve_backend(config.backend)
+    # Resolve the scheme names now so a typo is a one-line exit-2 config
+    # error instead of a traceback from deep inside the campaign (the config
+    # checked its backend name when it was built).
     for scheme in config.schemes:
         DETECTORS.get(scheme)
     return config
@@ -217,9 +216,7 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         overrides["seed"] = _DEFAULTS["seed"]
     if getattr(args, "backend", None) is not None:
         overrides["backend"] = args.backend
-    config = config.replace(**overrides) if overrides else config
-    resolve_backend(config.backend)
-    return config
+    return config.replace(**overrides) if overrides else config
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
@@ -379,9 +376,7 @@ def _fleet_config(args: argparse.Namespace):
         value = getattr(args, attr, None)
         if value is not None:
             overrides[field_name] = value
-    config = config.replace(**overrides) if overrides else config
-    resolve_backend(config.backend)
-    return config
+    return config.replace(**overrides) if overrides else config
 
 
 def _cmd_fleet_run(args: argparse.Namespace) -> int:
@@ -635,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="numeric backend to compute through: 'exact' keeps the "
             "byte-identical pins (default), 'fast' uses SIMD kernels with "
-            f"tolerance parity (registered: {', '.join(available_backends())})",
+            "tolerance parity",
         )
 
     def add_postfix_overrides(subparser, names: tuple[str, ...]) -> None:

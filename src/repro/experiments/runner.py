@@ -18,7 +18,7 @@ from typing import Any, Mapping, Sequence
 
 from repro import obs
 from repro.api.config import PipelineConfig
-from repro.backend import use_backend
+from repro.backend import check_backend, use_backend
 from repro.channel.channel import ChannelSimulator, Link
 from repro.channel.human import HumanBody
 from repro.channel.noise import ImpairmentModel
@@ -66,10 +66,8 @@ class EvaluationConfig:
     of the campaign computes through: ``"exact"`` (default) keeps the
     byte-identical libm-routed kernels behind the published sha256 pins,
     ``"fast"`` swaps in the SIMD kernels (tolerance parity — identical
-    operating points, trailing-bit score deltas).  The name is resolved
-    against the backend registry when the campaign runs, so custom backends
-    registered via :func:`repro.backend.register_backend` are addressable
-    from config files.
+    operating points, trailing-bit score deltas).  Any other name fails
+    when the config is built.
     """
 
     calibration_packets: int = 150
@@ -98,10 +96,7 @@ class EvaluationConfig:
     seed: int = 2015
 
     def __post_init__(self) -> None:
-        if not self.backend or not isinstance(self.backend, str):
-            raise ValueError(
-                f"backend must be a non-empty string, got {self.backend!r}"
-            )
+        check_backend(self.backend)
         # A degenerate campaign (no windows, no grid, an uncalibratable
         # profile) or a mistyped knob must fail at configuration time —
         # especially now that JSON-driven sweeps construct configs far from

@@ -37,7 +37,7 @@ import numpy as np
 from repro import obs
 from repro.api.config import PipelineConfig
 from repro.api.monitor import calibrate_sessions
-from repro.backend import use_backend
+from repro.backend import check_backend, use_backend
 from repro.api.session import DetectionEvent, StreamingSession
 from repro.utils.parallel import ordered_map
 from repro.utils.validation import (
@@ -86,9 +86,9 @@ class FleetConfig:
         Numeric backend (:mod:`repro.backend`) every shard — traffic
         synthesis and scheduling alike — computes through: ``"exact"``
         (default; libm-routed kernels) or ``"fast"`` (SIMD kernels,
-        tolerance parity).  Authoritative
-        for the whole fleet: the per-link ``pipeline.backend`` field is
-        ignored here, exactly as ``pipeline.seed`` is.
+        tolerance parity); any other name fails when the config is built.
+        Authoritative for the whole fleet: the per-link ``pipeline.backend``
+        field is ignored here, exactly as ``pipeline.seed`` is.
     batch_windows:
         Windows per scheduler flush — the time-ordered windows of all links
         are scored across links in vectorized passes of this many.  Events
@@ -144,8 +144,7 @@ class FleetConfig:
             raise ValueError(f"duration_s must be > 0, got {self.duration_s!r}")
         object.__setattr__(self, "duration_s", duration)
         object.__setattr__(self, "seed", check_integer("seed", self.seed))
-        if not self.backend or not isinstance(self.backend, str):
-            raise ValueError(f"backend must be a non-empty string, got {self.backend!r}")
+        check_backend(self.backend)
         fraction = check_probability("occupied_fraction", self.occupied_fraction)
         object.__setattr__(self, "occupied_fraction", fraction)
         if not isinstance(self.pipeline, PipelineConfig):

@@ -30,7 +30,6 @@ from typing import Callable
 
 from repro import obs
 from repro.api.registry import DEFAULT_REGISTRY as DETECTORS
-from repro.backend import resolve_backend
 from repro.channel.channel import Link
 from repro.experiments.runner import (
     EvaluationConfig,
@@ -115,10 +114,10 @@ class SweepRunner:
     ]:
         """Configuration-level checks, separated from execution.
 
-        Expands the spec, looks up every point's schemes in the detector
-        registry and its backend in the backend registry, resolves the case
-        subset and reconciles the store (recovering a torn trailing line
-        when *resume* is set).  Every error
+        Expands the spec (each point's config checks its backend name as it
+        is built), looks up every point's schemes in the detector registry,
+        resolves the case subset and reconciles the store (recovering a torn
+        trailing line when *resume* is set).  Every error
         raised here is a configuration mistake — the CLI maps them to its
         one-line exit-2 contract, while errors raised during :meth:`run`'s
         actual execution keep their tracebacks.
@@ -129,7 +128,6 @@ class SweepRunner:
         for point in points:
             for scheme in point.config.schemes:
                 DETECTORS.get(scheme)
-            resolve_backend(point.config.backend)
         known_ids = {point.point_id for point in points}
 
         existing: list[SweepRecord] = []

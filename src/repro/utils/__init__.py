@@ -11,7 +11,7 @@ from repro.utils.convert import (
     db_to_power,
     power_to_db,
 )
-from repro.utils.rng import derive_rng, ensure_rng
+from repro.utils.rng import ensure_rng
 from repro.utils.stats import (
     ecdf,
     percentile_summary,
@@ -30,7 +30,6 @@ __all__ = [
     "db_to_amplitude",
     "db_to_power",
     "power_to_db",
-    "derive_rng",
     "ensure_rng",
     "ecdf",
     "percentile_summary",

@@ -1,12 +1,10 @@
-"""One name-keyed registry for every pluggable kind.
+"""The name-keyed registry behind the detector plugins.
 
-Detectors (:mod:`repro.api.registry`), numeric backends
-(:mod:`repro.backend.registry`) and lint rules
-(:mod:`repro.analysis.registry`) are each looked up by name in one
-module-level :class:`Registry`.  What differs between the kinds lives in each
-kind's decorator or caller: a detector factory is called with the pipeline
-config and the link, a backend is registered as one shared instance, and a
-rule id must match a pattern and is stamped on the rule class.
+Detection schemes are the one pluggable kind: :mod:`repro.api.registry`
+holds their factories in a module-level :class:`Registry`, and a factory is
+called with the pipeline config and the link.  Numeric backends and lint
+rules are closed tables (:data:`repro.backend.BACKENDS`,
+:data:`repro.analysis.rules.RULES`).
 """
 
 from __future__ import annotations

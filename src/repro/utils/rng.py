@@ -32,36 +32,20 @@ def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)  # repro: allow-det002 -- this IS the canonical construction seam every other module must route through
 
 
-def derive_rng(rng: np.random.Generator, *keys: Union[int, str]) -> np.random.Generator:
-    """Derive an independent child generator from *rng* and a key sequence.
-
-    The derivation is deterministic given the parent generator state and the
-    keys, which lets large experiments hand out per-packet or per-location
-    streams without the components interfering with one another.
-
-    Parameters
-    ----------
-    rng:
-        Parent generator.  Its state is advanced by exactly one ``integers``
-        draw.
-    keys:
-        Arbitrary integers or strings identifying the child stream (for
-        example ``derive_rng(rng, "packet", 17)``).
-    """
-    return child_rng(draw_word(rng), *keys)
-
-
 def draw_word(rng: np.random.Generator) -> int:
-    """One seed word from *rng*: the draw :func:`derive_rng` makes."""
+    """One seed word from *rng*, advancing it by exactly one ``integers``
+    draw: the parent's part of a child stream (:func:`child_rng`)."""
     return int(rng.integers(0, 2**31 - 1))
 
 
 def child_rng(base: int, *keys: Union[int, str]) -> np.random.Generator:
-    """The child of an already-drawn word: ``derive_rng(rng, *keys)`` is
-    ``child_rng(draw_word(rng), *keys)``.
+    """The child generator of a drawn word and a key sequence.
 
-    The seed is a ``uint32`` word array; every word is below ``2**31``, so
-    its entropy pool is the one the ``[base, *words]`` list gives.
+    ``child_rng(draw_word(rng), "loss")`` is an independent stream that is
+    deterministic given the parent's state and the keys (integers or
+    strings), so components that each own one never interfere.  The seed
+    is a ``uint32`` word array; every word is below ``2**31``, so its
+    entropy pool is the one the ``[base, *words]`` list gives.
     """
     words = [base, *(_string_word(k) if isinstance(k, str) else int(k) % (2**31 - 1) for k in keys)]
     seed_seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))  # repro: allow-det002 -- canonical child-stream derivation (the seam the contract routes through)

@@ -2,7 +2,7 @@
 
 import math
 
-from repro.utils.rng import derive_rng, ensure_rng
+from repro.utils.rng import child_rng, draw_word, ensure_rng
 from repro.utils.validation import check_known_keys
 
 
@@ -17,7 +17,7 @@ class CleanConfig:
 
 
 def draw(seed, count):
-    rng = derive_rng(ensure_rng(seed), "draws")
+    rng = child_rng(draw_word(ensure_rng(seed)), "draws")
     return [rng.random() for _ in range(count)]
 
 

@@ -1,4 +1,4 @@
-"""DET002 true positives: RNG not flowing through ensure_rng/derive_rng."""
+"""DET002 true positives: RNG not flowing through ensure_rng/child_rng."""
 
 import random
 

@@ -16,18 +16,15 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    DEFAULT_REGISTRY,
     FileContext,
     Finding,
     LintConfig,
     PRAGMA_RULE_ID,
-    Rule,
+    RULES,
     RuleScope,
     SYNTAX_RULE_ID,
-    available_rules,
     lint_paths,
     parse_pragmas,
-    register_rule,
 )
 from repro.analysis.reporters import (
     JSON_REPORT_VERSION,
@@ -51,8 +48,16 @@ def lint_fixture(name: str, **kwargs) -> tuple:
 # the six rules: fixture fires / pragma silences
 # --------------------------------------------------------------------------- #
 class TestRuleFixtures:
-    def test_all_builtin_rules_registered(self):
-        assert set(BUILTIN_RULES) <= set(available_rules())
+    def test_rules_table_holds_the_builtin_rules(self):
+        assert tuple(RULES) == BUILTIN_RULES
+        assert all(rule.rule_id == rule_id for rule_id, rule in RULES.items())
+
+    def test_unknown_rule_filter_raises(self):
+        with pytest.raises(ValueError) as excinfo:
+            lint_paths([FIXTURES / "clean.py"], rule_ids=["DET999"])
+        assert str(excinfo.value) == (
+            f"unknown rules: ['DET999']; registered rules: {list(BUILTIN_RULES)}"
+        )
 
     @pytest.mark.parametrize("rule", [rule.lower() for rule in BUILTIN_RULES])
     def test_violation_fixture_fires(self, rule):
@@ -184,44 +189,6 @@ class TestReporters:
 
 
 # --------------------------------------------------------------------------- #
-# registry
-# --------------------------------------------------------------------------- #
-class TestRegistry:
-    """Rule-specific registry behaviour; the shared semantics are tested
-    once on :class:`repro.utils.registry.Registry` (test_utils)."""
-
-    def test_invalid_rule_id_rejected(self):
-        with pytest.raises(ValueError, match="rule id must match"):
-            register_rule("bad id")
-        assert "bad id" not in DEFAULT_REGISTRY
-
-    def test_custom_rule_runs_through_the_engine(self, tmp_path):
-        @register_rule("DET901")
-        class NoEvalRule(Rule):
-            summary = "eval() in library code"
-
-            def visit_Call(self, node):
-                import ast
-
-                if isinstance(node.func, ast.Name) and node.func.id == "eval":
-                    self.report(node, "eval() is banned")
-                self.generic_visit(node)
-
-        try:
-            assert NoEvalRule.rule_id == "DET901"
-            target = tmp_path / "evil.py"
-            target.write_text("value = eval('1 + 1')\n")
-            result = lint_paths([target], config=LintConfig.empty(tmp_path))
-            assert [finding.rule for finding in result.findings] == ["DET901"]
-        finally:
-            DEFAULT_REGISTRY.unregister("DET901")
-
-    def test_unknown_rule_filter_raises(self):
-        with pytest.raises(ValueError, match="unknown rules"):
-            lint_paths([FIXTURES / "clean.py"], rule_ids=["DET999"])
-
-
-# --------------------------------------------------------------------------- #
 # config: scoping + TOML loading
 # --------------------------------------------------------------------------- #
 class TestConfig:
@@ -330,9 +297,6 @@ class TestEngineAndCli:
         assert list(result.findings) == sorted(result.findings)
         rules_seen = {finding.rule for finding in result.findings}
         assert set(BUILTIN_RULES) | {PRAGMA_RULE_ID} <= rules_seen
-
-    def test_default_registry_is_shared_with_cli(self):
-        assert set(BUILTIN_RULES) <= set(DEFAULT_REGISTRY.names())
 
     def test_resolution_ignores_local_shadowing(self, tmp_path):
         # A local variable named `time` must not trip DET003.

@@ -2,7 +2,7 @@
 
 Covers the detector registry, the declarative pipeline config, the streaming
 session (window semantics and bit-identical parity with batch scoring) and
-the multi-link monitor (vectorized scoring equivalence).
+cross-link batch scoring (``score_windows_batch`` against per-link pushes).
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ import pytest
 
 from repro.api import (
     DEFAULT_REGISTRY,
-    MultiLinkMonitor,
     PipelineConfig,
     StreamingSession,
     available_detectors,
     register_detector,
 )
+from repro.api.monitor import calibrate_sessions, score_windows_batch
 from repro.channel import ChannelSimulator, HumanBody, Link, Point, Room
 from repro.core.detector import BaselineDetector
 from repro.csi import CSIFrame, CSITrace, PacketCollector
@@ -623,7 +623,7 @@ class TestStreamingSession:
 
 
 # --------------------------------------------------------------------------- #
-# multi-link monitor
+# cross-link batch scoring
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def multi_links():
@@ -644,126 +644,74 @@ def _per_link_data(links, *, num_packets=12, seed=100):
     return calibrations, windows
 
 
-class TestMultiLinkMonitor:
-    def test_from_config_builds_one_session_per_link(self, multi_links):
-        config = PipelineConfig(detector="baseline", window_packets=6)
-        monitor = MultiLinkMonitor.from_config(config, multi_links)
-        assert monitor.links == tuple(link.name for link in multi_links)
-        for name, session in monitor.sessions.items():
-            assert session.link_name == name
+def _batched_events(sessions, traces):
+    """Stream each trace through its session and score every completed
+    window of every link in one :func:`score_windows_batch` call."""
+    ready = []
+    for session, trace in zip(sessions, traces):
+        for frame in trace:
+            window = session.advance(frame)
+            if window is not None:
+                ready.append((session, window, session.packets_seen))
+    return score_windows_batch(ready)
 
-    def test_vectorized_scores_match_sequential(self, multi_links):
-        """The one-pass baseline batch is bit-identical to per-link scoring."""
-        config = PipelineConfig(detector="baseline", window_packets=6, calibration_packets=24)
+
+def _sequential_events(configs, links, calibrations, traces):
+    """Each link on its own: a fresh session calibrated and pushed alone."""
+    events = []
+    for config, link, calibration, trace in zip(configs, links, calibrations, traces):
+        session = config.session(link)
+        session.calibrate(calibration)
+        events.extend(session.push_trace(trace))
+    return events
+
+
+class TestScoreWindowsBatch:
+    """Windows of several links scored in one batch give the events each
+    link's own :meth:`~repro.api.session.StreamingSession.push` gives."""
+
+    @pytest.mark.parametrize("schemes", [("baseline",) * 3, SCHEMES], ids=["one", "mixed"])
+    def test_batched_events_match_sequential(self, multi_links, schemes):
         calibrations, windows = _per_link_data(multi_links)
-
-        monitor = MultiLinkMonitor.from_config(config, multi_links)
-        monitor.calibrate(calibrations)
-        events = monitor.push_traces(windows)
+        configs = [
+            PipelineConfig(detector=scheme, window_packets=6, calibration_packets=24)
+            for scheme in schemes
+        ]
+        sessions = [config.session(link) for config, link in zip(configs, multi_links)]
+        calibrate_sessions(
+            [(session, calibrations[link.name]) for session, link in zip(sessions, multi_links)]
+        )
+        traces = [windows[link.name] for link in multi_links]
+        events = _batched_events(sessions, traces)
         # 12 packets, window 6 tumbling -> 2 windows per link, 3 links.
         assert len(events) == 6
-
-        for link in multi_links:
-            session = config.session(link)
-            session.calibrate(calibrations[link.name])
-            expected = session.push_trace(windows[link.name])
-            got = [e for e in events if e.link == link.name]
-            assert [e.score for e in got] == [e.score for e in expected]
-            assert [e.detected for e in got] == [e.detected for e in expected]
+        expected = _sequential_events(
+            configs, multi_links, [calibrations[link.name] for link in multi_links], traces
+        )
+        assert [e.to_dict() for e in events] == [e.to_dict() for e in expected]
 
     def test_list_subcarrier_grids_batch_cleanly(self, multi_links):
         """Frame/trace validation accepts list grids; batch scoring must too."""
-        config = PipelineConfig(
-            detector="baseline", window_packets=6, calibration_packets=24
-        )
+        config = PipelineConfig(detector="baseline", window_packets=6, calibration_packets=24)
         calibrations, windows = _per_link_data(multi_links)
-        as_list = {
-            name: CSITrace(
+        traces = [windows[link.name] for link in multi_links]
+        as_list = [
+            CSITrace(
                 csi=trace.csi,
                 timestamps=trace.timestamps,
                 subcarrier_indices=list(trace.subcarrier_indices),
                 label=trace.label,
             )
-            for name, trace in windows.items()
-        }
-        monitor = MultiLinkMonitor.from_config(config, multi_links)
-        monitor.calibrate(calibrations)
-        reference = MultiLinkMonitor.from_config(config, multi_links)
-        reference.calibrate(calibrations)
-        events = monitor.push_traces(as_list)
-        expected = reference.push_traces(windows)
-        assert [e.score for e in events] == [e.score for e in expected]
-
-    def test_mixed_schemes_match_sequential(self, multi_links):
-        """Non-batchable detectors fall back per link inside the same step."""
-        calibrations, windows = _per_link_data(multi_links)
-        configs = {
-            link.name: PipelineConfig(
-                detector=scheme, window_packets=6, calibration_packets=24
+            for trace in traces
+        ]
+        scores = []
+        for batch in (as_list, traces):
+            sessions = [config.session(link) for link in multi_links]
+            calibrate_sessions(
+                [(s, calibrations[link.name]) for s, link in zip(sessions, multi_links)]
             )
-            for link, scheme in zip(multi_links, SCHEMES)
-        }
-        monitor = MultiLinkMonitor(
-            {
-                link.name: configs[link.name].session(link)
-                for link in multi_links
-            }
-        )
-        monitor.calibrate(calibrations)
-        events = monitor.push_traces(windows)
-        assert len(events) == 6
-
-        for link in multi_links:
-            session = configs[link.name].session(link)
-            session.calibrate(calibrations[link.name])
-            expected = session.push_trace(windows[link.name])
-            got = [e for e in events if e.link == link.name]
-            assert [e.score for e in got] == [e.score for e in expected]
-
-    def test_missing_calibration_rejected(self, multi_links):
-        config = PipelineConfig(detector="baseline", window_packets=6)
-        monitor = MultiLinkMonitor.from_config(config, multi_links)
-        with pytest.raises(ValueError, match="missing calibration"):
-            monitor.calibrate({})
-
-    def test_unknown_link_frames_rejected(self, multi_links):
-        config = PipelineConfig(detector="baseline", window_packets=6, calibration_packets=24)
-        calibrations, windows = _per_link_data(multi_links)
-        monitor = MultiLinkMonitor.from_config(config, multi_links)
-        monitor.calibrate(calibrations)
-        frame = windows[multi_links[0].name].frame(0)
-        with pytest.raises(ValueError, match="unknown links") as excinfo:
-            monitor.push({"not-a-link": frame})
-        # The one-line error names both the offender and the known links.
-        message = str(excinfo.value)
-        assert "not-a-link" in message
-        assert "known links" in message
-        assert multi_links[0].name in message
-        assert "\n" not in message
-
-    def test_lockstep_requires_equal_lengths(self, multi_links):
-        config = PipelineConfig(detector="baseline", window_packets=6, calibration_packets=24)
-        calibrations, windows = _per_link_data(multi_links)
-        monitor = MultiLinkMonitor.from_config(config, multi_links)
-        monitor.calibrate(calibrations)
-        uneven = dict(windows)
-        first = multi_links[0].name
-        uneven[first] = uneven[first][0:5]
-        with pytest.raises(ValueError, match="one packet count"):
-            monitor.push_traces(uneven)
-
-    def test_empty_monitor_rejected(self):
-        with pytest.raises(ValueError):
-            MultiLinkMonitor({})
-
-    def test_merged_event_history(self, multi_links):
-        config = PipelineConfig(detector="baseline", window_packets=6, calibration_packets=24)
-        calibrations, windows = _per_link_data(multi_links)
-        monitor = MultiLinkMonitor.from_config(config, multi_links)
-        monitor.calibrate(calibrations)
-        step_events = monitor.push_traces(windows)
-        merged = monitor.events()
-        assert sorted(e.score for e in merged) == sorted(e.score for e in step_events)
+            scores.append([e.score for e in _batched_events(sessions, batch)])
+        assert len(scores[0]) == 6 and scores[0] == scores[1]
 
 
 # --------------------------------------------------------------------------- #

@@ -5,7 +5,7 @@
 seam (config field, activation wrapper, kernel indirection) moves nothing;
 the pins themselves are asserted in ``test_pins.py``.  ``fast`` promises
 tolerance parity only: bounded per-window score deltas with *identical* ROC
-operating points and headline numbers.  Registry semantics, the config
+operating points and headline numbers.  The backend table, the config
 plumbing of the ``backend`` field and the CLI ``--backend`` flag are covered
 here too.
 """
@@ -20,15 +20,7 @@ import pytest
 
 from repro.api import PipelineConfig
 from repro.api.monitor import score_windows
-from repro.backend import (
-    DEFAULT_REGISTRY,
-    active_backend,
-    available_backends,
-    register_backend,
-    resolve_backend,
-    use_backend,
-)
-from repro.backend.fast import FastBackend
+from repro.backend import BACKENDS, NumericBackend, active_backend, check_backend, use_backend
 from repro.channel import ChannelSimulator, HumanBody, Link, Point, Room
 from repro.cli import main
 from repro.csi import CSITrace, PacketCollector
@@ -199,51 +191,29 @@ class TestOverflowingSquares:
 
 
 # --------------------------------------------------------------------------- #
-# registry semantics
+# the backend table
 # --------------------------------------------------------------------------- #
-class TestBackendRegistry:
-    """Backend-specific registry behaviour; the shared semantics are tested
-    once on :class:`repro.utils.registry.Registry` (test_utils)."""
-
-    def test_builtins_registered(self):
-        assert set(available_backends()) >= {"exact", "fast"}
-        assert "exact" in DEFAULT_REGISTRY and "fast" in DEFAULT_REGISTRY
+class TestBackendTable:
+    def test_table_holds_one_shared_instance_per_backend(self):
+        assert list(BACKENDS) == ["exact", "fast"]
+        for name, backend in BACKENDS.items():
+            assert isinstance(backend, NumericBackend) and backend.name == name
+            with use_backend(name) as active:
+                assert active is backend and active_backend() is backend
 
     def test_default_active_backend_is_exact(self):
         assert active_backend().name == "exact"
 
-    def test_instances_are_cached_and_shared(self):
-        assert resolve_backend("fast") is resolve_backend("fast")
-        assert resolve_backend("exact") is DEFAULT_REGISTRY.get("exact")
-
-    def test_plugin_backend_registers_one_shared_instance(self):
-        @register_backend("toy")
-        class ToyBackend(FastBackend):
-            name = "toy"
-
-        try:
-            backend = resolve_backend("toy")
-            assert isinstance(backend, ToyBackend)
-            assert DEFAULT_REGISTRY.get("toy") is backend
-            with use_backend("toy") as active:
-                assert active is backend and active_backend() is backend
-        finally:
-            DEFAULT_REGISTRY.unregister("toy")
-        # A class lacking the protocol's kernels is not a backend.
-        with pytest.raises(TypeError, match="backend must be an instance of NumericBackend"):
-            register_backend("half")(type("Half", (), {"name": "half"}))
-        assert "half" not in DEFAULT_REGISTRY
-
-    def test_resolve_passes_instances_through(self):
-        instance = resolve_backend("fast")
-        assert resolve_backend(instance) is instance
-
-    def test_unknown_backend_error_names_the_registry(self):
+    def test_unknown_backend_error_names_the_backends(self):
+        message = "unknown backend 'nope'; registered backends: ['exact', 'fast']"
         with pytest.raises(ValueError) as excinfo:
-            resolve_backend("nope")
-        assert str(excinfo.value) == (
-            "unknown backend 'nope'; registered backends: ['exact', 'fast']"
-        )
+            check_backend("nope")
+        assert str(excinfo.value) == message
+        with pytest.raises(ValueError) as excinfo:
+            with use_backend("nope"):
+                pass
+        assert str(excinfo.value) == message
+        assert active_backend().name == "exact"
 
     def test_use_backend_activates_and_restores(self):
         before = active_backend()
@@ -302,15 +272,19 @@ class TestBackendConfigField:
                 {"axes": [{"field": "seed", "values": [1]}], "backend": "fast"}
             )
 
-    @pytest.mark.parametrize("bad", ["", 3])
+    @pytest.mark.parametrize("bad", ["", 3, "fsat"])
     def test_configs_reject_bad_backend(self, bad):
+        """A mistyped name fails when the config is built, not in a run."""
         for build in (
             lambda: EvaluationConfig(backend=bad),
             lambda: PipelineConfig(backend=bad),
             lambda: FleetConfig(backend=bad),
         ):
-            with pytest.raises(ValueError, match="backend"):
+            with pytest.raises(ValueError) as excinfo:
                 build()
+            assert str(excinfo.value) == (
+                f"unknown backend {bad!r}; registered backends: ['exact', 'fast']"
+            )
 
     def test_backend_distinguishes_point_ids(self):
         spec = SweepSpec(axes=[{"field": "backend", "values": ["exact", "fast"]}])
@@ -352,28 +326,35 @@ class TestSweepStoreBytesPerBackend:
 # --------------------------------------------------------------------------- #
 class TestCliBackendFlag:
     def test_unknown_backend_exits_2(self, tmp_path, capsys):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(
-            SweepSpec(axes=[{"field": "seed", "values": [1]}]).to_json()
-        )
+        """A flag, a ``--config`` file, a sweep's base config or its backend
+        axis naming no backend: one error line, exit 2, no store written."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(SweepSpec(axes=[{"field": "seed", "values": [1]}]).to_json())
+        bad_config = tmp_path / "bad.json"
+        bad_config.write_text('{"backend": "nope"}')
+        bad_specs = []
+        for name, payload in (
+            ("base", {"base": {"backend": "nope"}, "axes": [{"field": "seed", "values": [1]}]}),
+            ("axis", {"axes": [{"field": "backend", "values": ["exact", "nope"]}]}),
+        ):
+            bad_specs.append(tmp_path / f"{name}.json")
+            bad_specs[-1].write_text(json.dumps({**payload, "cases": ["case-1"]}))
+        store = tmp_path / "store.jsonl"
+        sweep = ["sweep", "run", "--store", str(store), "--spec"]
         for argv in (
             ["figure", "fig3", "--backend", "nope"],
+            ["--config", str(bad_config), "figure", "fig3"],
             ["pipeline", "--backend", "nope", "--windows", "1"],
+            ["--config", str(bad_config), "pipeline", "--windows", "1"],
             ["fleet", "run", "--links", "1", "--backend", "nope"],
-            [
-                "sweep",
-                "run",
-                "--spec",
-                str(spec_path),
-                "--store",
-                str(tmp_path / "store.jsonl"),
-                "--backend",
-                "nope",
-            ],
+            [*sweep, str(spec), "--backend", "nope"],
+            *([*sweep, str(path)] for path in bad_specs),
         ):
             assert main(argv) == 2
-            captured = capsys.readouterr()
-            assert "unknown backend 'nope'" in captured.err
+            assert capsys.readouterr().err == (
+                "error: unknown backend 'nope'; registered backends: ['exact', 'fast']\n"
+            )
+        assert not store.exists()
 
     def test_figure_accepts_fast_backend(self, capsys):
         assert main(["figure", "fig3", "--backend", "fast"]) == 0

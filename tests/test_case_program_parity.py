@@ -17,7 +17,12 @@ import pytest
 
 from repro import obs
 from repro.api.config import PipelineConfig
-from repro.api.monitor import MultiLinkMonitor, calibrate_shared, score_windows_shared
+from repro.api.monitor import (
+    calibrate_sessions,
+    calibrate_shared,
+    score_windows_batch,
+    score_windows_shared,
+)
 from repro.channel.channel import ChannelSimulator
 from repro.channel.human import HumanBody
 from repro.core.detector import (
@@ -282,9 +287,17 @@ class TestMixedGridBatchScoring:
             calibrations[link.name] = calibration
             windows[link.name] = window
 
-        monitor = MultiLinkMonitor.from_config(config, pair)
-        monitor.calibrate(calibrations)
-        events = monitor.push_traces(windows)
+        sessions = [config.session(link) for link in pair]
+        calibrate_sessions(
+            [(session, calibrations[link.name]) for session, link in zip(sessions, pair)]
+        )
+        ready = []
+        for session, link in zip(sessions, pair):
+            for frame in windows[link.name]:
+                window = session.advance(frame)
+                if window is not None:
+                    ready.append((session, window, session.packets_seen))
+        events = score_windows_batch(ready)
         assert len(events) == 4
 
         for link in pair:

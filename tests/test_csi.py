@@ -16,7 +16,7 @@ from repro.csi import (
     subcarrier_rss_db,
 )
 from repro.csi.rssi import mean_rss_change_db, rss_variance_db, trace_rss_change_db
-from repro.utils.rng import derive_rng, draw_word, ensure_rng
+from repro.utils.rng import child_rng, draw_word, ensure_rng
 
 
 def _random_csi(rng: np.random.Generator, packets: int = 0) -> np.ndarray:
@@ -164,7 +164,7 @@ class TestPacketCollector:
     ):
         # The eager stream: the loss generator derived from the collector's
         # first draw, as its construction orders them.
-        eager = derive_rng(ensure_rng(seed), "loss")
+        eager = child_rng(draw_word(ensure_rng(seed)), "loss")
         lossy = PacketCollector(simulator, loss_probability=loss, seed=seed)
         cleans = simulator.clean_cfr_batch([None] * len(counts))
         traces = lossy.collect_batch(cleans, counts)

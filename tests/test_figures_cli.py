@@ -9,6 +9,9 @@ benchmarks do).
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +119,23 @@ class TestCli:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_readme_commands_parse(self):
+        """Every ``python -m repro`` line of the README's bash blocks is a
+        command the parser accepts (parsed, not run)."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        commands = [
+            shlex.split(line, comments=True)
+            for block in re.findall(r"```bash\n(.*?)```", readme, flags=re.S)
+            for line in block.replace("\\\n", " ").splitlines()
+            if "python -m repro" in line
+        ]
+        assert len(commands) >= 20
+        for words in commands:
+            try:
+                build_parser().parse_args(words[words.index("-m") + 2 :])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {shlex.join(words)}")
 
     def test_list_command(self, capsys):
         assert main(["list"]) == 0

@@ -14,7 +14,6 @@ from repro.utils import (
     check_shape,
     db_to_amplitude,
     db_to_power,
-    derive_rng,
     ecdf,
     ensure_rng,
     percentile_summary,
@@ -41,10 +40,10 @@ class TestRng:
     def test_ensure_rng_none_gives_generator(self):
         assert isinstance(ensure_rng(None), np.random.Generator)
 
-    def test_derive_rng_children_differ(self):
+    def test_child_rng_children_differ(self):
         parent = ensure_rng(5)
-        child_a = derive_rng(parent, "packet", 1)
-        child_b = derive_rng(parent, "packet", 2)
+        child_a = child_rng(draw_word(parent), "packet", 1)
+        child_b = child_rng(draw_word(parent), "packet", 2)
         assert child_a.integers(0, 10**6) != child_b.integers(0, 10**6)
 
     @staticmethod
@@ -80,10 +79,10 @@ class TestRng:
         seed=st.integers(0, 2**64),
         keys=st.lists(st.one_of(st.integers(0, 2**40), st.text(max_size=8)), max_size=3),
     )
-    def test_derive_rng_is_the_child_of_one_drawn_word(self, seed, keys):
+    def test_draw_word_is_one_integers_draw(self, seed, keys):
         parent, twin = ensure_rng(seed), ensure_rng(seed)
-        derived = derive_rng(parent, *keys)
-        base = draw_word(twin)
+        derived = child_rng(draw_word(parent), *keys)
+        base = int(twin.integers(0, 2**31 - 1))
         assert 0 <= base < 2**31 - 1
         assert derived.bit_generator.state == self.list_seeded(base, keys).bit_generator.state
         assert parent.bit_generator.state == twin.bit_generator.state
@@ -224,7 +223,7 @@ class TestValidation:
 
 
 class TestRegistry:
-    """The one registry class behind detectors, backends and lint rules."""
+    """The registry class behind the detector plugins."""
 
     def test_direct_registration(self):
         registry: Registry[int] = Registry("widget", int)
