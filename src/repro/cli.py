@@ -144,8 +144,7 @@ def _build_config(args: argparse.Namespace) -> EvaluationConfig:
         overrides["backend"] = args.backend
     config = dataclasses.replace(config, **overrides) if overrides else config
     # Resolve the scheme names now so a typo is a one-line exit-2 config
-    # error instead of a traceback from deep inside the campaign (the config
-    # checked its backend name when it was built).
+    # error instead of a traceback from deep inside the campaign.
     for scheme in config.schemes:
         DETECTORS.get(scheme)
     return config
