@@ -11,6 +11,7 @@ src/repro`` exits 0.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,12 @@ class TestRuleFixtures:
     def test_rules_table_holds_the_builtin_rules(self):
         assert tuple(RULES) == BUILTIN_RULES
         assert all(rule.rule_id == rule_id for rule_id, rule in RULES.items())
+
+    def test_rule_ids_are_distinct_from_the_engine_ids(self):
+        """Every id is ``DETnnn``, so none shadows the engine's own PRAGMA
+        and SYNTAX findings, which no pragma can suppress."""
+        assert all(re.fullmatch(r"DET\d{3}", rule_id) for rule_id in RULES)
+        assert not {PRAGMA_RULE_ID, SYNTAX_RULE_ID} & set(RULES)
 
     def test_unknown_rule_filter_raises(self):
         with pytest.raises(ValueError) as excinfo:
@@ -297,6 +304,12 @@ class TestEngineAndCli:
         assert list(result.findings) == sorted(result.findings)
         rules_seen = {finding.rule for finding in result.findings}
         assert set(BUILTIN_RULES) | {PRAGMA_RULE_ID} <= rules_seen
+
+    def test_cli_runs_the_rules_table(self, capsys):
+        """``repro lint`` without ``--rule`` runs every rule of ``RULES``."""
+        assert main(["lint", str(FIXTURES), "--format", "json"]) == 1
+        document = json.loads(capsys.readouterr().out)
+        assert set(RULES) <= set(document["summary"]["by_rule"])
 
     def test_resolution_ignores_local_shadowing(self, tmp_path):
         # A local variable named `time` must not trip DET003.

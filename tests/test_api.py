@@ -644,6 +644,13 @@ def _per_link_data(links, *, num_packets=12, seed=100):
     return calibrations, windows
 
 
+def _calibrated_sessions(configs, links, calibrations):
+    """One session per link, all calibrated in one :func:`calibrate_sessions` pass."""
+    sessions = [config.session(link) for config, link in zip(configs, links)]
+    calibrate_sessions([(s, calibrations[link.name]) for s, link in zip(sessions, links)])
+    return sessions
+
+
 def _batched_events(sessions, traces):
     """Stream each trace through its session and score every completed
     window of every link in one :func:`score_windows_batch` call."""
@@ -659,9 +666,9 @@ def _batched_events(sessions, traces):
 def _sequential_events(configs, links, calibrations, traces):
     """Each link on its own: a fresh session calibrated and pushed alone."""
     events = []
-    for config, link, calibration, trace in zip(configs, links, calibrations, traces):
+    for config, link, trace in zip(configs, links, traces):
         session = config.session(link)
-        session.calibrate(calibration)
+        session.calibrate(calibrations[link.name])
         events.extend(session.push_trace(trace))
     return events
 
@@ -677,17 +684,12 @@ class TestScoreWindowsBatch:
             PipelineConfig(detector=scheme, window_packets=6, calibration_packets=24)
             for scheme in schemes
         ]
-        sessions = [config.session(link) for config, link in zip(configs, multi_links)]
-        calibrate_sessions(
-            [(session, calibrations[link.name]) for session, link in zip(sessions, multi_links)]
-        )
+        sessions = _calibrated_sessions(configs, multi_links, calibrations)
         traces = [windows[link.name] for link in multi_links]
         events = _batched_events(sessions, traces)
         # 12 packets, window 6 tumbling -> 2 windows per link, 3 links.
         assert len(events) == 6
-        expected = _sequential_events(
-            configs, multi_links, [calibrations[link.name] for link in multi_links], traces
-        )
+        expected = _sequential_events(configs, multi_links, calibrations, traces)
         assert [e.to_dict() for e in events] == [e.to_dict() for e in expected]
 
     def test_list_subcarrier_grids_batch_cleanly(self, multi_links):
@@ -706,12 +708,61 @@ class TestScoreWindowsBatch:
         ]
         scores = []
         for batch in (as_list, traces):
-            sessions = [config.session(link) for link in multi_links]
-            calibrate_sessions(
-                [(s, calibrations[link.name]) for s, link in zip(sessions, multi_links)]
-            )
+            sessions = _calibrated_sessions([config] * 3, multi_links, calibrations)
             scores.append([e.score for e in _batched_events(sessions, batch)])
         assert len(scores[0]) == 6 and scores[0] == scores[1]
+
+    def test_windows_scored_late_keep_their_completion_counts(self, multi_links):
+        """Overlapping windows collected to the end of every trace and scored
+        together carry the packet count at which each one completed."""
+        config = PipelineConfig(
+            detector="baseline", window_packets=6, window_stride=2, calibration_packets=24
+        )
+        calibrations, windows = _per_link_data(multi_links)
+        sessions = _calibrated_sessions([config] * 3, multi_links, calibrations)
+        traces = [windows[link.name] for link in multi_links]
+        events = _batched_events(sessions, traces)
+        # 12 packets, window 6, stride 2 -> windows complete on 6, 8, 10, 12.
+        assert [e.packets_seen for e in events] == [6, 8, 10, 12] * 3
+        expected = _sequential_events([config] * 3, multi_links, calibrations, traces)
+        assert [e.to_dict() for e in events] == [e.to_dict() for e in expected]
+
+    def test_sessions_record_the_events_they_emit(self, multi_links):
+        """After a batch, each session holds the history, event count and
+        packet count that pushing its link alone leaves."""
+        config = PipelineConfig(detector="combined", window_packets=6, calibration_packets=24)
+        calibrations, windows = _per_link_data(multi_links)
+        sessions = _calibrated_sessions([config] * 3, multi_links, calibrations)
+        _batched_events(sessions, [windows[link.name] for link in multi_links])
+        for session, link in zip(sessions, multi_links):
+            alone = config.session(link)
+            alone.calibrate(calibrations[link.name])
+            alone.push_trace(windows[link.name])
+            assert [e.to_dict() for e in session.events] == [e.to_dict() for e in alone.events]
+            assert session.events_emitted == alone.events_emitted == 2
+            assert session.packets_seen == alone.packets_seen == 12
+
+    def test_fixed_threshold_sessions_skip_the_replay(self, multi_links):
+        """One calibration pass over mixed threshold policies: a fixed
+        threshold stays, the others are the ones calibrating alone derives."""
+        calibrations, _ = _per_link_data(multi_links)
+        common = dict(window_packets=6, calibration_packets=24)
+        configs = [
+            PipelineConfig(detector="baseline", threshold=1e9, threshold_policy="fixed", **common),
+            PipelineConfig(detector="baseline", **common),
+            PipelineConfig(detector="subcarrier", **common),
+        ]
+        sessions = _calibrated_sessions(configs, multi_links, calibrations)
+        assert sessions[0].threshold == 1e9
+        for config, session, link in zip(configs, sessions, multi_links):
+            alone = config.session(link)
+            alone.calibrate(calibrations[link.name])
+            assert session.is_calibrated
+            assert session.threshold == alone.threshold
+
+    def test_empty_batches_are_no_ops(self):
+        assert score_windows_batch([]) == []
+        assert calibrate_sessions([]) is None
 
 
 # --------------------------------------------------------------------------- #

@@ -204,6 +204,20 @@ class TestBackendTable:
     def test_default_active_backend_is_exact(self):
         assert active_backend().name == "exact"
 
+    def test_check_backend_returns_the_name(self):
+        assert [check_backend(name) for name in BACKENDS] == ["exact", "fast"]
+
+    def test_use_backend_takes_a_name_only(self):
+        """An instance is not a name, even the table's own."""
+        with pytest.raises(ValueError) as excinfo:
+            with use_backend(BACKENDS["fast"]):
+                pass
+        message = str(excinfo.value)
+        assert message.startswith("unknown backend <")
+        assert message.endswith("; registered backends: ['exact', 'fast']")
+        assert "\n" not in message
+        assert active_backend().name == "exact"
+
     def test_unknown_backend_error_names_the_backends(self):
         message = "unknown backend 'nope'; registered backends: ['exact', 'fast']"
         with pytest.raises(ValueError) as excinfo:
@@ -285,6 +299,39 @@ class TestBackendConfigField:
             assert str(excinfo.value) == (
                 f"unknown backend {bad!r}; registered backends: ['exact', 'fast']"
             )
+
+    @pytest.mark.parametrize("name", list(BACKENDS))
+    def test_configs_accept_every_backend(self, name):
+        configs = (
+            EvaluationConfig(backend=name),
+            PipelineConfig(backend=name),
+            FleetConfig(backend=name),
+        )
+        assert [config.backend for config in configs] == [name] * 3
+
+    def test_config_files_reject_bad_backend(self):
+        """A mistyped name in a file, a fleet's nested pipeline included,
+        fails as the file is read."""
+        for load in (
+            lambda: EvaluationConfig.from_dict({"backend": "fsat"}),
+            lambda: PipelineConfig.from_json('{"backend": "fsat"}'),
+            lambda: FleetConfig.from_dict({"pipeline": {"backend": "fsat"}}),
+        ):
+            with pytest.raises(ValueError) as excinfo:
+                load()
+            assert str(excinfo.value) == (
+                "unknown backend 'fsat'; registered backends: ['exact', 'fast']"
+            )
+
+    def test_bad_backend_axis_fails_validation_before_the_store(self, tmp_path):
+        spec = SweepSpec(axes=[{"field": "backend", "values": ["exact", "nope"]}])
+        store = SweepStore(tmp_path / "store.jsonl")
+        with pytest.raises(ValueError) as excinfo:
+            SweepRunner(spec, store).validate()
+        assert str(excinfo.value) == (
+            "unknown backend 'nope'; registered backends: ['exact', 'fast']"
+        )
+        assert not store.path.exists()
 
     def test_backend_distinguishes_point_ids(self):
         spec = SweepSpec(axes=[{"field": "backend", "values": ["exact", "fast"]}])
