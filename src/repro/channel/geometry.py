@@ -280,7 +280,11 @@ def segment_point_deltas(
     clamp-projection arithmetic, evaluated with NumPy broadcasting over
     stacks of segments and points.  ``hypot(dx, dy)`` (through the active
     backend's ``hypot``) is bit-identical to the scalar distance; a
-    zero-length segment clamps to its start, as the scalar method does.
+    zero-length segment clamps to its start, as the scalar method does.  A
+    finite segment whose squared length overflows (longer than ~1.3e154)
+    projects along its direction divided by its larger component instead,
+    whose squared length is in [1, 2], so its offsets stay finite where the
+    scalar method's are NaN.
 
     Parameters
     ----------
@@ -307,7 +311,17 @@ def segment_point_deltas(
     safe_length_sq = np.where(degenerate, 1.0, length_sq)
     rel_x = points[..., 0] - starts[..., 0]
     rel_y = points[..., 1] - starts[..., 1]
-    t = np.clip((rel_x * direction_x + rel_y * direction_y) / safe_length_sq, 0.0, 1.0)
+    t = (rel_x * direction_x + rel_y * direction_y) / safe_length_sq
+    overflowed = np.isinf(length_sq)
+    if np.any(overflowed):
+        with np.errstate(invalid="ignore"):
+            scale = np.maximum(np.abs(direction_x), np.abs(direction_y))
+            unit_x, unit_y = direction_x / scale, direction_y / scale
+            scaled = (rel_x / scale * unit_x + rel_y / scale * unit_y) / (
+                unit_x * unit_x + unit_y * unit_y
+            )
+        t = np.where(overflowed, scaled, t)
+    t = np.clip(t, 0.0, 1.0)
     if np.any(degenerate):
         # A finite direction times 0.0 is a signed zero, so the closest
         # point is the start exactly.

@@ -189,6 +189,21 @@ class TestOverflowingSquares:
                 finite[backend] = np.isfinite(ChannelSimulator(link).clean_cfr_batch([scene]))
         assert np.array_equal(finite["exact"], finite["fast"])
 
+    @pytest.mark.parametrize("backend", ["exact", "fast"])
+    def test_far_body_adds_nothing_to_a_finite_cfr(self, backend):
+        """A body at x = 1e160 next to one at (3, 4): its reflection legs
+        square to inf, yet the CFR is finite and equals the near body's
+        alone (the far body reflects with zero gain and shadows nothing)."""
+        room = Room.rectangular(6.0, 8.0, material="concrete")
+        link = Link(room=room, tx=Point(1.0, 2.0), rx=Point(5.0, 6.0), name="far")
+        near = HumanBody(position=Point(3.0, 4.0))
+        far = HumanBody(position=Point(1e160, 2.0))
+        with use_backend(backend), np.errstate(over="ignore", invalid="ignore"):
+            simulator = ChannelSimulator(link)
+            both, alone = simulator.clean_cfr_batch([[near, far], [near]])
+        assert np.all(np.isfinite(both))
+        assert np.array_equal(both, alone)
+
 
 # --------------------------------------------------------------------------- #
 # the backend table

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +15,7 @@ from repro.channel.geometry import (
     angle_between,
     path_length,
     segment_blocked_by_disc,
+    segment_point_deltas,
 )
 
 finite_coord = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -154,3 +156,13 @@ class TestHelpers:
         blocked = segment_blocked_by_disc(start, end, center, radius)
         distance = Segment(start, end).distance_to_point(center)
         assert blocked == (distance <= radius)
+
+    def test_segment_whose_squared_length_overflows_gives_finite_offsets(self):
+        """A 1e160 m leg squares to inf; its projection stays finite and
+        puts the closest point where the exact geometry does."""
+        starts = np.array([[1.0, 2.0], [1.0, 2.0]])
+        ends = np.array([[1e160, 2.0], [4.0, 2.0]])
+        points = np.array([[3.0, 4.0], [3.0, 4.0]])
+        with np.errstate(over="ignore"):
+            dx, dy = segment_point_deltas(starts, ends, points)
+        assert dx.tolist() == [0.0, 0.0] and dy.tolist() == [-2.0, -2.0]
