@@ -61,8 +61,8 @@ def test_subcarrier_weighting_window(benchmark):
     """The detector-scoring hot path: weights from a 25-packet window."""
     trace = _random_trace(25)
     weighting = SubcarrierWeighting()
-    weights = benchmark(weighting.weights_from_trace, trace)
-    assert weights.shape == (3, 30)
+    weights = benchmark(weighting.stacked_weights, trace.csi[None])
+    assert weights.shape == (1, 3, 30)
 
 
 #: sha256 over the stack's 256 windows and the links' calibration captures
@@ -99,7 +99,7 @@ def combined_stack():
     detectors = [session.detector for session, _ in streams]
     windows = [
         CSITrace(
-            csi=traffic.arrival_csi(np.arange(10 * (i % 4), 10 * (i % 4) + 10)),
+            csi=traffic.pool_csi[10 * (i % 4) : 10 * (i % 4) + 10],
             subcarrier_indices=traffic.subcarrier_indices,
         )
         for i, (_, traffic) in enumerate(streams)

@@ -11,9 +11,9 @@ alone: the per-packet Eq. 12 weights averaged over the window, the ablation
 baseline.
 
 :meth:`SubcarrierWeighting.stacked_weights` is the only implementation: it
-weights a stack of windows in one pass, and one window's weights
-(:meth:`SubcarrierWeighting.weights_from_trace`) are its batch of one.  The
-stability ratio's above-median mask comes from
+weights a stack of windows in one pass, and one window's weights are its
+batch of one (``stacked_weights(csi[None])[0]``).  The stability ratio's
+above-median mask comes from
 :func:`~repro.core.multipath_factor.exceeds_row_median`: one sort along the
 subcarrier axis, the same mask as ``np.median`` gives.
 """
@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.multipath_factor import exceeds_row_median, multipath_factor_batch
-from repro.csi.trace import CSITrace
 
 
 class SubcarrierWeighting:
@@ -40,12 +39,6 @@ class SubcarrierWeighting:
 
     def __init__(self, *, use_stability_ratio: bool = True) -> None:
         self.use_stability_ratio = use_stability_ratio
-
-    def weights_from_trace(self, trace: CSITrace) -> np.ndarray:
-        """Weights of one window of M CSI packets (the monitoring window),
-        shape ``(antennas, subcarriers)``: the batch of one of
-        :meth:`stacked_weights`."""
-        return self.stacked_weights(trace.csi[None])[0]
 
     def stacked_weights(self, csi_stack: np.ndarray) -> np.ndarray:
         """Weight arrays for a stack of same-shape windows in one pass.

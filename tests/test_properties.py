@@ -56,11 +56,9 @@ class TestScaleInvariances:
     def test_subcarrier_weights_invariant_to_global_gain(self, gain):
         rng = np.random.default_rng(11)
         csi = rng.normal(size=(8, 2, 30)) + 1j * rng.normal(size=(8, 2, 30))
-        from repro.csi import CSITrace
-
         weighting = SubcarrierWeighting()
-        base = weighting.weights_from_trace(CSITrace(csi=csi))
-        scaled = weighting.weights_from_trace(CSITrace(csi=gain * csi))
+        base = weighting.stacked_weights(csi[None])[0]
+        scaled = weighting.stacked_weights(gain * csi[None])[0]
         assert np.allclose(base, scaled, rtol=1e-9)
 
     @slow_settings
@@ -150,9 +148,7 @@ class TestStatisticalInvariants:
     def test_weights_sum_to_one_for_any_window_length(self, packets):
         rng = np.random.default_rng(packets)
         csi = rng.normal(size=(packets, 3, 30)) + 1j * rng.normal(size=(packets, 3, 30))
-        from repro.csi import CSITrace
-
-        weights = SubcarrierWeighting().weights_from_trace(CSITrace(csi=csi))
+        weights = SubcarrierWeighting().stacked_weights(csi[None])[0]
         assert np.allclose(weights.sum(axis=1), 1.0)
 
 

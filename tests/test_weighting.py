@@ -14,35 +14,35 @@ from repro.core.detector import SubcarrierPathWeightingDetector
 from repro.core.multipath_factor import multipath_factor_trace
 from repro.core.path_weighting import PATH_WEIGHT_FLOOR, path_weights
 from repro.core.subcarrier_weighting import SubcarrierWeighting
-from repro.csi import CSITrace, PacketCollector
+from repro.csi import PacketCollector
 
 
 class TestSubcarrierWeighting:
     def test_weights_normalised_per_antenna(self, occupied_trace):
-        weights = SubcarrierWeighting().weights_from_trace(occupied_trace)
+        weights = SubcarrierWeighting().stacked_weights(occupied_trace.csi[None])[0]
         sums = weights.sum(axis=1)
         assert np.allclose(sums, 1.0)
 
     def test_weights_follow_mean_factor_ordering(self, occupied_trace):
         weighting = SubcarrierWeighting(use_stability_ratio=False)
-        weights = weighting.weights_from_trace(occupied_trace)
+        weights = weighting.stacked_weights(occupied_trace.csi[None])[0]
         mean_factor = np.abs(multipath_factor_trace(occupied_trace).mean(axis=0)[0])
         assert np.argmax(weights[0]) == np.argmax(mean_factor)
 
     def test_stability_ratio_changes_weights(self, occupied_trace):
-        with_ratio = SubcarrierWeighting(use_stability_ratio=True).weights_from_trace(
-            occupied_trace
-        )
-        without_ratio = SubcarrierWeighting(use_stability_ratio=False).weights_from_trace(
-            occupied_trace
-        )
+        with_ratio = SubcarrierWeighting(use_stability_ratio=True).stacked_weights(
+            occupied_trace.csi[None]
+        )[0]
+        without_ratio = SubcarrierWeighting(use_stability_ratio=False).stacked_weights(
+            occupied_trace.csi[None]
+        )[0]
         assert not np.allclose(with_ratio, without_ratio)
 
     def test_per_packet_weights_eq12(self, occupied_trace):
         """Eq. 12 is the one-packet window without the stability ratio:
         weights proportional to that packet's multipath factors."""
         weighting = SubcarrierWeighting(use_stability_ratio=False)
-        weights = weighting.weights_from_trace(occupied_trace[:1])
+        weights = weighting.stacked_weights(occupied_trace[:1].csi[None])[0]
         assert weights.shape == (3, 30)
         assert np.allclose(weights.sum(axis=1), 1.0)
         factors = multipath_factor_trace(occupied_trace[:1])[0]
@@ -69,8 +69,8 @@ class TestSubcarrierWeighting:
         burst_human = PacketCollector(simulator, impairments=noiseless, seed=2).collect(
             human, num_packets=10
         ).csi
-        trace = CSITrace(csi=burst_human)
-        weights = SubcarrierWeighting(use_stability_ratio=False).weights_from_trace(trace)
+        weighting = SubcarrierWeighting(use_stability_ratio=False)
+        weights = weighting.stacked_weights(burst_human[None])[0]
         delta = 10 * np.log10(
             np.abs(burst_human).mean(axis=0) ** 2 / np.abs(burst_empty).mean(axis=0) ** 2
         )
@@ -179,7 +179,7 @@ class TestBatchOfOne:
         with use_backend(backend):
             stacked = weighting.stacked_weights(csi)
             for position in range(stack):
-                alone = weighting.weights_from_trace(CSITrace(csi=csi[position]))
+                alone = weighting.stacked_weights(csi[position][None])[0]
                 assert np.array_equal(alone, stacked[position])
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
