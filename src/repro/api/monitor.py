@@ -1,23 +1,34 @@
-"""Cross-link scoring and calibration.
+"""Cross-link scoring and calibration: one program over a stack of CSI.
 
-:func:`score_windows` is the one scoring program of every caller: the
-campaign (:func:`score_windows_shared`), the calibration-threshold replay of
-:func:`calibrate_sessions` (behind
-:meth:`~repro.api.session.StreamingSession.calibrate` and the fleet's shard
-set-up), and the fleet scheduler, which scores and emits sessions' completed
-windows through :func:`score_windows_batch`.  It groups
-(detector, window) pairs by scheme kernel and window shape, sanitises every
-window once, and scores each group in one stacked kernel call
-(:meth:`~repro.core.detector.Detector.stacked_scores`).  A window's score
-depends only on its detector's calibration and its packets, so it is
-bit-identical for any batch size or composition — a standalone
-``detector.score(window)`` is the batch of one.  Calibration is grouped the
-same way, by the same key: :func:`calibrate_sessions` and
-:func:`calibrate_shared` stack each group's calibration traces into one
-:meth:`~repro.core.detector.Detector.stacked_calibrate` call per chunk,
-and a standalone ``detector.calibrate(trace)`` is the batch of one.  Every
-detector is a :class:`~repro.core.detector.Detector`, so every pair takes
-this one path.
+Every caller scores and calibrates a stack of raw CSI, shape ``(rows,
+packets, antennas, subcarriers)``, in the same two steps.
+:func:`prepare_stack` sanitises every row a sanitising detector reads in one
+:func:`~repro.csi.calibration.sanitize_csi_array` call, each packet once
+however many detectors read it.  :func:`score_stack` then scores, and
+:func:`calibrate_stack` calibrates, each kernel group's rows in one
+:meth:`~repro.core.detector.Detector.stacked_scores` or
+:meth:`~repro.core.detector.Detector.stacked_calibrate` call per chunk.
+
+A *job* ``(detectors, rows)`` reads row ``rows[i]`` of the stack under
+``detectors[i]``; its detectors share one kernel: class,
+:meth:`~repro.core.detector.Detector.batch_key` and sanitise flag
+(:func:`kernel_groups`).  The callers:
+
+* the fleet scheduler (:mod:`repro.fleet.scheduler`) groups its links once
+  per run and gathers each flush's stack from its shard's frame layout;
+* :func:`calibrate_sessions` (behind
+  :meth:`~repro.api.session.StreamingSession.calibrate` and the fleet's
+  shard set-up) stacks the calibration traces, calibrates, and replays the
+  prepared stack reshaped into tumbling windows;
+* the campaign stacks a case's windows once (:func:`score_windows_shared`,
+  after :func:`calibrate_shared`);
+* :func:`score_windows` stacks arbitrary (detector, window) pairs.
+
+A window's score depends only on its detector's calibration and its
+packets, and a detector's state only on its own trace, so both are
+bit-identical for any batch size or composition: a standalone
+``detector.score(window)`` or ``detector.calibrate(trace)`` is the batch of
+one.
 """
 
 from __future__ import annotations
@@ -28,136 +39,163 @@ import numpy as np
 
 from repro import obs
 from repro.core.detector import Detector
-from repro.csi.calibration import sanitize_traces
+from repro.csi.calibration import sanitize_csi_array
 from repro.csi.trace import CSITrace
 
-from repro.api.session import DetectionEvent, StreamingSession
+from repro.api.session import StreamingSession
 
-#: Most detectors one kernel call stacks: bounds the temporaries of a large
+#: Most rows one kernel call stacks: bounds the temporaries of a large
 #: calibration or replay and keeps each stack in cache (results do not
-#: depend on how a group is split).
+#: depend on how a job is split).
 _MAX_STACK = 256
 
+#: ``(detectors, rows)``: stack row ``rows[i]`` under ``detectors[i]``.
+Job = tuple[Sequence[Detector], np.ndarray]
 
-def _prepared_views(pairs: Sequence[tuple[Detector, CSITrace]]) -> list[CSITrace]:
-    """The traces of (detector, trace) *pairs* as their detectors' kernels
-    read them: cleaned for a sanitising detector — every distinct trace
-    once, all in one :func:`~repro.csi.calibration.sanitize_traces` pass."""
-    views = [trace for _, trace in pairs]
-    cleaning = [i for i, (detector, _) in enumerate(pairs) if detector.sanitize]
-    raw = {id(views[i]): views[i] for i in cleaning}
-    cleaned = dict(zip(raw, sanitize_traces(list(raw.values()))))
-    for i in cleaning:
-        views[i] = cleaned[id(views[i])]
+
+def kernel_groups(detectors: Sequence[Detector]) -> list[list[int]]:
+    """Positions of *detectors* that one kernel call may stack, in
+    first-seen order: same class,
+    :meth:`~repro.core.detector.Detector.batch_key` and sanitise flag.  Each
+    distinct detector's key is computed once."""
+    keys: dict[int, Hashable] = {}
+    groups: dict[Hashable, list[int]] = {}
+    for position, detector in enumerate(detectors):
+        if id(detector) not in keys:
+            keys[id(detector)] = (type(detector), detector.batch_key(), detector.sanitize)
+        groups.setdefault(keys[id(detector)], []).append(position)
+    return list(groups.values())
+
+
+def prepare_stack(
+    csi: np.ndarray, subcarrier_indices: Sequence[int], jobs: Sequence[Job]
+) -> dict[bool, np.ndarray]:
+    """The raw stack *csi* as each job's kernel reads it, keyed by its
+    detectors' sanitise flag.
+
+    The rows a sanitising job reads are cleaned in one
+    :func:`~repro.csi.calibration.sanitize_csi_array` call over their
+    packets; sanitisation fits every packet on its own, so a cleaned row is
+    the row sanitised alone.
+    """
+    views: dict[bool, np.ndarray] = {}
+    needed = np.zeros(csi.shape[0], dtype=bool)
+    for detectors, rows in jobs:
+        if detectors[0].sanitize:
+            needed[rows] = True
+        else:
+            views[False] = csi
+    if needed.all():
+        packets = csi.reshape(-1, *csi.shape[2:])
+        views[True] = sanitize_csi_array(packets, subcarrier_indices).reshape(csi.shape)
+    elif needed.any():
+        cleaned = csi.copy()
+        packets = csi[needed].reshape(-1, *csi.shape[2:])
+        cleaned[needed] = sanitize_csi_array(packets, subcarrier_indices).reshape(
+            (-1, *csi.shape[1:])
+        )
+        views[True] = cleaned
     return views
 
 
-def _kernel_groups(
-    detectors: Sequence[Detector], views: Sequence[CSITrace]
-) -> list[tuple[type[Detector], list[list[int]]]]:
-    """The positions whose (detector, prepared view) pairs one kernel call
-    may stack: grouped by kernel (class and
-    :meth:`~repro.core.detector.Detector.batch_key`) and view shape, in
-    first-seen order, each group cut into chunks of at most ``_MAX_STACK``."""
-    keys: dict[int, Hashable] = {}
-    groups: dict[tuple[type[Detector], Hashable, tuple[int, ...]], list[int]] = {}
-    for position, (detector, view) in enumerate(zip(detectors, views)):
-        if id(detector) not in keys:
-            keys[id(detector)] = detector.batch_key()
-        key = (type(detector), keys[id(detector)], view.csi.shape)
-        groups.setdefault(key, []).append(position)
-    return [
-        (cls, [members[i : i + _MAX_STACK] for i in range(0, len(members), _MAX_STACK)])
-        for (cls, _, _), members in groups.items()
-    ]
+def _take(view: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``view[rows]``, as a slice (no copy) when *rows* are consecutive."""
+    first = int(rows[0])
+    if np.array_equal(rows, np.arange(first, first + rows.size)):
+        return view[first : first + rows.size]
+    return view[rows]
 
 
-def _score_views(detectors: Sequence[Detector], views: Sequence[CSITrace]) -> list[float]:
-    """Scores of prepared windows, window *i* under ``detectors[i]``.
+def _chunks(job: Job):
+    """A job cut into ``(detectors, rows)`` pieces of at most ``_MAX_STACK``."""
+    detectors, rows = job
+    for lo in range(0, len(rows), _MAX_STACK):
+        yield detectors[lo : lo + _MAX_STACK], rows[lo : lo + _MAX_STACK]
 
-    Each kernel group is one stacked
-    :meth:`~repro.core.detector.Detector.stacked_scores` call per chunk;
-    schemes scoring the same windows share one stack and its window-only
-    intermediates (the subcarrier weights).  The caller holds the
-    ``score.batch`` span.
+
+def score_stack(views: Mapping[bool, np.ndarray], jobs: Sequence[Job]) -> list[np.ndarray]:
+    """Scores of each job's rows, from the view its detectors read
+    (:func:`prepare_stack`).
+
+    Each job is one :meth:`~repro.core.detector.Detector.stacked_scores`
+    call per chunk, under its ``score.<scheme>`` span; jobs reading the same
+    rows of one view share one stack and its window-only intermediates (the
+    subcarrier weights).  The caller holds the ``score.batch`` span.
     """
-    scores = [0.0] * len(views)
-    scratches: dict[tuple[int, ...], dict] = {}
-    for cls, chunks in _kernel_groups(detectors, views):
+    scratches: dict[tuple[bool, bytes], dict] = {}
+    results = []
+    for job in jobs:
+        cls, clean = type(job[0][0]), job[0][0].sanitize
+        scores = np.empty(len(job[1]))
         with obs.span(f"score.{cls.scheme}"):
-            for chunk in chunks:
-                scratch = scratches.setdefault(tuple(id(views[i]) for i in chunk), {})
+            done = 0
+            for detectors, rows in _chunks(job):
+                scratch = scratches.setdefault((clean, rows.tobytes()), {})
                 if "csi" not in scratch:
-                    scratch["csi"] = np.stack([views[i].csi for i in chunk])
-                values = cls.stacked_scores(
-                    [detectors[i] for i in chunk], scratch["csi"], scratch
+                    scratch["csi"] = _take(views[clean], rows)
+                scores[done : done + len(rows)] = cls.stacked_scores(
+                    detectors, scratch["csi"], scratch
                 )
-                for position, value in zip(chunk, values):
-                    scores[position] = float(value)
-    obs.count("score.windows", len(views))
-    return scores
+                done += len(rows)
+        results.append(scores)
+    obs.count("score.windows", sum(len(rows) for _, rows in jobs))
+    return results
+
+
+def calibrate_stack(views: Mapping[bool, np.ndarray], jobs: Sequence[Job]) -> None:
+    """Calibrate each job's detectors from their rows of the view they read
+    (:func:`prepare_stack`), one
+    :meth:`~repro.core.detector.Detector.stacked_calibrate` call per chunk,
+    under one ``calibrate.kernel`` span."""
+    with obs.span("calibrate.kernel"):
+        for job in jobs:
+            cls, view = type(job[0][0]), views[job[0][0].sanitize]
+            for detectors, rows in _chunks(job):
+                cls.stacked_calibrate(detectors, _take(view, rows))
+
+
+def _jobs(
+    detectors: Sequence[Detector], rows: Sequence[int]
+) -> tuple[list[list[int]], list[Job]]:
+    """The kernel groups of *detectors* and one job per group, detector
+    ``i`` reading stack row ``rows[i]``."""
+    rows = np.asarray(rows, dtype=int)
+    groups = kernel_groups(detectors)
+    return groups, [([detectors[i] for i in group], rows[group]) for group in groups]
 
 
 def score_windows(pairs: Sequence[tuple[Detector, CSITrace]]) -> list[float]:
     """Scores of (detector, window) pairs, in *pairs* order.
 
-    Every window a sanitising detector needs is cleaned in one
-    :func:`~repro.csi.calibration.sanitize_traces` pass (once, however many
-    detectors score it); the pairs are then grouped by class,
-    :meth:`~repro.core.detector.Detector.batch_key` and window shape, and
-    each group is scored by one stacked kernel call per chunk.  Every score
-    is bit-identical to ``detector.score(window)``.
+    The windows are stacked by shape and subcarrier grid, each distinct
+    window once, and every stack goes through :func:`prepare_stack` and
+    :func:`score_stack` under one ``score.batch`` span.  Every score is
+    bit-identical to ``detector.score(window)``.
     """
     pairs = list(pairs)
     if not pairs:
         return []
     if any(window.num_packets < 1 for _, window in pairs):
         raise ValueError("monitoring window must contain at least one packet")
-    # The span covers the sanitisation pass: its grouping and stacking
-    # outside ``collect.sanitize`` is scoring time.
+    # Per stack: its distinct windows (row by id) and the pairs reading it.
+    stacks: dict[Hashable, tuple[dict[int, CSITrace], list[int]]] = {}
+    for position, (_, window) in enumerate(pairs):
+        key = (window.csi.shape, tuple(window.subcarrier_indices))
+        windows, positions = stacks.setdefault(key, ({}, []))
+        windows.setdefault(id(window), window)
+        positions.append(position)
+    scores = np.empty(len(pairs))
     with obs.span("score.batch"):
-        return _score_views([detector for detector, _ in pairs], _prepared_views(pairs))
-
-
-def score_windows_batch(
-    ready: Sequence[tuple[StreamingSession, CSITrace, int]]
-) -> list[DetectionEvent]:
-    """Score completed windows from several sessions and emit their events.
-
-    *ready* holds ``(session, window, packets_seen)`` triples, where
-    *packets_seen* is the session's packet count when the window completed.
-    The cross-link scoring step of the fleet scheduler
-    (:mod:`repro.fleet.scheduler`): one :func:`score_windows` call, then
-    events through
-    :meth:`~repro.api.session.StreamingSession.emit` in *ready* order —
-    bit-identical to the ones inline
-    :meth:`~repro.api.session.StreamingSession.push` would emit.
-    """
-    scores = score_windows([(session.detector, window) for session, window, _ in ready])
-    return [
-        session.emit(window, score, packets_seen)
-        for (session, window, packets_seen), score in zip(ready, scores)
-    ]
-
-
-def _calibrate(pairs: Sequence[tuple[Detector, CSITrace]]) -> list[CSITrace]:
-    """Calibrate each (detector, baseline) pair; return the baselines as the
-    detectors' kernels read them.
-
-    The pairs are grouped the way :func:`score_windows` groups windows — by
-    class, :meth:`~repro.core.detector.Detector.batch_key` and trace shape
-    — and each chunk is one
-    :meth:`~repro.core.detector.Detector.stacked_calibrate` call; every
-    baseline a sanitising detector needs is cleaned once, in one pass.
-    """
-    detectors = [detector for detector, _ in pairs]
-    views = _prepared_views(pairs)
-    for cls, chunks in _kernel_groups(detectors, views):
-        for chunk in chunks:
-            cls.stacked_calibrate(
-                [detectors[i] for i in chunk], np.stack([views[i].csi for i in chunk])
+        for (_, grid), (windows, positions) in stacks.items():
+            row_of = {key: row for row, key in enumerate(windows)}
+            groups, jobs = _jobs(
+                [pairs[p][0] for p in positions], [row_of[id(pairs[p][1])] for p in positions]
             )
-    return views
+            csi = np.stack([window.csi for window in windows.values()])
+            values = score_stack(prepare_stack(csi, grid, jobs), jobs)
+            for group, value in zip(groups, values):
+                scores[[positions[i] for i in group]] = value
+    return scores.tolist()
 
 
 def calibrate_sessions(pairs: Sequence[tuple[StreamingSession, CSITrace]]) -> None:
@@ -165,59 +203,85 @@ def calibrate_sessions(pairs: Sequence[tuple[StreamingSession, CSITrace]]) -> No
 
     Per session this is :meth:`~repro.api.session.StreamingSession.calibrate`:
     the detector is calibrated and, under the ``"calibration"`` threshold
-    policy, the trace is replayed as monitoring windows whose largest score
-    times the session's margin becomes its threshold.  Across sessions it is
-    one program: every calibration trace is sanitised in one
-    :func:`~repro.csi.calibration.sanitize_traces` pass, the detectors are
-    grouped like :func:`score_windows` groups windows and each group
-    calibrates in one stacked kernel call per chunk, and every replay window
-    is scored in one pass.  A replay window is a slice of the trace as its
-    detector's kernel read it: sanitisation fits every packet on its own, so
-    a slice of the sanitised trace is the sanitised slice.  Detectors and
-    thresholds end up bit-identical to calibrating each session alone.
+    policy, the trace is replayed as tumbling monitoring windows whose
+    largest score times the session's margin becomes its threshold.  Across
+    sessions it is one program per stack of traces that share a shape, a
+    subcarrier grid and a replay window: the stack is prepared in one
+    :func:`prepare_stack` pass, the detectors are grouped by kernel once
+    (:func:`kernel_groups`) and calibrate through :func:`calibrate_stack`,
+    and the prepared stack, reshaped into each trace's whole windows
+    (trailing packets dropped), is the replay every group scores in one
+    ``score.batch`` pass.  Sanitisation fits every packet on its own, so a
+    window of the prepared trace is the prepared window.  A trace shorter
+    than one window raises before any detector is calibrated.  Detectors
+    and thresholds end up bit-identical to calibrating each session alone.
     """
     with obs.span("calibrate"):
         pairs = list(pairs)
-        views = _calibrate([(session.detector, baseline) for session, baseline in pairs])
-        replay = [
-            (session, window)
-            for (session, _), view in zip(pairs, views)
-            if session.threshold_policy == "calibration"
-            for window in session.calibration_windows(view)
-        ]
-        if not replay:
+        stacks: dict[Hashable, list[int]] = {}
+        for position, (session, baseline) in enumerate(pairs):
+            replay = session.threshold_policy == "calibration"
+            if replay:
+                session.replay_windows(baseline.num_packets)
+            key = (
+                baseline.csi.shape,
+                tuple(baseline.subcarrier_indices),
+                session.window_packets if replay else None,
+            )
+            stacks.setdefault(key, []).append(position)
+        replays = []
+        for (shape, grid, window), members in stacks.items():
+            sessions = [pairs[i][0] for i in members]
+            detectors = [session.detector for session in sessions]
+            _, jobs = _jobs(detectors, range(len(members)))
+            csi = np.stack([pairs[i][1].csi for i in members])
+            views = prepare_stack(csi, grid, jobs)
+            calibrate_stack(views, jobs)
+            if window is not None:
+                count = sessions[0].replay_windows(shape[0])
+                windows = {
+                    clean: view[:, : count * window].reshape(-1, window, *shape[1:])
+                    for clean, view in views.items()
+                }
+                replay_jobs = [
+                    (
+                        [detector for detector in group for _ in range(count)],
+                        (rows[:, None] * count + np.arange(count)).ravel(),
+                    )
+                    for group, rows in jobs
+                ]
+                replays.append((sessions, count, windows, replay_jobs))
+        if not replays:
             return
         with obs.span("score.batch"):
-            scores = _score_views(
-                [session.detector for session, _ in replay],
-                [window for _, window in replay],
-            )
-        largest: dict[StreamingSession, float] = {}
-        for (session, _), score in zip(replay, scores):
-            largest[session] = max(largest.get(session, score), score)
-        for session, score in largest.items():
-            session.threshold = score * session.threshold_margin
+            for sessions, count, windows, replay_jobs in replays:
+                scores = np.empty(len(sessions) * count)
+                for (_, rows), values in zip(replay_jobs, score_stack(windows, replay_jobs)):
+                    scores[rows] = values
+                for session, row in zip(sessions, scores.reshape(-1, count).tolist()):
+                    session.threshold = max(row) * session.threshold_margin
 
 
 def calibrate_shared(detectors: Mapping[str, Detector], baseline: CSITrace) -> None:
     """Calibrate several detectors from one baseline, sanitising it once.
 
-    The campaign's calibration step: the detectors share one
-    ``sanitize_trace(baseline)`` and are grouped like :func:`score_windows`
-    groups windows, each group calibrating in one stacked kernel call (one
-    detector per scheme, so every group is a batch of one).  Each detector
-    ends up in the state its standalone ``calibrate`` would have produced,
-    bit for bit.
+    The campaign's calibration step: the baseline is a stack of one row that
+    every detector reads, prepared once (:func:`prepare_stack`) and
+    calibrated through :func:`calibrate_stack`.  Each detector ends up in
+    the state its standalone ``calibrate`` would have produced, bit for bit.
     """
     with obs.span("calibrate"):
-        _calibrate([(detector, baseline) for detector in detectors.values()])
+        detectors = list(detectors.values())
+        _, jobs = _jobs(detectors, [0] * len(detectors))
+        views = prepare_stack(baseline.csi[None], baseline.subcarrier_indices, jobs)
+        calibrate_stack(views, jobs)
 
 
 def score_windows_shared(
     detectors: Mapping[str, Detector], windows: Sequence[CSITrace]
 ) -> dict[str, list[float]]:
     """Score every window under every detector in one :func:`score_windows`
-    call, each window sanitised once for all schemes.
+    call: each window is stacked and sanitised once for all schemes.
 
     Returns a mapping from detector name to the per-window score list, in
     *windows* order.

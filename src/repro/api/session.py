@@ -212,25 +212,25 @@ class StreamingSession:
         The batch of one of :func:`repro.api.monitor.calibrate_sessions`:
         the detector is calibrated from the trace as its kernel reads it
         (``sanitize_trace(baseline)`` for a sanitising detector), whose
-        window slices are also the replay windows, scored in one stacked
-        pass.
+        whole windows (:meth:`replay_windows`) are also the replay, scored
+        in one stacked pass.
         """
         from repro.api.monitor import calibrate_sessions
 
         calibrate_sessions([(self, baseline)])
 
-    def calibration_windows(self, baseline: CSITrace) -> list[CSITrace]:
-        """The calibration trace cut into tumbling monitoring windows (the
-        ``"calibration"`` threshold policy's replay)."""
-        num_windows = baseline.num_packets // self.window_packets
+    def replay_windows(self, num_packets: int) -> int:
+        """How many tumbling monitoring windows the ``"calibration"``
+        threshold policy replays from a calibration trace of *num_packets*
+        (trailing packets that fill no window are dropped)."""
+        num_windows = num_packets // self.window_packets
         if num_windows < 1:
             raise ValueError(
-                f"calibration trace has {baseline.num_packets} packets but the "
+                f"calibration trace has {num_packets} packets but the "
                 f'"calibration" threshold policy needs at least one full window '
                 f"of {self.window_packets}"
             )
-        size = self.window_packets
-        return [baseline[i * size : (i + 1) * size] for i in range(num_windows)]
+        return num_windows
 
     @property
     def is_calibrated(self) -> bool:
@@ -248,7 +248,8 @@ class StreamingSession:
         window = self.advance(frame)
         if window is None:
             return None
-        return self.emit(window, float(self.detector.score(window)), self._packets_seen)
+        score = float(self.detector.score(window))
+        return self.emit(float(window.timestamps[-1]), score, self._packets_seen)
 
     def push_many(self, frames: Iterable[CSIFrame]) -> list[DetectionEvent]:
         """Consume several frames; return the events they triggered."""
@@ -271,8 +272,8 @@ class StreamingSession:
 
         :meth:`push` is this, a score and :meth:`emit`.  A caller watching
         several links collects the windows its sessions complete, scores
-        them together with :func:`repro.api.monitor.score_windows_batch` and
-        gets each link's events through :meth:`emit`.
+        them together (:func:`repro.api.monitor.score_windows`) and gets
+        each link's events through :meth:`emit`.
         """
         if not self.is_calibrated:
             raise RuntimeError("StreamingSession must be calibrated before pushing frames")
@@ -296,22 +297,25 @@ class StreamingSession:
         """
         return window_starts(num_packets, self.window_packets, self.window_stride)
 
-    def emit(self, window: CSITrace, score: float, packets_seen: int) -> DetectionEvent:
+    def emit(self, timestamp: float, score: float, packets_seen: int) -> DetectionEvent:
         """Record and return the event for a completed, scored window.
 
-        *packets_seen* is the session's packet count when *window*
-        completed, so a window scored after later packets arrived still
-        gets the event :meth:`push` would have emitted.
+        *timestamp* is the reception time of the window's newest packet and
+        *packets_seen* the session's packet count when the window completed,
+        so a window scored after later packets arrived (or never built as a
+        trace, like the fleet scheduler's rows) still gets the event
+        :meth:`push` would have emitted.  The window holds
+        :attr:`window_packets` packets.
         """
         detected = None if self.threshold is None else bool(score > self.threshold)
         event = DetectionEvent(
             link=self.link_name,
             index=self._event_count,
-            timestamp=float(window.timestamps[-1]),
+            timestamp=timestamp,
             score=score,
             threshold=self.threshold,
             detected=detected,
-            window_packets=window.num_packets,
+            window_packets=self.window_packets,
             packets_seen=packets_seen,
         )
         self._event_count += 1

@@ -25,8 +25,6 @@ correction phasor comes from the active backend.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro import obs
@@ -156,43 +154,3 @@ def sanitize_trace(trace: CSITrace) -> CSITrace:
         subcarrier_indices=trace.subcarrier_indices,
         label=trace.label,
     )
-
-
-def sanitize_traces(traces: Sequence[CSITrace]) -> list[CSITrace]:
-    """Sanitise several traces at once, batching across compatible traces.
-
-    Traces are grouped by ``(subcarrier grid, antenna count)``; each group's
-    packets are concatenated and cleaned by a single
-    :func:`sanitize_csi_array` call.  Packet counts may differ within a
-    group.  The per-frame phase fits are independent, so every returned
-    trace is bit-identical to :func:`sanitize_trace` on that trace alone —
-    the same contract the stacked batch-scoring path relies on, extended to
-    heterogeneous inputs (e.g. windows from links on different frequency
-    grids) by grouping instead of falling back to the scalar loop.
-    """
-    groups: dict[tuple[tuple[int, ...], int], list[int]] = {}
-    for position, trace in enumerate(traces):
-        # Tuple-ify before hashing: trace validation also accepts list or
-        # ndarray subcarrier grids, which are unhashable as-is.
-        key = (tuple(trace.subcarrier_indices), trace.num_antennas)
-        groups.setdefault(key, []).append(position)
-    sanitized: list[CSITrace | None] = [None] * len(traces)
-    for (grid, _), positions in groups.items():
-        if len(positions) == 1:
-            position = positions[0]
-            sanitized[position] = sanitize_trace(traces[position])
-            continue
-        stacked = np.concatenate([traces[i].csi for i in positions], axis=0)
-        cleaned = sanitize_csi_array(stacked, np.asarray(grid, dtype=float))
-        offset = 0
-        for position in positions:
-            trace = traces[position]
-            count = trace.num_packets
-            sanitized[position] = CSITrace(
-                csi=cleaned[offset : offset + count],
-                timestamps=trace.timestamps.copy(),
-                subcarrier_indices=trace.subcarrier_indices,
-                label=trace.label,
-            )
-            offset += count
-    return [trace for trace in sanitized if trace is not None]

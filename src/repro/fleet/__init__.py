@@ -9,12 +9,14 @@ supplies that layer on top of :mod:`repro.api`:
   link's streams derive from the fleet seed and its index alone, so any
   subset rebuilds byte-identically on any worker, and set-up acquires only
   the pool frames a link's windows read (nothing, and no calibration, for a
-  link that completes no window).
+  link that completes no window), written once into a shard-wide frame
+  layout.
 * :mod:`repro.fleet.scheduler` — a window scheduler that plans every
   link's windows from its arrival times (each link's
   :class:`~repro.api.session.StreamingSession` supplies the window rule),
   sorts them once by completion time and scores them in flushes *across
-  links* through the shared vectorized batch scorer.  Events are
+  links*: each flush gathers one stack from the frame layout and scores it
+  through :mod:`repro.api.monitor`'s stack program.  Events are
   bit-identical to sequential per-link ``push`` for any batch size.
 * :mod:`repro.fleet.engine` — :class:`FleetConfig` (JSON round-trip),
   :class:`FleetReport` (throughput, p50/p99 flush latency, a

@@ -16,9 +16,8 @@ the scheduler's batch-flush policy — as a JSON-round-trippable dataclass.
   for any worker count.
 
 The merge works because event *content* is session-local (scores are
-bit-identical however windows are batched — see
-:func:`repro.api.monitor.score_windows`) and the report orders events
-canonically by ``(timestamp, link, index)``.  Throughput and latency numbers
+bit-identical however windows are stacked — see :mod:`repro.api.monitor`)
+and the report orders events canonically by ``(timestamp, link, index)``.  Throughput and latency numbers
 are measurements, not part of the deterministic stream.
 """
 
@@ -349,15 +348,16 @@ def _setup_streams(
 
     Traffic comes from :func:`~repro.fleet.traffic.build_fleet_traffic`
     (geometry-shared clean CFRs, one acquisition call per scoring link of
-    the frames it reads).  A link whose arrivals complete no window is idle:
-    its traffic holds no calibration capture and it gets no session, since
-    nothing it could compute reaches an event.  Every other session is
-    calibrated in one shard-wide
-    :func:`~repro.api.monitor.calibrate_sessions` pass: one sanitisation of
-    all calibration traces, one stacked calibration call per chunk of links
-    that share a kernel (links on geometries that differ only in array
-    placement share one), and one scoring call for all threshold-replay
-    windows.
+    the frames it reads, written into the shard's frame layout).  A link
+    whose arrivals complete no window is idle: its traffic holds no
+    calibration capture and it gets no session, since nothing it could
+    compute reaches an event.  Every other session is calibrated in one
+    shard-wide :func:`~repro.api.monitor.calibrate_sessions` pass: the
+    calibration traces are one stack, sanitised once; its links are grouped
+    by kernel once (links on geometries that differ only in array placement
+    share one) and calibrate in one stacked call per chunk; and the prepared
+    stack, reshaped into tumbling windows, is the threshold replay, scored
+    in one pass.
     """
     links = _shard_links(indices)
     traffics = _build_shard_traffic(config, indices)

@@ -22,7 +22,10 @@ Set-up does only the work the run reads: a link's arrivals are drawn before
 its CSI, so only the pool frames its complete windows read are acquired
 (:class:`LinkTraffic` holds that prefix of the cycle), and a link whose
 arrivals complete no window is idle: it gets no collector, calibration
-capture or pool frames.
+capture or pool frames.  Set-up writes a shard's acquired frames once, into
+a frame layout: one array per frame shape, each scoring link's frames after
+the previous link's.  A link's traffic names its rows there, and the fleet
+scheduler gathers each flush's windows of many links with one index.
 """
 
 from __future__ import annotations
@@ -142,9 +145,12 @@ class LinkTraffic:
 
     Arrival ``i`` reports pool frame ``i % pool_cycle`` (an idle burst, then
     an occupied one); the traffic holds the prefix of that cycle its windows
-    read, and :meth:`arrival_csi` is the one lookup from arrivals to frames.
-    A link whose arrivals complete no window reads no frame and never
-    scores, so it holds neither frames nor a calibration capture: its
+    read.  Those frames are rows ``first_frame …`` of :attr:`frames`, a
+    frame layout that :func:`build_fleet_traffic` writes once per shard,
+    every scoring link's frames after the previous link's, so the fleet
+    scheduler gathers a flush's windows of many links with one index.  A
+    link whose arrivals complete no window reads no frame and never scores,
+    so it holds neither frames nor a calibration capture: its
     :attr:`calibration` is ``None`` exactly when it holds no frames.
 
     Parameters
@@ -157,16 +163,20 @@ class LinkTraffic:
     calibration:
         Empty-environment capture used to calibrate the link's session;
         ``None`` for a link that completes no window (and holds no frames).
-    pool_csi:
-        Finite complex ``(frames, antennas, subcarriers)`` array of the
-        acquired pool frames ``0 … frames - 1`` (none for a link that
-        completes no window).
+    frames:
+        Complex ``(rows, antennas, subcarriers)`` frame layout whose rows
+        ``first_frame … first_frame + len(pool_occupied) - 1`` are the
+        link's acquired pool frames ``0, 1, …``, all finite (a standalone
+        traffic passes just its own frames).
     pool_occupied:
-        Ground-truth occupancy per acquired frame.
+        Ground-truth occupancy per acquired frame; its length is the number
+        of frames acquired (none for a link that completes no window).
     subcarrier_indices:
         Frequency grid shared by every frame.
     pool_cycle:
-        Frames in the pool's full cycle, ``>= max(frames, 1)``.
+        Frames in the pool's full cycle, ``>= max(acquired frames, 1)``.
+    first_frame:
+        Row of :attr:`frames` holding the link's pool frame 0.
     """
 
     def __init__(
@@ -174,51 +184,58 @@ class LinkTraffic:
         profile: LinkProfile,
         arrivals: np.ndarray,
         calibration: CSITrace | None,
-        pool_csi: np.ndarray,
+        frames: np.ndarray,
         pool_occupied: np.ndarray,
         subcarrier_indices: tuple[int, ...],
         pool_cycle: int,
+        *,
+        first_frame: int = 0,
     ) -> None:
-        if pool_csi.ndim != 3:
-            raise ValueError(f"pool_csi must be (frames, antennas, subcarriers): {pool_csi.shape}")
-        frames = pool_csi.shape[0]
+        if frames.ndim != 3:
+            raise ValueError(f"frames must be (rows, antennas, subcarriers): {frames.shape}")
+        if pool_occupied.ndim != 1:
+            raise ValueError(f"pool_occupied must be 1-D, got shape {pool_occupied.shape}")
+        acquired = pool_occupied.shape[0]
+        if not 0 <= first_frame <= frames.shape[0] - acquired:
+            raise ValueError(
+                f"rows {first_frame} … {first_frame + acquired - 1} of the pool's "
+                f"frames are outside a layout of {frames.shape[0]} rows"
+            )
         if isinstance(pool_cycle, bool) or not isinstance(pool_cycle, int) or (
-            pool_cycle < max(frames, 1)
+            pool_cycle < max(acquired, 1)
         ):
             raise ValueError(
-                f"pool_cycle must be an integer >= max(1, {frames} acquired "
+                f"pool_cycle must be an integer >= max(1, {acquired} acquired "
                 f"frames), got {pool_cycle!r}"
             )
-        if not np.all(np.isfinite(pool_csi)):
-            raise ValueError("pool_csi contains non-finite values")
-        if pool_occupied.shape != (frames,):
-            raise ValueError(
-                f"pool_occupied has shape {pool_occupied.shape}, expected ({frames},)"
-            )
-        if (calibration is None) != (frames == 0):
+        if (calibration is None) != (acquired == 0):
             raise ValueError(
                 "calibration must be None exactly when no pool frames are held "
-                f"(a link that completes no window), got {frames} frames"
+                f"(a link that completes no window), got {acquired} frames"
             )
         self.profile = profile
         self.arrivals = np.asarray(arrivals, dtype=float)
         if self.arrivals.ndim != 1 or not np.all(np.diff(self.arrivals) >= 0):
             raise ValueError("arrivals must be a non-decreasing 1-D array of times")
         self.calibration = calibration
-        self.pool_csi = pool_csi
+        self.frames = frames
+        self.first_frame = first_frame
         self.pool_occupied = pool_occupied
+        if not np.all(np.isfinite(self.pool_csi)):
+            raise ValueError("pool_csi contains non-finite values")
         self.subcarrier_indices = subcarrier_indices
         self.pool_cycle = pool_cycle
+
+    @property
+    def pool_csi(self) -> np.ndarray:
+        """The acquired pool frames ``0 …``, shape ``(acquired, antennas,
+        subcarriers)`` (a view of :attr:`frames`)."""
+        return self.frames[self.first_frame : self.first_frame + self.pool_occupied.shape[0]]
 
     @property
     def num_arrivals(self) -> int:
         """Packets this link delivers over the fleet run."""
         return int(self.arrivals.shape[0])
-
-    def arrival_csi(self, arrivals: int | np.ndarray) -> np.ndarray:
-        """The CSI arrival(s) ``i`` report, frame ``i % pool_cycle``;
-        :class:`IndexError` for a frame that was not acquired."""
-        return self.pool_csi[np.asarray(arrivals) % self.pool_cycle]
 
     def __repr__(self) -> str:
         return (
@@ -226,7 +243,7 @@ class LinkTraffic:
             f"class={self.profile.rate_class!r}, "
             f"rate={self.profile.packet_rate_hz}Hz, "
             f"arrivals={self.num_arrivals}, "
-            f"frames={self.pool_csi.shape[0]}/{self.pool_cycle})"
+            f"frames={self.pool_occupied.shape[0]}/{self.pool_cycle})"
         )
 
 
@@ -268,7 +285,9 @@ def build_fleet_traffic(
       one :meth:`~repro.csi.collector.PacketCollector.collect_batch` call
       per scoring link.  Every packet's impairment block and loss gap are
       drawn in packet order, so they are the bytes a full-pool acquisition
-      gives those frames.
+      gives those frames.  The frames are then written into the shard's
+      frame layout, one concatenation per frame shape, in link order
+      (:attr:`LinkTraffic.frames`, :attr:`LinkTraffic.first_frame`).
 
     *links* holds the geometry of each entry of *indices*, aligned
     one-to-one (entries may repeat — they are deduplicated by identity).
@@ -309,23 +328,14 @@ def build_fleet_traffic(
             human = HumanBody(position=grid[len(grid) // 2])
             cache[id(link)] = (simulator, simulator.clean_cfr_batch([None, [human]]))
 
-    traffics: list[LinkTraffic] = []
-    for link, (profile, arrivals, link_word, frames) in zip(links, plans):
+    # Acquire every scoring link, then write the shard's frame layouts: one
+    # array per frame shape, each link's frames after the previous link's.
+    acquired: list[tuple[CSITrace, tuple[int, ...], int] | None] = []
+    pools: dict[tuple[int, ...], list[np.ndarray]] = {}
+    rows: dict[tuple[int, ...], int] = {}
+    for link, (profile, _, link_word, frames) in zip(links, plans):
         if not frames:
-            traffics.append(
-                LinkTraffic(
-                    profile=profile,
-                    arrivals=arrivals,
-                    calibration=None,
-                    pool_csi=np.empty(
-                        (0, link.array.num_elements, len(INTEL5300_SUBCARRIER_INDICES)),
-                        dtype=complex,
-                    ),
-                    pool_occupied=np.zeros(0, dtype=bool),
-                    subcarrier_indices=INTEL5300_SUBCARRIER_INDICES,
-                    pool_cycle=pool_packets,
-                )
-            )
+            acquired.append(None)
             continue
         simulator, cleans = cache[id(link)]
         empty = min(empty_packets, frames)
@@ -336,20 +346,46 @@ def build_fleet_traffic(
                 window_cleans.append(clean)
                 counts.append(count)
         collector = pipeline.collector(simulator, rng=child_rng(link_word, "collector"))
-        calibration, *pools = collector.collect_batch(
+        calibration, *captures = collector.collect_batch(
             np.stack(window_cleans),
             counts,
             labels=[f"{profile.name}/calibration"] + [""] * (len(counts) - 1),
         )
+        shape = calibration.csi.shape[1:]
+        acquired.append((calibration, shape, rows.get(shape, 0)))
+        rows[shape] = rows.get(shape, 0) + frames
+        pools.setdefault(shape, []).extend(trace.csi for trace in captures)
+    layouts = {shape: np.concatenate(csi) for shape, csi in pools.items()}
+
+    traffics: list[LinkTraffic] = []
+    for link, (profile, arrivals, _, frames), capture in zip(links, plans, acquired):
+        if capture is None:
+            traffics.append(
+                LinkTraffic(
+                    profile=profile,
+                    arrivals=arrivals,
+                    calibration=None,
+                    frames=np.empty(
+                        (0, link.array.num_elements, len(INTEL5300_SUBCARRIER_INDICES)),
+                        dtype=complex,
+                    ),
+                    pool_occupied=np.zeros(0, dtype=bool),
+                    subcarrier_indices=INTEL5300_SUBCARRIER_INDICES,
+                    pool_cycle=pool_packets,
+                )
+            )
+            continue
+        calibration, shape, first = capture
         traffics.append(
             LinkTraffic(
                 profile=profile,
                 arrivals=arrivals,
                 calibration=calibration,
-                pool_csi=np.concatenate([trace.csi for trace in pools]),
+                frames=layouts[shape],
                 pool_occupied=np.arange(frames) >= empty_packets,
                 subcarrier_indices=calibration.subcarrier_indices,
                 pool_cycle=pool_packets,
+                first_frame=first,
             )
         )
     return traffics

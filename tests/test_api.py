@@ -2,7 +2,8 @@
 
 Covers the detector registry, the declarative pipeline config, the streaming
 session (window semantics and bit-identical parity with batch scoring) and
-cross-link batch scoring (``score_windows_batch`` against per-link pushes).
+cross-link batch scoring (one ``score_windows`` call and
+``StreamingSession.emit`` against per-link pushes).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.api import (
     available_detectors,
     register_detector,
 )
-from repro.api.monitor import calibrate_sessions, score_windows_batch
+from repro.api.monitor import calibrate_sessions, score_windows
 from repro.channel import ChannelSimulator, HumanBody, Link, Point, Room
 from repro.core.detector import BaselineDetector
 from repro.csi import CSIFrame, CSITrace, PacketCollector
@@ -149,7 +150,6 @@ class TestPluginDetector:
                 DEFAULT_REGISTRY.unregister(name)
 
     def test_readme_plugin_matches_its_batch_of_one(self, plugin, link):
-        from repro.api.monitor import calibrate_sessions, score_windows
         from repro.core import Detector
         from repro.experiments.runner import (
             EvaluationConfig,
@@ -529,7 +529,8 @@ class TestStreamingSession:
         assert completed[:5] == [None] * 5
         window = completed[5]
         assert window is not None and window.num_packets == 6
-        event = session.emit(window, float(session.detector.score(window)), 6)
+        score = float(session.detector.score(window))
+        event = session.emit(float(window.timestamps[-1]), score, 6)
         assert [event] == expected
 
     def test_deferred_emit_keeps_completion_packets_seen(
@@ -553,7 +554,9 @@ class TestStreamingSession:
                 ready.append((window, session.packets_seen))
         assert session.packets_seen == 18
         events = [
-            session.emit(window, float(session.detector.score(window)), seen)
+            session.emit(
+                float(window.timestamps[-1]), float(session.detector.score(window)), seen
+            )
             for window, seen in ready
         ]
         assert [e.packets_seen for e in events] == [6, 12, 18]
@@ -652,15 +655,20 @@ def _calibrated_sessions(configs, links, calibrations):
 
 
 def _batched_events(sessions, traces):
-    """Stream each trace through its session and score every completed
-    window of every link in one :func:`score_windows_batch` call."""
+    """Stream each trace through its session, score every completed window
+    of every link in one :func:`score_windows` call and emit each window's
+    event with the packet count at which it completed."""
     ready = []
     for session, trace in zip(sessions, traces):
         for frame in trace:
             window = session.advance(frame)
             if window is not None:
                 ready.append((session, window, session.packets_seen))
-    return score_windows_batch(ready)
+    scores = score_windows([(session.detector, window) for session, window, _ in ready])
+    return [
+        session.emit(float(window.timestamps[-1]), score, seen)
+        for (session, window, seen), score in zip(ready, scores)
+    ]
 
 
 def _sequential_events(configs, links, calibrations, traces):
@@ -761,8 +769,46 @@ class TestScoreWindowsBatch:
             assert session.threshold == alone.threshold
 
     def test_empty_batches_are_no_ops(self):
-        assert score_windows_batch([]) == []
+        assert score_windows([]) == []
         assert calibrate_sessions([]) is None
+
+
+class TestArrayReplay:
+    """The ``"calibration"`` threshold replay scores the prepared
+    calibration stack reshaped into whole tumbling windows."""
+
+    def test_trailing_packets_are_dropped(self, multi_links):
+        """35 calibration packets and 10-packet windows: three windows, the
+        last 5 packets dropped; every threshold is the one each session
+        gets alone and the one its detector's own window scores give."""
+        config = PipelineConfig(detector="combined", window_packets=10, calibration_packets=35)
+        traces = [
+            PacketCollector(ChannelSimulator(link), seed=70 + n).collect_empty(num_packets=35)
+            for n, link in enumerate(multi_links)
+        ]
+        sessions = [config.session(link) for link in multi_links]
+        calibrate_sessions(list(zip(sessions, traces)))
+        for session, link, trace in zip(sessions, multi_links, traces):
+            alone = config.session(link)
+            alone.calibrate(trace)
+            windows = [trace[i * 10 : (i + 1) * 10] for i in range(3)]
+            largest = max(alone.detector.score(window) for window in windows)
+            assert session.threshold == alone.threshold == largest * config.threshold_margin
+
+    def test_short_trace_raises_before_any_calibration(self, multi_links):
+        """One trace shorter than a window fails the whole pass with the
+        one-line error, and no session's detector is calibrated."""
+        config = PipelineConfig(detector="baseline", window_packets=10, calibration_packets=30)
+        sessions = [config.session(link) for link in multi_links]
+        traces = [
+            PacketCollector(ChannelSimulator(link), seed=80 + n).collect_empty(
+                num_packets=9 if n == 1 else 30
+            )
+            for n, link in enumerate(multi_links)
+        ]
+        with pytest.raises(ValueError, match="has 9 packets but .* at least one full window of 10"):
+            calibrate_sessions(list(zip(sessions, traces)))
+        assert not any(session.is_calibrated for session in sessions)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,7 +1,7 @@
 """Parity suite for the whole-case array program.
 
 Every batched path introduced by the case program — multi-window collection
-through one impairment plan, grouped trace sanitisation, shared-sanitised
+through one impairment plan, stacked sanitisation, shared-sanitised
 scoring, the planned ``run_case`` and the geometry-shared fleet traffic
 builder — must be *byte-identical* to the retained scalar reference it
 replaced (for the fleet builder: the per-link full-pool oracle in
@@ -20,7 +20,8 @@ from repro.api.config import PipelineConfig
 from repro.api.monitor import (
     calibrate_sessions,
     calibrate_shared,
-    score_windows_batch,
+    prepare_stack,
+    score_windows,
     score_windows_shared,
 )
 from repro.channel.channel import ChannelSimulator
@@ -30,7 +31,7 @@ from repro.core.detector import (
     Detector,
     SubcarrierWeightingDetector,
 )
-from repro.csi.calibration import sanitize_trace, sanitize_traces
+from repro.csi.calibration import sanitize_csi_array, sanitize_trace
 from repro.csi.collector import PacketCollector
 from repro.csi.trace import CSITrace
 from repro.experiments.runner import (
@@ -123,7 +124,7 @@ class TestCollectBatchParity:
 
 
 # --------------------------------------------------------------------------- #
-# grouped sanitisation
+# stacked sanitisation
 # --------------------------------------------------------------------------- #
 def _shift_grid(trace: CSITrace, offset: int) -> CSITrace:
     """The same CSI on a shifted subcarrier grid (a different frequency map)."""
@@ -135,7 +136,7 @@ def _shift_grid(trace: CSITrace, offset: int) -> CSITrace:
     )
 
 
-class TestSanitizeTraces:
+class TestStackSanitisation:
     def _traces(self, links, *, packets=(9, 5, 7, 9)):
         out = []
         for n, (count, link) in enumerate(zip(packets, links)):
@@ -145,22 +146,30 @@ class TestSanitizeTraces:
             out.append(collector.collect_empty(num_packets=count, label=f"t{n}"))
         return out
 
-    def test_single_grid_matches_scalar(self, links):
+    def test_concatenated_traces_match_each_trace_alone(self, links):
+        """Traces of different lengths sanitised in one pass over their
+        packets give each trace's own sanitisation, bit for bit."""
         traces = self._traces(links[:4])
-        for got, trace in zip(sanitize_traces(traces), traces):
-            assert_traces_equal(got, sanitize_trace(trace))
+        cleaned = sanitize_csi_array(
+            np.concatenate([trace.csi for trace in traces]), traces[0].subcarrier_indices
+        )
+        offsets = np.cumsum([0] + [trace.num_packets for trace in traces])
+        for trace, lo, hi in zip(traces, offsets[:-1], offsets[1:]):
+            assert np.array_equal(cleaned[lo:hi], sanitize_trace(trace).csi)
 
-    def test_mixed_grids_group_and_match_scalar(self, links):
-        """Two grids interleaved: grouped batches, scalar-identical results."""
-        base = self._traces(links[:4])
-        traces = [base[0], _shift_grid(base[1], 3), base[2], _shift_grid(base[3], 3)]
-        sanitized = sanitize_traces(traces)
-        assert len(sanitized) == len(traces)
-        for got, trace in zip(sanitized, traces):
-            assert_traces_equal(got, sanitize_trace(trace))
-
-    def test_empty_input(self):
-        assert sanitize_traces([]) == []
+    def test_prepare_stack_cleans_only_the_rows_sanitising_jobs_read(self, links):
+        """Rows a sanitising job reads are cleaned as if alone; a row only a
+        non-sanitising job reads keeps its raw CSI in the raw view."""
+        traces = self._traces(links[:3], packets=(7, 7, 7))
+        raw = np.stack([trace.csi for trace in traces])
+        cleaning = BaselineDetector()
+        keeping = BaselineDetector(sanitize=False)
+        jobs = [([cleaning, cleaning], np.array([2, 0])), ([keeping], np.array([1]))]
+        views = prepare_stack(raw, traces[0].subcarrier_indices, jobs)
+        assert sorted(views) == [False, True]
+        assert views[False] is raw
+        for row in (0, 2):
+            assert np.array_equal(views[True][row], sanitize_trace(traces[row]).csi)
 
 
 # --------------------------------------------------------------------------- #
@@ -297,15 +306,19 @@ class TestMixedGridBatchScoring:
                 window = session.advance(frame)
                 if window is not None:
                     ready.append((session, window, session.packets_seen))
-        events = score_windows_batch(ready)
-        assert len(events) == 4
+        scores = score_windows([(session.detector, window) for session, window, _ in ready])
+        assert len(scores) == 4
 
         for link in pair:
             session = config.session(link)
             session.calibrate(calibrations[link.name])
             expected = session.push_trace(windows[link.name])
-            got = [e for e in events if e.link == link.name]
-            assert [e.score for e in got] == [e.score for e in expected]
+            got = [
+                score
+                for (batched, _, _), score in zip(ready, scores)
+                if batched.link_name == link.name
+            ]
+            assert got == [e.score for e in expected]
 
 
 # --------------------------------------------------------------------------- #

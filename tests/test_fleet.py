@@ -21,8 +21,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import obs
-from repro.api import PipelineConfig
+from repro.aoa.bartlett import BartlettEstimator
+from repro.api import PipelineConfig, StreamingSession
 from repro.backend import use_backend
+from repro.core.detector import BaselineDetector, SubcarrierPathWeightingDetector
 from repro.csi.format import CSIFrame
 from repro.experiments.scenarios import evaluation_cases
 from repro.fleet import (
@@ -297,46 +299,99 @@ class TestTraffic:
 
 
 class TestPoolCycle:
-    """``LinkTraffic`` holds a prefix of its pool's cycle; ``arrival_csi``
-    maps arrival ``i`` to frame ``i % pool_cycle``."""
+    """``LinkTraffic`` holds a prefix of its pool's cycle; the scheduler
+    reads arrival ``i`` from frame ``i % pool_cycle`` of the shard's frame
+    layout."""
 
-    def traffic(self, frames: int, cycle, *, calibrated: bool | None = None) -> LinkTraffic:
+    def traffic(
+        self, frames: int, cycle, *, calibrated: bool | None = None, layout=None, first=0
+    ) -> LinkTraffic:
         """The oracle's first *frames* frames; calibrated exactly when it
-        holds frames, unless *calibrated* says otherwise."""
+        holds frames, unless *calibrated* says otherwise.  With *layout*,
+        the frames are rows ``first …`` of that array."""
         oracle = oracle_traffic(small_fleet(pool_packets=6), 3)
         calibrated = frames > 0 if calibrated is None else calibrated
         return LinkTraffic(
             oracle.profile,
             oracle.arrivals,
             oracle.calibration if calibrated else None,
-            oracle.pool_csi[:frames],
+            oracle.pool_csi[:frames] if layout is None else layout,
             oracle.pool_occupied[:frames],
             oracle.subcarrier_indices,
             pool_cycle=cycle,
+            first_frame=first,
         )
 
-    def test_arrival_csi_cycles_over_the_pool(self):
+    @staticmethod
+    def scheduled(traffics, *, window_packets=4, window_stride=None):
+        """The events of one fleet flush over *traffics* (baseline scheme)."""
+        link = evaluation_cases()[3][1]
+        config = small_pipeline(window_packets=window_packets, window_stride=window_stride)
+        streams = []
+        for traffic in traffics:
+            session = config.session(link, link_name=traffic.profile.name)
+            session.calibrate(traffic.calibration)
+            streams.append((session, traffic))
+        events, _ = FleetScheduler(batch_windows=64).run(streams)
+        return events
+
+    def test_arrivals_cycle_over_the_pool(self):
+        """Arrival ``i`` reads frame ``i % pool_cycle``: the scheduled
+        events are the pushes of those frames."""
         full = self.traffic(6, 6)
-        arrivals = np.arange(20)
-        assert np.array_equal(full.arrival_csi(arrivals), full.pool_csi[arrivals % 6])
-        assert np.array_equal(full.arrival_csi(13), full.pool_csi[1])
+        events = self.scheduled([full])
+        session = small_pipeline(window_packets=4).session(
+            evaluation_cases()[3][1], link_name=full.profile.name
+        )
+        session.calibrate(full.calibration)
+        expected = session.push_many(
+            CSIFrame(
+                csi=full.pool_csi[i % 6],
+                timestamp=float(full.arrivals[i]),
+                sequence_number=i,
+                subcarrier_indices=full.subcarrier_indices,
+            )
+            for i in range(full.num_arrivals)
+        )
+        assert len(events) == full.num_arrivals // 4 > 2
+        assert [e.to_dict() for e in events] == [e.to_dict() for e in expected]
 
     def test_prefix_reads_acquired_frames_and_refuses_the_rest(self):
-        full, prefix = self.traffic(6, 6), self.traffic(4, 6)
-        assert np.array_equal(prefix.arrival_csi(np.arange(4)), full.pool_csi[:4])
-        assert np.array_equal(prefix.arrival_csi(np.arange(6, 10)), full.pool_csi[:4])
-        with pytest.raises(IndexError):
-            prefix.arrival_csi(np.arange(2, 6))
-        with pytest.raises(IndexError):
-            prefix.arrival_csi(11)
+        """Windows over frames 0-3 and 6-9 read a 4-frame prefix of a
+        6-frame cycle; a window over 2-5 reads unacquired frames and raises
+        before any event."""
+        prefix = self.traffic(4, 6)
+        events = self.scheduled([prefix], window_stride=6)
+        assert [e.packets_seen for e in events][:2] == [4, 10]
+        with pytest.raises(IndexError, match="reads pool frame 4, but its traffic acquired 4"):
+            self.scheduled([self.traffic(4, 6)], window_stride=2)
+
+    def test_unacquired_frame_never_reads_a_neighbours_rows(self):
+        """Two links share one frame layout, the first link's 4 frames
+        right before the second's 6.  A window of the first link that reads
+        its frame 4 raises IndexError instead of reading the second link's
+        rows."""
+        full = self.traffic(6, 6)
+        layout = np.concatenate([full.pool_csi[:4], full.pool_csi])
+        first = self.traffic(4, 6, layout=layout)
+        second = self.traffic(6, 6, layout=layout, first=4)
+        assert np.array_equal(second.pool_csi, full.pool_csi)
+        assert [e.to_dict() for e in self.scheduled([second])] == [
+            e.to_dict() for e in self.scheduled([full])
+        ]
+        with pytest.raises(IndexError, match="link-00003: arrival 4 reads pool frame 4"):
+            self.scheduled([first, second], window_stride=2)
 
     def test_zero_frames_keep_their_cycle(self):
         empty = self.traffic(0, 6)
         assert empty.pool_csi.shape[0] == 0 and empty.pool_cycle == 6
         assert empty.calibration is None
         assert "frames=0/6" in repr(empty)
-        with pytest.raises(IndexError):
-            empty.arrival_csi(0)
+
+    def test_layout_rows_must_hold_the_frames(self):
+        full = self.traffic(6, 6)
+        with pytest.raises(ValueError, match="outside a layout of 6 rows"):
+            self.traffic(6, 6, layout=full.pool_csi, first=1)
 
     @pytest.mark.parametrize("frames, calibrated", [(0, True), (4, False)])
     def test_calibration_held_exactly_with_frames(self, frames, calibrated):
@@ -433,11 +488,9 @@ def test_fleet_acquires_the_full_pool_prefix_its_windows_read(
         assert traffic.pool_csi.tobytes() == oracle.pool_csi[:frames].tobytes()
         assert np.array_equal(traffic.pool_occupied, oracle.pool_occupied[:frames])
         for start in starts:
-            read = np.arange(start, start + window_packets)
-            assert (
-                traffic.arrival_csi(read).tobytes()
-                == oracle.pool_csi[read % pool_packets].tobytes()
-            )
+            read = np.arange(start, start + window_packets) % pool_packets
+            assert read.max() < frames
+            assert traffic.pool_csi[read].tobytes() == oracle.pool_csi[read].tobytes()
         events = [event for event in report.events if event.link == traffic.profile.name]
         assert events == reference
     assert report.idle_links == sum(traffic.calibration is None for traffic in traffics)
@@ -605,6 +658,62 @@ class TestSchedulerParity:
 # --------------------------------------------------------------------------- #
 # fleet engine determinism
 # --------------------------------------------------------------------------- #
+class TestArrayFlush:
+    """One flush is one gathered stack scored per kernel group, and it emits
+    the events sequential push would."""
+
+    GRID_91 = np.linspace(-90.0, 90.0, 91)
+
+    def session(self, position, link, name):
+        """Link *position*'s session: combined on the default 181-angle
+        grid, combined on a 91-angle grid, or unsanitised baseline."""
+        kind = position % 3
+        if kind == 2:
+            detector = BaselineDetector(sanitize=False)
+        else:
+            grid = {"angle_grid_deg": self.GRID_91} if kind else {}
+            detector = SubcarrierPathWeightingDetector(BartlettEstimator(array=link.array, **grid))
+        return StreamingSession(detector, window_packets=10, link_name=name)
+
+    def test_one_flush_of_three_kernel_groups_matches_sequential_push(self):
+        config = small_fleet(links=6)
+        cases = evaluation_cases()
+        streams = []
+        for index, traffic in enumerate(fleet_traffic(config, range(config.links))):
+            link = cases[index % len(cases)][1]
+            session = self.session(index, link, traffic.profile.name)
+            session.calibrate(traffic.calibration)
+            streams.append((session, traffic))
+        assert len({id(traffic.frames) for _, traffic in streams}) == 1
+        with obs.recording() as recorder:
+            events, stats = FleetScheduler(batch_windows=10_000).run(streams)
+        spans = recorder.snapshot().spans
+        assert sorted(s.name for s in spans if s.name.startswith("score.")) == [
+            "score.baseline",
+            "score.batch",
+            "score.combined",
+            "score.combined",
+        ]
+        assert [s.name for s in spans if s.name == "collect.sanitize"] == ["collect.sanitize"]
+        assert stats.windows == len(events) > 6
+        for index, (_, traffic) in enumerate(streams):
+            oracle = oracle_traffic(config, index)
+            link = cases[index % len(cases)][1]
+            reference = self.session(index, link, traffic.profile.name)
+            reference.calibrate(oracle.calibration)
+            expected = reference.push_many(
+                CSIFrame(
+                    csi=oracle.pool_csi[i % config.pool_packets],
+                    timestamp=float(oracle.arrivals[i]),
+                    sequence_number=i,
+                    subcarrier_indices=oracle.subcarrier_indices,
+                )
+                for i in range(oracle.num_arrivals)
+            )
+            got = [event for event in events if event.link == traffic.profile.name]
+            assert stream_digest(got) == stream_digest(expected)
+
+
 class TestRunFleet:
     def test_report_shape_and_census(self):
         config = small_fleet()

@@ -588,9 +588,10 @@ class TestCalibrateSpan:
         spans = recorder.snapshot().spans
         calibrate = [s.path for s in spans if s.name == "calibrate"]
         assert calibrate == ["eval.campaign/eval.case/calibrate"] * len(cases)
-        # Every scheme calibrates from one shared sanitisation of the trace.
+        # Every scheme calibrates from one shared sanitisation of the trace,
+        # then the stacked kernels run under their own span.
         inside = [s.name for s in spans if s.path.startswith(calibrate[0] + "/")]
-        assert inside == ["collect.sanitize"] * len(cases)
+        assert inside == ["collect.sanitize", "calibrate.kernel"] * len(cases)
 
     def test_single_shard_fleet_calibrates_in_one_span(self):
         from repro.api import PipelineConfig
@@ -610,9 +611,10 @@ class TestCalibrateSpan:
         spans = recorder.snapshot().spans
         calibrate = [s.path for s in spans if s.name == "calibrate"]
         assert calibrate == ["fleet.shard_setup/calibrate"]
-        # The shard-wide sanitisation and the threshold replay sit under it.
+        # The shard-wide sanitisation, the stacked calibration kernels and
+        # the threshold replay sit under it.
         children = [s.name for s in spans if s.path.rpartition("/")[0] == calibrate[0]]
-        assert sorted(children) == ["collect.sanitize", "score.batch"]
+        assert sorted(children) == ["calibrate.kernel", "collect.sanitize", "score.batch"]
 
 
 class TestKernelSpans:
@@ -639,6 +641,50 @@ class TestKernelSpans:
         kernels = [s.path.rpartition("/")[0] for s in spans if s.name == "score.combined"]
         assert len(batches) > 2
         assert kernels == batches
+
+
+class TestFleetStageSpans:
+    def test_traced_fleet_records_calibration_gather_and_emit_spans(self):
+        """A traced 40-link fleet: the stacked calibration kernels run under
+        ``calibrate``; the scheduler groups its links once, then every flush
+        gathers, scores (one ``score.batch`` holding one sanitisation) and
+        emits under ``fleet.schedule``."""
+        from repro.api import PipelineConfig
+        from repro.fleet import FleetConfig, run_fleet
+
+        config = FleetConfig(
+            links=40,
+            duration_s=2.0,
+            seed=5,
+            batch_windows=16,
+            pool_packets=40,
+            pipeline=PipelineConfig(
+                detector="combined", window_packets=10, calibration_packets=30
+            ),
+        )
+        with obs.recording() as recorder:
+            report = run_fleet(config)
+        spans = recorder.snapshot().spans
+        paths = [s.path for s in spans]
+        new = (
+            "calibrate.kernel",
+            "fleet.schedule.group",
+            "fleet.schedule.gather",
+            "fleet.schedule.emit",
+        )
+        assert {s.path for s in spans if s.name in new} == {
+            "fleet.shard_setup/calibrate/calibrate.kernel",
+            "fleet.schedule/fleet.schedule.group",
+            "fleet.schedule/fleet.schedule.gather",
+            "fleet.schedule/fleet.schedule.emit",
+        }
+        assert paths.count("fleet.shard_setup/calibrate/calibrate.kernel") == 1
+        assert paths.count("fleet.schedule/fleet.schedule.group") == 1
+        flushes = -(-report.windows_scored // config.batch_windows)
+        for name in ("fleet.schedule.gather", "score.batch", "fleet.schedule.emit"):
+            assert paths.count(f"fleet.schedule/{name}") == flushes > 1
+        assert paths.count("fleet.schedule/score.batch/collect.sanitize") == flushes
+        assert paths.count("fleet.schedule/score.batch/score.combined") == flushes
 
 
 # --------------------------------------------------------------------------- #

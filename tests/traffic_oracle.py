@@ -74,7 +74,7 @@ def full_pool_traffic(
         profile=profile,
         arrivals=arrivals,
         calibration=calibration,
-        pool_csi=np.concatenate([trace.csi for trace in pools], axis=0),
+        frames=np.concatenate([trace.csi for trace in pools], axis=0),
         pool_occupied=np.arange(pool_packets) >= empty_packets,
         subcarrier_indices=calibration.subcarrier_indices,
         pool_cycle=pool_packets,
