@@ -243,12 +243,13 @@ def calibrate_sessions(pairs: Sequence[tuple[StreamingSession, CSITrace]]) -> No
                     clean: view[:, : count * window].reshape(-1, window, *shape[1:])
                     for clean, view in views.items()
                 }
+                # Trace row r's windows are rows r * count … r * count + count - 1.
                 replay_jobs = [
                     (
-                        [detector for detector in group for _ in range(count)],
+                        [detector for detector in readers for _ in range(count)],
                         (rows[:, None] * count + np.arange(count)).ravel(),
                     )
-                    for group, rows in jobs
+                    for readers, rows in jobs
                 ]
                 replays.append((sessions, count, windows, replay_jobs))
         if not replays:
